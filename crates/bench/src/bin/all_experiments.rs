@@ -6,7 +6,7 @@
 //! 5 000 objects/node — several minutes); the default `quick` scale runs
 //! the same code at 1/4 network size and 1/10 volume.
 
-use bench::report::{log_log_slope, print_table, write_csv};
+use bench::report::{log_log_slope, print_table};
 use bench::{fig6, fig7, fig8, Scale};
 
 fn main() {
@@ -18,37 +18,9 @@ fn main() {
     // ---------------- E1: Fig. 6a ----------------
     let e1 = fig6::fig6a(scale);
     {
-        let rows: Vec<Vec<String>> = e1
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.objects_per_node.to_string(),
-                    p.lp.to_string(),
-                    p.messages.to_string(),
-                    p.bytes.to_string(),
-                ]
-            })
-            .collect();
-        let header = ["series", "objects/node", "lp", "messages", "bytes"];
-        print_table("E1 / Fig. 6a — indexing cost vs data volume (dynamic network)", &header, &rows);
-        write_csv(
-        bench::report::results_path("fig6a.csv"),
-            &["series", "objects_per_node", "nn", "lp", "messages", "bytes"],
-            &e1.iter()
-                .map(|p| {
-                    vec![
-                        p.series.clone(),
-                        p.objects_per_node.to_string(),
-                        p.nn.to_string(),
-                        p.lp.to_string(),
-                        p.messages.to_string(),
-                        p.bytes.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-        .expect("write fig6a");
+        let csv = fig6::fig6a_csv(&e1);
+        print_table("E1 / Fig. 6a — indexing cost vs data volume (dynamic network)", csv.header, &csv.rows);
+        csv.write();
 
         // Criteria: near-parity at the lowest volume; group cheaper at
         // the highest; group sublinear vs individual linear.
@@ -93,35 +65,9 @@ fn main() {
     // ---------------- E2: Fig. 6b ----------------
     let e2 = fig6::fig6b(scale);
     {
-        let rows: Vec<Vec<String>> = e2
-            .iter()
-            .map(|p| {
-                vec![
-                    p.series.clone(),
-                    p.nn.to_string(),
-                    p.lp.to_string(),
-                    p.messages.to_string(),
-                ]
-            })
-            .collect();
-        print_table("E2 / Fig. 6b — indexing cost vs network size", &["series", "nn", "lp", "messages"], &rows);
-        write_csv(
-        bench::report::results_path("fig6b.csv"),
-            &["series", "nn", "objects_per_node", "lp", "messages", "bytes"],
-            &e2.iter()
-                .map(|p| {
-                    vec![
-                        p.series.clone(),
-                        p.nn.to_string(),
-                        p.objects_per_node.to_string(),
-                        p.lp.to_string(),
-                        p.messages.to_string(),
-                        p.bytes.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-        .expect("write fig6b");
+        let csv = fig6::fig6b_csv(&e2);
+        print_table("E2 / Fig. 6b — indexing cost vs network size", csv.header, &csv.rows);
+        csv.write();
 
         let series_pts = |name: &str| {
             e2.iter()
@@ -153,36 +99,9 @@ fn main() {
     // ---------------- E3: Fig. 7a ----------------
     let e3 = fig7::fig7a(scale);
     {
-        let rows: Vec<Vec<String>> = e3
-            .iter()
-            .map(|p| {
-                vec![
-                    p.nn.to_string(),
-                    format!("{:.2}", p.p2p_ms),
-                    format!("{:.2}", p.centralized_ms),
-                    format!("{:.1}", p.p2p_messages),
-                    p.warehouse_rows.to_string(),
-                ]
-            })
-            .collect();
-        print_table("E3 / Fig. 7a — trace-query time vs network size", &["nn", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"], &rows);
-        write_csv(
-        bench::report::results_path("fig7a.csv"),
-            &["nn", "objects_per_node", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"],
-            &e3.iter()
-                .map(|p| {
-                    vec![
-                        p.nn.to_string(),
-                        p.objects_per_node.to_string(),
-                        format!("{:.3}", p.p2p_ms),
-                        format!("{:.3}", p.centralized_ms),
-                        format!("{:.2}", p.p2p_messages),
-                        p.warehouse_rows.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-        .expect("write fig7a");
+        let csv = fig7::fig7a_csv(&e3);
+        print_table("E3 / Fig. 7a — trace-query time vs network size", csv.header, &csv.rows);
+        csv.write();
 
         let p2p: Vec<f64> = e3.iter().map(|p| p.p2p_ms).collect();
         let flat = p2p.iter().cloned().fold(f64::MIN, f64::max)
@@ -204,34 +123,9 @@ fn main() {
     // ---------------- E4: Fig. 7b ----------------
     let e4 = fig7::fig7b(scale);
     {
-        let rows: Vec<Vec<String>> = e4
-            .iter()
-            .map(|p| {
-                vec![
-                    p.objects_per_node.to_string(),
-                    format!("{:.2}", p.p2p_ms),
-                    format!("{:.2}", p.centralized_ms),
-                ]
-            })
-            .collect();
-        print_table("E4 / Fig. 7b — trace-query time vs data volume", &["objects/node", "p2p_ms", "centralized_ms"], &rows);
-        write_csv(
-        bench::report::results_path("fig7b.csv"),
-            &["objects_per_node", "nn", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"],
-            &e4.iter()
-                .map(|p| {
-                    vec![
-                        p.objects_per_node.to_string(),
-                        p.nn.to_string(),
-                        format!("{:.3}", p.p2p_ms),
-                        format!("{:.3}", p.centralized_ms),
-                        format!("{:.2}", p.p2p_messages),
-                        p.warehouse_rows.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-        .expect("write fig7b");
+        let csv = fig7::fig7b_csv(&e4);
+        print_table("E4 / Fig. 7b — trace-query time vs data volume", csv.header, &csv.rows);
+        csv.write();
 
         let p2p: Vec<f64> = e4.iter().map(|p| p.p2p_ms).collect();
         let flat = p2p.iter().cloned().fold(f64::MIN, f64::max)
@@ -244,32 +138,8 @@ fn main() {
     // ---------------- E5: Fig. 8a ----------------
     let e5 = fig8::fig8a(scale);
     {
-        let rows: Vec<Vec<String>> = e5
-            .iter()
-            .map(|p| {
-                vec![
-                    p.scheme.label(),
-                    p.lp.to_string(),
-                    format!("{:.4}", p.gini),
-                    format!("{:.3}", p.delta_observed),
-                ]
-            })
-            .collect();
-        print_table("E5 / Fig. 8a — load balance per Lp scheme", &["scheme", "lp", "gini", "delta"], &rows);
-        let mut curve_rows = Vec::new();
-        for p in &e5 {
-            for (xf, yf) in &p.curve {
-                curve_rows.push(vec![
-                    p.scheme.label(),
-                    p.lp.to_string(),
-                    format!("{xf:.3}"),
-                    format!("{yf:.3}"),
-                ]);
-            }
-        }
-        write_csv(
-        bench::report::results_path("fig8a.csv"), &["scheme", "lp", "node_fraction", "load_fraction"], &curve_rows)
-            .expect("write fig8a");
+        print_table("E5 / Fig. 8a — load balance per Lp scheme", &fig8::BALANCE_SUMMARY_HEADER, &fig8::balance_summary(&e5));
+        fig8::fig8a_csv(&e5).write();
 
         let g = |s: peertrack::PrefixScheme| e5.iter().find(|p| p.scheme == s).unwrap().gini;
         use peertrack::PrefixScheme::*;
@@ -282,25 +152,9 @@ fn main() {
     // ---------------- E6: Fig. 8b ----------------
     let e6 = fig8::fig8b(scale);
     {
-        let rows: Vec<Vec<String>> = e6
-            .iter()
-            .map(|p| {
-                vec![
-                    p.scheme.label(),
-                    p.nn.to_string(),
-                    p.lp.to_string(),
-                    p.messages.to_string(),
-                    format!("{:.2}", p.log2_messages),
-                ]
-            })
-            .collect();
-        print_table("E6 / Fig. 8b — indexing cost per Lp scheme", &["scheme", "nn", "lp", "messages", "log2"], &rows);
-        write_csv(
-        bench::report::results_path("fig8b.csv"),
-            &["scheme", "nn", "lp", "messages", "log2_messages"],
-            &rows,
-        )
-        .expect("write fig8b");
+        let csv = fig8::fig8b_csv(&e6);
+        print_table("E6 / Fig. 8b — indexing cost per Lp scheme", csv.header, &csv.rows);
+        csv.write();
 
         use peertrack::PrefixScheme::*;
         let cost = |s: peertrack::PrefixScheme, nn: usize| {

@@ -1,33 +1,13 @@
 //! E2 — Fig. 6b: scalability of indexing on network size (three
 //! series). Prints the series and writes `results/fig6b.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig6, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = fig6::fig6b(scale);
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.series.clone(),
-                p.nn.to_string(),
-                p.objects_per_node.to_string(),
-                p.lp.to_string(),
-                p.messages.to_string(),
-                p.bytes.to_string(),
-            ]
-        })
-        .collect();
-    let header = ["series", "nn", "objects_per_node", "lp", "messages", "bytes"];
-    write_csv(
-        bench::report::results_path("fig6b.csv"), &header, &rows).expect("write results/fig6b.csv");
-    print_table(
-        &format!("Fig. 6b — indexing cost vs network size ({scale:?})"),
-        &header,
-        &rows,
-    );
-    println!("\nwrote results/fig6b.csv");
+    let csv = fig6::fig6b_csv(&fig6::fig6b(scale));
+    csv.write();
+    print_table(&format!("Fig. 6b — indexing cost vs network size ({scale:?})"), csv.header, &csv.rows);
+    println!("\nwrote results/{}", csv.file);
 }

@@ -1,35 +1,13 @@
 //! E3 — Fig. 7a: query processing time vs network size, P2P vs
 //! centralized. Writes `results/fig7a.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig7, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = fig7::fig7a(scale);
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nn.to_string(),
-                p.objects_per_node.to_string(),
-                // Same precision as all_experiments' E3 writer so both
-                // producers of results/fig7a.csv emit identical bytes.
-                format!("{:.3}", p.p2p_ms),
-                format!("{:.3}", p.centralized_ms),
-                format!("{:.2}", p.p2p_messages),
-                p.warehouse_rows.to_string(),
-            ]
-        })
-        .collect();
-    let header = ["nn", "objects_per_node", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"];
-    write_csv(
-        bench::report::results_path("fig7a.csv"), &header, &rows).expect("write results/fig7a.csv");
-    print_table(
-        &format!("Fig. 7a — trace-query time vs network size ({scale:?})"),
-        &header,
-        &rows,
-    );
-    println!("\nwrote results/fig7a.csv");
+    let csv = fig7::fig7a_csv(&fig7::fig7a(scale));
+    csv.write();
+    print_table(&format!("Fig. 7a — trace-query time vs network size ({scale:?})"), csv.header, &csv.rows);
+    println!("\nwrote results/{}", csv.file);
 }

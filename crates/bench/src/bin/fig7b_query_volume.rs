@@ -1,35 +1,13 @@
 //! E4 — Fig. 7b: query processing time vs data volume, P2P vs
 //! centralized. Writes `results/fig7b.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig7, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = fig7::fig7b(scale);
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.objects_per_node.to_string(),
-                p.nn.to_string(),
-                // Same precision as all_experiments' E4 writer so both
-                // producers of results/fig7b.csv emit identical bytes.
-                format!("{:.3}", p.p2p_ms),
-                format!("{:.3}", p.centralized_ms),
-                format!("{:.2}", p.p2p_messages),
-                p.warehouse_rows.to_string(),
-            ]
-        })
-        .collect();
-    let header = ["objects_per_node", "nn", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"];
-    write_csv(
-        bench::report::results_path("fig7b.csv"), &header, &rows).expect("write results/fig7b.csv");
-    print_table(
-        &format!("Fig. 7b — trace-query time vs data volume ({scale:?})"),
-        &header,
-        &rows,
-    );
-    println!("\nwrote results/fig7b.csv");
+    let csv = fig7::fig7b_csv(&fig7::fig7b(scale));
+    csv.write();
+    print_table(&format!("Fig. 7b — trace-query time vs data volume ({scale:?})"), csv.header, &csv.rows);
+    println!("\nwrote results/{}", csv.file);
 }

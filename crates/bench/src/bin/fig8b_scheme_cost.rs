@@ -1,32 +1,13 @@
 //! E6 — Fig. 8b: indexing cost (log2 of messages) per Lp scheme across
 //! network sizes. Writes `results/fig8b.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig8, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = fig8::fig8b(scale);
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.scheme.label(),
-                p.nn.to_string(),
-                p.lp.to_string(),
-                p.messages.to_string(),
-                format!("{:.2}", p.log2_messages),
-            ]
-        })
-        .collect();
-    let header = ["scheme", "nn", "lp", "messages", "log2_messages"];
-    write_csv(
-        bench::report::results_path("fig8b.csv"), &header, &rows).expect("write results/fig8b.csv");
-    print_table(
-        &format!("Fig. 8b — indexing cost per scheme ({scale:?})"),
-        &header,
-        &rows,
-    );
-    println!("\nwrote results/fig8b.csv");
+    let csv = fig8::fig8b_csv(&fig8::fig8b(scale));
+    csv.write();
+    print_table(&format!("Fig. 8b — indexing cost per scheme ({scale:?})"), csv.header, &csv.rows);
+    println!("\nwrote results/{}", csv.file);
 }

@@ -7,6 +7,7 @@
 //! with three series: individual indexing, group indexing with grouped
 //! movement, and group indexing with individual movement.
 
+use crate::report::Csv;
 use crate::{experiment_group_mode, parallel_sweep, Scale};
 use peertrack::{Builder, IndexingMode, TraceableNetwork};
 use simnet::time::secs;
@@ -117,6 +118,44 @@ pub fn fig6b(scale: Scale) -> Vec<IndexingPoint> {
         jobs.push((n, experiment_group_mode(), false));
     }
     parallel_sweep(jobs, |&(n, mode, grouped)| run_indexing(n, vol, mode, grouped, 0, 42))
+}
+
+/// The two Fig. 6 CSVs share their columns; each leads with the
+/// variable it sweeps.
+fn indexing_csv(
+    file: &'static str,
+    header: &'static [&'static str],
+    points: &[IndexingPoint],
+    by_volume: bool,
+) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            let (vol, nn) = (p.objects_per_node.to_string(), p.nn.to_string());
+            let (first, second) = if by_volume { (vol, nn) } else { (nn, vol) };
+            vec![
+                p.series.clone(),
+                first,
+                second,
+                p.lp.to_string(),
+                p.messages.to_string(),
+                p.bytes.to_string(),
+            ]
+        })
+        .collect();
+    Csv { file, header, rows }
+}
+
+/// `results/fig6a.csv`.
+pub fn fig6a_csv(points: &[IndexingPoint]) -> Csv {
+    let header = &["series", "objects_per_node", "nn", "lp", "messages", "bytes"];
+    indexing_csv("fig6a.csv", header, points, true)
+}
+
+/// `results/fig6b.csv`.
+pub fn fig6b_csv(points: &[IndexingPoint]) -> Csv {
+    let header = &["series", "nn", "objects_per_node", "lp", "messages", "bytes"];
+    indexing_csv("fig6b.csv", header, points, false)
 }
 
 #[cfg(test)]

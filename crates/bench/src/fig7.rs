@@ -6,6 +6,7 @@
 //! runs the same data in the Wang–Liu warehouse under its calibrated
 //! cost model.
 
+use crate::report::Csv;
 use crate::{experiment_group_mode, parallel_sweep, Scale};
 use centralized::Warehouse;
 use moods::SiteId;
@@ -97,6 +98,44 @@ pub fn fig7b(scale: Scale) -> Vec<QueryPoint> {
     let nn = scale.nodes(512);
     let volumes: Vec<usize> = (1..=10).map(|i| scale.objects(500 * i)).collect();
     parallel_sweep(volumes, |&v| run_queries(nn, v, 100, 42))
+}
+
+/// The two Fig. 7 CSVs share their columns; each leads with the
+/// variable it sweeps.
+fn query_csv(
+    file: &'static str,
+    header: &'static [&'static str],
+    points: &[QueryPoint],
+    by_volume: bool,
+) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            let (vol, nn) = (p.objects_per_node.to_string(), p.nn.to_string());
+            let (first, second) = if by_volume { (vol, nn) } else { (nn, vol) };
+            vec![
+                first,
+                second,
+                format!("{:.3}", p.p2p_ms),
+                format!("{:.3}", p.centralized_ms),
+                format!("{:.2}", p.p2p_messages),
+                p.warehouse_rows.to_string(),
+            ]
+        })
+        .collect();
+    Csv { file, header, rows }
+}
+
+/// `results/fig7a.csv`.
+pub fn fig7a_csv(points: &[QueryPoint]) -> Csv {
+    let header = &["nn", "objects_per_node", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"];
+    query_csv("fig7a.csv", header, points, false)
+}
+
+/// `results/fig7b.csv`.
+pub fn fig7b_csv(points: &[QueryPoint]) -> Csv {
+    let header = &["objects_per_node", "nn", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"];
+    query_csv("fig7b.csv", header, points, true)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! (load % carried by the hottest x % of nodes); Fig. 8b shows the
 //! indexing cost (log₂ of messages) as the network grows.
 
-use crate::report::{gini, load_curve};
+use crate::report::{gini, load_curve, Csv};
 use crate::{parallel_sweep, Scale};
 use peertrack::{Builder, GroupConfig, IndexingMode, PrefixScheme};
 use workload::paper::PaperWorkload;
@@ -101,6 +101,58 @@ pub fn fig8b(scale: Scale) -> Vec<SchemeCostPoint> {
             lp,
         }
     })
+}
+
+/// `results/fig8a.csv`: the full Lorenz-style curves.
+pub fn fig8a_csv(points: &[BalancePoint]) -> Csv {
+    let mut rows = Vec::new();
+    for p in points {
+        for (xf, yf) in &p.curve {
+            rows.push(vec![
+                p.scheme.label(),
+                p.lp.to_string(),
+                format!("{xf:.3}"),
+                format!("{yf:.3}"),
+            ]);
+        }
+    }
+    Csv { file: "fig8a.csv", header: &["scheme", "lp", "node_fraction", "load_fraction"], rows }
+}
+
+/// Columns of [`balance_summary`].
+pub const BALANCE_SUMMARY_HEADER: [&str; 4] = ["scheme", "lp", "gini", "delta_observed"];
+
+/// One console row per scheme: the scalar view of Fig. 8a (the CSV
+/// holds the curves).
+pub fn balance_summary(points: &[BalancePoint]) -> Vec<Vec<String>> {
+    points
+        .iter()
+        .map(|p| {
+            vec![
+                p.scheme.label(),
+                p.lp.to_string(),
+                format!("{:.4}", p.gini),
+                format!("{:.3}", p.delta_observed),
+            ]
+        })
+        .collect()
+}
+
+/// `results/fig8b.csv`.
+pub fn fig8b_csv(points: &[SchemeCostPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.scheme.label(),
+                p.nn.to_string(),
+                p.lp.to_string(),
+                p.messages.to_string(),
+                format!("{:.2}", p.log2_messages),
+            ]
+        })
+        .collect();
+    Csv { file: "fig8b.csv", header: &["scheme", "nn", "lp", "messages", "log2_messages"], rows }
 }
 
 #[cfg(test)]

@@ -34,6 +34,31 @@ pub fn write_csv<P: AsRef<Path>>(
     Ok(())
 }
 
+/// One figure's CSV artifact: formatted once, next to the figure's
+/// generator, and written by every binary that produces the file — so
+/// two producers of `results/<file>` cannot disagree on a column or a
+/// float precision.
+pub struct Csv {
+    /// File name under `results/`.
+    pub file: &'static str,
+    /// Column names.
+    pub header: &'static [&'static str],
+    /// Formatted rows.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Csv {
+    /// Write `results/<file>`.
+    ///
+    /// # Panics
+    /// If the file cannot be written — an experiment binary has nothing
+    /// useful to do without its artifact.
+    pub fn write(&self) {
+        write_csv(results_path(self.file), self.header, &self.rows)
+            .unwrap_or_else(|e| panic!("write results/{}: {e}", self.file));
+    }
+}
+
 /// Print an aligned console table.
 pub fn print_table<T: Display>(title: &str, header: &[&str], rows: &[Vec<T>]) {
     println!("\n== {title} ==");

@@ -38,6 +38,13 @@
 //! metrics therefore reproduces the simulator's global tally for the
 //! same workload (asserted by `tests/tests/cluster_parity.rs`).
 //!
+//! **Queries.** `locate`/`trace` are not implemented here: the engine
+//! is a [`RecordSource`] — each read the planner needs is answered from
+//! the local stores or by one RPC to the site that holds it — and
+//! `peertrack::query`, the simulator's own planner, runs over it. The
+//! serving side of every read is `Core::serve_read`, shared by the
+//! frame handler and the engine's local reads.
+//!
 //! **Routing.** Query-driven lookups run the iterative protocol for
 //! real: the origin drives [`chord::LookupDriver`] and asks each hop
 //! over the network ([`Frame::LookupStep`]); every node answers from
@@ -68,17 +75,17 @@
 //! timer would have fired. Wall-clock exists only in the latency
 //! histograms ([`obs::Recorder::record_latency`]).
 
-use crate::proto::{CostWire, Frame, ProtoError};
+use crate::proto::{Frame, ProtoError};
 use crate::state::WalRecord;
 use chord::{answer_step, LookupDriver, LookupResult, LookupState, Ring};
 use durable::{DataDir, FsyncMode};
 use ids::{Id, Prefix};
-use moods::{ObjectId, Path, SiteId, Visit};
+use moods::{ObjectId, Path, SiteId};
 use obs::Recorder;
 use peertrack::config::GroupConfig;
 use peertrack::grouping::group_batch;
 use peertrack::messages::{Msg, Wire};
-use peertrack::query::QUERY_MSG_BYTES;
+use peertrack::query::{self, Incomplete, QueryCost, RecordSource};
 use peertrack::bytebuf::ByteBuf;
 use peertrack::codec;
 use peertrack::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
@@ -258,33 +265,6 @@ impl Node {
 
 /// `NodeHandle` is the public alias used by the harness and binary.
 pub type NodeHandle = Node;
-
-/// Origin-side query cost accumulator (mirrors the private
-/// `peertrack::query::QueryCost::step`).
-#[derive(Clone, Copy, Debug, Default)]
-struct Cost {
-    messages: u64,
-    hops: u64,
-    bytes: u64,
-}
-
-impl Cost {
-    fn step(&mut self, n: u64) {
-        self.messages += n;
-        self.hops += n;
-        self.bytes += n * QUERY_MSG_BYTES as u64;
-    }
-
-    fn wire(&self) -> CostWire {
-        CostWire { messages: self.messages, hops: self.hops, bytes: self.bytes }
-    }
-}
-
-/// Traversal anchor (mirrors `peertrack::query::Anchor`).
-enum Anchor {
-    Record(SiteId),
-    Latest(Link),
-}
 
 /// A protocol message the core wants delivered. The core has already
 /// sequenced it, charged the model cost and counted it sent; the
@@ -621,8 +601,7 @@ impl Core {
             members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
         };
         if !unknown.is_empty() {
-            let missing: HashSet<ObjectId> = unknown.into_iter().collect();
-            self.check_refresh_unneeded(prefix, &missing);
+            self.check_refresh_unneeded(prefix, &unknown);
         }
 
         let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
@@ -665,7 +644,7 @@ impl Core {
     /// *would* find a hosted prefix, a real entry-moving fetch RPC would
     /// be required — the daemon doesn't implement it, and counts the
     /// situation instead so parity tests fail loudly rather than drift.
-    fn check_refresh_unneeded(&mut self, prefix: Prefix, missing: &HashSet<ObjectId>) {
+    fn check_refresh_unneeded(&mut self, prefix: Prefix, missing: &[ObjectId]) {
         let mut l = prefix.len();
         while l > self.group.l_min {
             l -= 1;
@@ -981,6 +960,50 @@ impl Core {
         for h in self.replica_peer_sites() {
             self.dispatch(h, 1, Msg::ReplState { primary, state: state.clone() });
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Read plane: the primitives the query planner asks of a site
+    // ------------------------------------------------------------------
+
+    /// Answer one read request from this node's stores. This is the
+    /// single serving-side implementation of every read primitive: the
+    /// frame handler answers peers' RPCs with it and the engine answers
+    /// its own local reads with it. `None` = not a read request.
+    pub(crate) fn serve_read(&mut self, req: &Frame) -> Option<Frame> {
+        Some(match *req {
+            Frame::LookupStep { key } => {
+                let node = self.ring.get(&self.my_chord_id()).expect("self in replica");
+                Frame::StepResp(answer_step(node, &key, |id| self.ring.contains(id)))
+            }
+            Frame::GatewayProbe { object } => Frame::LinkResp(self.gateway_probe(object)),
+            Frame::IopKnows { object } => Frame::BoolResp(self.iop.knows(object)),
+            Frame::RecAt { object, time } => {
+                Frame::RecResp(self.iop.record_at(object, time).copied())
+            }
+            Frame::RecLatestAtOrBefore { object, t } => {
+                Frame::RecResp(self.iop.latest_at_or_before(object, t).copied())
+            }
+            Frame::RecFirst { object } => Frame::RecResp(self.iop.all(object).first().copied()),
+            Frame::RecLatest { object } => Frame::RecResp(self.iop.latest(object).copied()),
+            Frame::ReplRecAt { primary, object, time } => Frame::RecResp(
+                self.replica_iop.get(&primary).and_then(|st| st.record_at(object, time)).copied(),
+            ),
+            _ => return None,
+        })
+    }
+
+    /// §IV-A.3 lookup at this gateway, reduced to the in-regime form:
+    /// current-`Lp` shard only. A miss with hosted neighbours (never in
+    /// regime) would need further routed probes — counted as
+    /// unsupported by [`Core::check_refresh_unneeded`].
+    fn gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
+        let p = Prefix::of_id(&object.id(), self.lp);
+        let entry = self.gateway.prefixes.get(&p).and_then(|s| s.get(&object)).copied();
+        if entry.is_none() {
+            self.check_refresh_unneeded(p, &[object]);
+        }
+        entry.map(|e| e.link())
     }
 }
 
@@ -1568,7 +1591,7 @@ impl Engine {
                 let (answer, cost, complete) = self.locate(object, t);
                 self.busy_conn = None;
                 self.account_query(&cost, started);
-                self.stage(idx, Frame::LocateResp { answer, cost: cost.wire(), complete });
+                self.stage(idx, Frame::LocateResp { answer, cost: cost.into(), complete });
             }
             Frame::Trace { object, t0, t1 } => {
                 let started = wall_us();
@@ -1576,7 +1599,7 @@ impl Engine {
                 let (path, cost, complete) = self.trace(object, t0, t1);
                 self.busy_conn = None;
                 self.account_query(&cost, started);
-                self.stage(idx, Frame::TraceResp { path, cost: cost.wire(), complete });
+                self.stage(idx, Frame::TraceResp { path, cost: cost.into(), complete });
             }
             Frame::Status => {
                 self.stage(
@@ -1630,57 +1653,14 @@ impl Engine {
                 }
                 self.stage(idx, Frame::Ack);
             }
-            Frame::LookupStep { key } => {
-                let me = self.core.my_chord_id();
-                let node = self.core.ring.get(&me).expect("self in replica");
-                let answer = answer_step(node, &key, |id| self.core.ring.contains(id));
-                self.stage(idx, Frame::StepResp(answer));
-            }
-            Frame::GatewayProbe { object } => {
-                let link = self.local_gateway_probe(object);
-                self.stage(idx, Frame::LinkResp(link));
-            }
-            Frame::IopKnows { object } => {
-                let knows = self.core.iop.knows(object);
-                self.stage(idx, Frame::BoolResp(knows));
-            }
-            Frame::RecAt { object, time } => {
-                let rec = self.core.iop.record_at(object, time).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecLatestAtOrBefore { object, t } => {
-                let rec = self.core.iop.latest_at_or_before(object, t).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecFirst { object } => {
-                let rec = self.core.iop.all(object).first().copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecLatest { object } => {
-                let rec = self.core.iop.latest(object).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::ReplRecAt { primary, object, time } => {
-                let rec = self
-                    .core
-                    .replica_iop
-                    .get(&primary)
-                    .and_then(|st| st.record_at(object, time))
-                    .copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            // Response frames arriving outside a request context.
-            Frame::Ack
-            | Frame::LocateResp { .. }
-            | Frame::TraceResp { .. }
-            | Frame::StatusResp { .. }
-            | Frame::StepResp(_)
-            | Frame::LinkResp(_)
-            | Frame::BoolResp(_)
-            | Frame::RecResp(_)
-            | Frame::QueryLoadResp { .. }
-            | Frame::StateResp(_)
-            | Frame::AddrResp(_) => self.core.unsupported += 1,
+            // The read RPCs a peer's query planner sends, answered by the
+            // same function that serves this node's own local reads.
+            // Anything else left is a response frame arriving outside a
+            // request context.
+            other => match self.core.serve_read(&other) {
+                Some(reply) => self.stage(idx, reply),
+                None => self.core.unsupported += 1,
+            },
         }
         Action::Consumed
     }
@@ -1724,15 +1704,11 @@ impl Engine {
         loop {
             match driver.state() {
                 LookupState::Ask(node) => {
-                    let answer = if node == me {
-                        let state = self.core.ring.get(&node).expect("self in replica");
-                        answer_step(state, &key, |id| self.core.ring.contains(id))
-                    } else {
-                        let site = self.core.site_of_chord(&node);
-                        match self.rpc(site, &Frame::LookupStep { key }) {
-                            Ok(Frame::StepResp(a)) => a,
-                            _ => return None,
-                        }
+                    let site = self.core.site_of_chord(&node);
+                    let Some(Frame::StepResp(answer)) =
+                        self.read(site, Frame::LookupStep { key })
+                    else {
+                        return None;
                     };
                     driver.answer(answer);
                 }
@@ -1826,13 +1802,14 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Queries (ported from `peertrack::query`, reads via RPC)
+    // Queries: the `peertrack::query` planner over this engine as its
+    // `RecordSource` (below)
     // ------------------------------------------------------------------
 
     /// Charge a finished query. The model cost goes through the WAL —
     /// query traffic mutates the metrics, and metrics are recovered
     /// state — while the wall-clock latency stays engine-side.
-    fn account_query(&mut self, cost: &Cost, started_us: u64) {
+    fn account_query(&mut self, cost: &QueryCost, started_us: u64) {
         self.log_apply(WalRecord::Query {
             messages: cost.messages,
             hops: cost.hops,
@@ -1842,167 +1819,23 @@ impl Engine {
             .record_latency(MsgClass::Query, wall_us().saturating_sub(started_us));
     }
 
-    /// §IV-A.3 lookup at this gateway, reduced to the in-regime form:
-    /// current-`Lp` shard only. A miss with hosted neighbours (never in
-    /// regime) would need further routed probes — counted as
-    /// unsupported, mirroring [`Core::check_refresh_unneeded`].
-    fn local_gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
-        let p = Prefix::of_id(&object.id(), self.core.lp);
-        if let Some(e) = self.core.gateway.prefixes.get(&p).and_then(|s| s.get(&object)) {
-            return Some(e.link());
+    /// One read primitive against `site`'s stores: answered in-process
+    /// when that is this node, by RPC otherwise. `None` = no answer.
+    /// Reads at the query's current cursor site are uncharged, like the
+    /// simulator's direct state reads; only cursor *moves* pay.
+    fn read(&mut self, site: SiteId, req: Frame) -> Option<Frame> {
+        if site == self.core.site {
+            self.core.serve_read(&req)
+        } else {
+            self.rpc(site, &req).ok()
         }
-        let mut l = p.len();
-        while l > self.core.group.l_min {
-            l -= 1;
-            if self.core.hosted.contains(&p.truncate(l)) {
-                self.core.unsupported += 1;
-            }
-        }
-        if p.len() < ids::prefix::MAX_PREFIX_BITS {
-            let child = p.child(object.id().bit(p.len()));
-            if self.core.hosted.contains(&child) {
-                self.core.unsupported += 1;
-            }
-        }
-        None
     }
 
-    fn remote_knows(&mut self, site: SiteId, object: ObjectId) -> bool {
-        if site == self.core.site {
-            return self.core.iop.knows(object);
-        }
-        matches!(self.rpc(site, &Frame::IopKnows { object }), Ok(Frame::BoolResp(true)))
-    }
-
-    fn gateway_probe(&mut self, site: SiteId, object: ObjectId) -> Option<Link> {
-        if site == self.core.site {
-            return self.local_gateway_probe(object);
-        }
-        match self.rpc(site, &Frame::GatewayProbe { object }) {
-            Ok(Frame::LinkResp(l)) => l,
+    fn read_record(&mut self, site: SiteId, req: Frame) -> Option<IopRecord> {
+        match self.read(site, req) {
+            Some(Frame::RecResp(rec)) => rec,
             _ => None,
         }
-    }
-
-    /// Read a visit record at whichever site holds it. Auxiliary reads
-    /// at the query's current cursor site are uncharged, like the
-    /// simulator's direct state reads; only cursor *moves* pay
-    /// (`fetch_record`'s `cost.step(1)`).
-    fn rec_at(&mut self, site: SiteId, object: ObjectId, time: SimTime) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.record_at(object, time).copied();
-        }
-        match self.rpc(site, &Frame::RecAt { object, time }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_latest_at_or_before(
-        &mut self,
-        site: SiteId,
-        object: ObjectId,
-        t: SimTime,
-    ) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.latest_at_or_before(object, t).copied();
-        }
-        match self.rpc(site, &Frame::RecLatestAtOrBefore { object, t }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.all(object).first().copied();
-        }
-        match self.rpc(site, &Frame::RecFirst { object }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.latest(object).copied();
-        }
-        match self.rpc(site, &Frame::RecLatest { object }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    /// Phase 1 of a query (`peertrack::query::discover`): find an
-    /// anchor, checking the local repository, then every node along the
-    /// routing path, then the gateway. Returns the anchor plus the site
-    /// the query's cursor rests at.
-    fn discover(&mut self, object: ObjectId, cost: &mut Cost) -> (Option<Anchor>, SiteId) {
-        if self.core.iop.knows(object) {
-            return (Some(Anchor::Record(self.core.site)), self.core.site);
-        }
-        let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
-        let Some(r) = self.lookup(key) else {
-            return (None, self.core.site);
-        };
-        for nid in r.path.iter().skip(1) {
-            cost.step(1);
-            let site = self.core.site_of_chord(nid);
-            if *nid != r.owner && self.remote_knows(site, object) {
-                return (Some(Anchor::Record(site)), site);
-            }
-            if *nid == r.owner {
-                let link = self.gateway_probe(site, object);
-                return (link.map(Anchor::Latest), site);
-            }
-        }
-        // Path was just the origin: the origin owns the key.
-        let site = self.core.site_of_chord(&r.owner);
-        let link = self.gateway_probe(site, object);
-        (link.map(Anchor::Latest), site)
-    }
-
-    /// Walk one link with cursor accounting (`query::fetch_record`).
-    fn fetch_record(
-        &mut self,
-        current: &mut SiteId,
-        target: Link,
-        object: ObjectId,
-        cost: &mut Cost,
-    ) -> Option<IopRecord> {
-        if *current != target.site {
-            cost.step(1);
-            *current = target.site;
-        }
-        if target.site == self.core.site || self.core.members.contains_key(&target.site) {
-            return self.rec_at(target.site, object, target.time);
-        }
-        // The target site is permanently gone: probe the live holders
-        // of its replica repository, each probe a charged cursor move
-        // (mirrors `NetWorld::iop_record`'s read fallback).
-        for holder in self.core.holders_of_dead(target.site) {
-            cost.step(1);
-            let rec = if holder == self.core.site {
-                self.core
-                    .replica_iop
-                    .get(&target.site)
-                    .and_then(|st| st.record_at(object, target.time))
-                    .copied()
-            } else {
-                match self.rpc(
-                    holder,
-                    &Frame::ReplRecAt { primary: target.site, object, time: target.time },
-                ) {
-                    Ok(Frame::RecResp(r)) => r,
-                    _ => None,
-                }
-            };
-            if let Some(r) = rec {
-                *current = holder;
-                return Some(r);
-            }
-        }
-        None
     }
 
     /// Membership changed: drop the locate cache wholesale, mirroring
@@ -2031,63 +1864,36 @@ impl Engine {
         link: Link,
         object: ObjectId,
         t: SimTime,
-        cost: &mut Cost,
+        cost: &mut QueryCost,
     ) -> Option<(Option<SiteId>, bool)> {
         let mut current = self.core.site;
+        let rec = query::fetch_record(self, &mut current, link, object, cost).ok()?;
         if t < link.time {
-            // The cached link is in the object's past: walk backward
-            // from it exactly as an `Anchor::Latest` walk would. Even
-            // a stale "latest" is a correct historical anchor.
-            let mut cur = link;
-            loop {
-                let Some(rec) = self.fetch_record(&mut current, cur, object, cost) else {
-                    return if cur == link { None } else { Some((None, false)) };
-                };
-                if cur.time <= t {
-                    return Some((Some(cur.site), true));
-                }
-                match rec.from {
-                    None => return Some((None, true)),
-                    Some(prev) => {
-                        if prev.time <= t {
-                            return Some((Some(prev.site), true));
-                        }
-                        cur = prev;
-                    }
-                }
-            }
+            // The cached link is in the object's past: even a stale
+            // "latest" is a correct historical anchor to walk back from.
+            let walked = query::walk_back(self, &mut current, rec.from, object, t, cost);
+            return Some((walked.unwrap_or(None), walked.is_ok()));
         }
         // t >= link.time: the cached holder answers unless the object
-        // has moved on. One record fetch revalidates; a populated `to`
-        // chain means it did move — follow it forward and refresh the
-        // entry with the newest link reached.
-        let mut cur = link;
-        loop {
-            let Some(rec) = self.fetch_record(&mut current, cur, object, cost) else {
-                return if cur == link { None } else { Some((None, false)) };
-            };
-            let onward = match rec.to {
-                Some(next) if t >= next.time => Some(next),
-                _ => None,
-            };
-            match onward {
-                Some(next) => cur = next,
-                None => {
-                    if cur != link {
-                        if let Some(cache) = self.locate_cache.as_mut() {
-                            cache.insert(object, 0, cur);
-                        }
-                    }
-                    return Some((Some(cur.site), true));
-                }
+        // has moved on — a populated `to` chain means it did. Follow it
+        // forward and refresh the entry with the newest link reached.
+        let Ok(at) = query::walk_forward(self, &mut current, link, rec.to, object, t, cost)
+        else {
+            return Some((None, false));
+        };
+        if at != link {
+            if let Some(cache) = self.locate_cache.as_mut() {
+                cache.insert(object, 0, at);
             }
         }
+        Some((Some(at.site), true))
     }
 
-    /// `L(o, t)` with this node as origin (ported `query::locate_raw`,
-    /// plus the locate-answer cache of DESIGN.md §15 when configured).
-    fn locate(&mut self, object: ObjectId, t: SimTime) -> (Option<SiteId>, Cost, bool) {
-        let mut cost = Cost::default();
+    /// `L(o, t)` with this node as origin: the locate-answer cache of
+    /// DESIGN.md §15 when configured, the shared planner otherwise.
+    fn locate(&mut self, object: ObjectId, t: SimTime) -> (Option<SiteId>, QueryCost, bool) {
+        let mut cost = QueryCost::default();
+        let me = self.core.site;
         // Daemon cache entries carry no epoch (always 0): revalidation
         // replaces the simulator's epoch check.
         if let Some(link) = self.locate_cache.as_mut().and_then(|c| c.get(object, 0)) {
@@ -2095,172 +1901,99 @@ impl Engine {
             {
                 // Cache hits attribute the served locate to the origin
                 // itself, as the simulator does.
-                *self.query_load.entry(self.core.site).or_default() += 1;
+                *self.query_load.entry(me).or_default() += 1;
                 return (answer, cost, complete);
             }
             if let Some(cache) = self.locate_cache.as_mut() {
                 cache.invalidate(object);
             }
         }
-        let (anchor, mut current) = self.discover(object, &mut cost);
-        let Some(anchor) = anchor else {
-            return (None, cost, true);
-        };
-        // `discover` rests the cursor on the answering site — local
-        // repository, intermediate record holder or gateway — which is
-        // exactly where the simulator attributes the served locate.
-        *self.query_load.entry(current).or_default() += 1;
-        match anchor {
-            Anchor::Latest(link) => {
-                // Fill only from gateway discoveries, like the
-                // simulator: the gateway's latest link is the one
-                // answer worth reusing.
-                if let Some(cache) = self.locate_cache.as_mut() {
-                    cache.insert(object, 0, link);
-                }
-                if t >= link.time {
-                    return (Some(link.site), cost, true);
-                }
-                let mut cur = link;
-                loop {
-                    let Some(rec) = self.fetch_record(&mut current, cur, object, &mut cost)
-                    else {
-                        return (None, cost, false);
-                    };
-                    if cur.time <= t {
-                        return (Some(cur.site), cost, true);
-                    }
-                    match rec.from {
-                        None => return (None, cost, true),
-                        Some(prev) => {
-                            if prev.time <= t {
-                                return (Some(prev.site), cost, true);
-                            }
-                            cur = prev;
-                        }
-                    }
-                }
-            }
-            Anchor::Record(site) => {
-                if let Some(rec) = self.rec_latest_at_or_before(site, object, t) {
-                    match rec.to {
-                        None => return (Some(site), cost, true),
-                        Some(next) if t < next.time => return (Some(site), cost, true),
-                        Some(next) => {
-                            let mut cur = next;
-                            loop {
-                                let Some(r) =
-                                    self.fetch_record(&mut current, cur, object, &mut cost)
-                                else {
-                                    return (None, cost, false);
-                                };
-                                match r.to {
-                                    None => return (Some(cur.site), cost, true),
-                                    Some(nn) if t < nn.time => {
-                                        return (Some(cur.site), cost, true)
-                                    }
-                                    Some(nn) => cur = nn,
-                                }
-                            }
-                        }
-                    }
-                }
-                let Some(first) = self.rec_first(site, object) else {
-                    return (None, cost, false);
-                };
-                match first.from {
-                    None => (None, cost, true),
-                    Some(prev) => {
-                        let mut cur = prev;
-                        loop {
-                            if cur.time <= t {
-                                return (Some(cur.site), cost, true);
-                            }
-                            let Some(rec) =
-                                self.fetch_record(&mut current, cur, object, &mut cost)
-                            else {
-                                return (None, cost, false);
-                            };
-                            match rec.from {
-                                None => return (None, cost, true),
-                                Some(p) => cur = p,
-                            }
-                        }
-                    }
-                }
-            }
+        let (answer, source, complete, latest) = query::locate(self, me, object, t, &mut cost);
+        if let Some(served) = source.served_by(me) {
+            *self.query_load.entry(served).or_default() += 1;
+        }
+        // Fill only from gateway discoveries, like the simulator: the
+        // gateway's latest link is the one answer worth reusing.
+        if let (Some(cache), Some(link)) = (self.locate_cache.as_mut(), latest) {
+            cache.insert(object, 0, link);
+        }
+        (answer, cost, complete)
+    }
+
+    /// `TR(o, t0, t1)` with this node as origin.
+    fn trace(&mut self, object: ObjectId, t0: SimTime, t1: SimTime) -> (Path, QueryCost, bool) {
+        let mut cost = QueryCost::default();
+        let (path, _, complete) = query::trace(self, self.core.site, object, t0, t1, &mut cost);
+        (path, cost, complete)
+    }
+}
+
+/// The planner's reads, each one request frame: served from this node's
+/// own stores or a peer's over RPC ([`Engine::read`]). A transport
+/// failure is "no answer", which the planner reports as an incomplete
+/// query — never as "not in the system".
+impl RecordSource for Engine {
+    fn route(&mut self, _from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete> {
+        let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
+        let r = self.lookup(key).ok_or(Incomplete)?;
+        Ok(r.path[1..].iter().map(|nid| self.core.site_of_chord(nid)).collect())
+    }
+
+    fn knows(&mut self, site: SiteId, object: ObjectId) -> bool {
+        matches!(self.read(site, Frame::IopKnows { object }), Some(Frame::BoolResp(true)))
+    }
+
+    /// The gateway's own cost beyond being reached is nil in the
+    /// daemon's regime ([`Core::gateway_probe`]).
+    fn gateway_lookup(
+        &mut self,
+        gateway: SiteId,
+        object: ObjectId,
+        _cost: &mut QueryCost,
+    ) -> Result<Option<Link>, Incomplete> {
+        match self.read(gateway, Frame::GatewayProbe { object }) {
+            Some(Frame::LinkResp(link)) => Ok(link),
+            _ => Err(Incomplete),
         }
     }
 
-    /// `TR(o, t0, t1)` with this node as origin (ported
-    /// `query::trace_raw`).
-    fn trace(&mut self, object: ObjectId, t0: SimTime, t1: SimTime) -> (Path, Cost, bool) {
-        let mut cost = Cost::default();
-        if t0 > t1 {
-            return (Vec::new(), cost, true);
-        }
-        let (anchor, mut current) = self.discover(object, &mut cost);
-        let Some(anchor) = anchor else {
-            return (Vec::new(), cost, true);
-        };
-        let mut complete = true;
+    fn record_at(&mut self, site: SiteId, object: ObjectId, time: SimTime) -> Option<IopRecord> {
+        self.read_record(site, Frame::RecAt { object, time })
+    }
 
-        let start = match anchor {
-            Anchor::Latest(link) => link,
-            Anchor::Record(site) => {
-                let Some(rec) = self.rec_latest(site, object) else {
-                    return (Vec::new(), cost, false);
-                };
-                Link { site, time: rec.arrived }
-            }
-        };
+    fn latest_at_or_before(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        t: SimTime,
+    ) -> Option<IopRecord> {
+        self.read_record(site, Frame::RecLatestAtOrBefore { object, t })
+    }
 
-        let mut after: Vec<Visit> = Vec::new();
-        let mut anchor_from: Option<Link> = None;
-        let mut cur = start;
-        loop {
-            let Some(rec) = self.fetch_record(&mut current, cur, object, &mut cost) else {
-                complete = false;
-                break;
-            };
-            if cur == start {
-                anchor_from = rec.from;
-            }
-            after.push(Visit {
-                site: cur.site,
-                arrived: cur.time,
-                departed: rec.to.map(|x| x.time),
-            });
-            match rec.to {
-                Some(next) if next.time <= t1 => cur = next,
-                _ => break,
-            }
-        }
+    fn first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
+        self.read_record(site, Frame::RecFirst { object })
+    }
 
-        let mut before: Vec<Visit> = Vec::new();
-        if start.time > t0 {
-            let mut back = anchor_from;
-            while let Some(l) = back {
-                let Some(rec) = self.fetch_record(&mut current, l, object, &mut cost) else {
-                    complete = false;
-                    break;
-                };
-                before.push(Visit {
-                    site: l.site,
-                    arrived: l.time,
-                    departed: rec.to.map(|x| x.time),
-                });
-                if l.time <= t0 {
-                    break;
-                }
-                back = rec.from;
-            }
-        }
+    fn latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
+        self.read_record(site, Frame::RecLatest { object })
+    }
 
-        before.reverse();
-        before.extend(after);
-        let path: Path = before.into_iter().filter(|v| v.overlaps(t0, t1)).collect();
-        (path, cost, complete)
+    fn alive(&self, site: SiteId) -> bool {
+        self.core.members.contains_key(&site)
+    }
+
+    fn replica_holders(&self, site: SiteId) -> Vec<SiteId> {
+        self.core.holders_of_dead(site)
+    }
+
+    fn replica_record_at(
+        &mut self,
+        holder: SiteId,
+        primary: SiteId,
+        object: ObjectId,
+        time: SimTime,
+    ) -> Option<IopRecord> {
+        self.read_record(holder, Frame::ReplRecAt { primary, object, time })
     }
 }
 
@@ -2280,15 +2013,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cost_step_mirrors_query_cost() {
-        let mut c = Cost::default();
-        c.step(3);
-        assert_eq!(c.messages, 3);
-        assert_eq!(c.hops, 3);
-        assert_eq!(c.bytes, 3 * QUERY_MSG_BYTES as u64);
     }
 
     #[test]

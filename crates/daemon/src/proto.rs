@@ -75,6 +75,12 @@ pub struct CostWire {
     pub bytes: u64,
 }
 
+impl From<peertrack::query::QueryCost> for CostWire {
+    fn from(c: peertrack::query::QueryCost) -> CostWire {
+        CostWire { messages: c.messages, hops: c.hops, bytes: c.bytes }
+    }
+}
+
 /// Everything that crosses a daemon socket.
 #[derive(Clone, Debug)]
 pub enum Frame {

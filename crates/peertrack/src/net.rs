@@ -429,7 +429,7 @@ impl TraceableNetwork {
         object: ObjectId,
         t: SimTime,
     ) -> (Option<SiteId>, QueryStats) {
-        let (ans, cost, source, complete) = query::locate(&mut self.world, from, object, t);
+        let (ans, cost, source, complete) = query::locate_cached(&mut self.world, from, object, t);
         let stats = self.account(spans::QUERY_LOCATE, from, cost, source, complete);
         (ans, stats)
     }
@@ -443,7 +443,9 @@ impl TraceableNetwork {
         t0: SimTime,
         t1: SimTime,
     ) -> (Path, QueryStats) {
-        let (path, cost, source, complete) = query::trace_raw(&self.world, from, object, t0, t1);
+        let mut cost = query::QueryCost::default();
+        let (path, source, complete) =
+            query::trace(&mut &self.world, from, object, t0, t1, &mut cost);
         let stats = self.account(spans::QUERY_TRACE, from, cost, source, complete);
         (path, stats)
     }
@@ -753,12 +755,14 @@ impl NetReader<'_> {
 
 impl Locate for NetReader<'_> {
     fn locate(&self, object: ObjectId, t: SimTime) -> Option<SiteId> {
-        query::locate_raw(self.world, self.origin(), object, t).0
+        let mut cost = query::QueryCost::default();
+        query::locate(&mut &*self.world, self.origin(), object, t, &mut cost).0
     }
 }
 
 impl Trace for NetReader<'_> {
     fn trace(&self, object: ObjectId, t0: SimTime, t1: SimTime) -> Path {
-        query::trace_raw(self.world, self.origin(), object, t0, t1).0
+        let mut cost = query::QueryCost::default();
+        query::trace(&mut &*self.world, self.origin(), object, t0, t1, &mut cost).0
     }
 }

@@ -1,6 +1,6 @@
 //! Satellite: transport framing over *real* sockets — round-trips,
 //! split reads/writes at every byte boundary, mid-frame connection
-//! drops, and idempotent shutdown.
+//! drops, and the connection cache's request/reply and redial paths.
 //!
 //! These tests bind ephemeral loopback listeners; in sandboxes that
 //! forbid binding they are skipped (same probe the verify.sh smoke
@@ -8,8 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
-use transport::{read_frame, write_frame, Backoff, ConnCache, Server};
+use transport::{read_frame, write_frame, Backoff, ConnCache};
 
 /// `true` when the sandbox lets us bind a loopback socket.
 fn can_bind() -> bool {
@@ -99,75 +98,47 @@ fn connection_drop_mid_frame_is_a_clean_error() {
 }
 
 #[test]
-fn server_delivers_frames_and_replies_flow_back() {
+fn replies_flow_back_fifo_per_connection() {
     require_sockets!();
-    let (tx, rx) = mpsc::channel();
-    let mut server = Server::bind("127.0.0.1:0", tx).expect("bind");
-    let addr = server.local_addr();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        assert_eq!(read_frame(&mut s).expect("read").as_deref(), Some(&b"ping-1"[..]));
+        write_frame(&mut s, b"pong-1").expect("reply");
+        assert_eq!(read_frame(&mut s).expect("read").as_deref(), Some(&b"ping-2"[..]));
+    });
 
     let mut cache = ConnCache::new(Backoff::fast());
     cache.send(addr, b"ping-1").expect("send");
-    let mut incoming = rx.recv().expect("frame delivered");
-    assert_eq!(incoming.frame, b"ping-1");
-
-    // Request/response on the same connection.
-    incoming.reply.send(b"pong-1").expect("reply");
-    let replied = std::thread::spawn(move || {
-        // The cache reuses its cached stream, so the reply written
-        // above is what request() reads back after its own send.
-        cache.request(addr, b"ping-2").expect("request")
-    });
-    let second = rx.recv().expect("second frame");
-    assert_eq!(second.frame, b"ping-2");
-    // The reply to ping-1 is already in flight to the client; request()
-    // reads it as its response (FIFO per connection).
-    assert_eq!(replied.join().unwrap(), b"pong-1");
-
-    server.shutdown();
-}
-
-#[test]
-fn double_shutdown_is_idempotent() {
-    require_sockets!();
-    let (tx, rx) = mpsc::channel();
-    let mut server = Server::bind("127.0.0.1:0", tx).expect("bind");
-    let addr = server.local_addr();
-
-    let mut cache = ConnCache::new(Backoff::fast());
-    cache.send(addr, b"hello").expect("send");
-    assert_eq!(rx.recv().expect("frame").frame, b"hello");
-
-    server.shutdown();
-    server.shutdown(); // second call must be a no-op
-    drop(server); // Drop also calls shutdown — third time
-
-    // The listener is really gone: a fresh dial must fail (give the
-    // OS a beat to tear the socket down on slow machines).
-    let mut attempts = 0;
-    while TcpStream::connect(addr).is_ok() {
-        attempts += 1;
-        assert!(attempts < 50, "listener still accepting after shutdown");
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    // request() reuses the cached stream, so what it reads back after
+    // its own send is the reply to ping-1: FIFO per connection.
+    assert_eq!(cache.request(addr, b"ping-2").expect("request"), b"pong-1");
+    peer.join().unwrap();
 }
 
 #[test]
 fn conncache_reconnects_after_peer_restart() {
     require_sockets!();
-    let (tx1, rx1) = mpsc::channel();
-    let mut first = Server::bind("127.0.0.1:0", tx1).expect("bind");
-    let addr = first.local_addr();
+    let first = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = first.local_addr().expect("addr");
+    let first_life = std::thread::spawn(move || {
+        let (mut s, _) = first.accept().expect("accept");
+        read_frame(&mut s).expect("read")
+        // Listener and connection both close here: the peer is gone.
+    });
 
     let mut cache = ConnCache::new(Backoff::fast());
     cache.send(addr, b"before restart").expect("send");
-    assert_eq!(rx1.recv().expect("frame").frame, b"before restart");
+    assert_eq!(first_life.join().unwrap().as_deref(), Some(&b"before restart"[..]));
 
-    first.shutdown();
-
-    // Rebind the same port (free after shutdown) and send again: the
-    // cache must notice the stale stream and redial under backoff.
-    let (tx2, rx2) = mpsc::channel();
-    let _second = Server::bind(&addr.to_string(), tx2).expect("rebind same port");
+    // Rebind the same port (free now) and send again: the cache must
+    // notice the stale stream and redial under backoff.
+    let second = TcpListener::bind(addr).expect("rebind same port");
+    let second_life = std::thread::spawn(move || {
+        let (mut s, _) = second.accept().expect("accept redial");
+        read_frame(&mut s).expect("read")
+    });
     cache.send(addr, b"after restart").expect("send after restart");
-    assert_eq!(rx2.recv().expect("frame").frame, b"after restart");
+    assert_eq!(second_life.join().unwrap().as_deref(), Some(&b"after restart"[..]));
 }

@@ -16,6 +16,12 @@ cargo test -q --offline
 echo "== benches compile (offline) =="
 cargo build --offline --benches
 
+echo "== benchmark workspace builds against crates/ and its tests pass =="
+# benchmark/ is a separate workspace with path-deps on crates/*, so the
+# build above never compiles it: an API change under crates/ that
+# breaks it would otherwise surface only in the benchmark pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== schedule auditor (fast budget) =="
 # Random op schedules under 5% drop with retries on must preserve every
 # invariant, and — with K-successor replication on — random schedules
@@ -186,10 +192,18 @@ if ./target/release/peertrackd --probe-bind; then
         || { echo "daemon_load smoke failed its throughput floor" >&2; exit 1; }
     rm -f /tmp/verify_daemon_load.json
     echo "OK: daemon_load sustains the pipelined throughput floor."
+
+    echo "== benchmark smoke (all five workloads, 1/20 size) =="
+    # Every workload end to end from outside, including sim_protocol's
+    # pinned digest; the daemon workloads need sockets.
+    timeout 300 bash benchmark/run.sh --quick > /dev/null \
+        || { echo "benchmark/run.sh --quick failed (or timed out)" >&2; exit 1; }
+    echo "OK: benchmark/run.sh --quick ran all five workloads."
 else
     echo "WARNING: sandbox forbids binding loopback sockets; cluster and" >&2
-    echo "         kill-and-recover smokes SKIPPED (socket-free recovery" >&2
-    echo "         properties still ran in the test stage above)." >&2
+    echo "         kill-and-recover smokes and the benchmark smoke SKIPPED" >&2
+    echo "         (socket-free recovery properties and the benchmark's" >&2
+    echo "         own tests still ran in the stages above)." >&2
 fi
 
 echo "== dependency policy: path-only =="
@@ -253,3 +267,6 @@ for dir in crates/*/; do
         || { echo "crates/$c missing from the workspace manifest" >&2; exit 1; }
 done
 echo "OK: every crates/* directory is a workspace member."
+
+# Tracked, not gated: ROADMAP aim 2 wants this number to fall.
+echo "crates/ Rust lines: $(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)"
