@@ -2,8 +2,15 @@
 //!
 //! [`Node::spawn`] binds a listener and runs a single-threaded engine
 //! that owns this site's slice of the state the simulator's `NetWorld`
-//! keeps globally: the Chord routing replica, the capture window, the
-//! IOP repository and the gateway shards. The engine is a
+//! keeps globally: the Chord routing replica and one
+//! [`peertrack::site::Site`] — capture window, IOP repository, gateway
+//! shards, replica copies. The write plane that advances it is not
+//! implemented here: [`Core`] is a [`peertrack::site::Host`], the same
+//! protocol body the simulator hosts, and keeps only its driver —
+//! the log-record vocabulary, the outbox, `(sender, seq)` duplicate
+//! suppression, model-cost charging, and the `unsupported` counter for
+//! whatever falls outside the daemon's regime (refresh fetches,
+//! triangle delegation, split/merge, individual mode). The engine is a
 //! readiness-driven event loop over nonblocking sockets
 //! ([`transport::nio`], std-only): each poll wakeup drains whatever
 //! bytes the kernel has per connection, decodes as many whole frames
@@ -34,9 +41,10 @@
 //! length), overlay hops from the Chord lookup, one message per
 //! protocol send, queries bulk-charged at the origin — into its own
 //! [`simnet::metrics::Metrics`]. Self-sends are handled inline and
-//! uncharged, exactly like `NetWorld::dispatch`. Merging every node's
-//! metrics therefore reproduces the simulator's global tally for the
-//! same workload (asserted by `tests/tests/cluster_parity.rs`).
+//! uncharged (`peertrack::site::dispatch`, for both hosts). Merging
+//! every node's metrics therefore reproduces the simulator's global
+//! tally for the same workload (asserted over sockets by
+//! `tests/tests/cluster_parity.rs`, without them by `site_parity.rs`).
 //!
 //! **Queries.** `locate`/`trace` are not implemented here: the engine
 //! is a [`RecordSource`] — each read the planner needs is answered from
@@ -83,18 +91,14 @@ use ids::{Id, Prefix};
 use moods::{ObjectId, Path, SiteId};
 use obs::Recorder;
 use peertrack::config::GroupConfig;
-use peertrack::grouping::group_batch;
 use peertrack::messages::{Msg, Wire};
 use peertrack::query::{self, Incomplete, QueryCost, RecordSource};
-use peertrack::bytebuf::ByteBuf;
-use peertrack::codec;
-use peertrack::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
-use peertrack::window::{WindowBatch, WindowBuffer, WindowEvent};
-use peertrack::world::Anomalies;
+use peertrack::site::{self, Anomalies, Site};
+use peertrack::store::{IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -294,9 +298,9 @@ pub struct Core {
     pub(crate) members: BTreeMap<SiteId, SocketAddr>,
     pub(crate) ring: Ring,
     pub(crate) lp: usize,
-    pub(crate) window: WindowBuffer,
-    pub(crate) iop: IopStore,
-    pub(crate) gateway: GatewayStore,
+    /// This site's protocol state — window, IOP repository, gateway
+    /// shards, replica copies — advanced by [`peertrack::site`].
+    pub(crate) proto: Site,
     pub(crate) hosted: HashSet<Prefix>,
     pub(crate) metrics: Metrics,
     pub(crate) next_seq: u64,
@@ -318,13 +322,7 @@ pub struct Core {
     /// Sites declared permanently dead ([`WalRecord::Dead`]); never
     /// rejoin, and IOP updates aimed at them are redirected to their
     /// replica holders.
-    pub(crate) dead: std::collections::BTreeSet<SiteId>,
-    /// This node's replica copies of other primaries' IOP repositories,
-    /// keyed by primary. Sorted iteration keeps the state encoding
-    /// canonical.
-    pub(crate) replica_iop: BTreeMap<SiteId, IopStore>,
-    /// This node's replica copies of other primaries' gateway stores.
-    pub(crate) replica_gateway: BTreeMap<SiteId, GatewayStore>,
+    pub(crate) dead: BTreeSet<SiteId>,
 }
 
 impl Core {
@@ -339,9 +337,7 @@ impl Core {
             members,
             ring: Ring::new(),
             lp: group.l_min,
-            window: WindowBuffer::new(site, group.n_max),
-            iop: IopStore::new(),
-            gateway: GatewayStore::new(),
+            proto: Site::new(site, group.n_max),
             hosted: HashSet::new(),
             metrics: Metrics::new(),
             next_seq: 1,
@@ -352,12 +348,38 @@ impl Core {
             unsupported: 0,
             outbox: Vec::new(),
             replicas: 1,
-            dead: std::collections::BTreeSet::new(),
-            replica_iop: BTreeMap::new(),
-            replica_gateway: BTreeMap::new(),
+            dead: BTreeSet::new(),
         };
         c.rebuild_ring();
         c
+    }
+
+    /// Set the replication factor `K` ([`NodeConfig::replicas`]).
+    pub fn with_replicas(mut self, k: usize) -> Core {
+        self.replicas = k.max(1);
+        self
+    }
+
+    /// This site's protocol state (read-only: it advances only through
+    /// [`Core::apply_record`]).
+    pub fn proto(&self) -> &Site {
+        &self.proto
+    }
+
+    /// Model accounting so far.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Protocol anomaly counters so far.
+    pub fn anomalies(&self) -> Anomalies {
+        self.anomalies
+    }
+
+    /// Protocol situations met so far that the daemon does not
+    /// implement ([`NodeReport::unsupported`]).
+    pub fn unsupported(&self) -> u64 {
+        self.unsupported
     }
 
     /// Apply one logged event. This is the node's *only* state-mutating
@@ -371,10 +393,10 @@ impl Core {
                 if let Ok(a) = addr.parse() {
                     self.members.insert(*site, a);
                     self.rebuild_ring();
-                    self.replica_maintenance();
+                    site::settle(self, self.site);
                 }
             }
-            WalRecord::Capture { at, objects } => self.on_capture(*at, objects),
+            WalRecord::Capture { at, objects } => site::capture(self, self.site, objects, *at),
             WalRecord::Flush { now } => self.on_flush(*now),
             WalRecord::Protocol { sender, wire } => self.on_protocol(*sender, wire),
             WalRecord::Query { messages, hops, bytes } => {
@@ -435,7 +457,7 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Protocol plane (ported from `NetWorld::handle`)
+    // Protocol plane: this node's driver around `peertrack::site`
     // ------------------------------------------------------------------
 
     fn on_protocol(&mut self, sender: SiteId, wire: &Wire) {
@@ -448,202 +470,37 @@ impl Core {
     }
 
     fn handle_msg(&mut self, sender: SiteId, msg: Msg) {
-        match msg {
-            Msg::SetTo { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.iop.set_to(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
+        let me = self.site;
+        match site::handle(self, me, sender, msg) {
+            None => {}
+            // The Fig. 5 `index` algorithm against this node's shards.
+            Some(Msg::GroupIndex { prefix, site, members }) => {
+                let unknown = self.proto.unindexed(prefix, &members);
+                if !unknown.is_empty() {
+                    self.check_refresh_unneeded(prefix, &unknown);
                 }
-                self.replicate_iop(&touched);
-            }
-            Msg::SetFrom { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.iop.set_from(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(&touched);
-            }
-            Msg::GroupIndex { prefix, site, members } => {
-                self.handle_group_index(prefix, site, members);
+                site::update_index(self, me, prefix, site, &members);
+                self.maybe_delegate(prefix);
+                site::replicate_shard(self, me, Some(prefix));
             }
             // Individual mode, triangle delegation and split/merge
             // migration are simulator-only paths (they never trigger in
             // the stable-`Lp`, under-threshold regime the daemon
-            // supports); receiving one means the regime was violated.
-            Msg::Arrival { .. } | Msg::Delegate { .. } | Msg::Migrate { .. } => {
-                self.unsupported += 1;
-            }
-            Msg::Ack { .. } => self.unsupported += 1,
-            // ---------------------------------------------- replication
-            // (mirrors `NetWorld::handle`'s Repl* arms)
-            Msg::ReplIop { primary, updates } => {
-                let store = self.replica_iop.entry(primary).or_default();
-                for (o, rec) in updates {
-                    store.upsert_record(o, rec);
-                }
-            }
-            Msg::ReplShard { primary, prefix, entries, delegated } => {
-                let gw = self.replica_gateway.entry(primary).or_default();
-                match prefix {
-                    Some(p) => {
-                        if entries.is_empty() && !delegated {
-                            gw.prefixes.remove(&p);
-                        } else {
-                            let shard = gw.shard_mut(p);
-                            *shard = PrefixIndex::new();
-                            shard.delegated = delegated;
-                            for (o, e) in entries {
-                                shard.upsert(o, e);
-                            }
-                        }
-                    }
-                    None => {
-                        gw.objects = entries.into_iter().collect();
-                    }
-                }
-            }
-            Msg::ReplDigest { primary, digest } => {
-                if Id::hash(&self.replica_state_bytes(primary)) != digest {
-                    self.dispatch(sender, 1, Msg::ReplSyncReq { primary });
-                }
-            }
-            Msg::ReplSyncReq { primary } => {
-                debug_assert_eq!(primary, self.site, "sync request misrouted");
-                let state = self.store_state_bytes();
-                self.dispatch(sender, 1, Msg::ReplState { primary, state });
-            }
-            Msg::ReplState { primary, state } => {
-                // Network data: a malformed state is counted, not fatal.
-                let mut bytes = peertrack::bytebuf::Bytes::from(state);
-                match (
-                    peertrack::codec::get_state_iop(&mut bytes),
-                    peertrack::codec::get_state_gateway(&mut bytes),
-                ) {
-                    (Ok(iop), Ok(gw)) => {
-                        self.replica_iop.insert(primary, iop);
-                        self.replica_gateway.insert(primary, gw);
-                    }
-                    _ => self.unsupported += 1,
-                }
-            }
-            Msg::ReplIopPatch { primary, set_to, set_from } => {
-                let store = self.replica_iop.entry(primary).or_default();
-                for (o, arrived, link) in set_to {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.to = Some(link);
-                    store.upsert_record(o, rec);
-                }
-                for (o, arrived, from_link) in set_from {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.from = from_link;
-                    store.upsert_record(o, rec);
-                }
-            }
+            // supports), acks belong to a retry layer TCP replaces, and
+            // a replica state that does not decode is bad network data:
+            // counted, not fatal.
+            Some(_) => self.unsupported += 1,
         }
-    }
-
-    /// Deliver a protocol message: self-sends are handled inline and
-    /// uncharged; networked sends are sequenced, charged the model cost
-    /// and counted sent — both exactly as `NetWorld::dispatch` — then
-    /// queued on the outbox for the engine (live) or dropped (replay).
-    fn dispatch(&mut self, to: SiteId, hops: u32, msg: Msg) {
-        if to == self.site {
-            self.handle_msg(self.site, msg);
-            return;
-        }
-        // An IOP update aimed at a permanently failed site is repaired
-        // onto the holders of its replica repository instead of being
-        // dropped on the floor (replication mode only).
-        if self.replicas > 1
-            && self.dead.contains(&to)
-            && matches!(msg, Msg::SetTo { .. } | Msg::SetFrom { .. })
-        {
-            self.redirect_to_replicas(to, msg);
-            return;
-        }
-        let class = msg.class();
-        let bytes = msg.wire_size();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.metrics.record(class, bytes, hops);
-        if !self.members.contains_key(&to) {
-            self.anomalies.dropped_to_dead += 1;
-            return;
-        }
-        self.sent += 1;
-        self.outbox.push(Outbound { to, hops, wire: Wire { seq, msg } });
-    }
-
-    /// Ported `NetWorld::handle_group_index` (the Fig. 5 `index`
-    /// algorithm) against this node's local shard slice.
-    fn handle_group_index(
-        &mut self,
-        prefix: Prefix,
-        site: SiteId,
-        members: Vec<(ObjectId, SimTime)>,
-    ) {
-        let unknown: Vec<ObjectId> = {
-            let shard = self.gateway.shard_mut(prefix);
-            members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
-        };
-        if !unknown.is_empty() {
-            self.check_refresh_unneeded(prefix, &unknown);
-        }
-
-        let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
-        let mut m3: Vec<(ObjectId, SimTime, Option<Link>)> = Vec::with_capacity(members.len());
-        {
-            let shard = self.gateway.shard_mut(prefix);
-            for &(o, t) in &members {
-                let prev = shard.get(&o).copied();
-                if let Some(p) = prev {
-                    if p.time > t {
-                        self.anomalies.out_of_order_arrivals += 1;
-                        continue;
-                    }
-                }
-                shard.upsert(o, IndexEntry { site, time: t, prev: prev.map(|p| p.link()) });
-                let new_link = Link { site, time: t };
-                if let Some(p) = prev {
-                    m2.entry(p.site).or_default().push((o, p.time, new_link));
-                }
-                m3.push((o, t, prev.map(|p| p.link())));
-            }
-        }
-        self.hosted.insert(prefix);
-
-        for (dest, updates) in m2 {
-            self.dispatch(dest, 1, Msg::SetTo { updates });
-        }
-        if !m3.is_empty() {
-            self.dispatch(site, 1, Msg::SetFrom { updates: m3 });
-        }
-        self.maybe_delegate(prefix);
-        self.replicate_shard(prefix);
     }
 
     /// The Fig. 5 refresh walk, reduced to its in-regime form: with a
     /// stable `Lp` at `Lmin`, no delegation and no split/merge, the
     /// ascent never iterates and no descent child is ever hosted, so
     /// every probe is a free existence check (the simulator charges
-    /// nothing either, `count_existence_checks = false`). If a probe
-    /// *would* find a hosted prefix, a real entry-moving fetch RPC would
-    /// be required — the daemon doesn't implement it, and counts the
-    /// situation instead so parity tests fail loudly rather than drift.
+    /// nothing for those either). If a probe *would* find a hosted
+    /// prefix, a real entry-moving fetch RPC would be required — the
+    /// daemon doesn't implement it, and counts the situation instead so
+    /// parity tests fail loudly rather than drift.
     fn check_refresh_unneeded(&mut self, prefix: Prefix, missing: &[ObjectId]) {
         let mut l = prefix.len();
         while l > self.group.l_min {
@@ -672,96 +529,27 @@ impl Core {
         if prefix.len() >= ids::prefix::MAX_PREFIX_BITS {
             return;
         }
-        if self.gateway.shard_mut(prefix).len() > threshold {
+        if self.proto.gateway.shard_mut(prefix).len() > threshold {
             self.unsupported += 1;
         }
     }
 
-    // ------------------------------------------------------------------
-    // Capture path (ported from `NetWorld::capture_now` / `index_batch`)
-    // ------------------------------------------------------------------
-
-    fn on_capture(&mut self, at: SimTime, objects: &[ObjectId]) {
-        for &o in objects {
-            self.iop.capture(o, at);
-        }
-        let capture_keys: Vec<(ObjectId, SimTime)> =
-            objects.iter().map(|&o| (o, at)).collect();
-        self.replicate_iop(&capture_keys);
-        for &o in objects {
-            match self.window.push(o, at) {
-                // Timers are the driver's job off-sim (explicit Flush).
-                WindowEvent::ArmTimer | WindowEvent::Buffered => {}
-                WindowEvent::FlushByCount(batch) => self.index_batch(batch),
-            }
-        }
-    }
-
+    /// Close the open window and index it. With no off-sim timers, each
+    /// flush doubles as the write-burst boundary: follow it with the
+    /// anti-entropy digest, so a replica that missed a fan-out frame
+    /// pulls the full state.
     fn on_flush(&mut self, now: SimTime) {
-        if let Some(batch) = self.window.flush(now) {
-            self.index_batch(batch);
-            // Anti-entropy: with no off-sim timers, each flush doubles
-            // as the write-burst boundary — follow it with a digest of
-            // this primary's stores so a replica that missed a fan-out
-            // frame pulls the full state ([`Msg::ReplSyncReq`]).
-            if self.replicas > 1 {
-                let digest = Id::hash(&self.store_state_bytes());
-                let primary = self.site;
-                for h in self.replica_peer_sites() {
-                    self.dispatch(h, 1, Msg::ReplDigest { primary, digest });
-                }
-            }
+        if site::flush(self, self.site, now) && self.replicas > 1 {
+            site::send_digest(self, self.site);
         }
-    }
-
-    /// Route each group to its gateway. The owner and hop count come
-    /// from the *local* replica — identical, on a converged membership,
-    /// to what the networked iterative lookup would return, and usable
-    /// during replay where no peer exists to ask.
-    fn index_batch(&mut self, batch: WindowBatch) {
-        let me = self.my_chord_id();
-        for group in group_batch(&batch.observations, self.lp) {
-            let key = group.prefix.gateway_id();
-            let Ok(r) = self.ring.lookup(me, key) else {
-                self.unsupported += 1;
-                continue;
-            };
-            let owner = self.site_of_chord(&r.owner);
-            let msg =
-                Msg::GroupIndex { prefix: group.prefix, site: self.site, members: group.members };
-            self.dispatch(owner, r.hops as u32, msg);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // K-successor replication (ported from `NetWorld`'s replication
-    // engine; DESIGN.md §13). Every entry point below no-ops when
-    // `replicas <= 1`, so the default path sends nothing and the state
-    // encoding stays byte-identical to the pre-replication node.
-    // ------------------------------------------------------------------
-
-    /// This site's replica set: its K−1 live ring successors, in ring
-    /// order. Empty when replication is off.
-    fn replica_peer_sites(&self) -> Vec<SiteId> {
-        if self.replicas <= 1 {
-            return Vec::new();
-        }
-        // `successors_of` of a member id starts with the member itself.
-        self.ring
-            .successors_of(&self.my_chord_id(), self.replicas)
-            .into_iter()
-            .skip(1)
-            .filter_map(|id| self.ring.app_index_of(&id))
-            .map(|i| SiteId(i as u32))
-            .filter(|&s| s != self.site)
-            .collect()
     }
 
     /// The holders of a **dead** site's replica copies: the first K−1
-    /// nodes clockwise from its ring id, on the post-removal ring —
-    /// exactly its successor set at the moment of death (absent further
-    /// churn). Patches and read probes go only to these; touching a
-    /// non-holder would plant partial records that corrupt trace walks.
+    /// nodes clockwise from its ring id, on the post-removal ring — its
+    /// successor set at the moment of death unless the membership has
+    /// changed since, in which case a node that joined into that arc is
+    /// asked too and, holding no copy, declines the patch
+    /// ([`site::handle`]) or answers the read with nothing.
     pub(crate) fn holders_of_dead(&self, dead: SiteId) -> Vec<SiteId> {
         if self.replicas <= 1 {
             return Vec::new();
@@ -775,106 +563,13 @@ impl Core {
             .collect()
     }
 
-    /// Canonical byte encoding of this site's primary stores (IOP then
-    /// gateway) — the unit digests and full-state sync hash and ship.
-    fn store_state_bytes(&self) -> Vec<u8> {
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, &self.iop);
-        codec::put_state_gateway(&mut buf, &self.gateway);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Canonical encoding of this node's replica copy of `primary`'s
-    /// stores (empty stores when no copy exists yet).
-    fn replica_state_bytes(&self, primary: SiteId) -> Vec<u8> {
-        let empty_iop = IopStore::new();
-        let empty_gw = GatewayStore::new();
-        let iop = self.replica_iop.get(&primary).unwrap_or(&empty_iop);
-        let gw = self.replica_gateway.get(&primary).unwrap_or(&empty_gw);
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, iop);
-        codec::put_state_gateway(&mut buf, gw);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Fan one or more IOP record updates out to the replica set.
-    /// `keys` are `(object, arrival time)` record keys; the full
-    /// records are read back from the primary store so replicas always
-    /// receive the post-update state.
-    fn replicate_iop(&mut self, keys: &[(ObjectId, SimTime)]) {
-        if self.replicas <= 1 || keys.is_empty() {
-            return;
-        }
-        let updates: Vec<(ObjectId, IopRecord)> = keys
-            .iter()
-            .filter_map(|&(o, t)| self.iop.record_at(o, t).map(|r| (o, *r)))
-            .collect();
-        if updates.is_empty() {
-            return;
-        }
-        let primary = self.site;
-        for h in self.replica_peer_sites() {
-            self.dispatch(h, 1, Msg::ReplIop { primary, updates: updates.clone() });
-        }
-    }
-
-    /// Ship the full current content of one gateway shard to the
-    /// replica set. Full-shard replace semantics let removals propagate
-    /// without tombstones: an empty shard drops the replica copy.
-    fn replicate_shard(&mut self, prefix: Prefix) {
-        if self.replicas <= 1 {
-            return;
-        }
-        let (mut entries, delegated): (Vec<(ObjectId, IndexEntry)>, bool) =
-            match self.gateway.prefixes.get(&prefix) {
-                Some(shard) => {
-                    (shard.entries.iter().map(|(o, e)| (*o, *e)).collect(), shard.delegated)
-                }
-                None => (Vec::new(), false),
-            };
-        // Sorted: message contents feed the canonical encoding at the
-        // replica and must be hasher-independent.
-        entries.sort_by_key(|(o, _)| *o);
-        let primary = self.site;
-        for h in self.replica_peer_sites() {
-            let msg =
-                Msg::ReplShard { primary, prefix: Some(prefix), entries: entries.clone(), delegated };
-            self.dispatch(h, 1, msg);
-        }
-    }
-
-    /// Redirect an M2/M3 IOP update whose destination is permanently
-    /// dead to the live holders of that site's replica repository, as a
-    /// [`Msg::ReplIopPatch`]. With no surviving holder the update is
-    /// lost and counted, as before.
-    fn redirect_to_replicas(&mut self, dead: SiteId, msg: Msg) {
-        let holders = self.holders_of_dead(dead);
-        if holders.is_empty() {
-            self.anomalies.dropped_to_dead += 1;
-            return;
-        }
-        let (set_to, set_from) = match msg {
-            Msg::SetTo { updates } => (updates, Vec::new()),
-            Msg::SetFrom { updates } => (Vec::new(), updates),
-            other => unreachable!("only IOP updates are redirected, got {other:?}"),
-        };
-        for h in holders {
-            let patch = Msg::ReplIopPatch {
-                primary: dead,
-                set_to: set_to.clone(),
-                set_from: set_from.clone(),
-            };
-            self.dispatch(h, 1, patch);
-        }
-    }
-
     /// Apply a kill-forever declaration: drop the member, rebuild the
     /// ring, and — with replication on — fail its key ranges over. The
-    /// heir (the dead id's first live successor) merges its replica
-    /// copy of the dead gateway into its primary stores; everyone drops
-    /// the now-stale gateway copies (the **IOP** copies stay — they are
-    /// the read-fallback data); placement is re-established on the
-    /// shrunken ring.
+    /// heir (the dead id's first live successor) inherits the dead
+    /// gateway from its replica copy; everyone drops the now-stale
+    /// gateway copies (the **IOP** copies stay — they are the
+    /// read-fallback data); placement is re-established on the shrunken
+    /// ring.
     fn on_dead(&mut self, site: SiteId) {
         if site == self.site || self.members.remove(&site).is_none() {
             return;
@@ -886,80 +581,10 @@ impl Core {
         }
         let dead_chord = chord_id_for(self.seed, site);
         if self.ring.successor_of(&dead_chord) == Some(self.my_chord_id()) {
-            self.promote_dead_primary(site);
+            site::inherit_gateway(self, self.site, site);
         }
-        self.replica_gateway.remove(&site);
-        self.replica_maintenance();
-    }
-
-    /// Failover merge at the heir (mirrors the simulator's
-    /// `promote_dead_primary`): fold the replica copy of the dead
-    /// site's *gateway* stores into this node's primary stores, keeping
-    /// whichever entry is newer where both exist.
-    fn promote_dead_primary(&mut self, dead: SiteId) {
-        let Some(gw) = self.replica_gateway.remove(&dead) else { return };
-        let mut objs: Vec<(ObjectId, IndexEntry)> = gw.objects.into_iter().collect();
-        objs.sort_by_key(|(o, _)| *o);
-        for (o, e) in objs {
-            match self.gateway.objects.get(&o) {
-                // A racing index update here already holds a newer
-                // visit — keep it.
-                Some(ex) if ex.time >= e.time => {}
-                _ => {
-                    self.gateway.objects.insert(o, e);
-                }
-            }
-        }
-        let mut prefixes: Vec<(Prefix, PrefixIndex)> = gw.prefixes.into_iter().collect();
-        prefixes.sort_by_key(|(p, _)| *p);
-        for (p, shard) in prefixes {
-            let mut es: Vec<(ObjectId, IndexEntry)> =
-                shard.entries.iter().map(|(o, e)| (*o, *e)).collect();
-            es.sort_by_key(|(o, _)| *o);
-            let dst = self.gateway.shard_mut(p);
-            dst.delegated |= shard.delegated;
-            for (o, e) in es {
-                match dst.get(&o) {
-                    Some(ex) if ex.time >= e.time => {}
-                    _ => dst.upsert(o, e),
-                }
-            }
-            self.hosted.insert(p);
-        }
-    }
-
-    /// Re-establish the placement invariant after a membership change:
-    /// drop copies of *live* primaries this node no longer succeeds
-    /// (dead primaries' copies stay — they are the read fallback), and
-    /// push this node's own full store state to its current holders.
-    fn replica_maintenance(&mut self) {
-        if self.replicas <= 1 {
-            return;
-        }
-        let held: Vec<SiteId> = self
-            .replica_iop
-            .keys()
-            .chain(self.replica_gateway.keys())
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for primary in held {
-            if self.dead.contains(&primary) || !self.members.contains_key(&primary) {
-                continue;
-            }
-            let holder_chain = self.ring.successors_of(&chord_id_for(self.seed, primary), self.replicas);
-            let me = self.my_chord_id();
-            if !holder_chain.iter().skip(1).any(|id| *id == me) {
-                self.replica_iop.remove(&primary);
-                self.replica_gateway.remove(&primary);
-            }
-        }
-        let state = self.store_state_bytes();
-        let primary = self.site;
-        for h in self.replica_peer_sites() {
-            self.dispatch(h, 1, Msg::ReplState { primary, state: state.clone() });
-        }
+        self.proto.replica_gateway.remove(&site);
+        site::settle(self, self.site);
     }
 
     // ------------------------------------------------------------------
@@ -977,17 +602,23 @@ impl Core {
                 Frame::StepResp(answer_step(node, &key, |id| self.ring.contains(id)))
             }
             Frame::GatewayProbe { object } => Frame::LinkResp(self.gateway_probe(object)),
-            Frame::IopKnows { object } => Frame::BoolResp(self.iop.knows(object)),
+            Frame::IopKnows { object } => Frame::BoolResp(self.proto.iop.knows(object)),
             Frame::RecAt { object, time } => {
-                Frame::RecResp(self.iop.record_at(object, time).copied())
+                Frame::RecResp(self.proto.iop.record_at(object, time).copied())
             }
             Frame::RecLatestAtOrBefore { object, t } => {
-                Frame::RecResp(self.iop.latest_at_or_before(object, t).copied())
+                Frame::RecResp(self.proto.iop.latest_at_or_before(object, t).copied())
             }
-            Frame::RecFirst { object } => Frame::RecResp(self.iop.all(object).first().copied()),
-            Frame::RecLatest { object } => Frame::RecResp(self.iop.latest(object).copied()),
+            Frame::RecFirst { object } => {
+                Frame::RecResp(self.proto.iop.all(object).first().copied())
+            }
+            Frame::RecLatest { object } => Frame::RecResp(self.proto.iop.latest(object).copied()),
             Frame::ReplRecAt { primary, object, time } => Frame::RecResp(
-                self.replica_iop.get(&primary).and_then(|st| st.record_at(object, time)).copied(),
+                self.proto
+                    .replica_iop
+                    .get(&primary)
+                    .and_then(|st| st.record_at(object, time))
+                    .copied(),
             ),
             _ => return None,
         })
@@ -999,11 +630,91 @@ impl Core {
     /// unsupported by [`Core::check_refresh_unneeded`].
     fn gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
         let p = Prefix::of_id(&object.id(), self.lp);
-        let entry = self.gateway.prefixes.get(&p).and_then(|s| s.get(&object)).copied();
+        let entry = self.proto.gateway.prefixes.get(&p).and_then(|s| s.get(&object)).copied();
         if entry.is_none() {
             self.check_refresh_unneeded(p, &[object]);
         }
         entry.map(|e| e.link())
+    }
+}
+
+/// `Core` hosts the shared write plane for its one site: messages leave
+/// through the outbox, routes come from the local ring replica, and the
+/// membership is what the log has told this node so far.
+impl site::Host for Core {
+    fn site(&mut self, site: SiteId) -> &mut Site {
+        assert_eq!(site, self.site, "a daemon core holds exactly one site");
+        &mut self.proto
+    }
+
+    /// Sequence the message, charge its model cost and count it sent —
+    /// the simulator charges the same at its send — then queue it on
+    /// the outbox for the engine (live) or for dropping (replay).
+    fn send(&mut self, _from: SiteId, to: SiteId, hops: u32, msg: Msg) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.metrics.record(msg.class(), msg.wire_size(), hops);
+        if !self.members.contains_key(&to) {
+            self.anomalies.dropped_to_dead += 1;
+            return;
+        }
+        self.sent += 1;
+        self.outbox.push(Outbound { to, hops, wire: Wire { seq, msg } });
+    }
+
+    fn deliver(&mut self, _to: SiteId, from: SiteId, msg: Msg) {
+        self.handle_msg(from, msg);
+    }
+
+    /// The owner and hop count come from the *local* replica —
+    /// identical, on a converged membership, to what the networked
+    /// iterative lookup would return, and usable during replay where no
+    /// peer exists to ask.
+    fn route(&mut self, _from: SiteId, prefix: Prefix) -> Option<(SiteId, u32)> {
+        match self.ring.lookup(self.my_chord_id(), prefix.gateway_id()) {
+            Ok(r) => Some((self.site_of_chord(&r.owner), r.hops)),
+            Err(_) => {
+                self.unsupported += 1;
+                None
+            }
+        }
+    }
+
+    fn lp(&self) -> usize {
+        self.lp
+    }
+
+    fn replicas(&self) -> usize {
+        self.replicas
+    }
+
+    fn live(&self, site: SiteId) -> bool {
+        self.members.contains_key(&site)
+    }
+
+    fn replica_peers(&self, site: SiteId) -> Vec<SiteId> {
+        // `successors_of` of a member id starts with the member itself,
+        // so `K = 1` yields nobody.
+        self.ring
+            .successors_of(&chord_id_for(self.seed, site), self.replicas)
+            .into_iter()
+            .skip(1)
+            .filter_map(|id| self.ring.app_index_of(&id))
+            .map(|i| SiteId(i as u32))
+            .filter(|&s| s != site)
+            .collect()
+    }
+
+    fn holders_if_dead(&self, site: SiteId) -> Option<Vec<SiteId>> {
+        (self.replicas > 1 && self.dead.contains(&site)).then(|| self.holders_of_dead(site))
+    }
+
+    fn anomalies_mut(&mut self) -> &mut Anomalies {
+        &mut self.anomalies
+    }
+
+    fn mark_hosted(&mut self, prefix: Prefix) {
+        self.hosted.insert(prefix);
     }
 }
 
@@ -1117,18 +828,18 @@ impl Engine {
                 "locate cache capacity must be at least 1",
             ));
         }
-        let mut core = Core::new(cfg.site, cfg.seed, cfg.group, addr);
-        core.replicas = cfg.replicas.max(1);
+        let mut core =
+            Core::new(cfg.site, cfg.seed, cfg.group, addr).with_replicas(cfg.replicas);
         let mut data = None;
         if let Some(dir) = &cfg.data_dir {
             let (d, recovery) = DataDir::open(dir, cfg.fsync)?;
             if let Some((_, body)) = &recovery.snapshot {
-                core = Core::from_snapshot(cfg.site, cfg.seed, cfg.group, body)?;
                 // The replication factor is config, not logged state —
                 // it must be restored before the tail replays, or
                 // recovered fan-out accounting diverges from the live
                 // run.
-                core.replicas = cfg.replicas.max(1);
+                core = Core::from_snapshot(cfg.site, cfg.seed, cfg.group, body)?
+                    .with_replicas(cfg.replicas);
             }
             for entry in &recovery.tail {
                 let rec = WalRecord::decode(&entry.payload).map_err(|e| {

@@ -37,7 +37,7 @@ use peertrack::bytebuf::{ByteBuf, Bytes};
 use peertrack::codec;
 use peertrack::config::GroupConfig;
 use peertrack::messages::Wire;
-use peertrack::world::Anomalies;
+use peertrack::site::{Anomalies, Site};
 use simnet::metrics::{Metrics, ALL_CLASSES};
 use simnet::SimTime;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -202,9 +202,9 @@ impl Core {
                 proto::put_str(&mut buf, &a.to_string());
             }
         }
-        codec::put_state_window(&mut buf, &self.window);
-        codec::put_state_iop(&mut buf, &self.iop);
-        codec::put_state_gateway(&mut buf, &self.gateway);
+        codec::put_state_window(&mut buf, &self.proto.window);
+        codec::put_state_iop(&mut buf, &self.proto.iop);
+        codec::put_state_gateway(&mut buf, &self.proto.gateway);
         let mut hosted: Vec<&Prefix> = self.hosted.iter().collect();
         hosted.sort();
         buf.put_u32(hosted.len() as u32);
@@ -243,13 +243,13 @@ impl Core {
         for s in &self.dead {
             buf.put_u32(s.0);
         }
-        buf.put_u32(self.replica_iop.len() as u32);
-        for (primary, store) in &self.replica_iop {
+        buf.put_u32(self.proto.replica_iop.len() as u32);
+        for (primary, store) in &self.proto.replica_iop {
             buf.put_u32(primary.0);
             codec::put_state_iop(&mut buf, store);
         }
-        buf.put_u32(self.replica_gateway.len() as u32);
-        for (primary, store) in &self.replica_gateway {
+        buf.put_u32(self.proto.replica_gateway.len() as u32);
+        for (primary, store) in &self.proto.replica_gateway {
             buf.put_u32(primary.0);
             codec::put_state_gateway(&mut buf, store);
         }
@@ -380,9 +380,7 @@ fn decode_state(
         members,
         ring: Ring::new(),
         lp: group.l_min,
-        window,
-        iop,
-        gateway,
+        proto: Site { site, window, iop, gateway, replica_iop, replica_gateway },
         hosted,
         metrics,
         next_seq,
@@ -394,8 +392,6 @@ fn decode_state(
         outbox: Vec::new(),
         replicas: 1,
         dead,
-        replica_iop,
-        replica_gateway,
     };
     core.rebuild_ring();
     Ok(core)

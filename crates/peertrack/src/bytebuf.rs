@@ -98,6 +98,13 @@ impl Bytes {
         &self.data[self.pos..]
     }
 
+    /// The remaining bytes as an owned vector (the whole buffer,
+    /// unchanged, when nothing was read).
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.data.drain(..self.pos);
+        self.data
+    }
+
     /// Synonym of [`len`](Bytes::len), matching the reader idiom.
     pub fn remaining(&self) -> usize {
         self.len()

@@ -267,12 +267,6 @@ pub struct Config {
     pub retry: RetryConfig,
     /// K-successor replication (off by default: one copy).
     pub replication: ReplicationConfig,
-    /// Charge one extra `Lookup` message per ascent/descent *existence
-    /// check* during refresh, instead of assuming nodes track which
-    /// prefix lengths are populated from the `Lp` reconfiguration
-    /// broadcasts. Off by default (the paper's cost analysis §IV-C
-    /// charges only the actual fetches).
-    pub count_existence_checks: bool,
     /// Per-node locate-answer cache capacity (DESIGN.md §15). `None`
     /// (the default) disables caching entirely: no caches are
     /// allocated, no epochs are tracked, and query dispatch is
@@ -292,7 +286,6 @@ impl Default for Config {
             seed: 0x9E3779B9,
             retry: RetryConfig::disabled(),
             replication: ReplicationConfig::disabled(),
-            count_existence_checks: false,
             locate_cache: None,
             placement: Placement::Flat,
         }

@@ -66,13 +66,6 @@ impl Builder {
         self
     }
 
-    /// Charge explicit existence-check lookups during refresh (see
-    /// [`Config::count_existence_checks`]).
-    pub fn count_existence_checks(mut self, on: bool) -> Builder {
-        self.config.count_existence_checks = on;
-        self
-    }
-
     /// Inject link faults (drop/duplicate/jitter) and enable crash
     /// support. The plane has its own seed (see [`FaultConfig`]), so
     /// runs with faults disabled are byte-identical to builds without a
@@ -701,7 +694,7 @@ impl TraceableNetwork {
         );
         // Failover before the Lp refresh: the heir must serve the dead
         // site's ranges as primary data when split/merge re-levels.
-        self.world.promote_dead_primary(idx);
+        self.world.promote_dead_primary(&mut self.sim, idx);
         self.world.refresh_lp(&mut self.sim);
         self.world.invalidate_gateway_caches();
         self.run_until_quiescent();

@@ -5,8 +5,8 @@
 //! `u32`s; this module owns the peertrack assignments and their labels
 //! so `obs` stays protocol-agnostic. Three ranges:
 //!
-//! * `1..16` — per-message end-to-end spans, opened at
-//!   [`dispatch`](crate::world::NetWorld) and closed when the first
+//! * `1..16` — per-message end-to-end spans, opened when
+//!   [`NetWorld`](crate::world::NetWorld) sends and closed when the first
 //!   copy of that wire sequence number is *processed* (acked +
 //!   deduplicated), so the span covers loss and retransmission, not
 //!   just one network traversal;

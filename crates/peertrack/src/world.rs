@@ -1,39 +1,41 @@
-//! The protocol engine: per-site state plus every message handler.
+//! The simulator's driver around the protocol: every site's state plus
+//! the paths only a whole-network host runs.
 //!
-//! [`NetWorld`] owns all distributed state — the Chord ring, each site's
-//! window buffer, IOP repository and gateway shards — and implements
-//! [`simnet::World`] so the discrete-event engine can drive it. The
-//! structure mirrors §III/§IV exactly:
+//! [`NetWorld`] owns all distributed state — the Chord ring and each
+//! site's [`Site`] — and implements [`simnet::World`] so the
+//! discrete-event engine can drive it. The write plane itself (§III
+//! M2/M3 link threading, the §IV Fig. 5 `update_index`, capture →
+//! window → `GroupIndex`, K-successor replication) is
+//! [`crate::site`], which this module hosts through [`site::Host`]; what
+//! stays here is what no single node does alone, or does only in the
+//! simulator:
 //!
-//! * a capture appends an open IOP record locally, then either reports
-//!   the arrival individually (**M1**) or buffers it in the adaptive
-//!   window (§IV-A.1);
-//! * a gateway receiving an arrival/group batch updates its index and
-//!   threads the IOP links with **M2**/**M3** (batched per source site
-//!   in group mode);
-//! * unknown objects trigger the Fig. 5 `refresh_from_ascent` /
-//!   `refresh_from_descent` fetches (charged as `Refresh` traffic;
-//!   executed as zero-latency RPCs — the figures measure message
-//!   volume, not indexing latency, see DESIGN.md);
-//! * overfull shards delegate their earliest `α·count` records to the
-//!   two Data-Triangle children (Fig. 5 `update_index`);
-//! * changes of `Lp` run the splitting–merging process (§IV-A.2) when
-//!   `eager_split_merge` is set.
+//! * individual mode (**M1** arrivals, §III) and the sequenced
+//!   at-least-once delivery layer (acks, retries, duplicate filter);
+//! * the Fig. 5 `refresh_from_ascent` / `refresh_from_descent` fetches
+//!   for unknown objects (charged as `Refresh` traffic; executed as
+//!   zero-latency RPCs — the figures measure message volume, not
+//!   indexing latency, see DESIGN.md);
+//! * Data-Triangle delegation of an overfull shard's earliest `α·count`
+//!   records (Fig. 5 `update_index` lines 2–4);
+//! * the splitting–merging process on a change of `Lp` (§IV-A.2) when
+//!   `eager_split_merge` is set, and key-range handoff on churn;
+//! * timers (`Tmax`, scheduled captures, retry, the one-shot
+//!   anti-entropy trigger), trace spans and the locate-cache epochs.
 
-use crate::bytebuf::{ByteBuf, Bytes};
-use crate::codec;
 use crate::config::{Config, GroupConfig, IndexingMode, SizeEstimation};
-use crate::grouping::group_batch;
 use crate::messages::{Msg, Wire, ENTRY_BYTES, HEADER_BYTES, OBJECT_ID_BYTES, PREFIX_BYTES};
+pub use crate::site::Anomalies;
+use crate::site::{self, Site};
 use crate::spans;
-use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
-use crate::window::{WindowBatch, WindowBuffer, WindowEvent};
+use crate::store::{IndexEntry, IopRecord, Link, PrefixIndex};
 use chord::Ring;
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
 use qcache::{CacheStats, EpochTable, LocateCache};
 use simnet::{MsgClass, NodeIndex, Sim, SimTime, TimerId, World};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::ops::{Deref, DerefMut};
 
 /// Timer-kind tags (high byte of the `u64` timer kind).
 const TAG_SHIFT: u32 = 56;
@@ -53,22 +55,18 @@ fn timer_kind(tag: u64, value: u64) -> u64 {
     (tag << TAG_SHIFT) | value
 }
 
-/// One organization's full state.
+/// One organization's full state: its protocol [`Site`] (which this
+/// derefs to — `sites[i].iop`, `.gateway`, `.replica_iop`, …) plus what
+/// only the simulator keeps per site.
 pub struct SiteState {
-    /// Application-level identity.
-    pub site: SiteId,
+    /// The state the shared write plane ([`crate::site`]) advances.
+    pub proto: Site,
     /// Ring identity (SHA-1 of the site's external address).
     pub chord_id: Id,
     /// False once the site has left the network.
     pub alive: bool,
-    /// Group-mode capture window.
-    pub window: WindowBuffer,
     /// Pending `Tmax` timer for the open window, if any.
     window_timer: Option<TimerId>,
-    /// Local repository (IOP records).
-    pub iop: IopStore,
-    /// Index shards this site hosts as a gateway.
-    pub gateway: GatewayStore,
     /// Cached gateway locations per prefix (§IV-A.2 address caching):
     /// owner site index at the time of first contact.
     gateway_cache: HashMap<Prefix, usize>,
@@ -77,14 +75,6 @@ pub struct SiteState {
     /// IOP upserts are not idempotent, so at-least-once delivery plus
     /// this filter gives exactly-once processing.
     seen_seqs: HashSet<u64>,
-    /// Replica copies of other primaries' IOP repositories, keyed by
-    /// the primary's site id. Held only when `Config.replication` puts
-    /// this site in the primary's successor set; kept separate from the
-    /// primary stores so index-placement invariants keep holding on the
-    /// primary copies alone.
-    pub replica_iop: HashMap<SiteId, IopStore>,
-    /// Replica copies of other primaries' gateway stores, same keying.
-    pub replica_gateway: HashMap<SiteId, GatewayStore>,
     /// Pending one-shot anti-entropy timer, if a write armed one.
     antientropy_timer: Option<TimerId>,
     /// Locate-answer cache (DESIGN.md §15), allocated only when
@@ -98,26 +88,17 @@ pub struct SiteState {
     pub(crate) query_load: u64,
 }
 
-/// Counters for conditions that should not occur in well-formed runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Anomalies {
-    /// Gateway saw an arrival older than the indexed latest state
-    /// (message reordering faster than the movement cadence).
-    pub out_of_order_arrivals: u64,
-    /// IOP update targeting a record the site does not hold (e.g. the
-    /// site re-joined after data loss).
-    pub dangling_iop_updates: u64,
-    /// Messages dropped because the destination site had left.
-    pub dropped_to_dead: u64,
-    /// Deliveries that exhausted every retry attempt without an ack.
-    pub retries_exhausted: u64,
-    /// Duplicate deliveries (retransmission or fault-plane duplication)
-    /// suppressed by the receiver's sequence filter.
-    pub duplicates_suppressed: u64,
-    /// Refresh RPCs abandoned because every attempt was lost (the
-    /// entries stay at the remote shard; the index is stale until the
-    /// next refresh).
-    pub refresh_failures: u64,
+impl Deref for SiteState {
+    type Target = Site;
+    fn deref(&self) -> &Site {
+        &self.proto
+    }
+}
+
+impl DerefMut for SiteState {
+    fn deref_mut(&mut self) -> &mut Site {
+        &mut self.proto
+    }
 }
 
 /// The distributed system: ring + every site's state.
@@ -221,17 +202,12 @@ impl NetWorld {
     pub(crate) fn push_site(&mut self, chord_id: Id, n_max: usize) -> SiteId {
         let site = SiteId(self.sites.len() as u32);
         self.sites.push(SiteState {
-            site,
+            proto: Site::new(site, n_max),
             chord_id,
             alive: true,
-            window: WindowBuffer::new(site, n_max),
             window_timer: None,
-            iop: IopStore::new(),
-            gateway: GatewayStore::new(),
             gateway_cache: HashMap::new(),
             seen_seqs: HashSet::new(),
-            replica_iop: HashMap::new(),
-            replica_gateway: HashMap::new(),
             antientropy_timer: None,
             locate_cache: self.config.locate_cache.map(LocateCache::new),
             query_load: 0,
@@ -291,15 +267,10 @@ impl NetWorld {
         let idx = self.site_idx(site);
         assert!(self.sites[idx].alive, "capture at a departed site {site}");
         let now = sim.now();
-        for &o in objects {
-            self.sites[idx].iop.capture(o, now);
-        }
-        let capture_keys: Vec<(ObjectId, SimTime)> =
-            objects.iter().map(|&o| (o, now)).collect();
-        self.replicate_iop(sim, idx, &capture_keys);
         let tracing = sim.tracing();
         match self.config.mode {
             IndexingMode::Individual => {
+                site::record_visits(&mut self.host(sim), site, objects, now);
                 for &o in objects {
                     if tracing {
                         sim.set_trace_ctx(spans::object_tag(o));
@@ -309,30 +280,7 @@ impl NetWorld {
                     self.dispatch(sim, idx, owner, hops, msg);
                 }
             }
-            IndexingMode::Group(g) => {
-                for &o in objects {
-                    // Tag the window push with the object so the
-                    // armed `Tmax` timer (and a count-triggered flush)
-                    // are causally attributable to a capture.
-                    if tracing {
-                        sim.set_trace_ctx(spans::object_tag(o));
-                    }
-                    let ev = self.sites[idx].window.push(o, now);
-                    match ev {
-                        WindowEvent::ArmTimer => {
-                            let t = sim.set_timer(idx, g.t_max, timer_kind(TAG_WINDOW, idx as u64));
-                            self.sites[idx].window_timer = Some(t);
-                        }
-                        WindowEvent::Buffered => {}
-                        WindowEvent::FlushByCount(batch) => {
-                            if let Some(t) = self.sites[idx].window_timer.take() {
-                                sim.cancel_timer(t);
-                            }
-                            self.index_batch(sim, batch);
-                        }
-                    }
-                }
-            }
+            IndexingMode::Group(_) => site::capture(&mut self.host(sim), site, objects, now),
         }
         if tracing {
             sim.clear_trace_ctx();
@@ -378,41 +326,35 @@ impl NetWorld {
         if let Some(t) = self.sites[idx].window_timer.take() {
             sim.cancel_timer(t);
         }
-        if let Some(batch) = self.sites[idx].window.flush(sim.now()) {
-            self.index_batch(sim, batch);
-        }
+        let now = sim.now();
+        site::flush(&mut self.host(sim), sid(idx), now);
     }
 
     // ------------------------------------------------------------------
-    // Group indexing (§IV)
+    // Hosting the shared write plane (`crate::site`)
     // ------------------------------------------------------------------
 
-    /// Send one `GroupIndex` message per group in the batch (§IV-A.2).
-    /// With address caching on, a prefix gateway already contacted is
-    /// reached directly (1 hop) instead of via a fresh DHT lookup.
-    fn index_batch(&mut self, sim: &mut Sim<Wire>, batch: WindowBatch) {
-        let site = batch.site;
+    /// This world and its engine as one [`site::Host`].
+    fn host<'a>(&'a mut self, sim: &'a mut Sim<Wire>) -> Driver<'a> {
+        Driver { world: self, sim }
+    }
+
+    /// Where a group's `GroupIndex` goes (§IV-A.2). With address
+    /// caching on, a prefix gateway already contacted is reached
+    /// directly (1 hop) instead of via a fresh DHT lookup.
+    fn route_group(&mut self, sim: &mut Sim<Wire>, site: SiteId, prefix: Prefix) -> (usize, u32) {
         let idx = self.site_idx(site);
-        let caching = self.config_caches_addresses();
-        for group in group_batch(&batch.observations, self.current_lp) {
-            let (owner, hops) = match self.sites[idx].gateway_cache.get(&group.prefix) {
-                Some(&owner) if caching => (owner, 1),
-                _ => {
-                    let key = group.prefix.gateway_id();
-                    let r = self.route_traced(sim, site, key);
-                    if caching {
-                        self.sites[idx].gateway_cache.insert(group.prefix, r.0);
-                    }
-                    r
+        let caching = self.group_config().is_some_and(|g| g.cache_gateway_addresses);
+        match self.sites[idx].gateway_cache.get(&prefix) {
+            Some(&owner) if caching => (owner, 1),
+            _ => {
+                let r = self.route_traced(sim, site, prefix.gateway_id());
+                if caching {
+                    self.sites[idx].gateway_cache.insert(prefix, r.0);
                 }
-            };
-            let msg = Msg::GroupIndex { prefix: group.prefix, site, members: group.members };
-            self.dispatch(sim, idx, owner, hops, msg);
+                r
+            }
         }
-    }
-
-    fn config_caches_addresses(&self) -> bool {
-        self.group_config().map(|g| g.cache_gateway_addresses).unwrap_or(false)
     }
 
     /// Drop every site's gateway-address cache (membership or `Lp`
@@ -442,25 +384,17 @@ impl NetWorld {
         }
     }
 
-    /// Deliver a message, short-circuiting self-sends (a node does not
-    /// pay network cost to talk to itself). Networked sends are
+    /// Deliver a message under the shared policy ([`site::dispatch`]):
+    /// self-sends inline, IOP updates to a permanently dead site
+    /// redirected, everything else through [`NetWorld::send`].
+    fn dispatch(&mut self, sim: &mut Sim<Wire>, from: usize, to: usize, hops: u32, msg: Msg) {
+        site::dispatch(&mut self.host(sim), sid(from), sid(to), hops, msg);
+    }
+
+    /// Put a message on the simulated network. Networked sends are
     /// sequenced; with the retry layer enabled they are also tracked
     /// for retransmission until acked.
-    fn dispatch(&mut self, sim: &mut Sim<Wire>, from: usize, to: usize, hops: u32, msg: Msg) {
-        if from == to {
-            self.handle(sim, to, from, Wire::unsequenced(msg));
-            return;
-        }
-        // An IOP update aimed at a permanently failed site is repaired
-        // onto the holders of its replica repository instead of being
-        // dropped on the floor (replication mode only).
-        if self.replication_on()
-            && !self.sites[to].alive
-            && matches!(msg, Msg::SetTo { .. } | Msg::SetFrom { .. })
-        {
-            self.redirect_to_replicas(sim, from, to, msg);
-            return;
-        }
+    fn send(&mut self, sim: &mut Sim<Wire>, from: usize, to: usize, hops: u32, msg: Msg) {
         let class = msg.class();
         let bytes = msg.wire_size();
         let seq = self.next_seq;
@@ -532,34 +466,17 @@ impl NetWorld {
                 }
             }
         }
+        // The arms every host shares are applied by the one protocol
+        // body; what comes back is the simulator's own.
+        let Some(msg) = site::handle(&mut self.host(sim), sid(to), sid(from), msg) else {
+            return;
+        };
         match msg {
             Msg::Arrival { object, site, time } => {
                 self.handle_arrival(sim, to, object, site, time);
             }
             Msg::GroupIndex { prefix, site, members } => {
                 self.handle_group_index(sim, to, prefix, site, members);
-            }
-            Msg::SetTo { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.sites[to].iop.set_to(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(sim, to, &touched);
-            }
-            Msg::SetFrom { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.sites[to].iop.set_from(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(sim, to, &touched);
             }
             Msg::Delegate { prefix, entries } => {
                 for (o, e) in entries {
@@ -587,73 +504,8 @@ impl NetWorld {
                     self.replicate_shard(sim, to, None);
                 }
             },
-            Msg::Ack { .. } => unreachable!("acks handled before dispatch"),
-            Msg::ReplIop { primary, updates } => {
-                let store = self.sites[to].replica_iop.entry(primary).or_default();
-                for (o, rec) in updates {
-                    store.upsert_record(o, rec);
-                }
-            }
-            Msg::ReplShard { primary, prefix, entries, delegated } => {
-                let gw = self.sites[to].replica_gateway.entry(primary).or_default();
-                match prefix {
-                    Some(p) => {
-                        if entries.is_empty() && !delegated {
-                            gw.prefixes.remove(&p);
-                        } else {
-                            let shard = gw.shard_mut(p);
-                            *shard = PrefixIndex::new();
-                            shard.delegated = delegated;
-                            for (o, e) in entries {
-                                shard.upsert(o, e);
-                            }
-                        }
-                    }
-                    None => {
-                        gw.objects = entries.into_iter().collect();
-                    }
-                }
-            }
-            Msg::ReplDigest { primary, digest } => {
-                let mine = Id::hash(&self.replica_state_bytes(to, primary));
-                if mine != digest {
-                    self.dispatch(sim, to, from, 1, Msg::ReplSyncReq { primary });
-                }
-            }
-            Msg::ReplSyncReq { primary } => {
-                debug_assert_eq!(self.sites[to].site, primary, "sync request misrouted");
-                let state = self.store_state_bytes(to);
-                self.dispatch(sim, to, from, 1, Msg::ReplState { primary, state });
-            }
-            Msg::ReplState { primary, state } => {
-                let mut bytes = Bytes::from(state);
-                let iop = codec::get_state_iop(&mut bytes).expect("well-formed replica state");
-                let gw =
-                    codec::get_state_gateway(&mut bytes).expect("well-formed replica state");
-                self.sites[to].replica_iop.insert(primary, iop);
-                self.sites[to].replica_gateway.insert(primary, gw);
-            }
-            Msg::ReplIopPatch { primary, set_to, set_from } => {
-                let store = self.sites[to].replica_iop.entry(primary).or_default();
-                for (o, arrived, link) in set_to {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.to = Some(link);
-                    store.upsert_record(o, rec);
-                }
-                for (o, arrived, from_link) in set_from {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.from = from_link;
-                    store.upsert_record(o, rec);
-                }
-            }
+            other => unreachable!("{other:?} is an ack or a well-formed shared arm"),
         }
-        let _ = from;
     }
 
     /// A retry timer fired: retransmit if the delivery is still unacked
@@ -716,7 +568,9 @@ impl NetWorld {
         self.dispatch(sim, gw, self.site_idx(site), 1, m3);
     }
 
-    /// Group-mode gateway logic — the Fig. 5 `index` algorithm.
+    /// Group-mode gateway logic — the Fig. 5 `index` algorithm: refresh
+    /// what this gateway does not know yet, run the shared
+    /// `update_index`, delegate if the shard grew past its threshold.
     fn handle_group_index(
         &mut self,
         sim: &mut Sim<Wire>,
@@ -725,19 +579,7 @@ impl NetWorld {
         site: SiteId,
         members: Vec<(ObjectId, SimTime)>,
     ) {
-        // objects' ← members not indexed locally (Fig. 5 line 2; the
-        // paper's set expression has the operands transposed — the
-        // accompanying comment "objects which are not stored locally"
-        // fixes the intent).
-        let unknown: Vec<ObjectId> = {
-            let shard = self.sites[gw].gateway.shard_mut(prefix);
-            members
-                .iter()
-                .map(|&(o, _)| o)
-                .filter(|o| shard.get(o).is_none())
-                .collect()
-        };
-
+        let unknown = self.sites[gw].unindexed(prefix, &members);
         if !unknown.is_empty() {
             let mut missing: HashSet<ObjectId> = unknown.into_iter().collect();
             self.refresh_from_ascent(sim, gw, prefix, &mut missing);
@@ -745,48 +587,7 @@ impl NetWorld {
                 self.refresh_from_descent(sim, gw, prefix, &mut missing);
             }
         }
-
-        // update_index: thread IOP links, batching M2 per source site
-        // and M3 to the capturing site ("one message for each group of
-        // objects which are from the same node").
-        let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
-        let mut m3: Vec<(ObjectId, SimTime, Option<Link>)> = Vec::with_capacity(members.len());
-        {
-            let shard = self.sites[gw].gateway.shard_mut(prefix);
-            for &(o, t) in &members {
-                let prev = shard.get(&o).copied();
-                if let Some(p) = prev {
-                    if p.time > t {
-                        self.anomalies.out_of_order_arrivals += 1;
-                        continue;
-                    }
-                }
-                shard.upsert(o, IndexEntry { site, time: t, prev: prev.map(|p| p.link()) });
-                let new_link = Link { site, time: t };
-                if let Some(p) = prev {
-                    m2.entry(p.site).or_default().push((o, p.time, new_link));
-                }
-                m3.push((o, t, prev.map(|p| p.link())));
-            }
-        }
-        self.hosted.insert(prefix);
-        // `m3` holds exactly the accepted upserts: each changed the
-        // stored latest link for its object.
-        if self.config.locate_cache.is_some() {
-            for &(o, _, _) in &m3 {
-                self.epochs.bump(o);
-            }
-        }
-
-        for (dest, updates) in m2 {
-            let msg = Msg::SetTo { updates };
-            self.dispatch(sim, gw, self.site_idx(dest), 1, msg);
-        }
-        if !m3.is_empty() {
-            let msg = Msg::SetFrom { updates: m3 };
-            self.dispatch(sim, gw, self.site_idx(site), 1, msg);
-        }
-
+        site::update_index(&mut self.host(sim), sid(gw), prefix, site, &members);
         self.maybe_delegate(sim, gw, prefix);
         // One shard replication covers both the index upserts above and
         // any shrink `maybe_delegate` just performed (the delegation
@@ -923,10 +724,6 @@ impl NetWorld {
         missing: &mut HashSet<ObjectId>,
     ) {
         if !self.is_hosted(&p) {
-            if self.config.count_existence_checks {
-                let (_, hops) = self.route_traced(sim, self.sites[gw].site, p.gateway_id());
-                sim.metrics_mut().record(MsgClass::Lookup, HEADER_BYTES + PREFIX_BYTES, hops);
-            }
             return;
         }
         let (owner, hops) = self.route_traced(sim, self.sites[gw].site, p.gateway_id());
@@ -1317,19 +1114,12 @@ impl NetWorld {
     }
 
     // ------------------------------------------------------------------
-    // K-successor replication
+    // K-successor replication: the host-supplied half (membership,
+    // the anti-entropy trigger, inspection). The engine itself is
+    // `crate::site`; with `Config.replication.replicas = 1` none of it
+    // sends a message, arms a timer or draws an RNG value — committed
+    // figure CSVs stay byte-identical.
     // ------------------------------------------------------------------
-    //
-    // With `Config.replication.replicas = K > 1`, every site's stores
-    // (IOP repository + gateway shards) are mirrored onto its K−1 ring
-    // successors. Writes fan out eagerly (`replicate_iop` /
-    // `replicate_shard`), a one-shot anti-entropy timer follows each
-    // write burst with a digest exchange over the canonical state
-    // encoding, reads fall back to replica copies when the primary is
-    // gone, and a permanent failure promotes the first successor. Every
-    // entry point below no-ops when `replicas <= 1`, so the default
-    // path sends no messages, arms no timers and draws no RNG values —
-    // committed figure CSVs stay byte-identical.
 
     fn replication_on(&self) -> bool {
         self.config.replication.enabled()
@@ -1352,30 +1142,6 @@ impl NetWorld {
             .collect()
     }
 
-    /// Canonical byte encoding of a site's primary stores (IOP then
-    /// gateway) — the unit both digests and full-state sync hash and
-    /// ship. Same sorted-key encoders the daemon's snapshots use, so
-    /// semantically equal stores encode byte-identically.
-    fn store_state_bytes(&self, idx: usize) -> Vec<u8> {
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, &self.sites[idx].iop);
-        codec::put_state_gateway(&mut buf, &self.sites[idx].gateway);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Canonical encoding of `holder`'s replica copy of `primary`'s
-    /// stores (empty stores when the holder has no copy yet).
-    fn replica_state_bytes(&self, holder: usize, primary: SiteId) -> Vec<u8> {
-        let empty_iop = IopStore::new();
-        let empty_gw = GatewayStore::new();
-        let iop = self.sites[holder].replica_iop.get(&primary).unwrap_or(&empty_iop);
-        let gw = self.sites[holder].replica_gateway.get(&primary).unwrap_or(&empty_gw);
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, iop);
-        codec::put_state_gateway(&mut buf, gw);
-        buf.freeze().as_slice().to_vec()
-    }
-
     /// Arm the one-shot anti-entropy timer for `idx` unless one is
     /// already pending. Called from every replicated write.
     fn arm_antientropy(&mut self, sim: &mut Sim<Wire>, idx: usize) {
@@ -1387,88 +1153,8 @@ impl NetWorld {
         self.sites[idx].antientropy_timer = Some(t);
     }
 
-    /// Fan one or more IOP record updates out to `idx`'s replica set.
-    /// `keys` are `(object, arrival time)` record keys; the full
-    /// records are read back from the primary store so replicas always
-    /// receive the post-update state.
-    fn replicate_iop(&mut self, sim: &mut Sim<Wire>, idx: usize, keys: &[(ObjectId, SimTime)]) {
-        if !self.replication_on() || keys.is_empty() {
-            return;
-        }
-        let updates: Vec<(ObjectId, IopRecord)> = keys
-            .iter()
-            .filter_map(|&(o, t)| self.sites[idx].iop.record_at(o, t).map(|r| (o, *r)))
-            .collect();
-        if updates.is_empty() {
-            return;
-        }
-        let primary = self.sites[idx].site;
-        for h in self.replica_peer_idxs(idx) {
-            let msg = Msg::ReplIop { primary, updates: updates.clone() };
-            self.dispatch(sim, idx, h, 1, msg);
-        }
-        self.arm_antientropy(sim, idx);
-    }
-
-    /// Ship the full current content of one of `idx`'s gateway shards
-    /// (`None` = the individual-mode object map) to its replica set.
-    /// Full-shard replace semantics let removals propagate without
-    /// tombstones: an empty shard drops the replica copy.
     fn replicate_shard(&mut self, sim: &mut Sim<Wire>, idx: usize, prefix: Option<Prefix>) {
-        if !self.replication_on() {
-            return;
-        }
-        let (mut entries, delegated): (Vec<(ObjectId, IndexEntry)>, bool) = match prefix {
-            Some(p) => match self.sites[idx].gateway.prefixes.get(&p) {
-                Some(shard) => (
-                    shard.entries.iter().map(|(o, e)| (*o, *e)).collect(),
-                    shard.delegated,
-                ),
-                None => (Vec::new(), false),
-            },
-            None => (
-                self.sites[idx].gateway.objects.iter().map(|(o, e)| (*o, *e)).collect(),
-                false,
-            ),
-        };
-        // Sorted: message contents feed the canonical encoding at the
-        // replica and must be hasher-independent.
-        entries.sort_by_key(|(o, _)| *o);
-        let primary = self.sites[idx].site;
-        for h in self.replica_peer_idxs(idx) {
-            let msg = Msg::ReplShard { primary, prefix, entries: entries.clone(), delegated };
-            self.dispatch(sim, idx, h, 1, msg);
-        }
-        self.arm_antientropy(sim, idx);
-    }
-
-    /// Redirect an M2/M3 IOP update whose destination is permanently
-    /// dead to the live holders of that site's replica repository, as a
-    /// [`Msg::ReplIopPatch`]. Without replication (or with no surviving
-    /// holder) the update is lost and counted, as before.
-    fn redirect_to_replicas(&mut self, sim: &mut Sim<Wire>, from: usize, to: usize, msg: Msg) {
-        let primary = self.sites[to].site;
-        let holders: Vec<usize> = (0..self.sites.len())
-            .filter(|&h| h != to && self.sites[h].alive)
-            .filter(|&h| self.sites[h].replica_iop.contains_key(&primary))
-            .collect();
-        if holders.is_empty() {
-            self.anomalies.dropped_to_dead += 1;
-            return;
-        }
-        let (set_to, set_from) = match msg {
-            Msg::SetTo { updates } => (updates, Vec::new()),
-            Msg::SetFrom { updates } => (Vec::new(), updates),
-            other => unreachable!("only IOP updates are redirected, got {other:?}"),
-        };
-        for h in holders {
-            let patch = Msg::ReplIopPatch {
-                primary,
-                set_to: set_to.clone(),
-                set_from: set_from.clone(),
-            };
-            self.dispatch(sim, from, h, 1, patch);
-        }
+        site::replicate_shard(&mut self.host(sim), sid(idx), prefix);
     }
 
     /// Read a visit record, falling back to replica copies when the
@@ -1525,13 +1211,13 @@ impl NetWorld {
             if !self.sites[idx].alive {
                 continue;
             }
-            let want = self.store_state_bytes(idx);
+            let want = self.sites[idx].store_state_bytes();
             let primary = self.sites[idx].site;
             for h in self.replica_peer_idxs(idx) {
                 if !self.sites[h].alive {
                     continue;
                 }
-                if self.replica_state_bytes(h, primary) != want {
+                if self.sites[h].replica_state_bytes(primary) != want {
                     out.push(format!(
                         "replica: holder {} diverges from primary {primary} after quiescence",
                         self.sites[h].site
@@ -1544,91 +1230,135 @@ impl NetWorld {
 
     /// Re-establish the replica placement invariant after a membership
     /// change: every live primary's state is held by exactly its K−1
-    /// current ring successors. Stale copies at ex-holders are dropped
-    /// locally (each node knows the new membership from stabilization);
-    /// current holders receive a full-state sync. Copies keyed by
-    /// *dead* primaries are left in place — they are the read-fallback
-    /// data that keeps locate/trace oracle-exact after a permanent
-    /// loss.
+    /// current ring successors. Each live site settles for itself
+    /// ([`site::settle`]) — it knows the new membership from
+    /// stabilization.
     pub(crate) fn replica_maintenance(&mut self, sim: &mut Sim<Wire>) {
-        if !self.replication_on() {
-            return;
-        }
         for idx in 0..self.sites.len() {
-            if !self.sites[idx].alive {
-                continue;
-            }
-            let holder_idxs = self.replica_peer_idxs(idx);
-            let primary = self.sites[idx].site;
-            for h in 0..self.sites.len() {
-                if h == idx || holder_idxs.contains(&h) {
-                    continue;
-                }
-                self.sites[h].replica_iop.remove(&primary);
-                self.sites[h].replica_gateway.remove(&primary);
-            }
-            let state = self.store_state_bytes(idx);
-            for &h in &holder_idxs {
-                let msg = Msg::ReplState { primary, state: state.clone() };
-                self.dispatch(sim, idx, h, 1, msg);
+            if self.sites[idx].alive {
+                site::settle(&mut self.host(sim), sid(idx));
             }
         }
     }
 
     /// Failover: the first live successor of a permanently failed
-    /// primary merges its replica copy of the dead site's *gateway*
-    /// stores into its own primary stores — the ring now routes the
-    /// dead site's key ranges to it, so the index data must be served
-    /// as primary data. The dead site's IOP replica copies stay where
-    /// they are (repository records are keyed by the site that observed
-    /// them; reads reach them via [`NetWorld::iop_record`] fallback).
+    /// primary inherits its gateway stores ([`site::inherit_gateway`]).
     /// Call after `ring.fail` + stabilization.
-    pub(crate) fn promote_dead_primary(&mut self, dead_idx: usize) {
-        if !self.replication_on() {
-            return;
-        }
+    pub(crate) fn promote_dead_primary(&mut self, sim: &mut Sim<Wire>, dead_idx: usize) {
         let dead = self.sites[dead_idx].site;
-        let dead_chord = self.sites[dead_idx].chord_id;
-        let Some(heir_id) = self.ring.successor_of(&dead_chord) else {
-            return;
-        };
-        let Some(heir) = self.ring.app_index_of(&heir_id) else {
-            return;
-        };
-        if let Some(gw) = self.sites[heir].replica_gateway.remove(&dead) {
-            let mut objs: Vec<(ObjectId, IndexEntry)> = gw.objects.into_iter().collect();
-            objs.sort_by_key(|(o, _)| *o);
-            for (o, e) in objs {
-                match self.sites[heir].gateway.objects.get(&o) {
-                    // A racing index update at the heir already holds a
-                    // newer visit — keep it.
-                    Some(ex) if ex.time >= e.time => {}
-                    _ => {
-                        self.sites[heir].gateway.objects.insert(o, e);
-                    }
-                }
-            }
-            let mut prefixes: Vec<(Prefix, PrefixIndex)> = gw.prefixes.into_iter().collect();
-            prefixes.sort_by_key(|(p, _)| *p);
-            for (p, shard) in prefixes {
-                let mut es: Vec<(ObjectId, IndexEntry)> =
-                    shard.entries.iter().map(|(o, e)| (*o, *e)).collect();
-                es.sort_by_key(|(o, _)| *o);
-                let dst = self.sites[heir].gateway.shard_mut(p);
-                dst.delegated |= shard.delegated;
-                for (o, e) in es {
-                    match dst.get(&o) {
-                        Some(ex) if ex.time >= e.time => {}
-                        _ => dst.upsert(o, e),
-                    }
-                }
-                self.hosted.insert(p);
-            }
+        let heir = self
+            .ring
+            .successor_of(&self.sites[dead_idx].chord_id)
+            .and_then(|id| self.ring.app_index_of(&id));
+        if let Some(heir) = heir {
+            site::inherit_gateway(&mut self.host(sim), sid(heir), dead);
         }
         // The heir owns the ranges now; other holders' copies of the
         // dead gateway are stale bootstrap data, not serving state.
         for s in &mut self.sites {
             s.replica_gateway.remove(&dead);
+        }
+    }
+}
+
+fn sid(idx: usize) -> SiteId {
+    SiteId(idx as u32)
+}
+
+/// The simulator as a [`site::Host`]: the world, which holds every
+/// site, plus the engine it sends and arms timers through.
+struct Driver<'a> {
+    world: &'a mut NetWorld,
+    sim: &'a mut Sim<Wire>,
+}
+
+impl site::Host for Driver<'_> {
+    fn site(&mut self, site: SiteId) -> &mut Site {
+        &mut self.world.sites[site.0 as usize].proto
+    }
+
+    fn send(&mut self, from: SiteId, to: SiteId, hops: u32, msg: Msg) {
+        self.world.send(self.sim, from.0 as usize, to.0 as usize, hops, msg);
+    }
+
+    fn deliver(&mut self, to: SiteId, from: SiteId, msg: Msg) {
+        self.world.handle(self.sim, to.0 as usize, from.0 as usize, Wire::unsequenced(msg));
+    }
+
+    /// Panics on routing failure — the runtime stabilizes after churn,
+    /// so lookups always converge.
+    fn route(&mut self, from: SiteId, prefix: Prefix) -> Option<(SiteId, u32)> {
+        let (owner, hops) = self.world.route_group(self.sim, from, prefix);
+        Some((sid(owner), hops))
+    }
+
+    fn lp(&self) -> usize {
+        self.world.current_lp
+    }
+
+    fn replicas(&self) -> usize {
+        self.world.config.replication.replicas
+    }
+
+    fn live(&self, site: SiteId) -> bool {
+        self.world.sites[site.0 as usize].alive
+    }
+
+    fn replica_peers(&self, site: SiteId) -> Vec<SiteId> {
+        self.world.replica_peer_idxs(site.0 as usize).into_iter().map(sid).collect()
+    }
+
+    /// Any departed site counts as permanently gone once replication is
+    /// on; its holders are whoever still has a copy of its repository.
+    fn holders_if_dead(&self, site: SiteId) -> Option<Vec<SiteId>> {
+        let w = &*self.world;
+        if !w.replication_on() || w.sites[site.0 as usize].alive {
+            return None;
+        }
+        Some(
+            w.sites
+                .iter()
+                .filter(|h| h.alive && h.site != site && h.replica_iop.contains_key(&site))
+                .map(|h| h.site)
+                .collect(),
+        )
+    }
+
+    fn anomalies_mut(&mut self) -> &mut Anomalies {
+        &mut self.world.anomalies
+    }
+
+    fn mark_hosted(&mut self, prefix: Prefix) {
+        self.world.hosted.insert(prefix);
+    }
+
+    fn index_changed(&mut self, object: ObjectId) {
+        self.world.bump_epoch(object);
+    }
+
+    fn replicated_write(&mut self, site: SiteId) {
+        self.world.arm_antientropy(self.sim, site.0 as usize);
+    }
+
+    /// Tag the armed `Tmax` timer with the object, so it (and a
+    /// count-triggered flush, below) is causally attributable to a
+    /// capture.
+    fn window_opened(&mut self, site: SiteId, object: ObjectId) {
+        let idx = site.0 as usize;
+        let Some(g) = self.world.group_config() else { return };
+        if self.sim.tracing() {
+            self.sim.set_trace_ctx(spans::object_tag(object));
+        }
+        let t = self.sim.set_timer(idx, g.t_max, timer_kind(TAG_WINDOW, idx as u64));
+        self.world.sites[idx].window_timer = Some(t);
+    }
+
+    fn window_filled(&mut self, site: SiteId, object: ObjectId) {
+        if self.sim.tracing() {
+            self.sim.set_trace_ctx(spans::object_tag(object));
+        }
+        if let Some(t) = self.world.sites[site.0 as usize].window_timer.take() {
+            self.sim.cancel_timer(t);
         }
     }
 }
@@ -1649,9 +1379,8 @@ impl World<Wire> for NetWorld {
                     return;
                 }
                 self.sites[idx].window_timer = None;
-                if let Some(batch) = self.sites[idx].window.flush(sim.now()) {
-                    self.index_batch(sim, batch);
-                }
+                let now = sim.now();
+                site::flush(&mut self.host(sim), sid(idx), now);
             }
             TAG_CAPTURE => {
                 if let Some((site, objects)) = self.pending_captures.remove(&value) {
@@ -1670,11 +1399,7 @@ impl World<Wire> for NetWorld {
                 if !self.sites[idx].alive || !self.replication_on() {
                     return;
                 }
-                let digest = Id::hash(&self.store_state_bytes(idx));
-                let primary = self.sites[idx].site;
-                for h in self.replica_peer_idxs(idx) {
-                    self.dispatch(sim, idx, h, 1, Msg::ReplDigest { primary, digest });
-                }
+                site::send_digest(&mut self.host(sim), sid(idx));
             }
             other => panic!("unknown timer tag {other}"),
         }

@@ -3,13 +3,16 @@
 //! A calendar queue (Brown 1988) spreads pending events over a ring of
 //! day buckets, `day = time / width`, `bucket = day mod nbuckets`. With
 //! the bucket width tracking the mean inter-event gap, both `push` and
-//! `pop` are O(1) amortized — the property that lets the simulator's
-//! event loop stay flat while the `BinaryHeap` baseline pays O(log n)
-//! per operation on million-event backlogs.
+//! `pop` are O(1) amortized — the property that lets the sharded
+//! executor's ([`crate::shard`]) event loop stay flat where a
+//! `BinaryHeap` pays O(log n) per operation on million-event backlogs.
 //!
-//! The ordering contract is exactly the simulator's `Scheduled`
-//! contract: events pop in ascending `(time, seq)` order, with `seq`
-//! breaking same-time ties in insertion order. A property test
+//! The ordering contract is the simulator's: events pop in ascending
+//! `(time, seq)` order, with `seq` breaking same-time ties in insertion
+//! order. What it adds is the *floor*: a push must not sort before the
+//! last pop, which the sharded executor's monotone windows guarantee and
+//! the serial [`crate::Sim`] (which peeks ahead) cannot — so `Sim` runs
+//! on the heap. A property test
 //! (`calendar_props`) checks pop-order equivalence against
 //! `BinaryHeap<Reverse<_>>` on random schedules.
 //!

@@ -231,42 +231,25 @@ if [[ -n "$violations" ]]; then
 fi
 echo "OK: all Cargo.toml dependencies are path-only."
 
-# The observability crate must be part of the workspace (and therefore
-# of the policy scan above).
-grep -q 'crates/obs' Cargo.toml \
-    || { echo "crates/obs missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/obs is in the workspace."
-
-# So must the real-network path (transport framing + the daemon) and
-# the durability layer under it (WAL + snapshots), which the crash
-# recovery test verifies against the simulator oracle.
-for c in transport daemon durable; do
-    grep -q "crates/$c" Cargo.toml \
-        || { echo "crates/$c missing from the workspace manifest" >&2; exit 1; }
-done
-echo "OK: crates/transport, crates/daemon and crates/durable are in the workspace."
-
-# And the query-path caching subsystem (DESIGN.md §15), which both the
-# simulator and the daemon link against.
-grep -q 'crates/qcache' Cargo.toml \
-    || { echo "crates/qcache missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/qcache is in the workspace."
-
-# And the WAN topology subsystem (DESIGN.md §17), consumed by the
-# simulator's latency plane and the loopback cluster harness alike.
-grep -q 'crates/geo' Cargo.toml \
-    || { echo "crates/geo missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/geo is in the workspace."
-
-# Generalized membership check: every directory under crates/ must be a
-# workspace member, so a newly added crate can never dodge the build,
-# the tests, or the dependency-policy scan above.
+# Membership check: every directory under crates/ must be a workspace
+# member, so a newly added crate can never dodge the build, the tests,
+# or the dependency-policy scan above.
 for dir in crates/*/; do
     c=$(basename "$dir")
     grep -q "crates/$c" Cargo.toml \
         || { echo "crates/$c missing from the workspace manifest" >&2; exit 1; }
 done
 echo "OK: every crates/* directory is a workspace member."
+
+# One write plane: the daemon hosts `peertrack::site`, it does not carry
+# a copy of it. A comment announcing code "ported" from the simulator,
+# or that "mirrors" it, is how the last copy described itself. (Whole
+# words: the file legitimately says "unsupported".)
+if grep -n -i -w 'ported\|mirrors' crates/daemon/src/node.rs; then
+    echo "crates/daemon/src/node.rs describes a second copy of simulator code" >&2
+    exit 1
+fi
+echo "OK: daemon/src/node.rs carries no ported copy of the write plane."
 
 # Tracked, not gated: ROADMAP aim 2 wants this number to fall.
 echo "crates/ Rust lines: $(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)"
