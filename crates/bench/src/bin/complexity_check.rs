@@ -1,48 +1,43 @@
-//! Empirical check of the §IV-C complexity analysis, plus the
-//! million-scale engine benchmark.
+//! Empirical check of the §IV-C complexity analysis.
 //!
-//! Two layers:
+//! Two layers, both deterministic correctness gates (host speed and
+//! memory are measured by `benchmark/`, workload `flat_scale`):
 //!
-//! 1. the original claim checks — Chord routing takes `O(log₂ Nn)` hops
-//!    w.h.p. (ratio against `(1/2)·log₂ Nn` must stay flat);
+//! 1. Chord routing takes `O(log₂ Nn)` hops w.h.p. (ratio against
+//!    `(1/2)·log₂ Nn` must stay flat);
 //! 2. the flat-engine scale sweep — `peertrack::flat` on the sharded
-//!    executor at ascending geometries, reporting events/second and
-//!    peak RSS per point and asserting events grow `Θ(No)`.
+//!    executor at ascending geometries, every run oracle-exact and the
+//!    event count growing `Θ(No)`.
 //!
 //! Modes:
 //!
 //! * *(default / `--quick`)* — hop check + a sub-second sweep;
-//! * `--full` — sweep to the ROADMAP target (10⁶ nodes / 10⁷ objects)
-//!   and time the same geometry at `T ∈ {1, 8}` threads;
-//! * `--json PATH` — also write the sweep as JSON (BENCH_simnet.json);
+//! * `--full` — sweep to the ROADMAP target (10⁶ nodes / 10⁷ objects);
 //! * `--shard-csv PATH [--threads T]` — run one canonical sharded
 //!   geometry and dump every deterministic output to a CSV. `verify.sh`
 //!   runs this at `T = 1` and `T = 4` and requires the files to be
 //!   byte-identical — the sharded-determinism gate.
 
 use bench::report::{class_traffic_rows, log_log_slope, print_table, write_csv};
-use bench::scale::{flat_config, run_point, sweep_sizes, ScalePoint};
 use chord::Ring;
 use detrand::{rngs::StdRng, Rng, SeedableRng};
 use ids::Id;
-use peertrack::flat::FlatConfig;
-use std::fmt::Write as _;
+use peertrack::flat::{run_flat, FlatConfig, FlatReport};
+use simnet::time::SimTime;
 
 struct Args {
     full: bool,
-    json: Option<String>,
     shard_csv: Option<String>,
     threads: usize,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { full: false, json: None, shard_csv: None, threads: 1 };
+    let mut args = Args { full: false, shard_csv: None, threads: 1 };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => args.full = false,
             "--full" => args.full = true,
-            "--json" => args.json = Some(it.next().expect("--json needs a path")),
             "--shard-csv" => {
                 args.shard_csv = Some(it.next().expect("--shard-csv needs a path"));
             }
@@ -115,127 +110,76 @@ fn chord_hop_check() {
     println!("\nhop-growth ratio stable in [{lo:.2}, {hi:.2}] — Θ(log Nn) confirmed");
 }
 
-/// Ascending flat-engine sweep; returns the measured points.
-fn scale_sweep(full: bool) -> Vec<ScalePoint> {
-    let mut points = Vec::new();
-    for (nodes, objects) in sweep_sizes(full) {
-        let (p, r) = run_point(&flat_config(nodes, objects));
-        assert_eq!(
-            p.violations,
-            0,
-            "violations at {nodes} nodes / {objects} objects: locates_bad={} \
-             out_of_order={} iop_bad={} examples={:#?}",
-            r.locates_bad,
-            r.out_of_order,
-            r.iop_bad,
-            r.violations
-        );
-        points.push(p);
+/// The standard geometry at a given size: shards scale with the node
+/// count (bounded), moves follow the paper's 10-step traces.
+fn flat_config(nodes: u32, objects: u32) -> FlatConfig {
+    FlatConfig {
+        nodes,
+        objects,
+        shards: (nodes as usize / 4_096).clamp(8, 64),
+        // Spread first captures over enough virtual time that per-µs
+        // event batches stay small at 10⁷ objects.
+        spread: SimTime::from_secs(120),
+        ..FlatConfig::default()
     }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.objects.to_string(),
-                p.shards.to_string(),
-                p.events.to_string(),
-                p.windows.to_string(),
-                p.wall_ms.to_string(),
-                p.events_per_sec.to_string(),
-                p.peak_rss_mib.to_string(),
-            ]
-        })
-        .collect();
+}
+
+/// Run one geometry; any oracle violation (locates, ordering, IOP
+/// edges) fails the check.
+fn run_clean(cfg: &FlatConfig) -> FlatReport {
+    let r = run_flat(cfg);
+    assert_eq!(
+        r.locates_bad + r.out_of_order + r.iop_bad,
+        0,
+        "violations at {} nodes / {} objects: locates_bad={} out_of_order={} \
+         iop_bad={} examples={:#?}",
+        cfg.nodes,
+        cfg.objects,
+        r.locates_bad,
+        r.out_of_order,
+        r.iop_bad,
+        r.violations
+    );
+    r
+}
+
+/// Ascending flat-engine sweep: `full` ends at the ROADMAP target of
+/// 10⁶ nodes / 10⁷ objects; quick stays under a second.
+fn scale_sweep(full: bool) {
+    let sizes: &[(u32, u32)] = if full {
+        &[(10_000, 100_000), (100_000, 1_000_000), (500_000, 5_000_000), (1_000_000, 10_000_000)]
+    } else {
+        &[(1_000, 10_000), (10_000, 100_000)]
+    };
+    let mut rows = Vec::new();
+    let mut growth = Vec::new();
+    for &(nodes, objects) in sizes {
+        let cfg = flat_config(nodes, objects);
+        let r = run_clean(&cfg);
+        growth.push((objects as f64, r.events as f64));
+        rows.push(vec![
+            nodes.to_string(),
+            objects.to_string(),
+            cfg.shards.to_string(),
+            r.events.to_string(),
+            r.windows.to_string(),
+            r.records.to_string(),
+        ]);
+    }
     print_table(
-        "flat engine scale sweep (ascending; RSS is the process high-water mark)",
-        &["nodes", "objects", "shards", "events", "windows", "wall_ms", "events_per_s", "peak_rss_mib"],
+        "flat engine scale sweep (every point oracle-exact)",
+        &["nodes", "objects", "shards", "events", "windows", "records"],
         &rows,
     );
 
     // Events must grow Θ(No): the log-log slope of (objects, events)
     // stays within a loose band around 1.
-    let slope = log_log_slope(
-        &points.iter().map(|p| (p.objects as f64, p.events as f64)).collect::<Vec<_>>(),
-    );
+    let slope = log_log_slope(&growth);
     assert!(
         (0.8..=1.2).contains(&slope),
         "event count is not Θ(No): log-log slope {slope:.3}"
     );
     println!("\nevents grow Θ(No): log-log slope {slope:.3}");
-    points
-}
-
-/// Time the largest sweep geometry at T ∈ {1, 8}. On a single-core
-/// host the speedup is honestly ≤ 1 — the determinism gate, not this
-/// number, is what `verify.sh` enforces.
-fn thread_timing(points: &[ScalePoint]) -> (u32, u32, u64, u64) {
-    let largest = points.last().expect("sweep is non-empty");
-    let t1_ms = largest.wall_ms; // the sweep already ran it at T = 1
-    let cfg8 =
-        FlatConfig { threads: 8, ..flat_config(largest.nodes, largest.objects) };
-    let (p8, _) = run_point(&cfg8);
-    assert_eq!(p8.violations, 0);
-    assert_eq!(p8.events, largest.events, "thread count changed the event count");
-    println!(
-        "\nthread timing at {} nodes / {} objects: T=1 {} ms, T=8 {} ms (speedup {:.2}x, host parallelism {})",
-        largest.nodes,
-        largest.objects,
-        t1_ms,
-        p8.wall_ms,
-        t1_ms as f64 / p8.wall_ms as f64,
-        host_parallelism(),
-    );
-    (largest.nodes, largest.objects, t1_ms, p8.wall_ms)
-}
-
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
-
-fn write_json(
-    path: &str,
-    points: &[ScalePoint],
-    timing: Option<(u32, u32, u64, u64)>,
-) {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"simnet_scale\",\n");
-    let _ = writeln!(json, "  \"host_parallelism\": {},", host_parallelism());
-    json.push_str("  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"nodes\":{},\"objects\":{},\"shards\":{},\"threads\":{},\"events\":{},\"windows\":{},\"records\":{},\"wall_ms\":{},\"events_per_sec\":{},\"peak_rss_mib\":{},\"violations\":{}}}",
-            p.nodes,
-            p.objects,
-            p.shards,
-            p.threads,
-            p.events,
-            p.windows,
-            p.records,
-            p.wall_ms,
-            p.events_per_sec,
-            p.peak_rss_mib,
-            p.violations,
-        );
-        json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    if let Some((nodes, objects, t1_ms, t8_ms)) = timing {
-        let _ = writeln!(
-            json,
-            "  \"thread_timing\": {{\"nodes\":{nodes},\"objects\":{objects},\"t1_ms\":{t1_ms},\"t8_ms\":{t8_ms},\"speedup\":{:.3}}},",
-            t1_ms as f64 / t8_ms as f64
-        );
-    }
-    json.push_str(
-        "  \"note\": \"speedup is bounded by host_parallelism; T-invariance of results is gated byte-for-byte in verify.sh\"\n}\n",
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(path, json).expect("write bench json");
-    println!("wrote {path}");
 }
 
 /// The sharded-determinism gate: run one canonical geometry and dump
@@ -243,8 +187,7 @@ fn write_json(
 /// `--threads` must produce byte-identical files.
 fn shard_determinism_csv(path: &str, threads: usize) {
     let cfg = FlatConfig { threads, ..flat_config(20_000, 100_000) };
-    let (p, report) = run_point(&cfg);
-    assert_eq!(p.violations, 0, "violations: {:?}", report.violations);
+    let report = run_clean(&cfg);
     let mut rows: Vec<Vec<String>> = vec![
         vec!["nodes".into(), cfg.nodes.to_string()],
         vec!["objects".into(), cfg.objects.to_string()],
@@ -278,9 +221,5 @@ fn main() {
         return;
     }
     chord_hop_check();
-    let points = scale_sweep(args.full);
-    let timing = if args.full { Some(thread_timing(&points)) } else { None };
-    if let Some(path) = &args.json {
-        write_json(path, &points, timing);
-    }
+    scale_sweep(args.full);
 }

@@ -23,9 +23,7 @@
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod harness;
 pub mod report;
-pub mod scale;
 
 use peertrack::{GroupConfig, IndexingMode};
 use std::str::FromStr;
@@ -51,13 +49,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from the `PEERTRACK_SCALE` environment variable
-    /// (`full`/`quick`), defaulting to `Quick`.
+    /// The scale a `PEERTRACK_SCALE` value selects: unset means `Quick`,
+    /// anything other than `full`/`quick` is an error.
+    pub fn from_var(value: Option<&str>) -> Result<Scale, String> {
+        value.map_or(Ok(Scale::Quick), str::parse)
+    }
+
+    /// Read the `PEERTRACK_SCALE` environment variable. An unknown value
+    /// exits 2 rather than falling back: a typo must not regenerate the
+    /// figures at quick scale under the paper's name.
     pub fn from_env() -> Scale {
-        std::env::var("PEERTRACK_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(Scale::Quick)
+        // Lossy, so a non-UTF-8 value is reported like any other typo.
+        let var = std::env::var_os("PEERTRACK_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::from_var(var.as_deref()).unwrap_or_else(|e| {
+            eprintln!("PEERTRACK_SCALE: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Divide an object count by the scale factor.
@@ -146,6 +153,9 @@ mod tests {
         assert_eq!("full".parse::<Scale>().unwrap(), Scale::Full);
         assert_eq!("QUICK".parse::<Scale>().unwrap(), Scale::Quick);
         assert!("huge".parse::<Scale>().is_err());
+        assert_eq!(Scale::from_var(None), Ok(Scale::Quick));
+        assert_eq!(Scale::from_var(Some("full")), Ok(Scale::Full));
+        assert!(Scale::from_var(Some("ful")).unwrap_err().contains("\"ful\""));
     }
 
     #[test]

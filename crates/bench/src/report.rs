@@ -106,11 +106,6 @@ pub fn fault_stats_row(s: &FaultStats) -> Vec<String> {
     ]
 }
 
-/// Print the fault-plane counters as a one-row console table.
-pub fn print_fault_stats(title: &str, s: &FaultStats) {
-    print_table(title, &FAULT_STATS_HEADER, &[fault_stats_row(s)]);
-}
-
 /// Column names matching [`imbalance_row`].
 pub const IMBALANCE_HEADER: [&str; 4] = ["max_load", "mean_load", "p99_load", "max_over_mean"];
 
@@ -128,17 +123,12 @@ pub fn imbalance_row(loads: &[u64]) -> Vec<String> {
     ]
 }
 
-/// Print the imbalance statistic as a one-row console table.
-pub fn print_imbalance(title: &str, loads: &[u64]) {
-    print_table(title, &IMBALANCE_HEADER, &[imbalance_row(loads)]);
-}
-
 /// Column names matching [`class_traffic_rows`].
-pub const CLASS_TRAFFIC_HEADER: [&str; 4] = ["class", "messages", "model_bytes", "hops"];
+const CLASS_TRAFFIC_HEADER: [&str; 4] = ["class", "messages", "model_bytes", "hops"];
 
 /// One row per message class that carried traffic — the single place
-/// per-class tallies are formatted, shared by the examples, the figure
-/// binaries and the loopback-cluster bench so every surface reports the
+/// per-class tallies are formatted, shared by the examples and
+/// `complexity_check --shard-csv` so every surface reports the
 /// accounting model identically.
 pub fn class_traffic_rows(m: &Metrics) -> Vec<Vec<String>> {
     ALL_CLASSES
@@ -169,13 +159,13 @@ pub fn print_class_traffic(title: &str, m: &Metrics) {
 }
 
 /// Column names matching [`region_pair_row`].
-pub const REGION_PAIR_HEADER: [&str; 6] = ["pair", "msgs", "p50_us", "p95_us", "p99_us", "max_us"];
+const REGION_PAIR_HEADER: [&str; 6] = ["pair", "msgs", "p50_us", "p95_us", "p99_us", "max_us"];
 
 /// Render one region pair's latency histogram as a row of CSV/table
 /// cells — the single place per-pair latency quantiles are formatted,
 /// so `wan_sweep` (real region pairs) and `fault_sweep` (the degenerate
 /// single `all->all` pair) report identically.
-pub fn region_pair_row(pair: &str, h: &obs::Histogram) -> Vec<String> {
+fn region_pair_row(pair: &str, h: &obs::Histogram) -> Vec<String> {
     vec![
         pair.to_string(),
         h.count().to_string(),
