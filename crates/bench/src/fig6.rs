@@ -9,7 +9,7 @@
 
 use crate::report::Csv;
 use crate::{experiment_group_mode, parallel_sweep, Scale};
-use peertrack::{Builder, IndexingMode, TraceableNetwork};
+use peertrack::{Builder, IndexingMode};
 use simnet::time::secs;
 use workload::paper::PaperWorkload;
 
@@ -85,12 +85,6 @@ pub fn run_indexing(
         hops: m.indexing_hops(),
         lp: net.current_lp(),
     }
-}
-
-/// Build a default group-mode network of `nn` sites (shared by other
-/// experiment modules).
-pub fn default_group_net(nn: usize, seed: u64) -> TraceableNetwork {
-    Builder::new().sites(nn).seed(seed).mode(IndexingMode::group_default()).build()
 }
 
 /// Fig. 6a: 512 nodes (scaled), data volume 500·i for i in 1..=10

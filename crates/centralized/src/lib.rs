@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use moods::{Locate, ObjectId, Observation, Path, SiteId, Trace, Visit};
+use moods::{Locate, ObjectId, Path, SiteId, Trace, Visit};
 use simnet::SimTime;
 use std::collections::HashMap;
 
@@ -163,11 +163,6 @@ impl Warehouse {
         self.stay_rows += 1;
     }
 
-    /// Ingest a MOODS observation event.
-    pub fn ingest_observation(&mut self, obs: &Observation) {
-        self.ingest(obs.object, obs.site(), obs.time);
-    }
-
     /// Rows in the `OBSERVATION` table.
     pub fn observation_rows(&self) -> usize {
         self.observations.len()
@@ -176,11 +171,6 @@ impl Warehouse {
     /// Rows in the `STAY` table (what queries scan).
     pub fn stay_rows(&self) -> usize {
         self.stay_rows
-    }
-
-    /// The time the cost model charges for one trace query right now.
-    pub fn trace_query_time(&self, answer_rows: usize) -> SimTime {
-        self.cost.query_time(self.plan, self.stay_rows, answer_rows)
     }
 
     /// `L(o, t)` with the charged query time.

@@ -35,6 +35,6 @@ pub mod proto;
 pub mod state;
 
 pub use cluster::{LoopbackCluster, ScheduleCursor};
-pub use node::{Core, Node, NodeConfig, NodeHandle, NodeReport, Outbound, INBOX_CAP, OUTBOX_LIMIT_BYTES};
+pub use node::{Core, Node, NodeConfig, NodeReport, Outbound, INBOX_CAP, OUTBOX_LIMIT_BYTES};
 pub use proto::{CostWire, Frame, ProtoError};
 pub use state::WalRecord;

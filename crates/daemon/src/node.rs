@@ -83,7 +83,7 @@
 //! timer would have fired. Wall-clock exists only in the latency
 //! histograms ([`obs::Recorder::record_latency`]).
 
-use crate::proto::{Frame, ProtoError};
+use crate::proto::Frame;
 use crate::state::WalRecord;
 use chord::{answer_step, LookupDriver, LookupResult, LookupState, Ring};
 use durable::{DataDir, FsyncMode};
@@ -266,9 +266,6 @@ impl Node {
             .expect("engine thread panicked")
     }
 }
-
-/// `NodeHandle` is the public alias used by the harness and binary.
-pub type NodeHandle = Node;
 
 /// A protocol message the core wants delivered. The core has already
 /// sequenced it, charged the model cost and counted it sent; the
@@ -1115,7 +1112,7 @@ impl Engine {
                 let Some(raw) = ec.conn.next_frame() else { break };
                 match Frame::decode(&raw) {
                     Ok(f) => ec.inbox.push_back(f),
-                    Err(ProtoError::Codec(_)) | Err(_) => self.core.unsupported += 1,
+                    Err(_) => self.core.unsupported += 1,
                 }
             }
         }
@@ -1764,5 +1761,30 @@ mod tests {
         // Identical transitions: full state (addresses included) agrees.
         assert_eq!(live.state_bytes(true), replayed.state_bytes(true));
         assert_eq!(live.sent, replayed.sent);
+    }
+
+    #[test]
+    fn undecodable_repl_state_is_counted_and_handed_back_intact() {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let mut peer = Core::new(SiteId(1), 7, GroupConfig::default(), addr);
+        let objects = vec![ObjectId(Id::hash(b"o"))];
+        peer.apply_record(&WalRecord::Capture { at: SimTime::from_micros(5), objects });
+        let mut padded = peer.proto.store_state_bytes();
+        padded.push(0);
+
+        let mut core = Core::new(SiteId(0), 7, GroupConfig::default(), addr).with_replicas(2);
+        for (i, state) in [vec![0xFF; 9], padded].into_iter().enumerate() {
+            // The host gets back the message that arrived, not the tail
+            // the decoder had not read yet.
+            let msg = Msg::ReplState { primary: SiteId(1), state: state.clone() };
+            let back = site::handle(&mut core, SiteId(0), SiteId(1), msg.clone());
+            assert!(matches!(back, Some(Msg::ReplState { state: s, .. }) if s == state));
+
+            let before = core.unsupported();
+            let wire = Wire { seq: i as u64 + 1, msg };
+            core.apply_record(&WalRecord::Protocol { sender: SiteId(1), wire });
+            assert_eq!(core.unsupported(), before + 1, "state {i}");
+        }
+        assert!(core.proto.replica_iop.is_empty() && core.proto.replica_gateway.is_empty());
     }
 }

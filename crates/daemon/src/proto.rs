@@ -15,52 +15,54 @@
 //! * **Control** — harness/operator→node requests: capture injection,
 //!   window flush, locate/trace, status, shutdown.
 //!
-//! Encoding reuses `peertrack::bytebuf` (big-endian, hand-rolled —
-//! hermetic policy) and mirrors the codec's conventions: options as a
-//! presence byte over a fixed-width body, `u32` length-prefixed
-//! vectors bounded by arithmetic before any allocation.
+//! Encoding is built from `peertrack::bytebuf` (big-endian writer,
+//! checked borrowed reader — hermetic policy) and the field codecs of
+//! [`peertrack::codec`], so it shares the codec's conventions: options
+//! as a presence byte over a fixed-width body, `u32` length-prefixed
+//! vectors bounded by arithmetic before any allocation, trailing bytes
+//! rejected.
 
 use chord::StepAnswer;
 use ids::{Id, ID_BYTES};
 use moods::{ObjectId, Path, SiteId, Visit};
-use peertrack::bytebuf::{ByteBuf, Bytes};
-use peertrack::codec;
+use peertrack::bytebuf::{ByteBuf, Reader};
+use peertrack::codec::{
+    self, get_blob, get_object, get_opt_link, get_record, get_site, get_str, get_time, put_blob,
+    put_object, put_opt_link, put_record, put_site, put_str, put_time, DecodeError,
+};
 use peertrack::messages::Wire;
 use peertrack::store::{IopRecord, Link};
 use simnet::SimTime;
 
-/// Decode failures (wraps the codec's for embedded protocol payloads).
+/// Decode failures: the frame's own, or the shared field readers'.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
-    /// Frame shorter than its structure requires.
-    Truncated,
     /// Unknown frame kind byte.
     BadKind(u8),
-    /// A length prefix exceeds the sanity bound.
-    TooLong(u32),
-    /// Embedded `peertrack::codec` payload failed to decode.
-    Codec(codec::DecodeError),
-    /// A string field is not UTF-8.
-    BadString,
+    /// A region id does not fit the topology's `u16` labels.
+    BadRegion(u32),
+    /// A field, or an embedded `peertrack::codec` payload, failed to
+    /// decode: truncated, over-long, not UTF-8, trailing bytes.
+    Codec(DecodeError),
 }
 
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Truncated => write!(f, "frame truncated"),
             ProtoError::BadKind(k) => write!(f, "unknown frame kind {k}"),
-            ProtoError::TooLong(n) => write!(f, "length {n} exceeds bound"),
-            ProtoError::Codec(e) => write!(f, "embedded payload: {e}"),
-            ProtoError::BadString => write!(f, "string field is not UTF-8"),
+            ProtoError::BadRegion(r) => write!(f, "region id {r} out of range"),
+            ProtoError::Codec(e) => write!(f, "frame: {e}"),
         }
     }
 }
 
 impl std::error::Error for ProtoError {}
 
-/// Bound on decoded vector lengths (peer lists, capture batches,
-/// visits); mirrors [`codec::MAX_VECTOR_LEN`].
-pub const MAX_LEN: usize = codec::MAX_VECTOR_LEN;
+impl From<DecodeError> for ProtoError {
+    fn from(e: DecodeError) -> ProtoError {
+        ProtoError::Codec(e)
+    }
+}
 
 /// Query cost triple as carried in responses: the *model* accounting
 /// the origin charged, echoed so harnesses can cross-check it against
@@ -365,32 +367,25 @@ const K_STATE_RESP: u8 = 40;
 const K_ADDR_RESP: u8 = 41;
 const K_QUERY_LOAD_RESP: u8 = 42;
 
-fn put_id(buf: &mut ByteBuf, id: &Id) {
-    buf.put_slice(&id.0);
+/// A membership entry: site + listener address. One body for `JoinReq`,
+/// `PeerJoined`, each `JoinResp` peer and the WAL's `Member` record.
+pub(crate) fn put_member(buf: &mut ByteBuf, site: SiteId, addr: &str) {
+    put_site(buf, site);
+    put_str(buf, addr);
 }
 
-pub(crate) fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
-    put_id(buf, &o.0);
-}
-
-pub(crate) fn put_time(buf: &mut ByteBuf, t: SimTime) {
-    buf.put_u64(t.as_micros());
-}
-
-fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
-    match l {
-        Some(l) => {
-            buf.put_u8(1);
-            buf.put_u32(l.site.0);
-            put_time(buf, l.time);
-        }
-        None => buf.put_bytes(0, 13),
+/// A capture batch: one body for `Frame::Capture` and the WAL's record.
+pub(crate) fn put_capture(buf: &mut ByteBuf, at: SimTime, objects: &[ObjectId]) {
+    put_time(buf, at);
+    buf.put_u32(objects.len() as u32);
+    for o in objects {
+        put_object(buf, o);
     }
 }
 
-pub(crate) fn put_str(buf: &mut ByteBuf, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A sequenced protocol payload, codec-encoded behind a length prefix.
+pub(crate) fn put_wire(buf: &mut ByteBuf, wire: &Wire) {
+    put_blob(buf, &codec::encode(&wire.msg, wire.seq));
 }
 
 fn put_cost(buf: &mut ByteBuf, c: &CostWire) {
@@ -406,42 +401,33 @@ impl Frame {
         match self {
             Frame::Protocol { sender, hops, sent_us, wire } => {
                 buf.put_u8(K_PROTOCOL);
-                buf.put_u32(sender.0);
+                put_site(&mut buf, *sender);
                 buf.put_u32(*hops);
                 buf.put_u64(*sent_us);
-                let payload = codec::encode(&wire.msg, wire.seq);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload.as_slice());
+                put_wire(&mut buf, wire);
             }
             Frame::JoinReq { site, addr } => {
                 buf.put_u8(K_JOIN_REQ);
-                buf.put_u32(site.0);
-                put_str(&mut buf, addr);
+                put_member(&mut buf, *site, addr);
             }
             Frame::JoinResp { peers } => {
                 buf.put_u8(K_JOIN_RESP);
                 buf.put_u32(peers.len() as u32);
                 for (site, addr) in peers {
-                    buf.put_u32(site.0);
-                    put_str(&mut buf, addr);
+                    put_member(&mut buf, *site, addr);
                 }
             }
             Frame::PeerJoined { site, addr } => {
                 buf.put_u8(K_PEER_JOINED);
-                buf.put_u32(site.0);
-                put_str(&mut buf, addr);
+                put_member(&mut buf, *site, addr);
             }
             Frame::PeerDead { site } => {
                 buf.put_u8(K_PEER_DEAD);
-                buf.put_u32(site.0);
+                put_site(&mut buf, *site);
             }
             Frame::Capture { at, objects } => {
                 buf.put_u8(K_CAPTURE);
-                put_time(&mut buf, *at);
-                buf.put_u32(objects.len() as u32);
-                for o in objects {
-                    put_object(&mut buf, o);
-                }
+                put_capture(&mut buf, *at, objects);
             }
             Frame::Flush { now } => {
                 buf.put_u8(K_FLUSH);
@@ -465,7 +451,7 @@ impl Frame {
             Frame::StateDump => buf.put_u8(K_STATE_DUMP),
             Frame::Resolve { site } => {
                 buf.put_u8(K_RESOLVE);
-                buf.put_u32(site.0);
+                put_site(&mut buf, *site);
             }
             Frame::RegionCut { a, b } => {
                 buf.put_u8(K_REGION_CUT);
@@ -479,7 +465,7 @@ impl Frame {
             }
             Frame::LookupStep { key } => {
                 buf.put_u8(K_LOOKUP_STEP);
-                put_id(&mut buf, key);
+                buf.put_slice(&key.0);
             }
             Frame::GatewayProbe { object } => {
                 buf.put_u8(K_GATEWAY_PROBE);
@@ -509,7 +495,7 @@ impl Frame {
             }
             Frame::ReplRecAt { primary, object, time } => {
                 buf.put_u8(K_REPL_REC_AT);
-                buf.put_u32(primary.0);
+                put_site(&mut buf, *primary);
                 put_object(&mut buf, object);
                 put_time(&mut buf, *time);
             }
@@ -519,7 +505,7 @@ impl Frame {
                 match answer {
                     Some(s) => {
                         buf.put_u8(1);
-                        buf.put_u32(s.0);
+                        put_site(&mut buf, *s);
                     }
                     None => buf.put_bytes(0, 5),
                 }
@@ -530,7 +516,7 @@ impl Frame {
                 buf.put_u8(K_TRACE_RESP);
                 buf.put_u32(path.len() as u32);
                 for v in path {
-                    buf.put_u32(v.site.0);
+                    put_site(&mut buf, v.site);
                     put_time(&mut buf, v.arrived);
                     match v.departed {
                         Some(d) => {
@@ -545,7 +531,7 @@ impl Frame {
             }
             Frame::StatusResp { site, members, sent, received } => {
                 buf.put_u8(K_STATUS_RESP);
-                buf.put_u32(site.0);
+                put_site(&mut buf, *site);
                 buf.put_u32(*members);
                 buf.put_u64(*sent);
                 buf.put_u64(*received);
@@ -554,7 +540,7 @@ impl Frame {
                 buf.put_u8(K_QUERY_LOAD_RESP);
                 buf.put_u32(loads.len() as u32);
                 for (site, count) in loads {
-                    buf.put_u32(site.0);
+                    put_site(&mut buf, *site);
                     buf.put_u64(*count);
                 }
                 buf.put_u64(*hits);
@@ -562,16 +548,12 @@ impl Frame {
             }
             Frame::StepResp(answer) => {
                 buf.put_u8(K_STEP_RESP);
-                match answer {
-                    StepAnswer::Owner(id) => {
-                        buf.put_u8(1);
-                        put_id(&mut buf, id);
-                    }
-                    StepAnswer::Forward(id) => {
-                        buf.put_u8(0);
-                        put_id(&mut buf, id);
-                    }
-                }
+                let (owner, id) = match answer {
+                    StepAnswer::Owner(id) => (1, id),
+                    StepAnswer::Forward(id) => (0, id),
+                };
+                buf.put_u8(owner);
+                buf.put_slice(&id.0);
             }
             Frame::LinkResp(link) => {
                 buf.put_u8(K_LINK_RESP);
@@ -586,17 +568,14 @@ impl Frame {
                 match rec {
                     Some(r) => {
                         buf.put_u8(1);
-                        put_time(&mut buf, r.arrived);
-                        put_opt_link(&mut buf, &r.from);
-                        put_opt_link(&mut buf, &r.to);
+                        put_record(&mut buf, r);
                     }
                     None => buf.put_u8(0),
                 }
             }
             Frame::StateResp(state) => {
                 buf.put_u8(K_STATE_RESP);
-                buf.put_u32(state.len() as u32);
-                buf.put_slice(state);
+                put_blob(&mut buf, state);
             }
             Frame::AddrResp(addr) => {
                 buf.put_u8(K_ADDR_RESP);
@@ -609,241 +588,135 @@ impl Frame {
                 }
             }
         }
-        buf.freeze().as_slice().to_vec()
+        buf.into_vec()
     }
 
-    /// Deserialize from a transport payload.
+    /// Deserialize from a transport payload, read in place. Bytes after
+    /// the frame are an error.
     pub fn decode(raw: &[u8]) -> Result<Frame, ProtoError> {
-        let mut buf = Bytes::from(raw.to_vec());
-        let kind = get_u8(&mut buf)?;
-        let frame = match kind {
-            K_PROTOCOL => {
-                let sender = SiteId(get_u32(&mut buf)?);
-                let hops = get_u32(&mut buf)?;
-                let sent_us = get_u64(&mut buf)?;
-                let n = get_len(&mut buf, 1)?;
-                let payload = buf.slice(..n);
-                let (msg, seq) = codec::decode(payload).map_err(ProtoError::Codec)?;
-                Frame::Protocol { sender, hops, sent_us, wire: Wire { seq, msg } }
-            }
+        let r = &mut Reader::new(raw);
+        let frame = match r.u8()? {
+            K_PROTOCOL => Frame::Protocol {
+                sender: get_site(r)?,
+                hops: r.u32()?,
+                sent_us: r.u64()?,
+                wire: get_wire(r)?,
+            },
             K_JOIN_REQ => {
-                let site = SiteId(get_u32(&mut buf)?);
-                let addr = get_str(&mut buf)?;
+                let (site, addr) = get_member(r)?;
                 Frame::JoinReq { site, addr }
             }
-            K_JOIN_RESP => {
-                let n = get_len(&mut buf, 8)?;
-                let mut peers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let site = SiteId(get_u32(&mut buf)?);
-                    let addr = get_str(&mut buf)?;
-                    peers.push((site, addr));
-                }
-                Frame::JoinResp { peers }
-            }
+            K_JOIN_RESP => Frame::JoinResp { peers: r.vec(8, get_member)? },
             K_PEER_JOINED => {
-                let site = SiteId(get_u32(&mut buf)?);
-                let addr = get_str(&mut buf)?;
+                let (site, addr) = get_member(r)?;
                 Frame::PeerJoined { site, addr }
             }
-            K_PEER_DEAD => Frame::PeerDead { site: SiteId(get_u32(&mut buf)?) },
+            K_PEER_DEAD => Frame::PeerDead { site: get_site(r)? },
             K_CAPTURE => {
-                let at = get_time(&mut buf)?;
-                let n = get_len(&mut buf, ID_BYTES)?;
-                let mut objects = Vec::with_capacity(n);
-                for _ in 0..n {
-                    objects.push(get_object(&mut buf)?);
-                }
+                let (at, objects) = get_capture(r)?;
                 Frame::Capture { at, objects }
             }
-            K_FLUSH => Frame::Flush { now: get_time(&mut buf)? },
-            K_LOCATE => {
-                Frame::Locate { object: get_object(&mut buf)?, t: get_time(&mut buf)? }
-            }
-            K_TRACE => Frame::Trace {
-                object: get_object(&mut buf)?,
-                t0: get_time(&mut buf)?,
-                t1: get_time(&mut buf)?,
-            },
+            K_FLUSH => Frame::Flush { now: get_time(r)? },
+            K_LOCATE => Frame::Locate { object: get_object(r)?, t: get_time(r)? },
+            K_TRACE => Frame::Trace { object: get_object(r)?, t0: get_time(r)?, t1: get_time(r)? },
             K_STATUS => Frame::Status,
             K_QUERY_LOAD => Frame::QueryLoad,
             K_SHUTDOWN => Frame::Shutdown,
             K_CRASH => Frame::Crash,
             K_STATE_DUMP => Frame::StateDump,
-            K_RESOLVE => Frame::Resolve { site: SiteId(get_u32(&mut buf)?) },
-            K_REGION_CUT => Frame::RegionCut {
-                a: get_u32(&mut buf)? as u16,
-                b: get_u32(&mut buf)? as u16,
-            },
-            K_REGION_HEAL => Frame::RegionHeal {
-                a: get_u32(&mut buf)? as u16,
-                b: get_u32(&mut buf)? as u16,
-            },
-            K_LOOKUP_STEP => Frame::LookupStep { key: get_id(&mut buf)? },
-            K_GATEWAY_PROBE => Frame::GatewayProbe { object: get_object(&mut buf)? },
-            K_IOP_KNOWS => Frame::IopKnows { object: get_object(&mut buf)? },
-            K_REC_AT => {
-                Frame::RecAt { object: get_object(&mut buf)?, time: get_time(&mut buf)? }
-            }
-            K_REC_LAOB => Frame::RecLatestAtOrBefore {
-                object: get_object(&mut buf)?,
-                t: get_time(&mut buf)?,
-            },
-            K_REC_FIRST => Frame::RecFirst { object: get_object(&mut buf)? },
-            K_REC_LATEST => Frame::RecLatest { object: get_object(&mut buf)? },
+            K_RESOLVE => Frame::Resolve { site: get_site(r)? },
+            K_REGION_CUT => Frame::RegionCut { a: get_region(r)?, b: get_region(r)? },
+            K_REGION_HEAL => Frame::RegionHeal { a: get_region(r)?, b: get_region(r)? },
+            K_LOOKUP_STEP => Frame::LookupStep { key: Id(r.array()?) },
+            K_GATEWAY_PROBE => Frame::GatewayProbe { object: get_object(r)? },
+            K_IOP_KNOWS => Frame::IopKnows { object: get_object(r)? },
+            K_REC_AT => Frame::RecAt { object: get_object(r)?, time: get_time(r)? },
+            K_REC_LAOB => Frame::RecLatestAtOrBefore { object: get_object(r)?, t: get_time(r)? },
+            K_REC_FIRST => Frame::RecFirst { object: get_object(r)? },
+            K_REC_LATEST => Frame::RecLatest { object: get_object(r)? },
             K_REPL_REC_AT => Frame::ReplRecAt {
-                primary: SiteId(get_u32(&mut buf)?),
-                object: get_object(&mut buf)?,
-                time: get_time(&mut buf)?,
+                primary: get_site(r)?,
+                object: get_object(r)?,
+                time: get_time(r)?,
             },
             K_ACK => Frame::Ack,
             K_LOCATE_RESP => {
-                let present = get_u8(&mut buf)? == 1;
-                let site = SiteId(get_u32(&mut buf)?);
-                let cost = get_cost(&mut buf)?;
-                let complete = get_u8(&mut buf)? == 1;
+                let present = r.u8()? == 1;
+                let site = get_site(r)?;
+                let cost = get_cost(r)?;
+                let complete = r.u8()? == 1;
                 Frame::LocateResp { answer: present.then_some(site), cost, complete }
             }
             K_TRACE_RESP => {
-                let n = get_len(&mut buf, 21)?;
-                let mut path = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let site = SiteId(get_u32(&mut buf)?);
-                    let arrived = get_time(&mut buf)?;
-                    let present = get_u8(&mut buf)? == 1;
-                    let departed_raw = get_time(&mut buf)?;
-                    path.push(Visit { site, arrived, departed: present.then_some(departed_raw) });
-                }
-                let cost = get_cost(&mut buf)?;
-                let complete = get_u8(&mut buf)? == 1;
-                Frame::TraceResp { path, cost, complete }
+                let path = r.vec(21, |r| {
+                    let (site, arrived) = (get_site(r)?, get_time(r)?);
+                    let present = r.u8()? == 1;
+                    let departed = get_time(r)?;
+                    Ok(Visit { site, arrived, departed: present.then_some(departed) })
+                })?;
+                Frame::TraceResp { path, cost: get_cost(r)?, complete: r.u8()? == 1 }
             }
             K_STATUS_RESP => Frame::StatusResp {
-                site: SiteId(get_u32(&mut buf)?),
-                members: get_u32(&mut buf)?,
-                sent: get_u64(&mut buf)?,
-                received: get_u64(&mut buf)?,
+                site: get_site(r)?,
+                members: r.u32()?,
+                sent: r.u64()?,
+                received: r.u64()?,
             },
-            K_QUERY_LOAD_RESP => {
-                let n = get_len(&mut buf, 12)?;
-                let mut loads = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let site = SiteId(get_u32(&mut buf)?);
-                    let count = get_u64(&mut buf)?;
-                    loads.push((site, count));
-                }
-                let hits = get_u64(&mut buf)?;
-                let misses = get_u64(&mut buf)?;
-                Frame::QueryLoadResp { loads, hits, misses }
-            }
+            K_QUERY_LOAD_RESP => Frame::QueryLoadResp {
+                loads: r.vec(12, |r| Ok((get_site(r)?, r.u64()?)))?,
+                hits: r.u64()?,
+                misses: r.u64()?,
+            },
             K_STEP_RESP => {
-                let owner = get_u8(&mut buf)? == 1;
-                let id = get_id(&mut buf)?;
+                let owner = r.u8()? == 1;
+                let id = Id(r.array()?);
                 Frame::StepResp(if owner { StepAnswer::Owner(id) } else { StepAnswer::Forward(id) })
             }
-            K_LINK_RESP => Frame::LinkResp(get_opt_link(&mut buf)?),
-            K_BOOL_RESP => Frame::BoolResp(get_u8(&mut buf)? == 1),
+            K_LINK_RESP => Frame::LinkResp(get_opt_link(r)?),
+            K_BOOL_RESP => Frame::BoolResp(r.u8()? == 1),
             K_REC_RESP => {
-                if get_u8(&mut buf)? == 1 {
-                    Frame::RecResp(Some(IopRecord {
-                        arrived: get_time(&mut buf)?,
-                        from: get_opt_link(&mut buf)?,
-                        to: get_opt_link(&mut buf)?,
-                    }))
-                } else {
-                    Frame::RecResp(None)
-                }
+                Frame::RecResp(if r.u8()? == 1 { Some(get_record(r)?) } else { None })
             }
             K_STATE_RESP => {
-                // State dumps may exceed MAX_LEN elements; bound by the
-                // frame itself (1 byte per element).
-                let n = get_u32(&mut buf)? as usize;
-                if n > buf.remaining() {
-                    return Err(ProtoError::Truncated);
-                }
-                let state = buf.slice(..n);
-                Frame::StateResp(state.as_slice().to_vec())
+                // State dumps may exceed `MAX_VECTOR_LEN` elements; the
+                // frame itself bounds them (1 byte per element).
+                let n = r.u32()? as usize;
+                Frame::StateResp(r.take(n)?.to_vec())
             }
-            K_ADDR_RESP => {
-                let addr =
-                    if get_u8(&mut buf)? == 1 { Some(get_str(&mut buf)?) } else { None };
-                Frame::AddrResp(addr)
-            }
+            K_ADDR_RESP => Frame::AddrResp(if r.u8()? == 1 { Some(get_str(r)?) } else { None }),
             other => return Err(ProtoError::BadKind(other)),
         };
+        r.finish()?;
         Ok(frame)
     }
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), ProtoError> {
-    if buf.remaining() < n {
-        Err(ProtoError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Inverse of [`put_member`].
+pub(crate) fn get_member(r: &mut Reader) -> Result<(SiteId, String), DecodeError> {
+    Ok((get_site(r)?, get_str(r)?))
 }
 
-pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8, ProtoError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+/// Inverse of [`put_capture`].
+pub(crate) fn get_capture(r: &mut Reader) -> Result<(SimTime, Vec<ObjectId>), DecodeError> {
+    Ok((get_time(r)?, r.vec(ID_BYTES, get_object)?))
 }
 
-pub(crate) fn get_u32(buf: &mut Bytes) -> Result<u32, ProtoError> {
-    need(buf, 4)?;
-    Ok(buf.get_u32())
+/// Inverse of [`put_wire`]: the payload is decoded where it lies, and
+/// must fill its length prefix exactly.
+pub(crate) fn get_wire(r: &mut Reader) -> Result<Wire, DecodeError> {
+    let (msg, seq) = codec::decode(get_blob(r)?)?;
+    Ok(Wire { seq, msg })
 }
 
-pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, ProtoError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64())
+/// Region ids travel as `u32`; one outside the topology's `u16` labels
+/// names no region pair and must not be narrowed into one that exists.
+fn get_region(r: &mut Reader) -> Result<u16, ProtoError> {
+    let id = r.u32()?;
+    u16::try_from(id).map_err(|_| ProtoError::BadRegion(id))
 }
 
-pub(crate) fn get_time(buf: &mut Bytes) -> Result<SimTime, ProtoError> {
-    Ok(SimTime::from_micros(get_u64(buf)?))
-}
-
-fn get_id(buf: &mut Bytes) -> Result<Id, ProtoError> {
-    need(buf, ID_BYTES)?;
-    let mut raw = [0u8; ID_BYTES];
-    buf.copy_to_slice(&mut raw);
-    Ok(Id(raw))
-}
-
-pub(crate) fn get_object(buf: &mut Bytes) -> Result<ObjectId, ProtoError> {
-    Ok(ObjectId(get_id(buf)?))
-}
-
-fn get_opt_link(buf: &mut Bytes) -> Result<Option<Link>, ProtoError> {
-    need(buf, 13)?;
-    let present = buf.get_u8() == 1;
-    let site = SiteId(buf.get_u32());
-    let time = SimTime::from_micros(buf.get_u64());
-    Ok(present.then_some(Link { site, time }))
-}
-
-/// Bounded length prefix: mirrors the codec hardening — a hostile
-/// prefix is rejected by arithmetic (`n · elem_bytes > remaining`)
-/// before it can size an allocation.
-pub(crate) fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, ProtoError> {
-    let n = get_u32(buf)?;
-    if n as usize > MAX_LEN {
-        return Err(ProtoError::TooLong(n));
-    }
-    if (n as usize) * elem_bytes > buf.remaining() {
-        return Err(ProtoError::Truncated);
-    }
-    Ok(n as usize)
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, ProtoError> {
-    let n = get_len(buf, 1)?;
-    let mut raw = vec![0u8; n];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| ProtoError::BadString)
-}
-
-fn get_cost(buf: &mut Bytes) -> Result<CostWire, ProtoError> {
-    Ok(CostWire { messages: get_u64(buf)?, hops: get_u64(buf)?, bytes: get_u64(buf)? })
+fn get_cost(r: &mut Reader) -> Result<CostWire, DecodeError> {
+    Ok(CostWire { messages: r.u64()?, hops: r.u64()?, bytes: r.u64()? })
 }
 
 #[cfg(test)]
@@ -851,6 +724,7 @@ mod tests {
     use super::*;
     use ids::Prefix;
     use peertrack::messages::Msg;
+    use proptiny::{hex, hostile_bytes};
 
     fn obj(n: u64) -> ObjectId {
         ObjectId(Id::hash(&n.to_be_bytes()))
@@ -941,14 +815,39 @@ mod tests {
         ]
     }
 
+    /// `samples()[index].encode()` for `Capture`, `Protocol{GroupIndex}`
+    /// and `LocateResp`, as written by the commit before the borrowed
+    /// `Reader` (PR 18): a peer from then still reads these frames.
+    const GOLDEN: [(usize, &str); 3] = [
+        (5, "05000000000000006300000002aebf740096fea5f738202d5d299fc84e932155d5c9e1208fdafeca60716624e08ac95d5d3036071c"),
+        (0, "010000000300000002000000000012d687000000590201000000000000000000000000002a0340000000000000000000000300000002cb473678976f425d6ec1339838f11011007ad27d000000000000000507aae1b618f604c684ee3189fa1723bef8656fe40000000000000006"),
+        (26, "21010000000200000000000000030000000000000005000000000000009001"),
+    ];
+
     #[test]
     fn all_frames_roundtrip() {
-        for (i, f) in samples().iter().enumerate() {
-            let back = Frame::decode(&f.encode()).unwrap_or_else(|e| panic!("frame {i}: {e}"));
+        let samples = samples();
+        for (i, f) in samples.iter().enumerate() {
+            let mut raw = f.encode();
+            let back = Frame::decode(&raw).unwrap_or_else(|e| panic!("frame {i}: {e}"));
             // `Msg` doesn't derive PartialEq; compare via re-encoding,
             // which is injective for this format.
-            assert_eq!(back.encode(), f.encode(), "frame {i} drifted");
+            assert_eq!(back.encode(), raw, "frame {i} drifted");
+            raw.push(0);
+            assert_eq!(
+                Frame::decode(&raw).unwrap_err(),
+                ProtoError::Codec(DecodeError::Trailing(1)),
+                "frame {i} served with a trailing byte"
+            );
         }
+        for (i, golden) in GOLDEN {
+            assert_eq!(hex(&samples[i].encode()), golden, "frame {i} changed on the wire");
+        }
+        // A region id past `u16` names no pair; it must not be narrowed
+        // into "sever (0, 1)".
+        let mut cut = Frame::RegionCut { a: 0, b: 1 }.encode();
+        cut[1..5].copy_from_slice(&65_536u32.to_be_bytes());
+        assert_eq!(Frame::decode(&cut).unwrap_err(), ProtoError::BadRegion(65_536));
     }
 
     #[test]
@@ -959,24 +858,25 @@ mod tests {
         buf.put_u64(0);
         buf.put_u32(u32::MAX);
         assert_eq!(
-            Frame::decode(buf.freeze().as_slice()).unwrap_err(),
-            ProtoError::TooLong(u32::MAX)
+            Frame::decode(&buf.into_vec()).unwrap_err(),
+            ProtoError::Codec(DecodeError::TooLong(u32::MAX))
         );
     }
 
     #[test]
     fn truncations_never_panic() {
-        for f in samples() {
-            let full = f.encode();
+        let all: Vec<Vec<u8>> = samples().iter().map(Frame::encode).collect();
+        for full in &all {
             for cut in 0..full.len() {
-                let _ = Frame::decode(&full[..cut]);
+                assert!(Frame::decode(&full[..cut]).is_err(), "cut at {cut} of {}", hex(full));
             }
         }
+        hostile_bytes(&all, |raw| drop(Frame::decode(raw)));
     }
 
     #[test]
     fn unknown_kind_rejected() {
         assert_eq!(Frame::decode(&[200]).unwrap_err(), ProtoError::BadKind(200));
-        assert_eq!(Frame::decode(&[]).unwrap_err(), ProtoError::Truncated);
+        assert_eq!(Frame::decode(&[]).unwrap_err(), ProtoError::Codec(DecodeError::Truncated));
     }
 }

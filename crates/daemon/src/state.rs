@@ -33,8 +33,8 @@ use crate::proto::{self, ProtoError};
 use chord::Ring;
 use ids::Prefix;
 use moods::SiteId;
-use peertrack::bytebuf::{ByteBuf, Bytes};
-use peertrack::codec;
+use peertrack::bytebuf::{ByteBuf, Reader};
+use peertrack::codec::{self, get_site, get_str, get_time, put_site, put_str, put_time};
 use peertrack::config::GroupConfig;
 use peertrack::messages::Wire;
 use peertrack::site::{Anomalies, Site};
@@ -104,33 +104,28 @@ const R_QUERY: u8 = 5;
 const R_DEAD: u8 = 6;
 
 impl WalRecord {
-    /// Serialize to a WAL payload.
+    /// Serialize to a WAL payload. Bodies a frame also carries
+    /// (`Member`, `Capture`, `Protocol`) are written by the frame's
+    /// functions.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = ByteBuf::with_capacity(32);
         match self {
             WalRecord::Member { site, addr } => {
                 buf.put_u8(R_MEMBER);
-                buf.put_u32(site.0);
-                proto::put_str(&mut buf, addr);
+                proto::put_member(&mut buf, *site, addr);
             }
             WalRecord::Capture { at, objects } => {
                 buf.put_u8(R_CAPTURE);
-                proto::put_time(&mut buf, *at);
-                buf.put_u32(objects.len() as u32);
-                for o in objects {
-                    proto::put_object(&mut buf, o);
-                }
+                proto::put_capture(&mut buf, *at, objects);
             }
             WalRecord::Flush { now } => {
                 buf.put_u8(R_FLUSH);
-                proto::put_time(&mut buf, *now);
+                put_time(&mut buf, *now);
             }
             WalRecord::Protocol { sender, wire } => {
                 buf.put_u8(R_PROTOCOL);
-                buf.put_u32(sender.0);
-                let payload = codec::encode(&wire.msg, wire.seq);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload.as_slice());
+                put_site(&mut buf, *sender);
+                proto::put_wire(&mut buf, wire);
             }
             WalRecord::Query { messages, hops, bytes } => {
                 buf.put_u8(R_QUERY);
@@ -140,45 +135,33 @@ impl WalRecord {
             }
             WalRecord::Dead { site } => {
                 buf.put_u8(R_DEAD);
-                buf.put_u32(site.0);
+                put_site(&mut buf, *site);
             }
         }
-        buf.freeze().as_slice().to_vec()
+        buf.into_vec()
     }
 
-    /// Deserialize a WAL payload.
+    /// Deserialize a WAL payload, read in place. Bytes after the record
+    /// are an error: a record from a format this build does not know
+    /// must not replay as if it were complete.
     pub fn decode(raw: &[u8]) -> Result<WalRecord, ProtoError> {
-        let mut buf = Bytes::from(raw.to_vec());
-        let rec = match proto::get_u8(&mut buf)? {
-            R_MEMBER => WalRecord::Member {
-                site: SiteId(proto::get_u32(&mut buf)?),
-                addr: proto::get_str(&mut buf)?,
-            },
+        let r = &mut Reader::new(raw);
+        let rec = match r.u8()? {
+            R_MEMBER => {
+                let (site, addr) = proto::get_member(r)?;
+                WalRecord::Member { site, addr }
+            }
             R_CAPTURE => {
-                let at = proto::get_time(&mut buf)?;
-                let n = proto::get_len(&mut buf, ids::ID_BYTES)?;
-                let mut objects = Vec::with_capacity(n);
-                for _ in 0..n {
-                    objects.push(proto::get_object(&mut buf)?);
-                }
+                let (at, objects) = proto::get_capture(r)?;
                 WalRecord::Capture { at, objects }
             }
-            R_FLUSH => WalRecord::Flush { now: proto::get_time(&mut buf)? },
-            R_PROTOCOL => {
-                let sender = SiteId(proto::get_u32(&mut buf)?);
-                let n = proto::get_len(&mut buf, 1)?;
-                let payload = buf.slice(..n);
-                let (msg, seq) = codec::decode(payload).map_err(ProtoError::Codec)?;
-                WalRecord::Protocol { sender, wire: Wire { seq, msg } }
-            }
-            R_QUERY => WalRecord::Query {
-                messages: proto::get_u64(&mut buf)?,
-                hops: proto::get_u64(&mut buf)?,
-                bytes: proto::get_u64(&mut buf)?,
-            },
-            R_DEAD => WalRecord::Dead { site: SiteId(proto::get_u32(&mut buf)?) },
+            R_FLUSH => WalRecord::Flush { now: get_time(r)? },
+            R_PROTOCOL => WalRecord::Protocol { sender: get_site(r)?, wire: proto::get_wire(r)? },
+            R_QUERY => WalRecord::Query { messages: r.u64()?, hops: r.u64()?, bytes: r.u64()? },
+            R_DEAD => WalRecord::Dead { site: get_site(r)? },
             other => return Err(ProtoError::BadKind(other)),
         };
+        r.finish()?;
         Ok(rec)
     }
 }
@@ -193,13 +176,13 @@ impl Core {
         let mut buf = ByteBuf::with_capacity(512);
         buf.put_u8(STATE_VERSION);
         buf.put_u8(u8::from(with_addrs));
-        buf.put_u32(self.site.0);
+        put_site(&mut buf, self.site);
         buf.put_u64(self.seed);
         buf.put_u32(self.members.len() as u32);
         for (s, a) in &self.members {
-            buf.put_u32(s.0);
+            put_site(&mut buf, *s);
             if with_addrs {
-                proto::put_str(&mut buf, &a.to_string());
+                put_str(&mut buf, &a.to_string());
             }
         }
         codec::put_state_window(&mut buf, &self.proto.window);
@@ -209,7 +192,7 @@ impl Core {
         hosted.sort();
         buf.put_u32(hosted.len() as u32);
         for p in hosted {
-            buf.put_slice(&p.wire_bytes());
+            codec::put_prefix(&mut buf, p);
         }
         for class in ALL_CLASSES {
             buf.put_u64(self.metrics.messages_of(class));
@@ -241,19 +224,19 @@ impl Core {
         // sorted by primary (BTree iteration order is already sorted).
         buf.put_u32(self.dead.len() as u32);
         for s in &self.dead {
-            buf.put_u32(s.0);
+            put_site(&mut buf, *s);
         }
         buf.put_u32(self.proto.replica_iop.len() as u32);
         for (primary, store) in &self.proto.replica_iop {
-            buf.put_u32(primary.0);
+            put_site(&mut buf, *primary);
             codec::put_state_iop(&mut buf, store);
         }
         buf.put_u32(self.proto.replica_gateway.len() as u32);
         for (primary, store) in &self.proto.replica_gateway {
-            buf.put_u32(primary.0);
+            put_site(&mut buf, *primary);
             codec::put_state_gateway(&mut buf, store);
         }
-        buf.freeze().as_slice().to_vec()
+        buf.into_vec()
     }
 
     /// The snapshot body: the full state, addresses included.
@@ -284,95 +267,64 @@ fn decode_state(
     seed: u64,
     group: GroupConfig,
     body: &[u8],
-) -> Result<Core, String> {
-    let err = |e: ProtoError| e.to_string();
-    let mut buf = Bytes::from(body.to_vec());
-    let version = proto::get_u8(&mut buf).map_err(err)?;
+) -> Result<Core, Box<dyn std::error::Error>> {
+    let r = &mut Reader::new(body);
+    let version = r.u8()?;
     if version != STATE_VERSION {
-        return Err(format!("unknown state version {version}"));
+        return Err(format!("unknown state version {version}").into());
     }
-    if proto::get_u8(&mut buf).map_err(err)? != 1 {
+    if r.u8()? != 1 {
         return Err("snapshot lacks member addresses".into());
     }
-    let got_site = proto::get_u32(&mut buf).map_err(err)?;
-    if got_site != site.0 {
-        return Err(format!("snapshot is for site {got_site}, this node is {}", site.0));
+    let got_site = get_site(r)?;
+    if got_site != site {
+        return Err(format!("snapshot is for site {}, this node is {}", got_site.0, site.0).into());
     }
-    let got_seed = proto::get_u64(&mut buf).map_err(err)?;
+    let got_seed = r.u64()?;
     if got_seed != seed {
-        return Err(format!("snapshot seed {got_seed} does not match configured {seed}"));
+        return Err(format!("snapshot seed {got_seed} does not match configured {seed}").into());
     }
-    let n = proto::get_len(&mut buf, 4).map_err(err)?;
     let mut members = BTreeMap::new();
-    for _ in 0..n {
-        let s = SiteId(proto::get_u32(&mut buf).map_err(err)?);
-        let a: SocketAddr = proto::get_str(&mut buf)
-            .map_err(err)?
-            .parse()
-            .map_err(|e| format!("member address: {e}"))?;
+    for _ in 0..r.len(4)? {
+        let s = get_site(r)?;
+        let a: SocketAddr = get_str(r)?.parse().map_err(|e| format!("member address: {e}"))?;
         members.insert(s, a);
     }
     if !members.contains_key(&site) {
         return Err("snapshot membership is missing this site".into());
     }
-    let window =
-        codec::get_state_window(&mut buf, site, group.n_max).map_err(|e| e.to_string())?;
-    let iop = codec::get_state_iop(&mut buf).map_err(|e| e.to_string())?;
-    let gateway = codec::get_state_gateway(&mut buf).map_err(|e| e.to_string())?;
-    let hn = proto::get_len(&mut buf, 9).map_err(err)?;
-    let mut hosted = HashSet::with_capacity(hn);
-    for _ in 0..hn {
-        let mut raw = [0u8; 9];
-        buf.copy_to_slice(&mut raw);
-        hosted.insert(Prefix::from_wire_bytes(&raw).map_err(|e| format!("hosted prefix: {e}"))?);
-    }
+    let window = codec::get_state_window(r, site, group.n_max)?;
+    let iop = codec::get_state_iop(r)?;
+    let gateway = codec::get_state_gateway(r)?;
+    let hosted: HashSet<Prefix> =
+        r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?.into_iter().collect();
     let mut metrics = Metrics::new();
     for class in ALL_CLASSES {
-        let messages = proto::get_u64(&mut buf).map_err(err)?;
-        let bytes = proto::get_u64(&mut buf).map_err(err)?;
-        let hops = proto::get_u64(&mut buf).map_err(err)?;
+        let (messages, bytes, hops) = (r.u64()?, r.u64()?, r.u64()?);
         metrics.record_bulk(class, messages, bytes, hops);
     }
-    let next_seq = proto::get_u64(&mut buf).map_err(err)?;
-    let sn = proto::get_len(&mut buf, 12).map_err(err)?;
-    let mut seen = HashSet::with_capacity(sn);
-    for _ in 0..sn {
-        let sender = proto::get_u32(&mut buf).map_err(err)?;
-        let seq = proto::get_u64(&mut buf).map_err(err)?;
-        seen.insert((sender, seq));
-    }
-    let sent = proto::get_u64(&mut buf).map_err(err)?;
-    let received = proto::get_u64(&mut buf).map_err(err)?;
+    let next_seq = r.u64()?;
+    let seen: HashSet<(u32, u64)> = r.vec(12, |r| Ok((r.u32()?, r.u64()?)))?.into_iter().collect();
+    let sent = r.u64()?;
+    let received = r.u64()?;
     let anomalies = Anomalies {
-        out_of_order_arrivals: proto::get_u64(&mut buf).map_err(err)?,
-        dangling_iop_updates: proto::get_u64(&mut buf).map_err(err)?,
-        dropped_to_dead: proto::get_u64(&mut buf).map_err(err)?,
-        retries_exhausted: proto::get_u64(&mut buf).map_err(err)?,
-        duplicates_suppressed: proto::get_u64(&mut buf).map_err(err)?,
-        refresh_failures: proto::get_u64(&mut buf).map_err(err)?,
+        out_of_order_arrivals: r.u64()?,
+        dangling_iop_updates: r.u64()?,
+        dropped_to_dead: r.u64()?,
+        retries_exhausted: r.u64()?,
+        duplicates_suppressed: r.u64()?,
+        refresh_failures: r.u64()?,
     };
-    let dn = proto::get_len(&mut buf, 4).map_err(err)?;
-    let mut dead = BTreeSet::new();
-    for _ in 0..dn {
-        dead.insert(SiteId(proto::get_u32(&mut buf).map_err(err)?));
-    }
-    let rin = proto::get_len(&mut buf, 4).map_err(err)?;
+    let dead: BTreeSet<SiteId> = r.vec(4, get_site)?.into_iter().collect();
     let mut replica_iop = BTreeMap::new();
-    for _ in 0..rin {
-        let primary = SiteId(proto::get_u32(&mut buf).map_err(err)?);
-        let store = codec::get_state_iop(&mut buf).map_err(|e| e.to_string())?;
-        replica_iop.insert(primary, store);
+    for _ in 0..r.len(4)? {
+        replica_iop.insert(get_site(r)?, codec::get_state_iop(r)?);
     }
-    let rgn = proto::get_len(&mut buf, 4).map_err(err)?;
     let mut replica_gateway = BTreeMap::new();
-    for _ in 0..rgn {
-        let primary = SiteId(proto::get_u32(&mut buf).map_err(err)?);
-        let store = codec::get_state_gateway(&mut buf).map_err(|e| e.to_string())?;
-        replica_gateway.insert(primary, store);
+    for _ in 0..r.len(4)? {
+        replica_gateway.insert(get_site(r)?, codec::get_state_gateway(r)?);
     }
-    if buf.remaining() != 0 {
-        return Err(format!("{} trailing bytes after state", buf.remaining()));
-    }
+    r.finish()?;
     let mut core = Core {
         site,
         seed,
@@ -402,6 +354,7 @@ mod tests {
     use super::*;
     use ids::Id;
     use moods::ObjectId;
+    use proptiny::{hex, hostile_bytes};
 
     fn obj(n: u64) -> ObjectId {
         ObjectId(Id::hash(&n.to_be_bytes()))
@@ -435,35 +388,61 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn wal_records_roundtrip() {
-        for (i, rec) in samples().iter().enumerate() {
-            let back = WalRecord::decode(&rec.encode())
-                .unwrap_or_else(|e| panic!("record {i}: {e}"));
-            // `Msg` doesn't derive PartialEq; re-encoding is injective.
-            assert_eq!(back.encode(), rec.encode(), "record {i} drifted");
-        }
-    }
+    /// `samples()[index].encode()` for `Member`, `Capture`, `Protocol`,
+    /// `Query` and `Dead`, and the SHA-1 of the snapshot fixture's
+    /// `state_bytes(true)`, as written by the commit before the borrowed
+    /// `Reader` (PR 18): a data dir from then stays readable.
+    const GOLDEN: [(usize, &str); 5] = [
+        (0, "01000000030000000e3132372e302e302e313a37343033"),
+        (1, "0200000000000003e800000003cb473678976f425d6ec1339838f11011007ad27d07aae1b618f604c684ee3189fa1723bef8656fe4461d6580e38ccb6dc72699b6c945e53831dcdf03"),
+        (4, "04000000010000003c03010000000000000000000000000009000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b925000000000000000a000000020000000000000014"),
+        (5, "050000000000000005000000000000000700000000000000a0"),
+        (6, "0600000002"),
+    ];
+    const GOLDEN_SNAPSHOT_SHA1: &str = "d38790083689854c3a07e2dd0b0824180fe9f8c2";
 
-    #[test]
-    fn wal_record_truncations_never_panic() {
-        for rec in samples() {
-            let full = rec.encode();
-            for cut in 0..full.len() {
-                let _ = WalRecord::decode(&full[..cut]);
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_to_identical_state() {
+    fn fixture() -> (GroupConfig, Core) {
         let addr: SocketAddr = "127.0.0.1:7400".parse().unwrap();
         let group = GroupConfig::default();
         let mut core = Core::new(SiteId(0), 42, group, addr);
         for rec in samples() {
             core.replay(&rec);
         }
+        (group, core)
+    }
+
+    #[test]
+    fn wal_records_roundtrip() {
+        let samples = samples();
+        for (i, rec) in samples.iter().enumerate() {
+            let mut raw = rec.encode();
+            let back = WalRecord::decode(&raw).unwrap_or_else(|e| panic!("record {i}: {e}"));
+            // `Msg` doesn't derive PartialEq; re-encoding is injective.
+            assert_eq!(back.encode(), raw, "record {i} drifted");
+            raw.push(0);
+            assert!(WalRecord::decode(&raw).is_err(), "record {i} replayed with a trailing byte");
+        }
+        for (i, golden) in GOLDEN {
+            assert_eq!(hex(&samples[i].encode()), golden, "record {i} changed on disk");
+        }
+    }
+
+    #[test]
+    fn wal_record_truncations_never_panic() {
+        let all: Vec<Vec<u8>> = samples().iter().map(WalRecord::encode).collect();
+        for full in &all {
+            for cut in 0..full.len() {
+                assert!(WalRecord::decode(&full[..cut]).is_err(), "cut at {cut} of {}", hex(full));
+            }
+        }
+        hostile_bytes(&all, |raw| drop(WalRecord::decode(raw)));
+    }
+
+    #[test]
+    fn snapshot_roundtrips_to_identical_state() {
+        let (group, core) = fixture();
         let body = core.snapshot_body();
+        assert_eq!(Id::hash(&body).to_hex(), GOLDEN_SNAPSHOT_SHA1, "snapshot format changed");
         let restored = Core::from_snapshot(SiteId(0), 42, group, &body).unwrap();
         assert_eq!(restored.snapshot_body(), body);
         assert_eq!(restored.state_bytes(false), core.state_bytes(false));
@@ -484,12 +463,7 @@ mod tests {
 
     #[test]
     fn state_truncations_and_trailing_bytes_are_loud() {
-        let addr: SocketAddr = "127.0.0.1:7400".parse().unwrap();
-        let group = GroupConfig::default();
-        let mut core = Core::new(SiteId(0), 42, group, addr);
-        for rec in samples() {
-            core.replay(&rec);
-        }
+        let (group, core) = fixture();
         let body = core.snapshot_body();
         for cut in 0..body.len() {
             assert!(
@@ -500,5 +474,6 @@ mod tests {
         let mut padded = body.clone();
         padded.push(0);
         assert!(Core::from_snapshot(SiteId(0), 42, group, &padded).is_err());
+        hostile_bytes(&[body], |raw| drop(Core::from_snapshot(SiteId(0), 42, group, raw)));
     }
 }

@@ -36,11 +36,6 @@ impl MovementLog {
         v.push((time, site));
     }
 
-    /// Number of distinct objects seen.
-    pub fn object_count(&self) -> usize {
-        self.arrivals.len()
-    }
-
     /// Total number of recorded arrivals.
     pub fn arrival_count(&self) -> usize {
         self.arrivals.values().map(Vec::len).sum()

@@ -1,6 +1,5 @@
 //! Query API over a recorded causal trace.
 
-use simnet::metrics::MsgClass;
 use simnet::trace::{EventId, TraceEvent, TraceKind};
 use simnet::{NodeIndex, SimTime};
 
@@ -44,11 +43,6 @@ impl<'a> TraceView<'a> {
     /// Events a node participated in (as `node` or `peer`).
     pub fn filter_node(&self, node: NodeIndex) -> Vec<&'a TraceEvent> {
         self.events.iter().filter(|e| e.node == node || e.peer == node).collect()
-    }
-
-    /// Events of one message class.
-    pub fn filter_class(&self, class: MsgClass) -> Vec<&'a TraceEvent> {
-        self.events.iter().filter(|e| e.class == Some(class)).collect()
     }
 
     /// Events carrying a context tag (e.g. the per-object digest the

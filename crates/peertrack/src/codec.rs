@@ -15,10 +15,17 @@
 //! sequence number) followed by fixed-width fields; vectors are
 //! length-prefixed with `u32`. `Option<Link>` is fixed-width (presence
 //! byte + 12 bytes, zeroed when absent) so record sizes are predictable.
+//!
+//! The field writers and readers (`put_*` / `get_*`) are the only ones
+//! in the workspace: the daemon's frames, WAL records and snapshots are
+//! built from them, and every reader goes through the checked
+//! [`Reader`], so no decoder can index past the end of its input.
 
-use crate::messages::{Msg, ENTRY_BYTES, LINK_BYTES, OBJECT_ID_BYTES, TIME_BYTES};
+use crate::bytebuf::{ByteBuf, Reader};
+use crate::messages::{
+    Msg, ENTRY_BYTES, HEADER_BYTES, LINK_BYTES, OBJECT_ID_BYTES, PREFIX_BYTES, TIME_BYTES,
+};
 use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link};
-use crate::bytebuf::{ByteBuf, Bytes};
 use ids::Prefix;
 use moods::{ObjectId, SiteId};
 use simnet::SimTime;
@@ -48,6 +55,12 @@ pub enum DecodeError {
     BadPrefix(String),
     /// A vector length prefix exceeds [`MAX_VECTOR_LEN`].
     TooLong(u32),
+    /// A string field is not UTF-8.
+    BadString,
+    /// Bytes left over after a complete structure.
+    Trailing(usize),
+    /// An IOP history is not in arrival order.
+    Unsorted,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -60,6 +73,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TooLong(n) => {
                 write!(f, "vector length {n} exceeds limit {MAX_VECTOR_LEN}")
             }
+            DecodeError::BadString => write!(f, "string field is not UTF-8"),
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes"),
+            DecodeError::Unsorted => write!(f, "IOP history out of arrival order"),
         }
     }
 }
@@ -80,6 +96,11 @@ const TAG_REPL_SYNC_REQ: u8 = 11;
 const TAG_REPL_STATE: u8 = 12;
 const TAG_REPL_IOP_PATCH: u8 = 13;
 
+/// Wire bytes of one `Option<Link>`: presence byte + fixed-width link.
+const OPT_LINK_BYTES: usize = 1 + LINK_BYTES;
+/// Wire bytes of one IOP record: arrival time + `from` + `to`.
+const RECORD_BYTES: usize = TIME_BYTES + 2 * OPT_LINK_BYTES;
+
 fn put_header(buf: &mut ByteBuf, tag: u8, seq: u64) {
     buf.put_u8(tag);
     buf.put_u8(VERSION);
@@ -87,15 +108,18 @@ fn put_header(buf: &mut ByteBuf, tag: u8, seq: u64) {
     buf.put_u64(seq);
 }
 
-fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
+/// Append an object id.
+pub fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
     buf.put_slice(&o.0 .0);
 }
 
-fn put_time(buf: &mut ByteBuf, t: SimTime) {
+/// Append a timestamp (µs).
+pub fn put_time(buf: &mut ByteBuf, t: SimTime) {
     buf.put_u64(t.as_micros());
 }
 
-fn put_site(buf: &mut ByteBuf, s: SiteId) {
+/// Append a site id.
+pub fn put_site(buf: &mut ByteBuf, s: SiteId) {
     buf.put_u32(s.0);
 }
 
@@ -104,17 +128,23 @@ fn put_link(buf: &mut ByteBuf, l: &Link) {
     put_time(buf, l.time);
 }
 
-fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
+/// Append an optional link: presence byte over a fixed-width body,
+/// zeroed when absent.
+pub fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
     match l {
         Some(l) => {
             buf.put_u8(1);
             put_link(buf, l);
         }
-        None => {
-            buf.put_u8(0);
-            buf.put_bytes(0, 12);
-        }
+        None => buf.put_bytes(0, OPT_LINK_BYTES),
     }
+}
+
+/// Append an IOP record.
+pub fn put_record(buf: &mut ByteBuf, r: &IopRecord) {
+    put_time(buf, r.arrived);
+    put_opt_link(buf, &r.from);
+    put_opt_link(buf, &r.to);
 }
 
 fn put_entry(buf: &mut ByteBuf, e: &IndexEntry) {
@@ -123,7 +153,8 @@ fn put_entry(buf: &mut ByteBuf, e: &IndexEntry) {
     put_opt_link(buf, &e.prev);
 }
 
-fn put_prefix(buf: &mut ByteBuf, p: &Prefix) {
+/// Append a prefix descriptor.
+pub fn put_prefix(buf: &mut ByteBuf, p: &Prefix) {
     buf.put_slice(&p.wire_bytes());
 }
 
@@ -138,8 +169,45 @@ fn put_opt_prefix(buf: &mut ByteBuf, p: &Option<Prefix>) {
     }
 }
 
+/// Append a `u32` length-prefixed byte string.
+pub fn put_blob(buf: &mut ByteBuf, bytes: &[u8]) {
+    buf.put_u32(bytes.len() as u32);
+    buf.put_slice(bytes);
+}
+
+/// Append a length-prefixed UTF-8 string.
+pub fn put_str(buf: &mut ByteBuf, s: &str) {
+    put_blob(buf, s.as_bytes());
+}
+
+fn put_entries(buf: &mut ByteBuf, entries: &[(ObjectId, IndexEntry)]) {
+    buf.put_u32(entries.len() as u32);
+    for (o, e) in entries {
+        put_object(buf, o);
+        put_entry(buf, e);
+    }
+}
+
+fn put_set_to(buf: &mut ByteBuf, updates: &[(ObjectId, SimTime, Link)]) {
+    buf.put_u32(updates.len() as u32);
+    for (o, arrived, link) in updates {
+        put_object(buf, o);
+        put_time(buf, *arrived);
+        put_link(buf, link);
+    }
+}
+
+fn put_set_from(buf: &mut ByteBuf, updates: &[(ObjectId, SimTime, Option<Link>)]) {
+    buf.put_u32(updates.len() as u32);
+    for (o, arrived, from) in updates {
+        put_object(buf, o);
+        put_time(buf, *arrived);
+        put_opt_link(buf, from);
+    }
+}
+
 /// Encode a message with the given header sequence number.
-pub fn encode(msg: &Msg, seq: u64) -> Bytes {
+pub fn encode(msg: &Msg, seq: u64) -> Vec<u8> {
     let mut buf = ByteBuf::with_capacity(msg.wire_size() + 8);
     match msg {
         Msg::Arrival { object, site, time } => {
@@ -160,39 +228,21 @@ pub fn encode(msg: &Msg, seq: u64) -> Bytes {
         }
         Msg::SetTo { updates } => {
             put_header(&mut buf, TAG_SET_TO, seq);
-            buf.put_u32(updates.len() as u32);
-            for (o, arrived, link) in updates {
-                put_object(&mut buf, o);
-                put_time(&mut buf, *arrived);
-                put_link(&mut buf, link);
-            }
+            put_set_to(&mut buf, updates);
         }
         Msg::SetFrom { updates } => {
             put_header(&mut buf, TAG_SET_FROM, seq);
-            buf.put_u32(updates.len() as u32);
-            for (o, arrived, from) in updates {
-                put_object(&mut buf, o);
-                put_time(&mut buf, *arrived);
-                put_opt_link(&mut buf, from);
-            }
+            put_set_from(&mut buf, updates);
         }
         Msg::Delegate { prefix, entries } => {
             put_header(&mut buf, TAG_DELEGATE, seq);
             put_prefix(&mut buf, prefix);
-            buf.put_u32(entries.len() as u32);
-            for (o, e) in entries {
-                put_object(&mut buf, o);
-                put_entry(&mut buf, e);
-            }
+            put_entries(&mut buf, entries);
         }
         Msg::Migrate { prefix, entries } => {
             put_header(&mut buf, TAG_MIGRATE, seq);
             put_opt_prefix(&mut buf, prefix);
-            buf.put_u32(entries.len() as u32);
-            for (o, e) in entries {
-                put_object(&mut buf, o);
-                put_entry(&mut buf, e);
-            }
+            put_entries(&mut buf, entries);
         }
         Msg::Ack { acked } => {
             put_header(&mut buf, TAG_ACK, seq);
@@ -204,9 +254,7 @@ pub fn encode(msg: &Msg, seq: u64) -> Bytes {
             buf.put_u32(updates.len() as u32);
             for (o, r) in updates {
                 put_object(&mut buf, o);
-                put_time(&mut buf, r.arrived);
-                put_opt_link(&mut buf, &r.from);
-                put_opt_link(&mut buf, &r.to);
+                put_record(&mut buf, r);
             }
         }
         Msg::ReplShard { primary, prefix, entries, delegated } => {
@@ -214,11 +262,7 @@ pub fn encode(msg: &Msg, seq: u64) -> Bytes {
             put_site(&mut buf, *primary);
             put_opt_prefix(&mut buf, prefix);
             buf.put_u8(u8::from(*delegated));
-            buf.put_u32(entries.len() as u32);
-            for (o, e) in entries {
-                put_object(&mut buf, o);
-                put_entry(&mut buf, e);
-            }
+            put_entries(&mut buf, entries);
         }
         Msg::ReplDigest { primary, digest } => {
             put_header(&mut buf, TAG_REPL_DIGEST, seq);
@@ -232,236 +276,146 @@ pub fn encode(msg: &Msg, seq: u64) -> Bytes {
         Msg::ReplState { primary, state } => {
             put_header(&mut buf, TAG_REPL_STATE, seq);
             put_site(&mut buf, *primary);
-            buf.put_u32(state.len() as u32);
-            buf.put_slice(state);
+            put_blob(&mut buf, state);
         }
         Msg::ReplIopPatch { primary, set_to, set_from } => {
             put_header(&mut buf, TAG_REPL_IOP_PATCH, seq);
             put_site(&mut buf, *primary);
-            buf.put_u32(set_to.len() as u32);
-            for (o, arrived, link) in set_to {
-                put_object(&mut buf, o);
-                put_time(&mut buf, *arrived);
-                put_link(&mut buf, link);
-            }
-            buf.put_u32(set_from.len() as u32);
-            for (o, arrived, from) in set_from {
-                put_object(&mut buf, o);
-                put_time(&mut buf, *arrived);
-                put_opt_link(&mut buf, from);
-            }
+            put_set_to(&mut buf, set_to);
+            put_set_from(&mut buf, set_from);
         }
     }
-    buf.freeze()
+    buf.into_vec()
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Read an object id.
+pub fn get_object(r: &mut Reader) -> Result<ObjectId, DecodeError> {
+    Ok(ObjectId(ids::Id(r.array()?)))
 }
 
-fn get_object(buf: &mut Bytes) -> Result<ObjectId, DecodeError> {
-    need(buf, 20)?;
-    let mut raw = [0u8; 20];
-    buf.copy_to_slice(&mut raw);
-    Ok(ObjectId(ids::Id(raw)))
+/// Read a timestamp (µs).
+pub fn get_time(r: &mut Reader) -> Result<SimTime, DecodeError> {
+    r.u64().map(SimTime::from_micros)
 }
 
-fn get_time(buf: &mut Bytes) -> Result<SimTime, DecodeError> {
-    need(buf, 8)?;
-    Ok(SimTime::from_micros(buf.get_u64()))
+/// Read a site id.
+pub fn get_site(r: &mut Reader) -> Result<SiteId, DecodeError> {
+    r.u32().map(SiteId)
 }
 
-fn get_site(buf: &mut Bytes) -> Result<SiteId, DecodeError> {
-    need(buf, 4)?;
-    Ok(SiteId(buf.get_u32()))
+fn get_link(r: &mut Reader) -> Result<Link, DecodeError> {
+    Ok(Link { site: get_site(r)?, time: get_time(r)? })
 }
 
-fn get_link(buf: &mut Bytes) -> Result<Link, DecodeError> {
-    Ok(Link { site: get_site(buf)?, time: get_time(buf)? })
-}
-
-fn get_opt_link(buf: &mut Bytes) -> Result<Option<Link>, DecodeError> {
-    need(buf, 13)?;
-    let present = buf.get_u8() == 1;
-    let link = get_link(buf)?;
+/// Read an optional link (inverse of [`put_opt_link`]).
+pub fn get_opt_link(r: &mut Reader) -> Result<Option<Link>, DecodeError> {
+    let present = r.u8()? == 1;
+    let link = get_link(r)?;
     Ok(present.then_some(link))
 }
 
-fn get_entry(buf: &mut Bytes) -> Result<IndexEntry, DecodeError> {
-    Ok(IndexEntry { site: get_site(buf)?, time: get_time(buf)?, prev: get_opt_link(buf)? })
+/// Read an IOP record.
+pub fn get_record(r: &mut Reader) -> Result<IopRecord, DecodeError> {
+    Ok(IopRecord { arrived: get_time(r)?, from: get_opt_link(r)?, to: get_opt_link(r)? })
 }
 
-fn get_prefix(buf: &mut Bytes) -> Result<Prefix, DecodeError> {
-    need(buf, 9)?;
-    let mut raw = [0u8; 9];
-    buf.copy_to_slice(&mut raw);
-    Prefix::from_wire_bytes(&raw).map_err(DecodeError::BadPrefix)
+fn get_entry(r: &mut Reader) -> Result<IndexEntry, DecodeError> {
+    Ok(IndexEntry { site: get_site(r)?, time: get_time(r)?, prev: get_opt_link(r)? })
 }
 
-fn get_opt_prefix(buf: &mut Bytes) -> Result<Option<Prefix>, DecodeError> {
-    need(buf, 9)?;
-    let mut raw = [0u8; 9];
-    buf.copy_to_slice(&mut raw);
+/// Read a prefix descriptor.
+pub fn get_prefix(r: &mut Reader) -> Result<Prefix, DecodeError> {
+    Prefix::from_wire_bytes(&r.array()?).map_err(DecodeError::BadPrefix)
+}
+
+fn get_opt_prefix(r: &mut Reader) -> Result<Option<Prefix>, DecodeError> {
+    let raw = r.array::<PREFIX_BYTES>()?;
     if raw[0] == 0xFF {
         return Ok(None);
     }
     Prefix::from_wire_bytes(&raw).map(Some).map_err(DecodeError::BadPrefix)
 }
 
-/// Read a vector length prefix and validate it against both the hard
-/// [`MAX_VECTOR_LEN`] cap and the bytes actually remaining (each element
-/// occupies at least `elem_bytes`), so the subsequent `Vec::with_capacity`
-/// is sized from *verified* input. The order matters: an absurd claim is
-/// `TooLong` even when the buffer is also short.
-fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, DecodeError> {
-    need(buf, 4)?;
-    let n = buf.get_u32();
-    if n as usize > MAX_VECTOR_LEN {
-        return Err(DecodeError::TooLong(n));
-    }
-    // MAX_VECTOR_LEN · max element size stays far below usize::MAX, so
-    // this product cannot overflow.
-    if (n as usize) * elem_bytes > buf.remaining() {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(n as usize)
+/// Read a length-prefixed byte string, borrowed from the input
+/// (inverse of [`put_blob`]).
+pub fn get_blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let n = r.len(1)?;
+    r.take(n)
+}
+
+/// Read a length-prefixed UTF-8 string (inverse of [`put_str`]).
+pub fn get_str(r: &mut Reader) -> Result<String, DecodeError> {
+    String::from_utf8(get_blob(r)?.to_vec()).map_err(|_| DecodeError::BadString)
+}
+
+fn get_observation(r: &mut Reader) -> Result<(ObjectId, SimTime), DecodeError> {
+    Ok((get_object(r)?, get_time(r)?))
+}
+
+fn get_entries(r: &mut Reader) -> Result<Vec<(ObjectId, IndexEntry)>, DecodeError> {
+    r.vec(OBJECT_ID_BYTES + ENTRY_BYTES, |r| Ok((get_object(r)?, get_entry(r)?)))
+}
+
+fn get_set_to(r: &mut Reader) -> Result<Vec<(ObjectId, SimTime, Link)>, DecodeError> {
+    r.vec(OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES, |r| {
+        Ok((get_object(r)?, get_time(r)?, get_link(r)?))
+    })
+}
+
+fn get_set_from(r: &mut Reader) -> Result<Vec<(ObjectId, SimTime, Option<Link>)>, DecodeError> {
+    r.vec(OBJECT_ID_BYTES + TIME_BYTES + OPT_LINK_BYTES, |r| {
+        Ok((get_object(r)?, get_time(r)?, get_opt_link(r)?))
+    })
 }
 
 /// Decode a message; returns the message and the header sequence number.
-pub fn decode(mut raw: Bytes) -> Result<(Msg, u64), DecodeError> {
-    need(&raw, 16)?;
-    let tag = raw.get_u8();
-    let version = raw.get_u8();
+/// Bytes after the message are an error.
+pub fn decode(raw: impl AsRef<[u8]>) -> Result<(Msg, u64), DecodeError> {
+    let r = &mut Reader::new(raw.as_ref());
+    let mut header = Reader::new(r.take(HEADER_BYTES)?);
+    let (tag, version) = (header.u8()?, header.u8()?);
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    raw.advance(6);
-    let seq = raw.get_u64();
+    header.take(6)?; // reserved
+    let seq = header.u64()?;
 
     let msg = match tag {
-        TAG_ARRIVAL => Msg::Arrival {
-            object: get_object(&mut raw)?,
-            site: get_site(&mut raw)?,
-            time: get_time(&mut raw)?,
+        TAG_ARRIVAL => {
+            Msg::Arrival { object: get_object(r)?, site: get_site(r)?, time: get_time(r)? }
+        }
+        TAG_GROUP_INDEX => Msg::GroupIndex {
+            prefix: get_prefix(r)?,
+            site: get_site(r)?,
+            members: r.vec(OBJECT_ID_BYTES + TIME_BYTES, get_observation)?,
         },
-        TAG_GROUP_INDEX => {
-            let prefix = get_prefix(&mut raw)?;
-            let site = get_site(&mut raw)?;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES)?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push((get_object(&mut raw)?, get_time(&mut raw)?));
-            }
-            Msg::GroupIndex { prefix, site, members }
-        }
-        TAG_SET_TO => {
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES)?;
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                updates.push((get_object(&mut raw)?, get_time(&mut raw)?, get_link(&mut raw)?));
-            }
-            Msg::SetTo { updates }
-        }
-        TAG_SET_FROM => {
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES + 1 + LINK_BYTES)?;
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                updates.push((
-                    get_object(&mut raw)?,
-                    get_time(&mut raw)?,
-                    get_opt_link(&mut raw)?,
-                ));
-            }
-            Msg::SetFrom { updates }
-        }
-        TAG_DELEGATE => {
-            let prefix = get_prefix(&mut raw)?;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + ENTRY_BYTES)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((get_object(&mut raw)?, get_entry(&mut raw)?));
-            }
-            Msg::Delegate { prefix, entries }
-        }
-        TAG_MIGRATE => {
-            let prefix = get_opt_prefix(&mut raw)?;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + ENTRY_BYTES)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((get_object(&mut raw)?, get_entry(&mut raw)?));
-            }
-            Msg::Migrate { prefix, entries }
-        }
-        TAG_ACK => {
-            need(&raw, 8)?;
-            Msg::Ack { acked: raw.get_u64() }
-        }
-        TAG_REPL_IOP => {
-            let primary = get_site(&mut raw)?;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES + 2 * (1 + LINK_BYTES))?;
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let o = get_object(&mut raw)?;
-                let rec = IopRecord {
-                    arrived: get_time(&mut raw)?,
-                    from: get_opt_link(&mut raw)?,
-                    to: get_opt_link(&mut raw)?,
-                };
-                updates.push((o, rec));
-            }
-            Msg::ReplIop { primary, updates }
-        }
+        TAG_SET_TO => Msg::SetTo { updates: get_set_to(r)? },
+        TAG_SET_FROM => Msg::SetFrom { updates: get_set_from(r)? },
+        TAG_DELEGATE => Msg::Delegate { prefix: get_prefix(r)?, entries: get_entries(r)? },
+        TAG_MIGRATE => Msg::Migrate { prefix: get_opt_prefix(r)?, entries: get_entries(r)? },
+        TAG_ACK => Msg::Ack { acked: r.u64()? },
+        TAG_REPL_IOP => Msg::ReplIop {
+            primary: get_site(r)?,
+            updates: r
+                .vec(OBJECT_ID_BYTES + RECORD_BYTES, |r| Ok((get_object(r)?, get_record(r)?)))?,
+        },
         TAG_REPL_SHARD => {
-            let primary = get_site(&mut raw)?;
-            let prefix = get_opt_prefix(&mut raw)?;
-            need(&raw, 1)?;
-            let delegated = raw.get_u8() == 1;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + ENTRY_BYTES)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((get_object(&mut raw)?, get_entry(&mut raw)?));
-            }
-            Msg::ReplShard { primary, prefix, entries, delegated }
+            let primary = get_site(r)?;
+            let prefix = get_opt_prefix(r)?;
+            let delegated = r.u8()? == 1;
+            Msg::ReplShard { primary, prefix, entries: get_entries(r)?, delegated }
         }
-        TAG_REPL_DIGEST => {
-            let primary = get_site(&mut raw)?;
-            need(&raw, 20)?;
-            let mut digest = [0u8; 20];
-            raw.copy_to_slice(&mut digest);
-            Msg::ReplDigest { primary, digest: ids::Id(digest) }
-        }
-        TAG_REPL_SYNC_REQ => Msg::ReplSyncReq { primary: get_site(&mut raw)? },
-        TAG_REPL_STATE => {
-            let primary = get_site(&mut raw)?;
-            let n = get_len(&mut raw, 1)?;
-            let mut state = vec![0u8; n];
-            raw.copy_to_slice(&mut state);
-            Msg::ReplState { primary, state }
-        }
-        TAG_REPL_IOP_PATCH => {
-            let primary = get_site(&mut raw)?;
-            let n = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES)?;
-            let mut set_to = Vec::with_capacity(n);
-            for _ in 0..n {
-                set_to.push((get_object(&mut raw)?, get_time(&mut raw)?, get_link(&mut raw)?));
-            }
-            let m = get_len(&mut raw, OBJECT_ID_BYTES + TIME_BYTES + 1 + LINK_BYTES)?;
-            let mut set_from = Vec::with_capacity(m);
-            for _ in 0..m {
-                set_from.push((
-                    get_object(&mut raw)?,
-                    get_time(&mut raw)?,
-                    get_opt_link(&mut raw)?,
-                ));
-            }
-            Msg::ReplIopPatch { primary, set_to, set_from }
-        }
+        TAG_REPL_DIGEST => Msg::ReplDigest { primary: get_site(r)?, digest: ids::Id(r.array()?) },
+        TAG_REPL_SYNC_REQ => Msg::ReplSyncReq { primary: get_site(r)? },
+        TAG_REPL_STATE => Msg::ReplState { primary: get_site(r)?, state: get_blob(r)?.to_vec() },
+        TAG_REPL_IOP_PATCH => Msg::ReplIopPatch {
+            primary: get_site(r)?,
+            set_to: get_set_to(r)?,
+            set_from: get_set_from(r)?,
+        },
         other => return Err(DecodeError::BadTag(other)),
     };
+    r.finish()?;
     Ok((msg, seq))
 }
 
@@ -486,27 +440,22 @@ pub fn put_state_iop(buf: &mut ByteBuf, iop: &IopStore) {
         let records = iop.all(o);
         buf.put_u32(records.len() as u32);
         for r in records {
-            put_time(buf, r.arrived);
-            put_opt_link(buf, &r.from);
-            put_opt_link(buf, &r.to);
+            put_record(buf, r);
         }
     }
 }
 
 /// Decode an IOP repository (inverse of [`put_state_iop`]).
-pub fn get_state_iop(buf: &mut Bytes) -> Result<IopStore, DecodeError> {
+pub fn get_state_iop(r: &mut Reader) -> Result<IopStore, DecodeError> {
     let mut iop = IopStore::new();
-    let n = get_len(buf, OBJECT_ID_BYTES + 4)?;
+    let n = r.len(OBJECT_ID_BYTES + 4)?;
     for _ in 0..n {
-        let object = get_object(buf)?;
-        let m = get_len(buf, TIME_BYTES + 2 * (1 + LINK_BYTES))?;
-        let mut records = Vec::with_capacity(m);
-        for _ in 0..m {
-            records.push(IopRecord {
-                arrived: get_time(buf)?,
-                from: get_opt_link(buf)?,
-                to: get_opt_link(buf)?,
-            });
+        let object = get_object(r)?;
+        let records = r.vec(RECORD_BYTES, get_record)?;
+        // The store binary-searches histories; one out of arrival order
+        // is corrupt input, not something to install.
+        if !records.is_sorted_by_key(|rec| rec.arrived) {
+            return Err(DecodeError::Unsorted);
         }
         iop.insert_history(object, records);
     }
@@ -524,12 +473,12 @@ fn put_entry_map(buf: &mut ByteBuf, entries: &std::collections::HashMap<ObjectId
 }
 
 fn get_entry_map(
-    buf: &mut Bytes,
+    r: &mut Reader,
 ) -> Result<std::collections::HashMap<ObjectId, IndexEntry>, DecodeError> {
-    let n = get_len(buf, OBJECT_ID_BYTES + ENTRY_BYTES)?;
+    let n = r.len(OBJECT_ID_BYTES + ENTRY_BYTES)?;
     let mut map = std::collections::HashMap::with_capacity(n);
     for _ in 0..n {
-        map.insert(get_object(buf)?, get_entry(buf)?);
+        map.insert(get_object(r)?, get_entry(r)?);
     }
     Ok(map)
 }
@@ -551,17 +500,14 @@ pub fn put_state_gateway(buf: &mut ByteBuf, g: &GatewayStore) {
 
 /// Decode a gateway store (inverse of [`put_state_gateway`]). Shard
 /// recency order is rebuilt from the entries' update times.
-pub fn get_state_gateway(buf: &mut Bytes) -> Result<GatewayStore, DecodeError> {
+pub fn get_state_gateway(r: &mut Reader) -> Result<GatewayStore, DecodeError> {
     let mut g = GatewayStore::new();
-    g.objects = get_entry_map(buf)?;
-    let n = get_len(buf, 9 + 1 + 4)?;
+    g.objects = get_entry_map(r)?;
+    let n = r.len(PREFIX_BYTES + 1 + 4)?;
     for _ in 0..n {
-        let prefix = get_prefix(buf)?;
-        let delegated = {
-            need(buf, 1)?;
-            buf.get_u8() == 1
-        };
-        let entries = get_entry_map(buf)?;
+        let prefix = get_prefix(r)?;
+        let delegated = r.u8()? == 1;
+        let entries = get_entry_map(r)?;
         let shard = g.shard_mut(prefix);
         shard.delegated = delegated;
         for (o, e) in entries {
@@ -586,19 +532,19 @@ pub fn put_state_window(buf: &mut ByteBuf, w: &crate::window::WindowBuffer) {
 /// Decode a capture window for `site` flushing at `n_max` (inverse of
 /// [`put_state_window`]).
 pub fn get_state_window(
-    buf: &mut Bytes,
+    r: &mut Reader,
     site: SiteId,
     n_max: usize,
 ) -> Result<crate::window::WindowBuffer, DecodeError> {
-    let opened = get_time(buf)?;
-    let n = get_len(buf, OBJECT_ID_BYTES + TIME_BYTES)?;
+    let opened = get_time(r)?;
+    let n = r.len(OBJECT_ID_BYTES + TIME_BYTES)?;
     if n >= n_max {
         // A window this full would have flushed before it was captured.
         return Err(DecodeError::TooLong(n as u32));
     }
     let mut obs = Vec::with_capacity(n);
     for _ in 0..n {
-        obs.push((get_object(buf)?, get_time(buf)?));
+        obs.push(get_observation(r)?);
     }
     Ok(crate::window::WindowBuffer::restore(site, n_max, obs, opened))
 }
@@ -606,6 +552,7 @@ pub fn get_state_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptiny::{hex, hostile_bytes};
     use proptiny::prelude::*;
 
     fn obj(n: u64) -> ObjectId {
@@ -686,13 +633,38 @@ mod tests {
         assert_eq!(encode(a, 0), encode(b, 0));
     }
 
+    /// `encode(sample, index)` of each `Msg` variant's first sample, as
+    /// written by the commit before the borrowed `Reader` (PR 18): a peer
+    /// or a WAL from before this codec was rewritten stays readable.
+    const GOLDEN: [(usize, &str); 13] = [
+        (0, "01010000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000030000000000000063"),
+        (1, "02010000000000000000000000000001045000000000000000000000020000000505fe405753166f125559e7c9ac558654f107c7e90000000000000000cb473678976f425d6ec1339838f11011007ad27d000000000000000107aae1b618f604c684ee3189fa1723bef8656fe40000000000000002461d6580e38ccb6dc72699b6c945e53831dcdf0300000000000000037f028ddbb42e47ac2cd00e27a37bd191f1c2b9250000000000000004"),
+        (3, "0301000000000000000000000000000300000001cb473678976f425d6ec1339838f11011007ad27d0000000000000005000000020000000000000009"),
+        (4, "0401000000000000000000000000000400000002cb473678976f425d6ec1339838f11011007ad27d00000000000000050100000002000000000000000907aae1b618f604c684ee3189fa1723bef8656fe4000000000000000600000000000000000000000000"),
+        (5, "0501000000000000000000000000000503e00000000000000000000001461d6580e38ccb6dc72699b6c945e53831dcdf0300000001000000000000000201000000000000000000000001"),
+        (6, "06010000000000000000000000000006ff0000000000000000000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b92500000005000000000000000600000000000000000000000000"),
+        (8, "070100000000000000000000000000080000000000000000"),
+        (10, "0801000000000000000000000000000a0000000700000001216a788021417ad345b1b1ee10753127c457afc0000000000000000b0100000001000000000000000200000000000000000000000000"),
+        (11, "0901000000000000000000000000000b0000000803c0000000000000000100000001f2cd4b0184c354c1d748ce5d617db44f3fbf411000000002000000000000000301000000040000000000000005"),
+        (13, "0a01000000000000000000000000000d000000092923f6fa36614586ea09b4424b438915cc1b9b67"),
+        (14, "0b01000000000000000000000000000e0000000a"),
+        (15, "0c01000000000000000000000000000f0000000b000000050102030405"),
+        (16, "0d0100000000000000000000000000100000000c00000001aebf740096fea5f738202d5d299fc84e932155d5000000000000000300000001000000000000000400000002aebf740096fea5f738202d5d299fc84e932155d5000000000000000401000000020000000000000003c9e1208fdafeca60716624e08ac95d5d3036071c000000000000000500000000000000000000000000"),
+    ];
+
     #[test]
     fn roundtrip_all_shapes() {
-        for (i, m) in samples().iter().enumerate() {
-            let raw = encode(m, i as u64);
-            let (back, seq) = decode(raw).unwrap_or_else(|e| panic!("sample {i}: {e}"));
+        let samples = samples();
+        for (i, m) in samples.iter().enumerate() {
+            let mut raw = encode(m, i as u64);
+            let (back, seq) = decode(&raw).unwrap_or_else(|e| panic!("sample {i}: {e}"));
             assert_eq!(seq, i as u64);
             assert_msg_eq(m, &back);
+            raw.push(0);
+            assert_eq!(decode(raw).unwrap_err(), DecodeError::Trailing(1), "sample {i}");
+        }
+        for (i, golden) in GOLDEN {
+            assert_eq!(hex(&encode(&samples[i], i as u64)), golden, "sample {i} changed on the wire");
         }
     }
 
@@ -729,15 +701,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(matches!(decode(Bytes::from_static(b"")), Err(DecodeError::Truncated)));
+        assert!(matches!(decode(b""), Err(DecodeError::Truncated)));
         let mut raw = ByteBuf::new();
         put_header(&mut raw, 99, 0);
-        assert!(matches!(decode(raw.freeze()), Err(DecodeError::BadTag(99))));
+        assert!(matches!(decode(raw.into_vec()), Err(DecodeError::BadTag(99))));
         let mut raw = ByteBuf::new();
         raw.put_u8(TAG_ARRIVAL);
         raw.put_u8(VERSION + 1);
         raw.put_bytes(0, 14);
-        assert!(matches!(decode(raw.freeze()), Err(DecodeError::BadVersion(v)) if v == VERSION + 1));
+        assert!(matches!(decode(raw.into_vec()), Err(DecodeError::BadVersion(v)) if v == VERSION + 1));
     }
 
     #[test]
@@ -771,7 +743,7 @@ mod tests {
                 raw.put_u8(0);
             }
             raw.put_u32(u32::MAX); // claims ~4 Gi elements
-            let err = decode(raw.freeze()).unwrap_err();
+            let err = decode(raw.into_vec()).unwrap_err();
             assert_eq!(err, DecodeError::TooLong(u32::MAX), "tag {tag}");
         }
     }
@@ -783,7 +755,7 @@ mod tests {
         let mut raw = ByteBuf::new();
         put_header(&mut raw, TAG_SET_TO, 0);
         raw.put_u32((MAX_VECTOR_LEN - 1) as u32);
-        assert_eq!(decode(raw.freeze()).unwrap_err(), DecodeError::Truncated);
+        assert_eq!(decode(raw.into_vec()).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]
@@ -791,9 +763,13 @@ mod tests {
         let m = Msg::SetTo { updates: vec![(obj(1), SimTime::from_micros(5), link(2, 9))] };
         let full = encode(&m, 0);
         for cut in [17, 20, full.len() - 1] {
-            let sliced = full.slice(..cut);
-            assert!(matches!(decode(sliced), Err(DecodeError::Truncated)), "cut at {cut}");
+            assert_eq!(decode(&full[..cut]).unwrap_err(), DecodeError::Truncated, "cut at {cut}");
         }
+        let all: Vec<Vec<u8>> = samples().iter().map(|m| encode(m, 3)).collect();
+        for cut in all.iter().flat_map(|full| (0..full.len()).map(move |cut| &full[..cut])) {
+            assert_eq!(decode(cut).unwrap_err(), DecodeError::Truncated);
+        }
+        hostile_bytes(&all, |raw| drop(decode(raw)));
     }
 
     #[test]
@@ -814,12 +790,13 @@ mod tests {
         let enc = |iop: &IopStore| {
             let mut buf = ByteBuf::new();
             put_state_iop(&mut buf, iop);
-            buf.freeze()
+            buf.into_vec()
         };
         assert_eq!(enc(&a), enc(&b), "insertion order leaked into the encoding");
-        let mut bytes = enc(&a);
-        let back = get_state_iop(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0);
+        let bytes = enc(&a);
+        let mut r = Reader::new(&bytes);
+        let back = get_state_iop(&mut r).unwrap();
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(enc(&back), enc(&a));
         for n in 1..=4 {
             assert_eq!(back.all(obj(n)), a.all(obj(n)));
@@ -841,14 +818,15 @@ mod tests {
         let enc = |g: &GatewayStore| {
             let mut buf = ByteBuf::new();
             put_state_gateway(&mut buf, g);
-            buf.freeze()
+            buf.into_vec()
         };
         let a = build(&[1, 2, 3, 4, 5]);
         let b = build(&[5, 3, 1, 4, 2]);
         assert_eq!(enc(&a), enc(&b));
-        let mut bytes = enc(&a);
-        let back = get_state_gateway(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0);
+        let bytes = enc(&a);
+        let mut r = Reader::new(&bytes);
+        let back = get_state_gateway(&mut r).unwrap();
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(enc(&back), enc(&a));
         assert!(back.prefixes[&Prefix::from_bit_str("01")].delegated);
         // Recency order survives: the earliest record in shard "01"
@@ -865,17 +843,14 @@ mod tests {
         w.push(obj(2), SimTime::from_micros(150));
         let mut buf = ByteBuf::new();
         put_state_window(&mut buf, &w);
-        let mut bytes = buf.freeze();
-        let back = get_state_window(&mut bytes, SiteId(3), 8).unwrap();
+        let bytes = buf.into_vec();
+        let back = get_state_window(&mut Reader::new(&bytes), SiteId(3), 8).unwrap();
         assert_eq!(back.observations(), w.observations());
         assert_eq!(back.opened(), w.opened());
 
         // The same bytes against a smaller n_max claim a window that
         // could never have existed — loud error, not a panic later.
-        let mut buf = ByteBuf::new();
-        put_state_window(&mut buf, &w);
-        let mut bytes = buf.freeze();
-        assert!(get_state_window(&mut bytes, SiteId(3), 2).is_err());
+        assert!(get_state_window(&mut Reader::new(&bytes), SiteId(3), 2).is_err());
     }
 
     proptiny! {
@@ -905,7 +880,7 @@ mod tests {
         ) {
             // Hostile input must produce an error, never a panic or an
             // unbounded allocation.
-            let _ = decode(Bytes::from(raw));
+            let _ = decode(raw);
         }
 
         #[test]
@@ -920,13 +895,12 @@ mod tests {
             // DecodeError — never panic, never attempt a hostile-sized
             // allocation (the TooLong/Truncated guards in get_len).
             let samples = samples();
-            let base = encode(&samples[which % samples.len()], seq);
-            let mut bytes = base.as_slice().to_vec();
+            let mut bytes = encode(&samples[which % samples.len()], seq);
             for (off, val) in &mutations {
                 let i = *off as usize % bytes.len();
                 bytes[i] ^= *val;
             }
-            let _ = decode(Bytes::from(bytes));
+            let _ = decode(bytes);
         }
 
         #[test]
@@ -943,7 +917,7 @@ mod tests {
             };
             let full = encode(&m, 1);
             for cut in 0..full.len() {
-                let _ = decode(full.slice(..cut));
+                let _ = decode(&full[..cut]);
             }
         }
 

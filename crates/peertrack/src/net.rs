@@ -269,11 +269,6 @@ impl TraceableNetwork {
         self.sim.metrics()
     }
 
-    /// Zero the metrics (e.g. after a warm-up phase).
-    pub fn reset_metrics(&mut self) {
-        self.sim.metrics_mut().reset();
-    }
-
     /// Anomaly counters (should stay zero in well-formed runs).
     pub fn anomalies(&self) -> Anomalies {
         self.world.anomalies
@@ -398,11 +393,6 @@ impl TraceableNetwork {
     pub fn run_until(&mut self, deadline: SimTime) {
         let world = &mut self.world;
         self.sim.run_until(world, deadline);
-    }
-
-    /// Force-flush every open capture window immediately.
-    pub fn flush_windows(&mut self) {
-        self.world.flush_all_windows(&mut self.sim);
     }
 
     // ------------------------------------------------------------------

@@ -23,7 +23,7 @@
 //! message back to the caller, so each host keeps its own driver around
 //! one protocol body instead of a copy of it.
 
-use crate::bytebuf::{ByteBuf, Bytes};
+use crate::bytebuf::{ByteBuf, Reader};
 use crate::codec;
 use crate::grouping::group_batch;
 use crate::messages::Msg;
@@ -123,7 +123,16 @@ fn state_bytes(iop: &IopStore, gateway: &GatewayStore) -> Vec<u8> {
     let mut buf = ByteBuf::new();
     codec::put_state_iop(&mut buf, iop);
     codec::put_state_gateway(&mut buf, gateway);
-    buf.freeze().into_vec()
+    buf.into_vec()
+}
+
+/// Inverse of [`state_bytes`]. Trailing bytes are an error: replica
+/// digests are taken over the canonical encoding and nothing else.
+fn stores_from_bytes(state: &[u8]) -> Result<(IopStore, GatewayStore), codec::DecodeError> {
+    let mut r = Reader::new(state);
+    let stores = (codec::get_state_iop(&mut r)?, codec::get_state_gateway(&mut r)?);
+    r.finish()?;
+    Ok(stores)
 }
 
 /// What a site needs from whatever runs it.
@@ -245,15 +254,12 @@ pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<
             dispatch(h, to, from, 1, Msg::ReplState { primary, state });
         }
         Msg::ReplState { primary, state } => {
-            let mut bytes = Bytes::from(state);
-            match (codec::get_state_iop(&mut bytes), codec::get_state_gateway(&mut bytes)) {
-                (Ok(iop), Ok(gw)) => {
-                    let site = h.site(to);
-                    site.replica_iop.insert(primary, iop);
-                    site.replica_gateway.insert(primary, gw);
-                }
-                _ => return Some(Msg::ReplState { primary, state: bytes.into_vec() }),
-            }
+            let Ok((iop, gw)) = stores_from_bytes(&state) else {
+                return Some(Msg::ReplState { primary, state });
+            };
+            let site = h.site(to);
+            site.replica_iop.insert(primary, iop);
+            site.replica_gateway.insert(primary, gw);
         }
         Msg::ReplIopPatch { primary, set_to, set_from } => {
             // A patch only ever repairs a copy that exists. Planting a

@@ -311,16 +311,6 @@ impl NetWorld {
         }
     }
 
-    /// Flush every open window immediately (orderly shutdown; also used
-    /// by tests to avoid waiting out `Tmax`).
-    pub fn flush_all_windows(&mut self, sim: &mut Sim<Wire>) {
-        for idx in 0..self.sites.len() {
-            if self.sites[idx].alive {
-                self.flush_site_window(sim, idx);
-            }
-        }
-    }
-
     /// Flush one site's open window immediately.
     pub(crate) fn flush_site_window(&mut self, sim: &mut Sim<Wire>, idx: usize) {
         if let Some(t) = self.sites[idx].window_timer.take() {

@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 use detrand::rngs::StdRng;
-use detrand::SeedableRng;
+use detrand::{Rng, RngCore, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub mod collection;
@@ -49,6 +49,41 @@ pub mod prelude {
         any, collection, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume,
         proptiny, Config, Strategy,
     };
+}
+
+/// Lower-case hex of `raw`, for golden byte vectors in tests.
+pub fn hex(raw: &[u8]) -> String {
+    raw.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Feed a decoder hostile input: every single-byte corruption of each
+/// sample, `u32::MAX` written over every 4-byte window of it (so over
+/// every length prefix, wherever the format puts them), then 10,000
+/// fixed-seed random strings of 0–256 bytes. `decode` only has to
+/// return: a panic, or an allocation sized from a forged prefix, fails
+/// the calling test.
+pub fn hostile_bytes(samples: &[Vec<u8>], mut decode: impl FnMut(&[u8])) {
+    for sample in samples {
+        let mut raw = sample.clone();
+        for i in 0..raw.len() {
+            for flip in 1..=u8::MAX {
+                raw[i] = sample[i] ^ flip;
+                decode(&raw);
+            }
+            raw[i] = sample[i];
+        }
+        for i in 0..raw.len().saturating_sub(3) {
+            raw[i..i + 4].fill(0xFF);
+            decode(&raw);
+            raw[i..i + 4].copy_from_slice(&sample[i..i + 4]);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0xB17E5);
+    for _ in 0..10_000 {
+        let mut raw = vec![0u8; rng.gen_range(0..=256)];
+        rng.fill_bytes(&mut raw);
+        decode(&raw);
+    }
 }
 
 /// Runner configuration.

@@ -118,11 +118,6 @@ impl GeoPlane {
         !self.severed.is_empty()
     }
 
-    /// Is the directed region pair `from -> to` severed?
-    pub fn pair_severed(&self, from: RegionId, to: RegionId) -> bool {
-        self.severed.contains(&(from, to))
-    }
-
     /// Does a message between these two *sites* cross a severed pair?
     pub fn sites_severed(&self, from: usize, to: usize) -> bool {
         !self.severed.is_empty()

@@ -299,21 +299,6 @@ impl<M> Sim<M> {
         );
     }
 
-    /// Deliver a message locally (same node): no metrics, no delay beyond
-    /// one event-queue round, preserving causal ordering with in-flight
-    /// traffic.
-    pub fn send_local(&mut self, node: NodeIndex, msg: M) {
-        let time = self.now;
-        let trace_id = self.trace_emit(TraceKind::Send, node, node, None, 0, 0, time);
-        self.push(Scheduled {
-            time,
-            seq: 0,
-            kind: EventKind::Deliver { to: node, from: node, msg },
-            trace_id,
-            ctx: self.trace_ctx,
-        });
-    }
-
     /// Arm a relative timer at `node`, firing after `delay` with tag
     /// `kind`. Returns a handle for [`Sim::cancel_timer`].
     pub fn set_timer(&mut self, node: NodeIndex, delay: SimTime, kind: u64) -> TimerId {
@@ -371,11 +356,6 @@ impl<M> Sim<M> {
             .crash(node);
     }
 
-    /// Has `node` been crashed via [`Sim::crash_node`]?
-    pub fn node_crashed(&self, node: NodeIndex) -> bool {
-        self.faults.as_ref().is_some_and(|p| p.is_crashed(node))
-    }
-
     fn push(&mut self, mut ev: Scheduled<M>) {
         ev.seq = self.seq;
         self.seq += 1;
@@ -393,11 +373,6 @@ impl<M> Sim<M> {
         } else {
             self.push(ev);
         }
-    }
-
-    /// Is a geo (WAN latency) plane configured?
-    pub fn has_geo(&self) -> bool {
-        self.geo.is_some()
     }
 
     /// The geo plane, if configured.
@@ -789,16 +764,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_absolute_and_local_send() {
+    fn schedule_absolute_fires_at_its_instant() {
         let mut sim: Sim<&'static str> = SimConfig::default().build();
         let mut w = Recorder::default();
         sim.schedule(ms(42), 3, 9);
-        sim.send_local(2, "loopback");
         sim.run_until_quiescent(&mut w);
-        assert_eq!(w.log[0], (0, "msg 2->2: loopback".into()));
-        assert_eq!(w.log[1], (42_000, "timer 9 @ 3".into()));
-        // Local sends are free.
-        assert_eq!(sim.metrics().total_messages(), 0);
+        assert_eq!(w.log, [(42_000, "timer 9 @ 3".into())]);
     }
 
     #[test]

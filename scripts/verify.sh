@@ -248,6 +248,23 @@ if grep -n -i -w 'ported\|mirrors' crates/daemon/src/node.rs; then
 fi
 echo "OK: daemon/src/node.rs carries no ported copy of the write plane."
 
+# One checked byte reader: `peertrack::bytebuf::Reader` is the only code
+# that reads a field off untrusted bytes. A second bounds-check helper
+# or primitive getter is how the last two copies began, and a decoder
+# that copies its whole input (or an encoder its whole output) is what
+# the borrowed reader removed.
+if grep -rnE 'fn need\(|fn get_u(8|32|64)\(' crates --include='*.rs' \
+    | grep -v '^crates/peertrack/src/bytebuf.rs:'; then
+    echo "a second byte reader is defined outside peertrack::bytebuf" >&2
+    exit 1
+fi
+if grep -nE '(raw|body)\.to_vec\(\)|as_slice\(\)\.to_vec\(\)' \
+    crates/daemon/src/proto.rs crates/daemon/src/state.rs crates/peertrack/src/codec.rs; then
+    echo "a codec entry point copies its whole buffer" >&2
+    exit 1
+fi
+echo "OK: one checked byte reader, no whole-buffer copies in the codecs."
+
 # Every committed artifact is regenerated by a gate above, or it is not
 # committed: each tracked path under results/ must be named in this
 # script. The one exemption, hand-maintained: results/TRAJECTORY.md.
