@@ -26,10 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod lookup;
 pub mod node;
 pub mod ring;
 
-pub use lookup::{answer_step, LookupDriver, LookupState, StepAnswer};
 pub use node::{ChordNode, FingerTable, SUCCESSOR_LIST_LEN};
 pub use ring::{JoinOutcome, LeaveOutcome, LookupError, LookupResult, Migration, Ring};

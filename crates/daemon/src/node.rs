@@ -53,29 +53,21 @@
 //! serving side of every read is `Core::serve_read`, shared by the
 //! frame handler and the engine's local reads.
 //!
-//! **Routing.** Query-driven lookups run the iterative protocol for
-//! real: the origin drives [`chord::LookupDriver`] and asks each hop
-//! over the network ([`Frame::LookupStep`]); every node answers from
-//! its own replica. Replicas are rebuilt deterministically from the
-//! sorted membership (bootstrap-lowest-site, ascending joins, full
-//! stabilization), so a converged cluster routes identically to the
-//! simulator's single ring — which is also why the *indexing* path
-//! (inside the core, where no sockets exist) may answer the same
-//! lookup from the local replica: on identical replicas the iterative
-//! walk and the local walk visit the same nodes and charge the same
-//! hops, a parity the cluster tests pin down.
+//! **Routing.** Both planes route on the local ring replica
+//! ([`Core::lookup`]): every node rebuilds the same full-membership
+//! ring from the sorted member list, so owner, hops and path equal the
+//! simulator's single ring without asking a peer.
 //!
 //! **Deadlock-freedom.** While a query (locate/trace) waits for a peer
 //! RPC reply, the engine keeps pumping the event loop in *nested* mode:
-//! every read-only RPC (`LookupStep`, record reads, probes) and the
-//! whole asynchronous protocol plane are served immediately; only
-//! frames that would start another query (or stop the node) are
-//! deferred. Two nodes querying each other therefore both make
-//! progress — each answers the other's lookup steps from inside its own
-//! wait loop — and RPC recursion is bounded at depth 1 because a nested
-//! pump never starts a query. Per-connection response order is
-//! preserved by suspending the querying connection's inbox until its
-//! query completes.
+//! every read-only RPC (record reads, probes) and the whole
+//! asynchronous protocol plane are served immediately; only frames
+//! that would start another query (or stop the node) are deferred. Two
+//! nodes querying each other therefore both make progress — each
+//! answers the other's reads from inside its own wait loop — and RPC
+//! recursion is bounded at depth 1 because a nested pump never starts
+//! a query. Per-connection response order is preserved by suspending
+//! the querying connection's inbox until its query completes.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
 //! carries explicit virtual instants ([`Frame::Capture`]`.at`) and
@@ -85,7 +77,7 @@
 
 use crate::proto::Frame;
 use crate::state::WalRecord;
-use chord::{answer_step, LookupDriver, LookupResult, LookupState, Ring};
+use chord::{LookupResult, Ring};
 use durable::{DataDir, FsyncMode};
 use ids::{Id, Prefix};
 use moods::{ObjectId, Path, SiteId};
@@ -449,8 +441,25 @@ impl Core {
         chord_id_for(self.seed, self.site)
     }
 
+    /// The site behind a ring id. Every caller passes an id that
+    /// [`Core::lookup`] just read out of `self.ring` — never one a peer
+    /// supplied — which is what makes the `expect` sound.
     fn site_of_chord(&self, id: &Id) -> SiteId {
         SiteId(self.ring.app_index_of(id).expect("ring member") as u32)
+    }
+
+    /// The Chord lookup of `key` from this node, walked on the local
+    /// replica. The one call site both planes route through: the write
+    /// plane takes owner and hops ([`site::Host::route`]), the query
+    /// planner the path ([`RecordSource::route`]), so their model costs
+    /// agree by construction. A node is always on its own ring, so a
+    /// failure is counted, not expected.
+    fn lookup(&mut self, key: Id) -> Option<LookupResult> {
+        let found = self.ring.lookup(self.my_chord_id(), key).ok();
+        if found.is_none() {
+            self.unsupported += 1;
+        }
+        found
     }
 
     // ------------------------------------------------------------------
@@ -594,10 +603,6 @@ impl Core {
     /// its own local reads with it. `None` = not a read request.
     pub(crate) fn serve_read(&mut self, req: &Frame) -> Option<Frame> {
         Some(match *req {
-            Frame::LookupStep { key } => {
-                let node = self.ring.get(&self.my_chord_id()).expect("self in replica");
-                Frame::StepResp(answer_step(node, &key, |id| self.ring.contains(id)))
-            }
             Frame::GatewayProbe { object } => Frame::LinkResp(self.gateway_probe(object)),
             Frame::IopKnows { object } => Frame::BoolResp(self.proto.iop.knows(object)),
             Frame::RecAt { object, time } => {
@@ -663,18 +668,9 @@ impl site::Host for Core {
         self.handle_msg(from, msg);
     }
 
-    /// The owner and hop count come from the *local* replica —
-    /// identical, on a converged membership, to what the networked
-    /// iterative lookup would return, and usable during replay where no
-    /// peer exists to ask.
     fn route(&mut self, _from: SiteId, prefix: Prefix) -> Option<(SiteId, u32)> {
-        match self.ring.lookup(self.my_chord_id(), prefix.gateway_id()) {
-            Ok(r) => Some((self.site_of_chord(&r.owner), r.hops)),
-            Err(_) => {
-                self.unsupported += 1;
-                None
-            }
-        }
+        let r = self.lookup(prefix.gateway_id())?;
+        Some((self.site_of_chord(&r.owner), r.hops))
     }
 
     fn lp(&self) -> usize {
@@ -1398,39 +1394,11 @@ impl Engine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Distributed lookup (origin drives, peers answer)
-    // ------------------------------------------------------------------
-
-    /// Iterative Chord lookup over the network. Each hop's routing
-    /// decision comes from that node's own replica via
-    /// [`Frame::LookupStep`]; the local step is answered in-process.
-    /// Returns `None` on transport failure or routing loop.
-    fn lookup(&mut self, key: Id) -> Option<LookupResult> {
-        let me = self.core.my_chord_id();
-        let mut driver = LookupDriver::new(me, key, self.core.ring.len());
-        loop {
-            match driver.state() {
-                LookupState::Ask(node) => {
-                    let site = self.core.site_of_chord(&node);
-                    let Some(Frame::StepResp(answer)) =
-                        self.read(site, Frame::LookupStep { key })
-                    else {
-                        return None;
-                    };
-                    driver.answer(answer);
-                }
-                LookupState::Done(result) => return Some(result),
-                LookupState::Failed(_) => return None,
-            }
-        }
-    }
-
     /// Request/response to a peer's engine. Blocking-style for the
     /// caller, but while the reply is in flight the event loop keeps
     /// pumping in nested mode — which is what lets two nodes query
     /// each other simultaneously without deadlock (each answers the
-    /// other's lookup steps from inside its own wait). The stream is
+    /// other's reads from inside its own wait). The stream is
     /// checked out of the cache for the duration so nested sends to
     /// the same peer cannot interleave with the reply bytes.
     fn rpc(&mut self, site: SiteId, req: &Frame) -> io::Result<Frame> {
@@ -1643,7 +1611,7 @@ impl Engine {
 impl RecordSource for Engine {
     fn route(&mut self, _from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete> {
         let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
-        let r = self.lookup(key).ok_or(Incomplete)?;
+        let r = self.core.lookup(key).ok_or(Incomplete)?;
         Ok(r.path[1..].iter().map(|nid| self.core.site_of_chord(nid)).collect())
     }
 

@@ -9,9 +9,9 @@
 //!   sender, the *model* hop count the simulator would have charged,
 //!   and a wall-clock send timestamp for receiver-side latency
 //!   histograms. Fire-and-forget: no reply.
-//! * **RPCs** — node↔node request/response pairs driven by a query or
-//!   routing origin: a Chord lookup step, gateway/IOP probes, IOP
-//!   record fetches. Replied on the originating connection.
+//! * **RPCs** — node↔node request/response pairs driven by a query
+//!   origin: gateway/IOP probes, IOP record fetches. Replied on the
+//!   originating connection.
 //! * **Control** — harness/operator→node requests: capture injection,
 //!   window flush, locate/trace, status, shutdown.
 //!
@@ -22,8 +22,7 @@
 //! vectors bounded by arithmetic before any allocation, trailing bytes
 //! rejected.
 
-use chord::StepAnswer;
-use ids::{Id, ID_BYTES};
+use ids::ID_BYTES;
 use moods::{ObjectId, Path, SiteId, Visit};
 use peertrack::bytebuf::{ByteBuf, Reader};
 use peertrack::codec::{
@@ -218,12 +217,6 @@ pub enum Frame {
     },
 
     // -------------------------------------------------- rpc plane
-    /// One iterative-lookup step: "where next for `key`, from your
-    /// routing state?" — the remote half of [`chord::answer_step`].
-    LookupStep {
-        /// The key being routed.
-        key: Id,
-    },
     /// Gateway probe: does your current-`Lp` shard index `object`?
     GatewayProbe {
         /// The object.
@@ -303,8 +296,6 @@ pub enum Frame {
         /// Protocol-plane frames received and processed so far.
         received: u64,
     },
-    /// Reply to [`Frame::LookupStep`].
-    StepResp(StepAnswer),
     /// Reply to [`Frame::GatewayProbe`]: the latest-state link on hit.
     LinkResp(Option<Link>),
     /// Reply to [`Frame::IopKnows`].
@@ -340,7 +331,7 @@ const K_LOCATE: u8 = 7;
 const K_TRACE: u8 = 8;
 const K_STATUS: u8 = 9;
 const K_SHUTDOWN: u8 = 10;
-const K_LOOKUP_STEP: u8 = 11;
+// 11 is retired (the networked Chord walk's request): never reuse.
 const K_GATEWAY_PROBE: u8 = 12;
 const K_IOP_KNOWS: u8 = 13;
 const K_REC_AT: u8 = 14;
@@ -359,7 +350,7 @@ const K_ACK: u8 = 32;
 const K_LOCATE_RESP: u8 = 33;
 const K_TRACE_RESP: u8 = 34;
 const K_STATUS_RESP: u8 = 35;
-const K_STEP_RESP: u8 = 36;
+// 36 is retired (the reply to kind 11): never reuse.
 const K_LINK_RESP: u8 = 37;
 const K_BOOL_RESP: u8 = 38;
 const K_REC_RESP: u8 = 39;
@@ -463,10 +454,6 @@ impl Frame {
                 buf.put_u32(*a as u32);
                 buf.put_u32(*b as u32);
             }
-            Frame::LookupStep { key } => {
-                buf.put_u8(K_LOOKUP_STEP);
-                buf.put_slice(&key.0);
-            }
             Frame::GatewayProbe { object } => {
                 buf.put_u8(K_GATEWAY_PROBE);
                 put_object(&mut buf, object);
@@ -546,15 +533,6 @@ impl Frame {
                 buf.put_u64(*hits);
                 buf.put_u64(*misses);
             }
-            Frame::StepResp(answer) => {
-                buf.put_u8(K_STEP_RESP);
-                let (owner, id) = match answer {
-                    StepAnswer::Owner(id) => (1, id),
-                    StepAnswer::Forward(id) => (0, id),
-                };
-                buf.put_u8(owner);
-                buf.put_slice(&id.0);
-            }
             Frame::LinkResp(link) => {
                 buf.put_u8(K_LINK_RESP);
                 put_opt_link(&mut buf, link);
@@ -627,7 +605,6 @@ impl Frame {
             K_RESOLVE => Frame::Resolve { site: get_site(r)? },
             K_REGION_CUT => Frame::RegionCut { a: get_region(r)?, b: get_region(r)? },
             K_REGION_HEAL => Frame::RegionHeal { a: get_region(r)?, b: get_region(r)? },
-            K_LOOKUP_STEP => Frame::LookupStep { key: Id(r.array()?) },
             K_GATEWAY_PROBE => Frame::GatewayProbe { object: get_object(r)? },
             K_IOP_KNOWS => Frame::IopKnows { object: get_object(r)? },
             K_REC_AT => Frame::RecAt { object: get_object(r)?, time: get_time(r)? },
@@ -667,11 +644,6 @@ impl Frame {
                 hits: r.u64()?,
                 misses: r.u64()?,
             },
-            K_STEP_RESP => {
-                let owner = r.u8()? == 1;
-                let id = Id(r.array()?);
-                Frame::StepResp(if owner { StepAnswer::Owner(id) } else { StepAnswer::Forward(id) })
-            }
             K_LINK_RESP => Frame::LinkResp(get_opt_link(r)?),
             K_BOOL_RESP => Frame::BoolResp(r.u8()? == 1),
             K_REC_RESP => {
@@ -722,7 +694,7 @@ fn get_cost(r: &mut Reader) -> Result<CostWire, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ids::Prefix;
+    use ids::{Id, Prefix};
     use peertrack::messages::Msg;
     use proptiny::{hex, hostile_bytes};
 
@@ -767,7 +739,6 @@ mod tests {
             Frame::Resolve { site: SiteId(3) },
             Frame::RegionCut { a: 0, b: 2 },
             Frame::RegionHeal { a: 0, b: 2 },
-            Frame::LookupStep { key: Id::hash_str("k") },
             Frame::GatewayProbe { object: obj(1) },
             Frame::IopKnows { object: obj(1) },
             Frame::RecAt { object: obj(1), time: t(3) },
@@ -797,8 +768,6 @@ mod tests {
                 misses: 9,
             },
             Frame::QueryLoadResp { loads: Vec::new(), hits: 0, misses: 0 },
-            Frame::StepResp(StepAnswer::Owner(Id::from_u64(7))),
-            Frame::StepResp(StepAnswer::Forward(Id::from_u64(8))),
             Frame::LinkResp(Some(Link { site: SiteId(1), time: t(2) })),
             Frame::LinkResp(None),
             Frame::BoolResp(true),
@@ -821,7 +790,7 @@ mod tests {
     const GOLDEN: [(usize, &str); 3] = [
         (5, "05000000000000006300000002aebf740096fea5f738202d5d299fc84e932155d5c9e1208fdafeca60716624e08ac95d5d3036071c"),
         (0, "010000000300000002000000000012d687000000590201000000000000000000000000002a0340000000000000000000000300000002cb473678976f425d6ec1339838f11011007ad27d000000000000000507aae1b618f604c684ee3189fa1723bef8656fe40000000000000006"),
-        (26, "21010000000200000000000000030000000000000005000000000000009001"),
+        (25, "21010000000200000000000000030000000000000005000000000000009001"),
     ];
 
     #[test]
@@ -848,6 +817,11 @@ mod tests {
         let mut cut = Frame::RegionCut { a: 0, b: 1 }.encode();
         cut[1..5].copy_from_slice(&65_536u32.to_be_bytes());
         assert_eq!(Frame::decode(&cut).unwrap_err(), ProtoError::BadRegion(65_536));
+        // Kinds 11 and 36 (the networked Chord walk) are retired: what a
+        // peer from before would send for them no longer names a frame.
+        for old in [[&[11][..], &[0; 20]].concat(), [&[36, 1][..], &[0; 20]].concat()] {
+            assert_eq!(Frame::decode(&old).unwrap_err(), ProtoError::BadKind(old[0]));
+        }
     }
 
     #[test]

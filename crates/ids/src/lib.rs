@@ -22,14 +22,12 @@ pub mod id;
 pub mod intern;
 pub mod prefix;
 pub mod sha1;
-pub mod sscc;
 
 pub use epc::EpcCode;
 pub use id::Id;
 pub use intern::Interner;
 pub use prefix::Prefix;
 pub use sha1::Sha1;
-pub use sscc::SsccCode;
 
 /// Number of bits in an identifier (`L` in the paper's Fig. 3).
 pub const ID_BITS: usize = 160;

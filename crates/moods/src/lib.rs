@@ -28,12 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytics;
-pub mod containment;
 pub mod log;
 pub mod model;
 
-pub use analytics::{dwell_times, journey_time, mean_dwell_by_site, path_stats, Dwell, PathStats};
-pub use containment::{resolve_locate, resolve_trace, ContainmentLog};
 pub use log::MovementLog;
-pub use model::{Locate, ObjectId, Observation, Path, ReceptorId, SiteId, Trace, Visit};
+pub use model::{Locate, ObjectId, Path, SiteId, Trace, Visit};

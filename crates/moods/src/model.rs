@@ -24,16 +24,6 @@ impl fmt::Display for SiteId {
     }
 }
 
-/// A receptor (RFID reader) at a fixed location within a site, e.g. "the
-/// reader at dock door 3".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ReceptorId {
-    /// The governing site.
-    pub site: SiteId,
-    /// Reader number within the site.
-    pub reader: u16,
-}
-
 /// An object's identity in the system: the SHA-1 hash of its raw id
 /// (EPC), per §III footnote 1. Newtype over [`Id`] so object keys and
 /// ring/node ids cannot be confused in signatures.
@@ -55,27 +45,6 @@ impl ObjectId {
 impl fmt::Debug for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "o:{}", &self.0.to_hex()[..8])
-    }
-}
-
-/// One capture: a receptor at `site` read `object` at `time`.
-///
-/// Receptor data is assumed cleansed (§II-A: "we assume in this paper
-/// that the data captured by receptors is already cleansed").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Observation {
-    /// The captured object.
-    pub object: ObjectId,
-    /// The receptor that read it.
-    pub receptor: ReceptorId,
-    /// Capture time.
-    pub time: SimTime,
-}
-
-impl Observation {
-    /// The site where the capture happened.
-    pub fn site(&self) -> SiteId {
-        self.receptor.site
     }
 }
 
@@ -150,16 +119,6 @@ mod tests {
     fn object_id_from_raw_is_sha1() {
         let o = ObjectId::from_raw(b"urn:epc:id:sgtin:1.2.3");
         assert_eq!(o.id(), Id::hash(b"urn:epc:id:sgtin:1.2.3"));
-    }
-
-    #[test]
-    fn observation_site_is_receptor_site() {
-        let obs = Observation {
-            object: ObjectId::from_raw(b"x"),
-            receptor: ReceptorId { site: SiteId(7), reader: 2 },
-            time: ms(1),
-        };
-        assert_eq!(obs.site(), SiteId(7));
     }
 
     #[test]

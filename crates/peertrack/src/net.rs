@@ -319,11 +319,6 @@ impl TraceableNetwork {
         self.sim.geo_stats()
     }
 
-    /// The WAN topology, if one was installed.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.world.geo.as_ref()
-    }
-
     /// Sever the (symmetric) WAN link between two regions: protocol
     /// deliveries that straddle the cut are parked — not dropped — and
     /// released in order by [`TraceableNetwork::region_heal`]. Messages
@@ -355,11 +350,6 @@ impl TraceableNetwork {
     /// construction/warm-up — the trace starts at the current instant.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sim.set_trace_sink(sink);
-    }
-
-    /// Detach and return the installed trace sink, if any.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sim.take_trace_sink()
     }
 
     /// Is a trace sink installed?

@@ -525,12 +525,6 @@ impl<M> Sim<M> {
         self.trace = Some(sink);
     }
 
-    /// Remove and return the trace sink, e.g. to inspect a recorder
-    /// after the run.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
-    }
-
     /// Tag every subsequently recorded event with `ctx` (until
     /// [`Sim::clear_trace_ctx`]). The peertrack layer uses this to mark
     /// single-object operations with a digest of the object id; `0`

@@ -248,6 +248,26 @@ if grep -n -i -w 'ported\|mirrors' crates/daemon/src/node.rs; then
 fi
 echo "OK: daemon/src/node.rs carries no ported copy of the write plane."
 
+# Nothing under crates/ lives for a demo alone: every crate is a
+# dependency of another crate, the integration tests or the benchmark,
+# or ships binaries of its own. examples/Cargo.toml does not count.
+for dir in crates/*/; do
+    c=$(basename "$dir")
+    [[ -d "${dir}src/bin" ]] && continue
+    ls crates/*/Cargo.toml tests/Cargo.toml benchmark/Cargo.toml \
+        | grep -v "^crates/$c/" | xargs grep -qE "^$c[[:space:]]*=" \
+        || { echo "crates/$c is consumed by no crate, test, gate or workload" >&2; exit 1; }
+done
+echo "OK: every crates/* directory has a consumer beyond examples/."
+
+# One Chord lookup: both daemon planes walk the local ring replica. The
+# networked walk (wire kinds 11 and 36, retired) must not grow back.
+if grep -rnE 'LookupStep|LookupDriver|StepResp|answer_step' crates --include='*.rs'; then
+    echo "the networked Chord walk is back under crates/" >&2
+    exit 1
+fi
+echo "OK: no networked Chord walk under crates/."
+
 # One checked byte reader: `peertrack::bytebuf::Reader` is the only code
 # that reads a field off untrusted bytes. A second bounds-check helper
 # or primitive getter is how the last two copies began, and a decoder

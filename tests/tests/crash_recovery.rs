@@ -18,8 +18,10 @@
 //!    damage) or fail the open loudly (snapshot damage) — never a
 //!    silently wrong state.
 
+use daemon::node::chord_id_for;
 use daemon::{Core, LoopbackCluster, ScheduleCursor, WalRecord};
 use durable::{DataDir, FsyncMode, WAL_FILE};
+use ids::Prefix;
 use integration_tests::triple_from_events;
 use moods::{Locate, SiteId, Trace};
 use peertrack::config::GroupConfig;
@@ -104,6 +106,35 @@ fn crashed_node_recovers_byte_identical_and_answers_match_oracle() {
     // Kill it — no warning, no final snapshot — and bring it back.
     let before = cluster.state_dump(VICTIM).expect("state before crash");
     cluster.crash(VICTIM).expect("crash");
+
+    // While it is down it is still a member, so routes still cross it.
+    // Pick — from the ring, not by trial — a never-moving object and an
+    // origin whose Chord path to the object's gateway passes through the
+    // victim, with origin, gateway and holder all alive: the dead hop
+    // only loses its `knows` shortcut, the answer stays exact.
+    let ring = t.net.ring();
+    let site_of = |id: &ids::Id| ring.app_index_of(id).expect("ring member");
+    let crossing = (0..SITES)
+        .flat_map(|home| (1..VOL as u64).map(move |serial| (home, serial)))
+        .flat_map(|(home, serial)| (0..SITES).map(move |origin| (home, serial, origin)))
+        .find(|&(home, serial, origin)| {
+            let o = workload::epc_object(home as u32, serial);
+            let key = Prefix::of_id(&o.id(), t.net.current_lp()).gateway_id();
+            let from = chord_id_for(SEED, SiteId(origin as u32));
+            let path: Vec<usize> =
+                ring.lookup(from, key).expect("lookup").path.iter().map(site_of).collect();
+            let (gateway, hops) = path.split_last().expect("path starts at the origin");
+            hops.contains(&VICTIM)
+                && ![origin, *gateway, home].contains(&VICTIM)
+                && !hops.contains(&home)
+        });
+    let (home, serial, origin) = crossing.expect("some route crosses the victim");
+    let o = workload::epc_object(home as u32, serial);
+    let (ans, _, complete) =
+        cluster.locate(SiteId(origin as u32), o, secs(100)).expect("locate across the dead hop");
+    assert!(complete, "a silent route hop must not make the query incomplete");
+    assert_eq!(ans, t.oracle.locate(o, secs(100)));
+
     cluster.restart(VICTIM).expect("restart from data dir");
     let after = cluster.state_dump(VICTIM).expect("state after restart");
     assert_eq!(before, after, "recovered state must be byte-identical");
