@@ -17,8 +17,7 @@
 //! (every node's sent/received frame counters globally balanced and
 //! stable) before proceeding. That preserves the simulator's causal
 //! delivery order — two gateways' `GroupIndex` messages can never race
-//! each other on different TCP connections — and is also what makes the
-//! blocking RPC pattern deadlock-free (see `crate::node`).
+//! each other on different TCP connections.
 
 use crate::node::{Node, NodeConfig, NodeReport};
 use crate::proto::{CostWire, Frame};

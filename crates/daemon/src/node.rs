@@ -48,9 +48,9 @@
 //!
 //! **Queries.** `locate`/`trace` are not implemented here: the engine
 //! is a [`RecordSource`] — each read the planner needs is answered from
-//! the local stores or by one RPC to the site that holds it — and
-//! `peertrack::query`, the simulator's own planner, runs over it. The
-//! serving side of every read is `Core::serve_read`, shared by the
+//! the local stores or by one request frame to the site that holds it —
+//! and `peertrack::query`, the simulator's own planner, runs over it.
+//! The serving side of every read is `Core::serve_read`, shared by the
 //! frame handler and the engine's local reads.
 //!
 //! **Routing.** Both planes route on the local ring replica
@@ -58,16 +58,16 @@
 //! ring from the sorted member list, so owner, hops and path equal the
 //! simulator's single ring without asking a peer.
 //!
-//! **Deadlock-freedom.** While a query (locate/trace) waits for a peer
-//! RPC reply, the engine keeps pumping the event loop in *nested* mode:
-//! every read-only RPC (record reads, probes) and the whole
-//! asynchronous protocol plane are served immediately; only frames
-//! that would start another query (or stop the node) are deferred. Two
-//! nodes querying each other therefore both make progress — each
-//! answers the other's reads from inside its own wait loop — and RPC
-//! recursion is bounded at depth 1 because a nested pump never starts
-//! a query. Per-connection response order is preserved by suspending
-//! the querying connection's inbox until its query completes.
+//! **In-flight queries.** No handler waits: a `Locate`/`Trace` is a
+//! table entry holding its *read log* — `(site, request) → reply` — and
+//! the planner is run from the top against it, replaying logged reads
+//! and serving (and logging) local ones. The first remote read the log
+//! lacks is sent on that peer's nonblocking link and the query parks,
+//! its client connection's inbox suspended so responses keep request
+//! order. When the reply — or the link's death, or `RPC_DEADLINE` —
+//! arrives in the ordinary intake it is appended and the planner re-run;
+//! only the run that finishes touches the cache, the load tally, the WAL
+//! or the client.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
 //! carries explicit virtual instants ([`Frame::Capture`]`.at`) and
@@ -90,14 +90,13 @@ use peertrack::store::{IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpStream};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use transport::frame::write_frame;
-use transport::{Backoff, ConnCache, FrameAccum, NbConn, NbListener};
+use transport::{Backoff, ConnCache, NbConn, NbListener};
 
 /// The ring identity of a site, matching the simulator's derivation
 /// (`peertrack::net::Builder`) so lookups hash identically.
@@ -127,8 +126,8 @@ pub struct NodeConfig {
     /// Cluster-wide seed: determines every site's ring identity.
     pub seed: u64,
     /// Group-indexing parameters. The daemon supports the paper's
-    /// experiment regime: group mode with `SizeEstimation::Exact`
-    /// semantics (`Lp` from the known membership count).
+    /// experiment regime: group mode, `Lp` from the known membership
+    /// count.
     pub group: GroupConfig,
     /// Listen address, e.g. `"127.0.0.1:0"` for an ephemeral port.
     pub listen: String,
@@ -411,8 +410,8 @@ impl Core {
     /// Rebuild the local ring replica from the sorted membership,
     /// exactly like the simulator's builder: the lowest site bootstraps,
     /// the rest join ascending, then full stabilization. Every node
-    /// derives the identical ring, and `Lp` follows the membership count
-    /// (the `SizeEstimation::Exact` policy).
+    /// derives the identical ring, and `Lp` follows the membership
+    /// count.
     pub(crate) fn rebuild_ring(&mut self) {
         let mut ring = Ring::new();
         let sites: Vec<SiteId> = self.members.keys().copied().collect();
@@ -725,29 +724,16 @@ pub const INBOX_CAP: usize = 256;
 /// dropped response.
 pub const OUTBOX_LIMIT_BYTES: usize = 256 * 1024;
 
-/// Deadline for one peer RPC. The engine keeps pumping while it waits,
-/// so this only bounds how long a query stalls on an unreachable peer.
+/// Deadline for one remote read: a link whose oldest unanswered request
+/// is older than this is dropped and its waiters get "no answer". It
+/// only bounds how long a query stays in flight on a silent peer —
+/// nothing else waits on it.
 const RPC_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Idle strategy: spin-yield this many empty wakeups, then sleep.
+/// Idle strategy: spin-yield this many empty wakeups, then sleep —
+/// unless a query is in flight, whose reply a sleep would delay.
 const IDLE_SPINS: u32 = 64;
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-/// Which pump is running (see [`Engine::pump`]). `Nested` is the pump
-/// inside an RPC wait: it defers anything that would start another
-/// query or stop the node, which is what bounds RPC recursion at 1.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Main,
-    Nested,
-}
-
-/// What `handle_frame` did with a frame.
-enum Action {
-    Consumed,
-    /// Put it back — this frame class cannot run in the current mode.
-    Deferred(Frame),
-}
 
 /// One accepted connection: the nonblocking socket plus the decoded
 /// frames waiting their turn.
@@ -757,16 +743,114 @@ struct EConn {
     /// True while over [`OUTBOX_LIMIT_BYTES`]: reads and processing are
     /// suspended, only flushes run.
     parked: bool,
+    /// True while a query of this connection is in flight: its inbox is
+    /// not processed, so its responses stay in request order, and the
+    /// slot is not reaped, so the query's index stays its own.
+    querying: bool,
+}
+
+/// What a client asked: the two requests that run the query planner.
+#[derive(Clone, Copy)]
+enum Ask {
+    Locate { object: ObjectId, t: SimTime },
+    Trace { object: ObjectId, t0: SimTime, t1: SimTime },
+}
+
+impl Ask {
+    /// The response to a query the node could not finish.
+    fn unanswered(self) -> Frame {
+        let cost = QueryCost::default().into();
+        match self {
+            Ask::Locate { .. } => Frame::LocateResp { answer: None, cost, complete: false },
+            Ask::Trace { .. } => Frame::TraceResp { path: Path::new(), cost, complete: false },
+        }
+    }
+}
+
+/// One planner read: the site asked and the encoded request frame —
+/// which is also the payload sent when that site is a peer.
+type ReadKey = (SiteId, Vec<u8>);
+
+/// A `Locate`/`Trace` in flight. Reads are pure and keyed, so running
+/// the planner again over `log` replays the earlier run up to the first
+/// read the log lacks.
+struct Query {
+    /// The client connection (slab index) awaiting the response.
+    conn: usize,
+    ask: Ask,
+    started_us: u64,
+    /// The locate-cache lookup, taken once when the query starts: the
+    /// cache counts every `get`, and a re-run is not a second lookup.
+    cached: Option<Link>,
+    /// Every read answered so far; `None` = the site gave no answer.
+    log: HashMap<ReadKey, Option<Frame>>,
+    /// The remote read the current run stopped at. Once set, the rest
+    /// of that run reads "no answer" and its result is discarded.
+    wanted: Option<ReadKey>,
+}
+
+/// What the run that finishes a locate does to the engine besides
+/// answering: the load attribution and the cache maintenance.
+struct LocateEffects {
+    object: ObjectId,
+    /// The site the answer is attributed to in `query_load`.
+    served: Option<SiteId>,
+    /// The cached link's own record is gone: drop the entry.
+    stale: bool,
+    /// The link worth caching for the next locate of this object.
+    fill: Option<Link>,
+}
+
+/// The nonblocking connection this node's remote reads to one peer go
+/// out on. The serving engine answers a connection's frames in arrival
+/// order, so replies match `waiters` first-in first-out.
+struct ReadLink {
+    conn: NbConn,
+    /// Queries with a request outstanding here, oldest first, each with
+    /// the instant it was sent.
+    waiters: VecDeque<(u64, Instant)>,
+}
+
+/// Hand each whole frame the link has received to its oldest waiter.
+/// `false` = the link cannot be trusted further: a frame did not decode
+/// (its waiter gets "no answer") or nobody had asked for it.
+fn match_replies(
+    mut next_frame: impl FnMut() -> Option<Vec<u8>>,
+    waiters: &mut VecDeque<(u64, Instant)>,
+    answers: &mut Vec<(u64, Option<Frame>)>,
+) -> bool {
+    while let Some(raw) = next_frame() {
+        match (Frame::decode(&raw), waiters.pop_front()) {
+            (Ok(reply), Some((id, _))) => answers.push((id, Some(reply))),
+            (_, waiter) => {
+                answers.extend(waiter.map(|(id, _)| (id, None)));
+                return false;
+            }
+        }
+    }
+    true
 }
 
 struct Engine {
     addr: SocketAddr,
     listener: NbListener,
     /// Accepted connections, slab-style: indices are stable (slots are
-    /// reused, never compacted) because staged replies and `busy_conn`
-    /// refer to them across nested pumps.
+    /// reused, never compacted) because staged replies and in-flight
+    /// queries refer to them.
     econns: Vec<Option<EConn>>,
+    /// Blocking outbound streams: protocol sends, the pre-loop join,
+    /// and the dialer (backoff, geo dial delay) of every read link.
     conns: ConnCache,
+    /// Read links by peer listener address.
+    links: HashMap<SocketAddr, ReadLink>,
+    /// Queries parked on a remote read, by id.
+    queries: HashMap<u64, Query>,
+    next_query: u64,
+    /// The query whose planner is running right now: the
+    /// [`RecordSource`] reads below go through its log.
+    running: Option<Query>,
+    /// Parked queries whose awaited read has been answered.
+    ready: VecDeque<u64>,
     recorder: Recorder,
     core: Core,
     /// Durable storage; `None` = in-memory node (`log_apply` degrades
@@ -780,9 +864,6 @@ struct Engine {
     /// Responses produced this batch in production order, held back
     /// until the batch fsync: ack-after-fsync is this buffer.
     staged: Vec<(usize, Vec<u8>)>,
-    /// Connection whose query is suspended mid-RPC: nested pumps skip
-    /// its inbox so its responses stay in request order.
-    busy_conn: Option<usize>,
     /// `Some(clean)` once Shutdown (`true`) or Crash (`false`) ran.
     stop: Option<bool>,
     parks: u64,
@@ -850,6 +931,11 @@ impl Engine {
             listener,
             econns: Vec::new(),
             conns: ConnCache::new(Backoff::default()),
+            links: HashMap::new(),
+            queries: HashMap::new(),
+            next_query: 0,
+            running: None,
+            ready: VecDeque::new(),
             recorder: Recorder::new(),
             core,
             data,
@@ -857,7 +943,6 @@ impl Engine {
             records_since_snapshot: 0,
             appended_in_batch: false,
             staged: Vec::new(),
-            busy_conn: None,
             stop: None,
             parks: 0,
             locate_cache: cfg.locate_cache.map(LocateCache::new),
@@ -989,7 +1074,8 @@ impl Engine {
         self.records_since_snapshot = 0;
     }
 
-    /// Join the cluster through an existing member (blocking RPC).
+    /// Join the cluster through an existing member. Blocking, and the
+    /// only request that is: it runs before the event loop starts.
     fn join_via(&mut self, bootstrap: SocketAddr) {
         let req = Frame::JoinReq { site: self.core.site, addr: self.addr.to_string() };
         match self.conns.request(bootstrap, &req.encode()).map_err(io::Error::other).and_then(
@@ -1018,15 +1104,16 @@ impl Engine {
     fn run(mut self) -> NodeReport {
         let mut idle = 0u32;
         while self.stop.is_none() {
-            if self.pump(Mode::Main) {
+            if self.pump() {
                 idle = 0;
             } else {
                 // Adaptive idle: no poll(2) without libc, so spin-yield
-                // briefly (keeps RPC round trips fast under load), then
+                // briefly (keeps round trips fast under load), then
                 // sleep in short slices (keeps an idle 8-node cluster
-                // cheap).
+                // cheap) — but never with a query in flight, whose
+                // every remote read would wait the sleep out.
                 idle += 1;
-                if idle < IDLE_SPINS {
+                if idle < IDLE_SPINS || !self.queries.is_empty() {
                     std::thread::yield_now();
                 } else {
                     std::thread::sleep(IDLE_SLEEP);
@@ -1054,6 +1141,9 @@ impl Engine {
         for ec in self.econns.iter_mut().flatten() {
             ec.conn.close();
         }
+        for link in self.links.values_mut() {
+            link.conn.close();
+        }
         self.conns.close_all();
         NodeReport {
             site: self.core.site,
@@ -1072,24 +1162,24 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// One poll wakeup. Returns `true` if anything at all happened
-    /// (the idle strategy watches this). `Nested` pumps run inside an
-    /// RPC wait — same structure, restricted processing.
-    fn pump(&mut self, mode: Mode) -> bool {
+    /// (the idle strategy watches this).
+    fn pump(&mut self) -> bool {
         let mut activity = self.intake();
         if self.stop.is_none() {
-            activity |= self.process(mode);
+            activity |= self.process();
         }
         self.commit();
         activity | self.flush_writes()
     }
 
     /// Accept pending connections and read every readable socket,
-    /// decoding complete frames into per-connection inboxes.
+    /// decoding complete frames into per-connection inboxes and handing
+    /// read replies to the queries that wait for them.
     fn intake(&mut self) -> bool {
         let mut activity = false;
         for (stream, peer) in self.listener.accept_ready() {
             let Ok(conn) = NbConn::new(stream, peer) else { continue };
-            let ec = EConn { conn, inbox: VecDeque::new(), parked: false };
+            let ec = EConn { conn, inbox: VecDeque::new(), parked: false, querying: false };
             match self.econns.iter_mut().find(|s| s.is_none()) {
                 Some(slot) => *slot = Some(ec),
                 None => self.econns.push(Some(ec)),
@@ -1112,46 +1202,65 @@ impl Engine {
                 }
             }
         }
+        let peers: Vec<SocketAddr> = self.links.keys().copied().collect();
+        for peer in peers {
+            activity |= self.service_link(peer);
+        }
         activity
     }
 
-    /// Handle queued frames, strictly serially, in arrival order per
-    /// connection. Parked connections and — in nested mode — the
-    /// querying connection are skipped; a deferred frame stops its
-    /// connection's queue (order preserved) without blocking others.
-    fn process(&mut self, mode: Mode) -> bool {
+    /// Read the link to `peer` once. Whole replies go to its waiters,
+    /// oldest first; if the link is finished — the peer hung up, sent
+    /// something no waiter can use, or has left its oldest waiter
+    /// unanswered past [`RPC_DEADLINE`] — every remaining waiter gets
+    /// "no answer" and the link is dropped, to be redialed by the next
+    /// read. Returns `true` if any query was answered.
+    fn service_link(&mut self, peer: SocketAddr) -> bool {
+        let Some(link) = self.links.get_mut(&peer) else { return false };
+        link.conn.read_ready();
+        let mut answers = Vec::new();
+        let sound = match_replies(|| link.conn.next_frame(), &mut link.waiters, &mut answers);
+        if !sound {
+            self.core.unsupported += 1;
+        }
+        let overdue = link.waiters.front().is_some_and(|w| w.1.elapsed() >= RPC_DEADLINE);
+        if !sound || overdue || link.conn.is_dead() {
+            answers.extend(link.waiters.drain(..).map(|(id, _)| (id, None)));
+            link.conn.close();
+            self.links.remove(&peer);
+        }
+        let answered = !answers.is_empty();
+        for (id, reply) in answers {
+            // A waiter's query is parked on exactly this read: it sent
+            // one request and stays in the table until it is answered.
+            let Some(q) = self.queries.get_mut(&id) else { continue };
+            if let Some(key) = q.wanted.take() {
+                q.log.insert(key, reply);
+                self.ready.push_back(id);
+            }
+        }
+        answered
+    }
+
+    /// Re-run every query whose awaited read was answered, then handle
+    /// queued frames, strictly serially, in arrival order per
+    /// connection. Parked connections and connections with a query in
+    /// flight are skipped without blocking the others.
+    fn process(&mut self) -> bool {
         let mut activity = false;
-        let n = self.econns.len();
-        'conns: for idx in 0..n {
-            if self.stop.is_some() {
-                break;
-            }
-            if self.busy_conn == Some(idx) {
-                continue;
-            }
-            loop {
-                if self.stop.is_some() {
-                    break 'conns;
+        while let Some(id) = self.ready.pop_front() {
+            self.advance(id);
+            activity = true;
+        }
+        for idx in 0..self.econns.len() {
+            while self.stop.is_none() {
+                let Some(ec) = self.econns[idx].as_mut() else { break };
+                if ec.parked || ec.querying {
+                    break;
                 }
-                let frame = {
-                    let Some(ec) = self.econns[idx].as_mut() else { continue 'conns };
-                    if ec.parked {
-                        continue 'conns;
-                    }
-                    match ec.inbox.pop_front() {
-                        Some(f) => f,
-                        None => break,
-                    }
-                };
-                match self.handle_frame(idx, frame, mode) {
-                    Action::Consumed => activity = true,
-                    Action::Deferred(frame) => {
-                        if let Some(ec) = self.econns[idx].as_mut() {
-                            ec.inbox.push_front(frame);
-                        }
-                        break;
-                    }
-                }
+                let Some(frame) = ec.inbox.pop_front() else { break };
+                self.handle_frame(idx, frame);
+                activity = true;
             }
         }
         activity
@@ -1191,6 +1300,11 @@ impl Engine {
     /// backpressure parking around [`OUTBOX_LIMIT_BYTES`].
     fn flush_writes(&mut self) -> bool {
         let mut activity = false;
+        for link in self.links.values_mut() {
+            if link.conn.queued_bytes() > 0 {
+                link.conn.try_flush();
+            }
+        }
         for ec in self.econns.iter_mut().flatten() {
             let before = ec.conn.queued_bytes();
             if before > 0 {
@@ -1211,13 +1325,12 @@ impl Engine {
         activity
     }
 
-    /// Drop fully-finished dead connections. Only called between
-    /// top-level pumps — never from a nested pump, so slab indices held
-    /// across an RPC wait stay valid.
+    /// Drop fully-finished dead connections. One with a query in
+    /// flight stays until the query's response has been staged.
     fn reap(&mut self) {
         for slot in self.econns.iter_mut() {
             if let Some(ec) = slot {
-                if ec.conn.is_dead() && ec.inbox.is_empty() {
+                if ec.conn.is_dead() && ec.inbox.is_empty() && !ec.querying {
                     *slot = None;
                 }
             }
@@ -1229,18 +1342,7 @@ impl Engine {
         self.staged.push((idx, frame.encode()));
     }
 
-    fn handle_frame(&mut self, idx: usize, frame: Frame, mode: Mode) -> Action {
-        // A nested pump serves reads and the protocol plane, but never
-        // starts a second query (RPC recursion bound) and never stops
-        // the node mid-query.
-        if mode == Mode::Nested
-            && matches!(
-                frame,
-                Frame::Locate { .. } | Frame::Trace { .. } | Frame::Shutdown | Frame::Crash
-            )
-        {
-            return Action::Deferred(frame);
-        }
+    fn handle_frame(&mut self, idx: usize, frame: Frame) {
         match frame {
             Frame::Protocol { sender, hops: _, sent_us, wire } => {
                 self.recorder
@@ -1289,21 +1391,9 @@ impl Engine {
                 self.log_apply(WalRecord::Flush { now });
                 self.stage(idx, Frame::Ack);
             }
-            Frame::Locate { object, t } => {
-                let started = wall_us();
-                self.busy_conn = Some(idx);
-                let (answer, cost, complete) = self.locate(object, t);
-                self.busy_conn = None;
-                self.account_query(&cost, started);
-                self.stage(idx, Frame::LocateResp { answer, cost: cost.into(), complete });
-            }
+            Frame::Locate { object, t } => self.start_query(idx, Ask::Locate { object, t }),
             Frame::Trace { object, t0, t1 } => {
-                let started = wall_us();
-                self.busy_conn = Some(idx);
-                let (path, cost, complete) = self.trace(object, t0, t1);
-                self.busy_conn = None;
-                self.account_query(&cost, started);
-                self.stage(idx, Frame::TraceResp { path, cost: cost.into(), complete });
+                self.start_query(idx, Ask::Trace { object, t0, t1 })
             }
             Frame::Status => {
                 self.stage(
@@ -1325,14 +1415,20 @@ impl Engine {
                 );
             }
             Frame::Shutdown => {
+                // Stopping waits for no peer: every query still in
+                // flight is answered "incomplete" ahead of the ack.
+                for q in std::mem::take(&mut self.queries).into_values() {
+                    self.stage(q.conn, q.ask.unanswered());
+                }
                 self.stage(idx, Frame::Ack);
                 self.stop = Some(true);
             }
             Frame::Crash => {
                 // Die like a kill -9 would: ack (so the harness can
-                // sequence the fault), then abandon everything volatile.
-                // No final snapshot, no WAL sync beyond what earlier
-                // batches already committed.
+                // sequence the fault), then abandon everything volatile
+                // — queries in flight included. No final snapshot, no
+                // WAL sync beyond what earlier batches already
+                // committed.
                 self.stage(idx, Frame::Ack);
                 self.stop = Some(false);
             }
@@ -1366,7 +1462,6 @@ impl Engine {
                 None => self.core.unsupported += 1,
             },
         }
-        Action::Consumed
     }
 
     fn on_join_req(&mut self, site: SiteId, addr: &str) -> Frame {
@@ -1394,117 +1489,181 @@ impl Engine {
         }
     }
 
-    /// Request/response to a peer's engine. Blocking-style for the
-    /// caller, but while the reply is in flight the event loop keeps
-    /// pumping in nested mode — which is what lets two nodes query
-    /// each other simultaneously without deadlock (each answers the
-    /// other's reads from inside its own wait). The stream is
-    /// checked out of the cache for the duration so nested sends to
-    /// the same peer cannot interleave with the reply bytes.
-    fn rpc(&mut self, site: SiteId, req: &Frame) -> io::Result<Frame> {
-        let &addr = self
-            .core
-            .members
-            .get(&site)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown peer"))?;
-        self.inject_dial_delay(site, addr);
-        let payload = req.encode();
-        let mut stream = self.conns.checkout(addr)?;
-        if write_frame(&mut stream, &payload).is_err() {
-            // Stale after all: drop it and redial once (the dial itself
-            // retries under the backoff schedule).
-            stream.shutdown(std::net::Shutdown::Both).ok();
-            stream = self.conns.checkout(addr)?;
-            write_frame(&mut stream, &payload)?;
-        }
-        let result = self.pumped_read_frame(&mut stream);
-        match &result {
-            Ok(_) => {
-                stream.set_read_timeout(None).ok();
-                self.conns.checkin(addr, stream);
-            }
-            Err(_) => {
-                stream.shutdown(std::net::Shutdown::Both).ok();
-            }
-        }
-        result
-    }
-
-    /// Read one frame from a checked-out stream, pumping the event
-    /// loop between short read timeouts. The accumulator persists
-    /// across timeouts, so a reply split at any byte boundary is
-    /// reassembled correctly no matter how many pumps interleave.
-    fn pumped_read_frame(&mut self, stream: &mut TcpStream) -> io::Result<Frame> {
-        stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-        let mut acc = FrameAccum::new();
-        let mut buf = [0u8; 8192];
-        let deadline = Instant::now() + RPC_DEADLINE;
-        loop {
-            if let Some(raw) = acc.next_frame()? {
-                if acc.pending_bytes() != 0 {
-                    // One request, one reply: trailing bytes mean the
-                    // stream desynced — poison it rather than guess.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected trailing bytes on rpc stream",
-                    ));
-                }
-                return Frame::decode(&raw)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "peer closed before replying",
-                    ))
-                }
-                Ok(n) => acc.push(&buf[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(io::ErrorKind::TimedOut, "rpc deadline"));
-                    }
-                    self.pump(Mode::Nested);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Queries: the `peertrack::query` planner over this engine as its
-    // `RecordSource` (below)
+    // `RecordSource` (below), re-run against a read log
     // ------------------------------------------------------------------
 
-    /// Charge a finished query. The model cost goes through the WAL —
-    /// query traffic mutates the metrics, and metrics are recovered
-    /// state — while the wall-clock latency stays engine-side.
-    fn account_query(&mut self, cost: &QueryCost, started_us: u64) {
+    /// Admit a query from connection `conn` and run it as far as the
+    /// local stores carry it.
+    fn start_query(&mut self, conn: usize, ask: Ask) {
+        let started_us = wall_us();
+        // Daemon cache entries carry no epoch (always 0): revalidation
+        // replaces the simulator's epoch check.
+        let cached = match ask {
+            Ask::Locate { object, .. } => {
+                self.locate_cache.as_mut().and_then(|c| c.get(object, 0))
+            }
+            Ask::Trace { .. } => None,
+        };
+        if let Some(ec) = self.econns[conn].as_mut() {
+            ec.querying = true;
+        }
+        let id = self.next_query;
+        self.next_query += 1;
+        let log = HashMap::new();
+        self.queries.insert(id, Query { conn, ask, started_us, cached, log, wanted: None });
+        self.advance(id);
+    }
+
+    /// Run query `id`'s planner from the top over its read log. A run
+    /// that finds every read logged finishes the query; one that stops
+    /// at a remote read sends it and leaves the query parked until
+    /// [`Engine::service_link`] logs the reply. An unreachable site is
+    /// logged as "no answer" on the spot and the planner run again.
+    fn advance(&mut self, id: u64) {
+        let Some(mut q) = self.queries.remove(&id) else { return };
+        loop {
+            let (ask, cached) = (q.ask, q.cached);
+            self.running = Some(q);
+            let mut cost = QueryCost::default();
+            let (response, effects) = self.plan(ask, cached, &mut cost);
+            q = self.running.take().expect("the run keeps its query");
+            let Some(key) = q.wanted.take() else {
+                return self.finish(q, response, effects, cost);
+            };
+            if self.send_read(id, &key) {
+                q.wanted = Some(key);
+                self.queries.insert(id, q);
+                return;
+            }
+            q.log.insert(key, None);
+        }
+    }
+
+    /// Queue one read request on the link to its site, dialing the link
+    /// through the connection cache (backoff schedule, geo dial delay)
+    /// if there is none. `false` = the site cannot be reached.
+    fn send_read(&mut self, id: u64, (site, request): &ReadKey) -> bool {
+        let Some(&peer) = self.core.members.get(site) else { return false };
+        // Read the link before reusing it: a peer that hung up since
+        // the last read is noticed here, not after a lost request.
+        self.service_link(peer);
+        if !self.links.contains_key(&peer) {
+            self.inject_dial_delay(*site, peer);
+            let Ok(conn) = self.conns.dial(peer).and_then(|s| NbConn::new(s, peer)) else {
+                return false;
+            };
+            self.links.insert(peer, ReadLink { conn, waiters: VecDeque::new() });
+        }
+        let link = self.links.get_mut(&peer).expect("dialed above");
+        link.conn.queue_frame(request);
+        link.conn.try_flush();
+        link.waiters.push_back((id, Instant::now()));
+        true
+    }
+
+    /// One planner run for `ask`, touching nothing but the running
+    /// query's read log: the response it would give, plus — for a
+    /// locate — what finishing would do to the cache and the load tally.
+    /// `L(o, t)` goes through the locate-answer cache of DESIGN.md §15
+    /// when the query started on a hit, the shared planner otherwise.
+    fn plan(
+        &mut self,
+        ask: Ask,
+        cached: Option<Link>,
+        cost: &mut QueryCost,
+    ) -> (Frame, Option<LocateEffects>) {
+        let me = self.core.site;
+        match ask {
+            Ask::Locate { object, t } => {
+                let hit = cached.and_then(|link| self.locate_from_cached(link, object, t, cost));
+                let (answer, complete, effects) = match hit {
+                    // Cache hits attribute the served locate to the
+                    // origin itself, as the simulator does.
+                    Some((answer, complete, fill)) => {
+                        let served = Some(me);
+                        (answer, complete, LocateEffects { object, served, stale: false, fill })
+                    }
+                    // Fill only from gateway discoveries, like the
+                    // simulator: the gateway's latest link is the one
+                    // answer worth reusing.
+                    None => {
+                        let (answer, source, complete, fill) =
+                            query::locate(self, me, object, t, cost);
+                        let (served, stale) = (source.served_by(me), cached.is_some());
+                        (answer, complete, LocateEffects { object, served, stale, fill })
+                    }
+                };
+                let cost = (*cost).into();
+                (Frame::LocateResp { answer, cost, complete }, Some(effects))
+            }
+            Ask::Trace { object, t0, t1 } => {
+                let (path, _, complete) = query::trace(self, me, object, t0, t1, cost);
+                (Frame::TraceResp { path, cost: (*cost).into(), complete }, None)
+            }
+        }
+    }
+
+    /// Apply the run that finished: cache and load tally, the model
+    /// cost through the WAL — query traffic mutates the metrics, and
+    /// metrics are recovered state — the wall-clock latency sample, and
+    /// the response, staged for this batch's commit.
+    fn finish(
+        &mut self,
+        q: Query,
+        response: Frame,
+        effects: Option<LocateEffects>,
+        cost: QueryCost,
+    ) {
+        if let Some(fx) = effects {
+            if let Some(served) = fx.served {
+                *self.query_load.entry(served).or_default() += 1;
+            }
+            if let Some(cache) = self.locate_cache.as_mut() {
+                if fx.stale {
+                    cache.invalidate(fx.object);
+                }
+                if let Some(link) = fx.fill {
+                    cache.insert(fx.object, 0, link);
+                }
+            }
+        }
         self.log_apply(WalRecord::Query {
             messages: cost.messages,
             hops: cost.hops,
             bytes: cost.bytes,
         });
         self.recorder
-            .record_latency(MsgClass::Query, wall_us().saturating_sub(started_us));
+            .record_latency(MsgClass::Query, wall_us().saturating_sub(q.started_us));
+        self.stage(q.conn, response);
+        if let Some(ec) = self.econns[q.conn].as_mut() {
+            ec.querying = false;
+        }
     }
 
-    /// One read primitive against `site`'s stores: answered in-process
-    /// when that is this node, by RPC otherwise. `None` = no answer.
-    /// Reads at the query's current cursor site are uncharged, like the
+    /// One read primitive against `site`'s stores, through the running
+    /// query's log: a logged read replays, a local one is served
+    /// in-process and logged, and the first remote one the log lacks
+    /// becomes the read the query parks on. `None` = no answer. Reads at
+    /// the query's current cursor site are uncharged, like the
     /// simulator's direct state reads; only cursor *moves* pay.
     fn read(&mut self, site: SiteId, req: Frame) -> Option<Frame> {
-        if site == self.core.site {
-            self.core.serve_read(&req)
-        } else {
-            self.rpc(site, &req).ok()
+        let q = self.running.as_mut().expect("planner reads happen inside a run");
+        if q.wanted.is_some() {
+            return None;
         }
+        let key = (site, req.encode());
+        if let Some(reply) = q.log.get(&key) {
+            return reply.clone();
+        }
+        if site != self.core.site {
+            q.wanted = Some(key);
+            return None;
+        }
+        let reply = self.core.serve_read(&req);
+        q.log.insert(key, reply.clone());
+        reply
     }
 
     fn read_record(&mut self, site: SiteId, req: Frame) -> Option<IopRecord> {
@@ -1534,80 +1693,39 @@ impl Engine {
     ///
     /// Returns `None` only when the revalidating fetch of the cached
     /// link itself found nothing (the entry refers to crash-lost
-    /// records): the caller drops the entry and rediscovers.
+    /// records): the caller drops the entry and rediscovers. The third
+    /// field is the newer link to refresh the entry with, if any.
     fn locate_from_cached(
         &mut self,
         link: Link,
         object: ObjectId,
         t: SimTime,
         cost: &mut QueryCost,
-    ) -> Option<(Option<SiteId>, bool)> {
+    ) -> Option<(Option<SiteId>, bool, Option<Link>)> {
         let mut current = self.core.site;
         let rec = query::fetch_record(self, &mut current, link, object, cost).ok()?;
         if t < link.time {
             // The cached link is in the object's past: even a stale
             // "latest" is a correct historical anchor to walk back from.
             let walked = query::walk_back(self, &mut current, rec.from, object, t, cost);
-            return Some((walked.unwrap_or(None), walked.is_ok()));
+            return Some((walked.unwrap_or(None), walked.is_ok(), None));
         }
         // t >= link.time: the cached holder answers unless the object
         // has moved on — a populated `to` chain means it did. Follow it
         // forward and refresh the entry with the newest link reached.
         let Ok(at) = query::walk_forward(self, &mut current, link, rec.to, object, t, cost)
         else {
-            return Some((None, false));
+            return Some((None, false, None));
         };
-        if at != link {
-            if let Some(cache) = self.locate_cache.as_mut() {
-                cache.insert(object, 0, at);
-            }
-        }
-        Some((Some(at.site), true))
-    }
-
-    /// `L(o, t)` with this node as origin: the locate-answer cache of
-    /// DESIGN.md §15 when configured, the shared planner otherwise.
-    fn locate(&mut self, object: ObjectId, t: SimTime) -> (Option<SiteId>, QueryCost, bool) {
-        let mut cost = QueryCost::default();
-        let me = self.core.site;
-        // Daemon cache entries carry no epoch (always 0): revalidation
-        // replaces the simulator's epoch check.
-        if let Some(link) = self.locate_cache.as_mut().and_then(|c| c.get(object, 0)) {
-            if let Some((answer, complete)) = self.locate_from_cached(link, object, t, &mut cost)
-            {
-                // Cache hits attribute the served locate to the origin
-                // itself, as the simulator does.
-                *self.query_load.entry(me).or_default() += 1;
-                return (answer, cost, complete);
-            }
-            if let Some(cache) = self.locate_cache.as_mut() {
-                cache.invalidate(object);
-            }
-        }
-        let (answer, source, complete, latest) = query::locate(self, me, object, t, &mut cost);
-        if let Some(served) = source.served_by(me) {
-            *self.query_load.entry(served).or_default() += 1;
-        }
-        // Fill only from gateway discoveries, like the simulator: the
-        // gateway's latest link is the one answer worth reusing.
-        if let (Some(cache), Some(link)) = (self.locate_cache.as_mut(), latest) {
-            cache.insert(object, 0, link);
-        }
-        (answer, cost, complete)
-    }
-
-    /// `TR(o, t0, t1)` with this node as origin.
-    fn trace(&mut self, object: ObjectId, t0: SimTime, t1: SimTime) -> (Path, QueryCost, bool) {
-        let mut cost = QueryCost::default();
-        let (path, _, complete) = query::trace(self, self.core.site, object, t0, t1, &mut cost);
-        (path, cost, complete)
+        Some((Some(at.site), true, (at != link).then_some(at)))
     }
 }
 
 /// The planner's reads, each one request frame: served from this node's
-/// own stores or a peer's over RPC ([`Engine::read`]). A transport
-/// failure is "no answer", which the planner reports as an incomplete
-/// query — never as "not in the system".
+/// own stores or a peer's through the running query's read log
+/// ([`Engine::read`]). A transport failure is "no answer", which the
+/// planner reports as an incomplete query — never as "not in the
+/// system".
 impl RecordSource for Engine {
     fn route(&mut self, _from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete> {
         let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
@@ -1676,6 +1794,7 @@ impl RecordSource for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptiny::hostile_bytes;
 
     #[test]
     fn chord_ids_match_simulator_derivation() {
@@ -1729,6 +1848,66 @@ mod tests {
         // Identical transitions: full state (addresses included) agrees.
         assert_eq!(live.state_bytes(true), replayed.state_bytes(true));
         assert_eq!(live.sent, replayed.sent);
+    }
+
+    /// A bad peer costs one link: whatever bytes arrive where replies
+    /// were due, the reply reader neither panics nor answers a waiter
+    /// out of turn — each of the two waiters is answered once, in order,
+    /// or is still waiting when the link is declared unsound or dry
+    /// (the engine then fails the rest with "no answer").
+    #[test]
+    fn hostile_reply_bytes_cost_the_link_never_a_waiter_out_of_turn() {
+        use transport::{write_frame, FrameAccum};
+        let link = Link { site: SiteId(3), time: SimTime::from_micros(9) };
+        let rec = IopRecord { arrived: SimTime::from_micros(5), from: Some(link), to: None };
+        let replies = [Frame::RecResp(Some(rec)), Frame::LinkResp(Some(link)), Frame::BoolResp(true)];
+        let samples: Vec<Vec<u8>> = replies
+            .iter()
+            .map(|first| {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, &first.encode()).unwrap();
+                write_frame(&mut wire, &Frame::BoolResp(false).encode()).unwrap();
+                wire
+            })
+            .collect();
+        let read = |raw: &[u8]| {
+            let mut acc = FrameAccum::new();
+            acc.push(raw);
+            let now = Instant::now();
+            let mut waiters = VecDeque::from([(7, now), (8, now)]);
+            let mut answers = Vec::new();
+            // A framing violation ends the stream, as `NbConn` ends it.
+            let sound = match_replies(
+                || acc.next_frame().unwrap_or(None),
+                &mut waiters,
+                &mut answers,
+            );
+            assert_eq!(answers.len() + waiters.len(), 2, "a waiter was lost or answered twice");
+            for (k, (id, reply)) in answers.iter().enumerate() {
+                assert_eq!(*id, 7 + k as u64, "answered out of turn");
+                assert!(reply.is_some() || (!sound && k + 1 == answers.len()));
+            }
+            (sound, answers)
+        };
+        for (sample, first) in samples.iter().zip(&replies) {
+            // Every truncation: the whole frames before the cut answer
+            // their waiters, the torn one answers nobody.
+            for cut in 0..=sample.len() {
+                let (sound, answers) = read(&sample[..cut]);
+                assert!(sound, "a short stream is not yet a bad one (cut {cut})");
+                let ends = [4 + first.encode().len(), sample.len()];
+                let whole = ends.iter().filter(|&&end| cut >= end).count();
+                assert_eq!(answers.len(), whole, "cut {cut}");
+                if let Some((_, reply)) = answers.first() {
+                    assert_eq!(reply.as_ref().map(Frame::encode), Some(first.encode()));
+                }
+            }
+        }
+        hostile_bytes(&samples, |raw| drop(read(raw)));
+        // Nobody asked: the frame is the link's last.
+        let mut none = VecDeque::new();
+        let mut frames = vec![Frame::BoolResp(true).encode()];
+        assert!(!match_replies(|| frames.pop(), &mut none, &mut Vec::new()));
     }
 
     #[test]

@@ -3,30 +3,13 @@
 use crate::prefix::PrefixScheme;
 use simnet::SimTime;
 
-/// How the runtime obtains `Nn` when (re)computing `Lp` (§IV-A.1:
-/// "there is no precise way to calculate this value. However, there are
-/// some algorithms available to estimate the value of Nn \[14\]").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SizeEstimation {
-    /// Use the true membership count (an idealization available to the
-    /// simulator; matches the paper's experiments, which configure `Lp`
-    /// from the known network size).
-    Exact,
-    /// Run Jelasity–Montresor push-pull averaging over the live members
-    /// for the given number of rounds and use the median estimate. The
-    /// gossip traffic is charged to the metrics under
-    /// [`simnet::MsgClass::Gossip`].
-    Gossip {
-        /// Averaging rounds per estimation epoch.
-        rounds: u32,
-    },
-}
-
 /// Parameters of the group indexing algorithm (§IV-A). Field names follow
 /// the paper's symbol table (Fig. 3).
 #[derive(Clone, Copy, Debug)]
 pub struct GroupConfig {
     /// How `Lp` is derived from the network size (§V-C's Schemes 1–3).
+    /// `Nn` is the true membership count, as in the paper's experiments,
+    /// which configure `Lp` from the known network size.
     pub scheme: PrefixScheme,
     /// `Lmin` — lower bound on `Lp` so bootstrap-era networks do not
     /// degenerate to near-individual indexing (§IV-A.1).
@@ -49,14 +32,6 @@ pub struct GroupConfig {
     /// (§IV-A.2). When `false`, inconsistencies are repaired lazily by
     /// `refresh_from_ascent`/`_descent` at the next indexing cycle.
     pub eager_split_merge: bool,
-    /// How `Nn` is obtained when recomputing `Lp`.
-    pub size_estimation: SizeEstimation,
-    /// Cache gateway addresses per prefix (§IV-A.2: "The address of the
-    /// parent and children can be cached to save the cost of DHT
-    /// lookup"): after first contact, indexing messages to a known
-    /// prefix gateway go direct (1 hop) instead of routing through the
-    /// DHT. Caches are invalidated on any membership or `Lp` change.
-    pub cache_gateway_addresses: bool,
 }
 
 impl Default for GroupConfig {
@@ -69,8 +44,6 @@ impl Default for GroupConfig {
             alpha: 0.5,
             delegate_threshold: Some(4096),
             eager_split_merge: true,
-            size_estimation: SizeEstimation::Exact,
-            cache_gateway_addresses: false,
         }
     }
 }

@@ -52,7 +52,6 @@
 pub mod bytebuf;
 pub mod codec;
 pub mod config;
-pub mod estimator;
 pub mod flat;
 pub mod grouping;
 pub mod messages;

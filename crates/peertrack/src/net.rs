@@ -48,7 +48,7 @@ impl Builder {
         self
     }
 
-    /// RNG seed (node identities, latency jitter, estimator draws).
+    /// RNG seed (node identities, latency jitter).
     pub fn seed(mut self, seed: u64) -> Builder {
         self.config.seed = seed;
         self
@@ -519,7 +519,7 @@ impl TraceableNetwork {
         self.run_until_quiescent();
         let lp_span = self.sim.span_open(spans::OP_LP_REFRESH, idx);
         self.world.refresh_lp(&mut self.sim);
-        self.world.invalidate_gateway_caches();
+        self.world.clear_locate_caches();
         // The eager split/merge migration also completes before control
         // returns; the traffic it cost stays in the metrics.
         self.run_until_quiescent();
@@ -573,7 +573,7 @@ impl TraceableNetwork {
         self.world.ring.stabilize_all();
         let lp_span = self.sim.span_open(spans::OP_LP_REFRESH, idx);
         self.world.refresh_lp(&mut self.sim);
-        self.world.invalidate_gateway_caches();
+        self.world.clear_locate_caches();
         // Handoff (and any eager merge) completes before control returns.
         self.run_until_quiescent();
         self.sim.span_close(lp_span);
@@ -617,7 +617,7 @@ impl TraceableNetwork {
             messages,
         );
         self.world.refresh_lp(&mut self.sim);
-        self.world.invalidate_gateway_caches();
+        self.world.clear_locate_caches();
         // Drain survivors' in-flight traffic (deliveries to the crashed
         // node are discarded by the plane as they surface), then forget
         // hosted prefixes whose only copy died with the node.
@@ -676,7 +676,7 @@ impl TraceableNetwork {
         // site's ranges as primary data when split/merge re-levels.
         self.world.promote_dead_primary(&mut self.sim, idx);
         self.world.refresh_lp(&mut self.sim);
-        self.world.invalidate_gateway_caches();
+        self.world.clear_locate_caches();
         self.run_until_quiescent();
         self.world.rebuild_hosted();
         // Close the replication hole: every live primary's state back

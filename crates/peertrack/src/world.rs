@@ -23,7 +23,7 @@
 //! * timers (`Tmax`, scheduled captures, retry, the one-shot
 //!   anti-entropy trigger), trace spans and the locate-cache epochs.
 
-use crate::config::{Config, GroupConfig, IndexingMode, SizeEstimation};
+use crate::config::{Config, GroupConfig, IndexingMode};
 use crate::messages::{Msg, Wire, ENTRY_BYTES, HEADER_BYTES, OBJECT_ID_BYTES, PREFIX_BYTES};
 pub use crate::site::Anomalies;
 use crate::site::{self, Site};
@@ -67,9 +67,6 @@ pub struct SiteState {
     pub alive: bool,
     /// Pending `Tmax` timer for the open window, if any.
     window_timer: Option<TimerId>,
-    /// Cached gateway locations per prefix (§IV-A.2 address caching):
-    /// owner site index at the time of first contact.
-    gateway_cache: HashMap<Prefix, usize>,
     /// Sequence numbers already processed (retry mode): retransmissions
     /// and fault-plane duplicates are acked again but not re-applied —
     /// IOP upserts are not idempotent, so at-least-once delivery plus
@@ -206,7 +203,6 @@ impl NetWorld {
             chord_id,
             alive: true,
             window_timer: None,
-            gateway_cache: HashMap::new(),
             seen_seqs: HashSet::new(),
             antientropy_timer: None,
             locate_cache: self.config.locate_cache.map(LocateCache::new),
@@ -329,33 +325,13 @@ impl NetWorld {
         Driver { world: self, sim }
     }
 
-    /// Where a group's `GroupIndex` goes (§IV-A.2). With address
-    /// caching on, a prefix gateway already contacted is reached
-    /// directly (1 hop) instead of via a fresh DHT lookup.
-    fn route_group(&mut self, sim: &mut Sim<Wire>, site: SiteId, prefix: Prefix) -> (usize, u32) {
-        let idx = self.site_idx(site);
-        let caching = self.group_config().is_some_and(|g| g.cache_gateway_addresses);
-        match self.sites[idx].gateway_cache.get(&prefix) {
-            Some(&owner) if caching => (owner, 1),
-            _ => {
-                let r = self.route_traced(sim, site, prefix.gateway_id());
-                if caching {
-                    self.sites[idx].gateway_cache.insert(prefix, r.0);
-                }
-                r
-            }
-        }
-    }
-
-    /// Drop every site's gateway-address cache (membership or `Lp`
-    /// changed; stale addresses would misroute index updates). Locate
-    /// caches drop too: a membership change can move index ownership
-    /// wholesale, and conservative correctness beats retained warmth —
-    /// re-indexing that lands *after* this clear re-enters the caches
-    /// through the epoch-bumped write path.
-    pub(crate) fn invalidate_gateway_caches(&mut self) {
+    /// Drop every site's locate cache (membership or `Lp` changed): a
+    /// membership change can move index ownership wholesale, and
+    /// conservative correctness beats retained warmth — re-indexing
+    /// that lands *after* this clear re-enters the caches through the
+    /// epoch-bumped write path.
+    pub(crate) fn clear_locate_caches(&mut self) {
         for s in &mut self.sites {
-            s.gateway_cache.clear();
             if let Some(c) = s.locate_cache.as_mut() {
                 c.clear();
             }
@@ -836,13 +812,11 @@ impl NetWorld {
     // Lp maintenance: the splitting–merging process (§IV-A.2)
     // ------------------------------------------------------------------
 
-    /// Recompute `Lp` from the (estimated) ring size; on change, run the
-    /// eager splitting/merging migration if configured. Returns the new
-    /// `Lp`.
+    /// Recompute `Lp` from the ring size; on change, run the eager
+    /// splitting/merging migration if configured. Returns the new `Lp`.
     pub fn refresh_lp(&mut self, sim: &mut Sim<Wire>) -> usize {
         let Some(g) = self.group_config() else { return self.current_lp };
-        let nn = self.estimated_size(sim, g);
-        let target = g.scheme.lp_clamped(nn, g.l_min);
+        let target = g.scheme.lp_clamped(self.ring.len(), g.l_min);
         if !g.eager_split_merge {
             self.current_lp = target;
             return target;
@@ -860,36 +834,6 @@ impl NetWorld {
             self.current_lp -= 1;
         }
         target
-    }
-
-    /// The network size used to derive `Lp`, per the configured policy.
-    /// The gossip policy simulates a full push-pull epoch over the live
-    /// membership and charges its traffic (one message pair per node per
-    /// round, header-sized payloads).
-    fn estimated_size(&mut self, sim: &mut Sim<Wire>, g: GroupConfig) -> usize {
-        match g.size_estimation {
-            SizeEstimation::Exact => self.ring.len(),
-            SizeEstimation::Gossip { rounds } => {
-                let n = self.ring.len();
-                // Under a fault plane, gossip suffers the same default
-                // loss rate as the rest of the traffic (loss = 0 when no
-                // plane: identical RNG draws, byte-identical runs).
-                let loss = match sim.faults_mut() {
-                    Some(p) => p.default_drop(),
-                    None => 0.0,
-                };
-                let est =
-                    crate::estimator::estimate_count_lossy(n, rounds, loss, sim.rng_mut());
-                let m = sim.metrics_mut();
-                m.record_bulk(
-                    MsgClass::Gossip,
-                    est.messages,
-                    est.messages * 24, // one f64 value + header per exchange
-                    est.messages,
-                );
-                est.median().round().max(1.0) as usize
-            }
-        }
     }
 
     /// Push every shard of length `l` down into its two children
@@ -1278,7 +1222,7 @@ impl site::Host for Driver<'_> {
     /// Panics on routing failure — the runtime stabilizes after churn,
     /// so lookups always converge.
     fn route(&mut self, from: SiteId, prefix: Prefix) -> Option<(SiteId, u32)> {
-        let (owner, hops) = self.world.route_group(self.sim, from, prefix);
+        let (owner, hops) = self.world.route_traced(self.sim, from, prefix.gateway_id());
         Some((sid(owner), hops))
     }
 

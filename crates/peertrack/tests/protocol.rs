@@ -518,105 +518,3 @@ proptiny! {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Gossip-driven Lp (§IV-A.1, ref [14])
-// ---------------------------------------------------------------------
-
-#[test]
-fn gossip_size_estimation_derives_same_lp_as_exact() {
-    use peertrack::config::SizeEstimation;
-    let mk = |est: SizeEstimation| {
-        IndexingMode::Group(GroupConfig {
-            size_estimation: est,
-            n_max: 64,
-            t_max: ms(100),
-            ..GroupConfig::default()
-        })
-    };
-    let mut exact = Builder::new().sites(24).seed(19).mode(mk(SizeEstimation::Exact)).build();
-    let mut gossip = Builder::new()
-        .sites(24)
-        .seed(19)
-        .mode(mk(SizeEstimation::Gossip { rounds: 40 }))
-        .build();
-    assert_eq!(exact.current_lp(), gossip.current_lp());
-
-    // Grow both; Lp (log-scale) tolerates the estimation noise.
-    for _ in 0..12 {
-        exact.join_site();
-        gossip.join_site();
-    }
-    assert_eq!(exact.current_lp(), gossip.current_lp());
-    assert!(
-        gossip.metrics().messages_of(MsgClass::Gossip) > 0,
-        "gossip epochs must be charged"
-    );
-    assert_eq!(
-        exact.metrics().messages_of(MsgClass::Gossip),
-        0,
-        "exact mode sends no gossip"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Gateway-address caching (§IV-A.2)
-// ---------------------------------------------------------------------
-
-#[test]
-fn address_cache_cuts_hops_on_repeat_contacts() {
-    let mk = |cache: bool| {
-        IndexingMode::Group(GroupConfig {
-            cache_gateway_addresses: cache,
-            n_max: 100_000,
-            t_max: ms(100),
-            ..GroupConfig::default()
-        })
-    };
-    let run = |cache: bool| -> (u64, u64) {
-        let mut net = Builder::new().sites(32).seed(23).mode(mk(cache)).build();
-        let objects: Vec<ObjectId> = (0..300u64).map(obj).collect();
-        // Two waves hitting the same prefixes from the same site.
-        net.schedule_capture(secs(1), SiteId(0), objects.clone());
-        net.schedule_capture(secs(100), SiteId(1), objects.clone());
-        net.schedule_capture(secs(200), SiteId(0), objects.clone());
-        net.run_until_quiescent();
-        let m = net.metrics();
-        (m.indexing_messages(), m.indexing_hops())
-    };
-    let (msgs_off, hops_off) = run(false);
-    let (msgs_on, hops_on) = run(true);
-    assert_eq!(msgs_off, msgs_on, "caching changes hops, not message count");
-    assert!(
-        hops_on < hops_off,
-        "cached repeat contacts must save hops: {hops_on} !< {hops_off}"
-    );
-}
-
-#[test]
-fn address_cache_invalidated_by_churn_keeps_correctness() {
-    let mode = IndexingMode::Group(GroupConfig {
-        cache_gateway_addresses: true,
-        n_max: 64,
-        t_max: ms(100),
-        ..GroupConfig::default()
-    });
-    let mut net = Builder::new().sites(16).seed(24).mode(mode).build();
-    let objects: Vec<ObjectId> = (0..60u64).map(obj).collect();
-    net.schedule_capture(secs(1), SiteId(2), objects.clone());
-    net.run_until_quiescent();
-
-    // Churn moves gateway ownership; caches must not misroute wave 2.
-    for _ in 0..8 {
-        net.join_site();
-    }
-    net.schedule_capture(net.now() + secs(10), SiteId(5), objects.clone());
-    net.run_until_quiescent();
-
-    for o in &objects {
-        let (p, stats) = net.trace(SiteId(0), *o, SimTime::ZERO, SimTime::INFINITY);
-        let sites: Vec<SiteId> = p.iter().map(|v| v.site).collect();
-        assert_eq!(sites, vec![SiteId(2), SiteId(5)], "IOP broken after cached churn");
-        assert!(stats.complete);
-    }
-}

@@ -228,12 +228,6 @@ impl FaultPlane {
         lost
     }
 
-    /// Drop probability of the all-links default (the estimator uses it
-    /// to model gossip under the same loss regime).
-    pub fn default_drop(&self) -> f64 {
-        self.default.drop
-    }
-
     /// What the plane has done so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats

@@ -2,11 +2,12 @@
 //!
 //! Each daemon keeps one cached `TcpStream` per peer it talks to
 //! (protocol messages are small and frequent; re-dialing per message
-//! would dominate). A send that fails invalidates the cached stream
-//! and redials under a [`Backoff`] schedule — the same
+//! would dominate). A send that fails drops the cached stream and
+//! redials under a [`Backoff`] schedule — the same
 //! `timeout · factor^(attempt−1)` shape as `peertrack::RetryConfig`,
 //! so the wall-clock retry plane and the simulated one are tuned with
-//! the same vocabulary.
+//! the same vocabulary. [`ConnCache::dial`] hands the same dialer to a
+//! caller that keeps the stream itself (the daemon's read links).
 
 use crate::frame::{read_frame, write_frame};
 use std::collections::HashMap;
@@ -58,14 +59,9 @@ impl Backoff {
 pub struct ConnCache {
     conns: HashMap<SocketAddr, TcpStream>,
     backoff: Backoff,
-    /// Consecutive *failed dials* per peer (each dial is a full backoff
-    /// schedule). Reset to zero by the next successful dial, so a peer
-    /// that restarts — even on the same address — starts with a clean
-    /// slate instead of inheriting its predecessor's failure history.
-    failure_streaks: HashMap<SocketAddr, u32>,
     /// Injected per-peer dial latency (WAN topology emulation for the
     /// loopback harness). Applied once per successful-or-not dial, on
-    /// top of the backoff schedule; survives `invalidate`/`close_all`,
+    /// top of the backoff schedule; survives `close_all`,
     /// so a reconnect after a region heal pays the topology's delay
     /// again rather than defaulting to zero. Only honored in test
     /// builds — release daemons ignore it entirely.
@@ -75,18 +71,7 @@ pub struct ConnCache {
 impl ConnCache {
     /// An empty cache using the given reconnect schedule.
     pub fn new(backoff: Backoff) -> ConnCache {
-        ConnCache {
-            conns: HashMap::new(),
-            backoff,
-            failure_streaks: HashMap::new(),
-            dial_delays: HashMap::new(),
-        }
-    }
-
-    /// How many consecutive dials to `addr` have exhausted their backoff
-    /// schedule without connecting. Zero after any successful dial.
-    pub fn failure_streak(&self, addr: SocketAddr) -> u32 {
-        self.failure_streaks.get(&addr).copied().unwrap_or(0)
+        ConnCache { conns: HashMap::new(), backoff, dial_delays: HashMap::new() }
     }
 
     /// Inject `delay` before every future dial of `addr` (test builds
@@ -113,8 +98,9 @@ impl ConnCache {
         Ok(self.conns.get_mut(&addr).expect("just inserted"))
     }
 
-    /// Dial `addr` under the backoff schedule, updating its streak.
-    fn dial(&mut self, addr: SocketAddr) -> io::Result<TcpStream> {
+    /// Dial `addr` under the backoff schedule (and its injected dial
+    /// delay). The stream is the caller's: it is not cached here.
+    pub fn dial(&mut self, addr: SocketAddr) -> io::Result<TcpStream> {
         #[cfg(any(test, debug_assertions))]
         if let Some(&delay) = self.dial_delays.get(&addr) {
             std::thread::sleep(delay);
@@ -125,13 +111,11 @@ impl ConnCache {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
                     stream.set_nodelay(true).ok();
-                    self.failure_streaks.remove(&addr);
                     return Ok(stream);
                 }
                 Err(e) => last_err = Some(e),
             }
         }
-        *self.failure_streaks.entry(addr).or_insert(0) += 1;
         Err(last_err.unwrap_or_else(|| {
             io::Error::new(io::ErrorKind::Other, "zero dial attempts configured")
         }))
@@ -141,8 +125,7 @@ impl ConnCache {
     /// after the peer closed often *succeeds* locally (the RST arrives
     /// later), silently losing the frame — so staleness is probed with
     /// a non-blocking `peek` (EOF ⇒ stale, `WouldBlock` ⇒ alive)
-    /// instead of being inferred from a write error. `peek` never
-    /// consumes, so a buffered RPC reply is left intact.
+    /// instead of being inferred from a write error.
     fn is_stale(stream: &TcpStream) -> bool {
         if stream.set_nonblocking(true).is_err() {
             return true;
@@ -194,42 +177,6 @@ impl ConnCache {
         }
     }
 
-    /// Take the cached stream for `addr` out of the cache, dialing if
-    /// needed. The caller owns it until [`ConnCache::checkin`] — used
-    /// by the daemon's event loop to read an RPC reply while the cache
-    /// itself stays borrowable for concurrent sends to other peers.
-    pub fn checkout(&mut self, addr: SocketAddr) -> io::Result<TcpStream> {
-        if let Some(stream) = self.conns.get_mut(&addr) {
-            if Self::is_stale(stream) {
-                self.conns.remove(&addr);
-            }
-        }
-        if let Some(stream) = self.conns.remove(&addr) {
-            return Ok(stream);
-        }
-        self.dial(addr)
-    }
-
-    /// Return a checked-out stream to the cache for reuse. If a send
-    /// during the checkout window already dialed a fresh stream to the
-    /// same peer, the fresh one is kept and the returned one closed —
-    /// every frame is self-contained, so either connection serves.
-    pub fn checkin(&mut self, addr: SocketAddr, stream: TcpStream) {
-        if self.conns.contains_key(&addr) {
-            stream.shutdown(std::net::Shutdown::Both).ok();
-        } else {
-            self.conns.insert(addr, stream);
-        }
-    }
-
-    /// Drop the cached stream for `addr` (after an error on a
-    /// checked-out stream, to force a redial next time).
-    pub fn invalidate(&mut self, addr: SocketAddr) {
-        if let Some(stream) = self.conns.remove(&addr) {
-            stream.shutdown(std::net::Shutdown::Both).ok();
-        }
-    }
-
     /// Drop every cached connection (half-close our side). Idempotent.
     pub fn close_all(&mut self) {
         for (_, stream) in self.conns.drain() {
@@ -275,9 +222,9 @@ mod tests {
         assert_eq!(b.delay_before(2), b.delay_before(7));
     }
 
-    /// A dial delay set for a peer survives invalidation and close_all:
-    /// a reconnect after a region heal must pay the topology's delay
-    /// again, not default back to zero.
+    /// A dial delay set for a peer survives `close_all`: a reconnect
+    /// after a region heal must pay the topology's delay again, not
+    /// default back to zero.
     #[test]
     fn dial_delay_survives_invalidation_and_applies_on_redial() {
         use std::net::TcpListener;
@@ -318,9 +265,8 @@ mod tests {
         cache.send(addr, b"second").expect("send over cached stream");
         assert!(t1.elapsed() < delay, "cached sends skip the dial delay");
 
-        // Invalidate (region cut tearing connections down) — the delay
+        // Teardown (region cut tearing connections down) — the delay
         // table is untouched and the redial pays again.
-        cache.invalidate(addr);
         cache.close_all();
         assert_eq!(cache.dial_delay(addr), delay, "delay survives teardown");
 
@@ -336,45 +282,5 @@ mod tests {
         assert_eq!(frames[0].as_deref(), Some(&b"first"[..]));
         assert_eq!(frames[1].as_deref(), Some(&b"second"[..]));
         assert_eq!(frames[2].as_deref(), Some(&b"third"[..]));
-    }
-
-    /// A peer that comes back (same address, new process — the restart
-    /// path) must clear its dial-failure streak, or health heuristics
-    /// built on the streak would keep treating the reborn peer as dead.
-    #[test]
-    fn failure_streak_resets_after_successful_reconnect() {
-        use std::net::TcpListener;
-
-        // Reserve a loopback port, then free it so dials fail.
-        let addr = match TcpListener::bind("127.0.0.1:0") {
-            Ok(l) => l.local_addr().unwrap(),
-            Err(_) => {
-                eprintln!("skipping: loopback sockets unavailable here");
-                return;
-            }
-        };
-
-        let mut cache = ConnCache::new(Backoff {
-            base: Duration::from_millis(1),
-            factor: 1,
-            max_attempts: 2,
-        });
-        assert_eq!(cache.failure_streak(addr), 0);
-        assert!(cache.send(addr, b"down").is_err());
-        // send() dials twice (initial + the redial-once path).
-        let streak = cache.failure_streak(addr);
-        assert!(streak > 0, "failed dials must be counted");
-        assert!(cache.send(addr, b"still down").is_err());
-        assert!(cache.failure_streak(addr) > streak, "streak must grow while down");
-
-        // The peer returns on the same address.
-        let listener = TcpListener::bind(addr).expect("rebind reserved port");
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().expect("accept");
-            crate::frame::read_frame(&mut s).expect("read frame")
-        });
-        cache.send(addr, b"hello again").expect("peer is back");
-        assert_eq!(cache.failure_streak(addr), 0, "success clears the streak");
-        assert_eq!(server.join().unwrap().as_deref(), Some(&b"hello again"[..]));
     }
 }

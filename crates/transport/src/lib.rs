@@ -18,7 +18,8 @@
 //! * [`conn`] — [`conn::ConnCache`], a per-peer cache of outbound
 //!   connections with reconnect + exponential backoff
 //!   ([`conn::Backoff`], the same `timeout · factor^(attempt−1)` shape
-//!   as `peertrack::RetryConfig`), plus blocking request/response.
+//!   as `peertrack::RetryConfig`), plus blocking request/response and
+//!   the dialer for connections a caller drives itself.
 //! * [`nio`] — nonblocking building blocks ([`nio::NbListener`],
 //!   [`nio::NbConn`], [`nio::FrameAccum`]) for the daemon's
 //!   readiness-driven event loop: many frames in flight per

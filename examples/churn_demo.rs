@@ -4,9 +4,7 @@
 //! * `Lp` grows with the network (Scheme 2) and the splitting process
 //!   migrates index shards to the new prefix level;
 //! * Chord key-range handoff keeps every object locatable across
-//!   joins/leaves;
-//! * the epidemic size estimator (§IV-A.1, ref \[14\]) tracks the true
-//!   network size well enough to drive `Lp`.
+//!   joins/leaves.
 //!
 //! Run with:
 //! ```text
@@ -14,9 +12,7 @@
 //! ```
 
 use moods::{ObjectId, SiteId};
-use peertrack::estimator::{estimate_count, recommended_rounds};
-use peertrack::{Builder, PrefixScheme};
-use detrand::{rngs::StdRng, SeedableRng};
+use peertrack::Builder;
 use simnet::time::secs;
 use simnet::MsgClass;
 
@@ -68,22 +64,6 @@ fn main() {
         assert_eq!(loc, Some(SiteId((i % 12) as u32)), "object lost in contraction");
     }
     println!("index survived the contraction too");
-
-    // The size estimator: what a node would compute without global
-    // knowledge, and the Lp it would derive.
-    let nn = net.live_sites();
-    let mut rng = StdRng::seed_from_u64(5);
-    let est = estimate_count(nn, recommended_rounds(nn), &mut rng);
-    let lp_est = PrefixScheme::Scheme2.lp(est.median().round() as usize);
-    println!(
-        "epidemic estimate of Nn: {:.1} (truth {}), {} gossip messages, derived Lp = {} (actual {})",
-        est.median(),
-        nn,
-        est.messages,
-        lp_est,
-        net.current_lp(),
-    );
-    assert_eq!(lp_est, net.current_lp(), "estimated Lp must agree with the truth");
 
     // The whole session's traffic, class by class: indexing, IOP link
     // updates, split/merge migration and handoff all itemized through

@@ -248,6 +248,20 @@ if grep -n -i -w 'ported\|mirrors' crates/daemon/src/node.rs; then
 fi
 echo "OK: daemon/src/node.rs carries no ported copy of the write plane."
 
+# One pump, no re-entrancy: a query parks on its read log, so nothing in
+# the engine waits inside a frame handler. The nested pump, its deferral
+# rule, the polled blocking read and the stream checkout they needed
+# must not grow back, and `run` stays the pump's only caller.
+if grep -rnE 'Mode::Nested|Deferred|busy_conn|pumped_read_frame|set_read_timeout' crates/daemon/src \
+    || grep -rnE 'fn (checkout|checkin)' crates/transport/src; then
+    echo "the blocking read path is back in the daemon" >&2
+    exit 1
+fi
+pump_calls=$(grep -rn -F 'self.pump(' crates/daemon/src | wc -l)
+[[ "$pump_calls" -eq 1 ]] \
+    || { echo "Engine::pump has $pump_calls call sites, expected 1 (run)" >&2; exit 1; }
+echo "OK: one pump, one call site, no blocking read path."
+
 # Nothing under crates/ lives for a demo alone: every crate is a
 # dependency of another crate, the integration tests or the benchmark,
 # or ships binaries of its own. examples/Cargo.toml does not count.

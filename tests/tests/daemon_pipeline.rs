@@ -1,13 +1,14 @@
 //! The daemon's event-loop core under adversarial client behaviour.
 //!
-//! Four claims about the readiness-driven engine (`daemon::node`):
+//! Five claims about the readiness-driven engine (`daemon::node`):
 //!
 //! 1. **Pipelining parity** — N request frames written back-to-back
 //!    before reading anything yield exactly the N responses, in order,
 //!    that request-at-a-time clients get — byte-identical — and the
 //!    locate answers match the simulator-fed ground truth. This is the
-//!    per-connection ordering invariant (`busy_conn` + staged
-//!    responses) that makes open-loop clients sound.
+//!    per-connection ordering invariant (a querying connection's inbox
+//!    is suspended + staged responses) that makes open-loop clients
+//!    sound.
 //! 2. **Slow-loris isolation** — a client trickling one byte at a time
 //!    (and one stalled mid-frame indefinitely) must not block other
 //!    connections or corrupt frame decoding; every split offset of a
@@ -20,14 +21,24 @@
 //!    client are on disk: kill the node with `Frame::Crash` (the
 //!    kill -9 model — no flush, no snapshot) right after the last ack
 //!    and the restarted node's canonical state is byte-identical.
+//! 5. **Queries in flight** — a query waiting on a peer is a table
+//!    entry, not a held engine: a peer that never answers stalls that
+//!    one query while every other connection is served, its death
+//!    completes the query as *incomplete*, stopping the node answers
+//!    what is in flight instead of waiting, and origins querying each
+//!    other — or one trace making hundreds of remote reads — stay
+//!    oracle-exact.
 
-use daemon::{Frame, LoopbackCluster};
+use daemon::node::chord_id_for;
+use daemon::{Frame, LoopbackCluster, Node, NodeConfig};
 use durable::FsyncMode;
+use ids::Prefix;
 use integration_tests::triple_from_events;
-use moods::SiteId;
+use moods::{Locate, MovementLog, ObjectId, SiteId, Trace};
 use peertrack::config::GroupConfig;
 use peertrack::Builder;
 use simnet::time::secs;
+use simnet::SimTime;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -95,7 +106,7 @@ fn pipelined_burst_matches_request_at_a_time_and_oracle() {
     cluster.run_schedule(&events).expect("schedule");
 
     // A mixed request plan against node 0: locates and traces
-    // (distributed queries — each takes the nested-RPC path while later
+    // (distributed queries — each parks on its remote reads while later
     // frames of this same connection wait their turn), interleaved with
     // local lookups (Resolve). Responses must be position-for-position
     // identical across client disciplines; queries log `Query` records
@@ -147,10 +158,7 @@ fn pipelined_burst_matches_request_at_a_time_and_oracle() {
         for serial in 0..VOL as u64 {
             let o = workload::epc_object(site, serial);
             for &p in &probes {
-                let truth = {
-                    use moods::Locate;
-                    t.oracle.locate(o, p)
-                };
+                let truth = t.oracle.locate(o, p);
                 let resp = Frame::decode(&serial_responses[k]).expect("decode locate resp");
                 match resp {
                     Frame::LocateResp { answer, complete, .. } => {
@@ -422,4 +430,191 @@ fn pipelined_acked_captures_survive_crash_under_batch_fsync() {
 
     cluster.shutdown().expect("shutdown");
     std::fs::remove_dir_all(&root).ok();
+}
+
+// ----------------------------------------------------------------------
+// 5. Queries in flight
+// ----------------------------------------------------------------------
+
+/// How long a request that needs no silent peer may take to be answered.
+const PROMPT: Duration = Duration::from_secs(5);
+
+fn request(stream: &mut TcpStream, frame: &Frame) -> Frame {
+    write_frame(stream, &frame.encode()).expect("request write");
+    Frame::decode(&read_response(stream)).expect("response decode")
+}
+
+/// A node whose only peer accepts connections and never answers, with
+/// one `Locate` — of an object whose gateway that peer is — in flight.
+struct Stalled {
+    node: Node,
+    /// The connection the in-flight locate was asked on.
+    asker: TcpStream,
+    /// The silent peer: its listener and the read link the node dialed.
+    silent: (TcpListener, TcpStream),
+}
+
+fn stall_a_locate() -> Stalled {
+    const SEED: u64 = 29;
+    let node = Node::spawn(NodeConfig::loopback(SiteId(0), SEED, None)).expect("spawn");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("silent peer bind");
+    let mut asker = TcpStream::connect(node.addr()).expect("connect");
+    asker.set_read_timeout(Some(PROMPT)).expect("timeout");
+    let joined = Frame::PeerJoined {
+        site: SiteId(1),
+        addr: listener.local_addr().expect("addr").to_string(),
+    };
+    write_frame(&mut asker, &joined.encode()).expect("announce");
+    match request(&mut asker, &Frame::Status) {
+        Frame::StatusResp { members: 2, .. } => {}
+        other => panic!("silent peer not admitted: {other:?}"),
+    }
+
+    // From the ring, not by trial: a never-captured object whose gateway
+    // on the two-member ring is the silent peer.
+    let sim = Builder::new().sites(2).seed(SEED).build();
+    let object = (0..u64::MAX)
+        .map(|serial| workload::epc_object(0, serial))
+        .find(|o| {
+            let key = Prefix::of_id(&o.id(), sim.current_lp()).gateway_id();
+            let found = sim.ring().lookup(chord_id_for(SEED, SiteId(0)), key).expect("lookup");
+            sim.ring().app_index_of(&found.owner) == Some(1)
+        })
+        .expect("some object hashes to the peer");
+    write_frame(&mut asker, &Frame::Locate { object, t: secs(1) }.encode()).expect("locate");
+    let (link, _) = listener.accept().expect("the node dials its read link");
+    Stalled { node, asker, silent: (listener, link) }
+}
+
+/// Fails at the parent commit: there the second connection's `Locate`
+/// was deferred behind the first one's 10 s RPC deadline.
+#[test]
+fn silent_peer_stalls_one_query_and_nobody_else() {
+    require_sockets!();
+    let Stalled { node, mut asker, silent } = stall_a_locate();
+
+    let mut other = TcpStream::connect(node.addr()).expect("second connection");
+    other.set_read_timeout(Some(PROMPT)).expect("timeout");
+    let held = workload::epc_object(0, 1_000_000);
+    match request(&mut other, &Frame::Capture { at: secs(1), objects: vec![held] }) {
+        Frame::Ack => {}
+        other => panic!("expected Ack, got {other:?}"),
+    }
+    match request(&mut other, &Frame::Locate { object: held, t: secs(2) }) {
+        Frame::LocateResp { answer: Some(SiteId(0)), complete: true, .. } => {}
+        other => panic!("local locate behind a stalled query: {other:?}"),
+    }
+    match request(&mut other, &Frame::Status) {
+        Frame::StatusResp { .. } => {}
+        other => panic!("expected StatusResp, got {other:?}"),
+    }
+
+    // The peer dies: a transport failure is "incomplete", never "not in
+    // the system" with `complete = true`.
+    drop(silent);
+    match Frame::decode(&read_response(&mut asker)).expect("decode") {
+        Frame::LocateResp { answer: None, complete: false, .. } => {}
+        other => panic!("stalled locate after its peer died: {other:?}"),
+    }
+
+    assert!(matches!(request(&mut other, &Frame::Shutdown), Frame::Ack));
+    assert_eq!(node.join().unsupported, 0);
+}
+
+/// Stopping never waits for a peer: `Shutdown` answers the query in
+/// flight as incomplete, acks, and the engine exits.
+#[test]
+fn shutdown_answers_queries_in_flight_before_its_ack() {
+    require_sockets!();
+    let Stalled { node, mut asker, silent } = stall_a_locate();
+
+    let mut other = TcpStream::connect(node.addr()).expect("second connection");
+    other.set_read_timeout(Some(PROMPT)).expect("timeout");
+    assert!(matches!(request(&mut other, &Frame::Shutdown), Frame::Ack));
+    match Frame::decode(&read_response(&mut asker)).expect("decode") {
+        Frame::LocateResp { answer: None, complete: false, .. } => {}
+        other => panic!("in-flight locate at shutdown: {other:?}"),
+    }
+    assert_eq!(node.join().unsupported, 0);
+    drop(silent);
+}
+
+/// Two origins, each answering the other's reads while its own queries
+/// wait on the other: 2 × 200 concurrent locates, every one exact.
+#[test]
+fn two_origins_querying_each_other_stay_oracle_exact() {
+    require_sockets!();
+    const SITES: usize = 4;
+    const VOL: usize = 6;
+    const SEED: u64 = 33;
+
+    let events = PaperWorkload {
+        sites: SITES,
+        objects_per_site: VOL,
+        grouped_movement: true,
+        seed: SEED,
+        ..PaperWorkload::default()
+    }
+    .generate();
+    let t = triple_from_events(Builder::new().sites(SITES).seed(SEED).build(), &events);
+    let mut cluster = LoopbackCluster::start(SITES, SEED).expect("cluster start");
+    cluster.run_schedule(&events).expect("schedule");
+
+    let probes = [secs(0), secs(1_400), secs(4_200), secs(9_000)];
+    let plan: Vec<(ObjectId, SimTime, Option<SiteId>)> = (0..200usize)
+        .map(|k| {
+            let o = workload::epc_object((k % SITES) as u32, (k / SITES % VOL) as u64);
+            let p = probes[k / (SITES * VOL) % probes.len()];
+            (o, p, t.oracle.locate(o, p))
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for origin in 0..2 {
+            let (mut conn, plan) = (connect(&cluster, origin), &plan);
+            scope.spawn(move || {
+                for &(object, at, truth) in plan {
+                    match request(&mut conn, &Frame::Locate { object, t: at }) {
+                        Frame::LocateResp { answer, complete: true, .. } => {
+                            assert_eq!(answer, truth, "origin {origin}: {object:?} at {at}")
+                        }
+                        other => panic!("origin {origin}: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    for r in cluster.shutdown().expect("shutdown") {
+        assert_eq!(r.unsupported, 0, "site {}", r.site.0);
+    }
+}
+
+/// One query, two hundred remote reads: an object that alternated
+/// between two nodes 200 times, traced from a third.
+#[test]
+fn two_hundred_visit_trace_is_one_exact_query() {
+    require_sockets!();
+    const VISITS: u64 = 200;
+    let object = workload::epc_object(0, 7);
+    let events: Vec<workload::CaptureEvent> = (0..VISITS)
+        .map(|k| workload::CaptureEvent {
+            at: secs(10 * (k + 1)),
+            site: SiteId((k % 2) as u32),
+            objects: vec![object],
+        })
+        .collect();
+    let mut oracle = MovementLog::new();
+    for ev in &events {
+        oracle.record(object, ev.site, ev.at);
+    }
+    let mut cluster = LoopbackCluster::start(3, 37).expect("cluster start");
+    cluster.run_schedule(&events).expect("schedule");
+
+    let (path, _, complete) =
+        cluster.trace(SiteId(2), object, SimTime::ZERO, SimTime::INFINITY).expect("trace");
+    assert!(complete);
+    assert_eq!(path.len() as u64, VISITS);
+    assert_eq!(path, oracle.trace(object, SimTime::ZERO, SimTime::INFINITY));
+    for r in cluster.shutdown().expect("shutdown") {
+        assert_eq!(r.unsupported, 0, "site {}", r.site.0);
+    }
 }
