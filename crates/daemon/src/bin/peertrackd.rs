@@ -28,7 +28,7 @@ use simnet::SimTime;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use transport::{Backoff, ConnCache};
+use transport::{dial, request, Backoff};
 
 // The library forbids unsafe; the binary needs exactly one unsafe line
 // to register POSIX signal dispositions. The handler only stores to an
@@ -176,8 +176,8 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         while !STOP_REQUESTED.load(Ordering::SeqCst) {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
-        let mut conns = ConnCache::new(Backoff::fast());
-        let _ = conns.request(own_addr, &Frame::Shutdown.encode());
+        let _ = dial(own_addr, &Backoff::fast())
+            .and_then(|mut stream| request(&mut stream, &Frame::Shutdown.encode()));
     });
 
     let report = node.join(); // blocks until a Shutdown frame (or signal) arrives
@@ -256,8 +256,9 @@ fn ctl(args: &[String]) -> Result<ExitCode, String> {
         other => return Err(format!("unknown ctl command {other}")),
     };
 
-    let mut conns = ConnCache::new(Backoff::fast());
-    let raw = conns.request(addr, &frame.encode()).map_err(|e| format!("request: {e}"))?;
+    let raw = dial(addr, &Backoff::fast())
+        .and_then(|mut stream| request(&mut stream, &frame.encode()))
+        .map_err(|e| format!("request: {e}"))?;
     let reply = Frame::decode(&raw).map_err(|e| format!("reply: {e}"))?;
     match reply {
         Frame::Ack => println!("ok"),

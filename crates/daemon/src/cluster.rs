@@ -26,11 +26,12 @@ use moods::{ObjectId, Path, SiteId};
 use peertrack::config::GroupConfig;
 use peertrack::window::{WindowBuffer, WindowEvent};
 use simnet::SimTime;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use transport::{Backoff, ConnCache};
+use transport::Backoff;
 use workload::CaptureEvent;
 
 /// How long [`LoopbackCluster::quiesce`] and membership convergence may
@@ -86,7 +87,9 @@ impl ScheduleCursor {
 pub struct LoopbackCluster {
     nodes: Vec<Option<Node>>,
     addrs: Vec<SocketAddr>,
-    ctl: ConnCache,
+    /// One control connection per node address, dialed on first use and
+    /// dropped when the harness crashes or kills that node.
+    ctl: HashMap<SocketAddr, TcpStream>,
     mirrors: Vec<WindowBuffer>,
     /// Open-window deadline per site plus its arming sequence number
     /// (the simulator's timer-id order; ties fire in arming order).
@@ -152,8 +155,7 @@ impl LoopbackCluster {
     }
 
     /// Start `n` nodes federated over a WAN region `topology`
-    /// (DESIGN.md §17): every node derives its region from its site id,
-    /// outbound dials pay the topology's base latency (test builds),
+    /// (DESIGN.md §17): every node derives its region from its site id
     /// and the harness can sever/heal region pairs
     /// ([`LoopbackCluster::region_cut`] /
     /// [`LoopbackCluster::region_heal`]). `k` is the replication factor
@@ -218,7 +220,7 @@ impl LoopbackCluster {
         let mut cluster = LoopbackCluster {
             nodes: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
-            ctl: ConnCache::new(Backoff::default()),
+            ctl: HashMap::new(),
             mirrors: (0..n).map(|i| WindowBuffer::new(site_id(i), group.n_max)).collect(),
             deadlines: vec![None; n],
             next_arm: 0,
@@ -319,7 +321,11 @@ impl LoopbackCluster {
 
     fn ctl_request(&mut self, site: SiteId, frame: &Frame) -> io::Result<Frame> {
         let addr = self.addrs[site.0 as usize];
-        let raw = self.ctl.request(addr, &frame.encode())?;
+        let stream = match self.ctl.entry(addr) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(transport::dial(addr, &Backoff::default())?),
+        };
+        let raw = transport::request(stream, &frame.encode())?;
         Frame::decode(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
@@ -509,11 +515,13 @@ impl LoopbackCluster {
 
     /// Kill node `i` abruptly (no final snapshot, no WAL sync, volatile
     /// state abandoned) and collect the report of its dead life. The
-    /// slot stays empty until [`LoopbackCluster::restart`].
+    /// slot stays empty until [`LoopbackCluster::restart`]; the control
+    /// connection dies with the node and is forgotten.
     pub fn crash(&mut self, i: usize) -> io::Result<NodeReport> {
         let node = self.nodes[i].take().expect("crash of a live node");
         let reply = self.ctl_request(site_id(i), &Frame::Crash)?;
         expect_ack(reply)?;
+        self.ctl.remove(&self.addrs[i]);
         Ok(node.join())
     }
 
@@ -530,10 +538,7 @@ impl LoopbackCluster {
             self.fire_flush(i, t)?;
         }
         self.quiesce()?;
-        let node = self.nodes[i].take().expect("kill_forever of a live node");
-        let reply = self.ctl_request(site_id(i), &Frame::Crash)?;
-        expect_ack(reply)?;
-        let report = node.join();
+        let report = self.crash(i)?;
         self.dead_sent += report.sent;
         self.dead_received += report.received;
         let live: Vec<usize> =
@@ -623,7 +628,6 @@ impl LoopbackCluster {
             expect_ack(reply)?;
             reports.push(node.join());
         }
-        self.ctl.close_all();
         Ok(reports)
     }
 }

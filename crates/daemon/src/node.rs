@@ -31,7 +31,7 @@
 //! live execution (the engine drains the outbox onto TCP) and crash
 //! recovery (replay drops it — every peer already received those
 //! messages in the first life). [`Engine`] owns everything a replay
-//! must not touch: the listener, the connection cache, the wall-clock
+//! must not touch: the listener, the links to peers, the wall-clock
 //! latency recorder and the [`durable::DataDir`]. Its single write
 //! path is `log_apply`: append to the WAL, then apply — state is never
 //! mutated by an event the log does not hold.
@@ -58,16 +58,25 @@
 //! ring from the sorted member list, so owner, hops and path equal the
 //! simulator's single ring without asking a peer.
 //!
+//! **One link per peer.** Everything the engine sends a peer — protocol
+//! frames, the join fan-out, read requests — is queued on that peer's
+//! one nonblocking connection. Only read requests are answered, in
+//! arrival order, so replies match the link's waiters first-in
+//! first-out. A link is dialed with one bounded connect, no retry and
+//! no sleep: an unreachable peer costs the frame that wanted it (a
+//! protocol frame is counted `dropped_to_dead`, a read answers "no
+//! answer"), never the engine.
+//!
 //! **In-flight queries.** No handler waits: a `Locate`/`Trace` is a
 //! table entry holding its *read log* — `(site, request) → reply` — and
 //! the planner is run from the top against it, replaying logged reads
 //! and serving (and logging) local ones. The first remote read the log
-//! lacks is sent on that peer's nonblocking link and the query parks,
-//! its client connection's inbox suspended so responses keep request
-//! order. When the reply — or the link's death, or `RPC_DEADLINE` —
-//! arrives in the ordinary intake it is appended and the planner re-run;
-//! only the run that finishes touches the cache, the load tally, the WAL
-//! or the client.
+//! lacks is sent on that peer's link and the query parks, its client
+//! connection's inbox suspended so responses keep request order. When
+//! the reply — or the link's death, or `RPC_DEADLINE` — arrives in the
+//! ordinary intake it is appended and the planner re-run; only the run
+//! that finishes touches the cache, the load tally, the WAL or the
+//! client.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
 //! carries explicit virtual instants ([`Frame::Capture`]`.at`) and
@@ -90,13 +99,14 @@ use peertrack::store::{IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use transport::{Backoff, ConnCache, NbConn, NbListener};
+use transport::{Backoff, NbConn, NbListener};
 
 /// The ring identity of a site, matching the simulator's derivation
 /// (`peertrack::net::Builder`) so lookups hash identically.
@@ -157,13 +167,12 @@ pub struct NodeConfig {
     pub locate_cache: Option<usize>,
     /// WAN region topology (DESIGN.md §17). `None` (the default) is the
     /// flat pre-geo behaviour. With a topology, the node derives its
-    /// region from its site id, injects the topology's per-pair base
-    /// latency as a one-time dial delay on every outbound connection
-    /// (test builds; [`transport::ConnCache::set_dial_delay`]) and
-    /// honors [`Frame::RegionCut`]/[`Frame::RegionHeal`] by parking
-    /// protocol frames across severed pairs. Engine-side network-plane
-    /// state: never logged, never in the canonical state encoding.
-    /// Must agree across the cluster, like `seed`.
+    /// region from its site id and honors
+    /// [`Frame::RegionCut`]/[`Frame::RegionHeal`] by parking protocol
+    /// frames across severed pairs; that is all it is used for.
+    /// Engine-side network-plane state: never logged, never in the
+    /// canonical state encoding. Must agree across the cluster, like
+    /// `seed`.
     pub geo: Option<geo::Topology>,
 }
 
@@ -224,8 +233,9 @@ impl Node {
     /// Bind the listener, recover durable state (if a data dir is
     /// configured), join through the bootstrap peer (if any) and start
     /// the engine thread. Recovery failures — an unreadable data dir, a
-    /// corrupt snapshot — fail the spawn loudly rather than starting a
-    /// node with fabricated state.
+    /// corrupt snapshot — and a join the bootstrap does not answer with
+    /// the membership fail the spawn loudly rather than starting a node
+    /// with fabricated state.
     pub fn spawn(cfg: NodeConfig) -> io::Result<Node> {
         let listener = NbListener::bind(&cfg.listen)?;
         let addr = listener.local_addr();
@@ -730,6 +740,11 @@ pub const OUTBOX_LIMIT_BYTES: usize = 256 * 1024;
 /// nothing else waits on it.
 const RPC_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Bound on dialing a peer's link: one connect attempt, no retry. It
+/// is what a peer that neither accepts nor refuses costs the engine per
+/// frame; on loopback a closed port refuses at once.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Idle strategy: spin-yield this many empty wakeups, then sleep —
 /// unless a query is in flight, whose reply a sleep would delay.
 const IDLE_SPINS: u32 = 64;
@@ -801,10 +816,11 @@ struct LocateEffects {
     fill: Option<Link>,
 }
 
-/// The nonblocking connection this node's remote reads to one peer go
-/// out on. The serving engine answers a connection's frames in arrival
-/// order, so replies match `waiters` first-in first-out.
-struct ReadLink {
+/// The one nonblocking connection this node sends a peer everything
+/// on: protocol frames, the join fan-out and read requests. The serving
+/// engine answers only the read requests, in arrival order, so replies
+/// match `waiters` first-in first-out.
+struct PeerLink {
     conn: NbConn,
     /// Queries with a request outstanding here, oldest first, each with
     /// the instant it was sent.
@@ -838,11 +854,8 @@ struct Engine {
     /// reused, never compacted) because staged replies and in-flight
     /// queries refer to them.
     econns: Vec<Option<EConn>>,
-    /// Blocking outbound streams: protocol sends, the pre-loop join,
-    /// and the dialer (backoff, geo dial delay) of every read link.
-    conns: ConnCache,
-    /// Read links by peer listener address.
-    links: HashMap<SocketAddr, ReadLink>,
+    /// The one outbound link per peer, by peer listener address.
+    links: HashMap<SocketAddr, PeerLink>,
     /// Queries parked on a remote read, by id.
     queries: HashMap<u64, Query>,
     next_query: u64,
@@ -893,8 +906,8 @@ struct Engine {
 impl Engine {
     /// Build a node engine: recover state from the data dir (if any),
     /// correct the self-address on file, then join through the
-    /// bootstrap. Runs on the spawning thread so recovery errors fail
-    /// `Node::spawn` instead of killing a detached thread.
+    /// bootstrap. Runs on the spawning thread so recovery and join
+    /// errors fail `Node::spawn` instead of killing a detached thread.
     fn new(cfg: NodeConfig, addr: SocketAddr, listener: NbListener) -> io::Result<Engine> {
         if cfg.locate_cache == Some(0) {
             return Err(io::Error::new(
@@ -930,7 +943,6 @@ impl Engine {
             addr,
             listener,
             econns: Vec::new(),
-            conns: ConnCache::new(Backoff::default()),
             links: HashMap::new(),
             queries: HashMap::new(),
             next_query: 0,
@@ -957,7 +969,7 @@ impl Engine {
             engine.log_apply(WalRecord::Member { site: cfg.site, addr: addr.to_string() });
         }
         if let Some(bootstrap) = cfg.bootstrap {
-            engine.join_via(bootstrap);
+            engine.join_via(bootstrap)?;
         }
         // Make the pre-loop appends durable before serving traffic.
         engine.commit();
@@ -1009,25 +1021,44 @@ impl Engine {
         self.severed.contains(&pair).then_some(pair)
     }
 
-    /// Encode and socket-write one core-sequenced protocol message,
-    /// undoing its `sent` count on failure.
+    /// Queue one core-sequenced protocol message on its peer's link,
+    /// undoing its `sent` count if the peer cannot be reached.
     fn send_outbound(&mut self, out: Outbound) {
-        let Some(&peer) = self.core.members.get(&out.to) else {
-            self.core.sent -= 1;
-            self.core.anomalies.dropped_to_dead += 1;
-            return;
-        };
-        self.inject_dial_delay(out.to, peer);
         let frame = Frame::Protocol {
             sender: self.core.site,
             hops: out.hops,
             sent_us: wall_us(),
             wire: out.wire,
         };
-        if self.conns.send(peer, &frame.encode()).is_err() {
+        let peer = self.core.members.get(&out.to).copied();
+        if peer.and_then(|peer| self.send_to(peer, &frame.encode())).is_none() {
             self.core.sent -= 1;
             self.core.anomalies.dropped_to_dead += 1;
         }
+    }
+
+    /// Queue one frame on the link to `peer` and write what the kernel
+    /// takes now. The link is read once first — a peer that hung up
+    /// since its last use is noticed here, not after a lost frame — and
+    /// dialed if there is none: one connect under [`DIAL_TIMEOUT`], no
+    /// retry, no sleep. `None` = the peer cannot be reached.
+    fn send_to(&mut self, peer: SocketAddr, payload: &[u8]) -> Option<&mut PeerLink> {
+        self.service_link(peer);
+        let link = match self.links.entry(peer) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let stream = TcpStream::connect_timeout(&peer, DIAL_TIMEOUT).ok()?;
+                let conn = NbConn::new(stream, peer).ok()?;
+                e.insert(PeerLink { conn, waiters: VecDeque::new() })
+            }
+        };
+        link.conn.queue_frame(payload);
+        link.conn.try_flush();
+        if link.conn.is_dead() {
+            self.service_link(peer); // its waiters get "no answer"
+            return None;
+        }
+        self.links.get_mut(&peer)
     }
 
     /// Re-send every frame parked on the region pair `(a, b)`, in the
@@ -1052,19 +1083,6 @@ impl Engine {
         }
     }
 
-    /// Seed the connection cache with the topology's base latency for
-    /// `site` as a one-time dial delay (test builds honor it; release
-    /// builds carry the table but never sleep). Re-applied lazily on
-    /// every send so a peer's post-restart address inherits the delay.
-    fn inject_dial_delay(&mut self, site: SiteId, addr: SocketAddr) {
-        if let Some(topo) = &self.geo {
-            let us = topo.wire_us_sites(self.core.site.0 as usize, site.0 as usize, 0);
-            if us > 0 && self.conns.dial_delay(addr).is_zero() {
-                self.conns.set_dial_delay(addr, Duration::from_micros(us));
-            }
-        }
-    }
-
     fn install_snapshot(&mut self) {
         let body = self.core.snapshot_body();
         if let Some(d) = self.data.as_mut() {
@@ -1075,25 +1093,29 @@ impl Engine {
     }
 
     /// Join the cluster through an existing member. Blocking, and the
-    /// only request that is: it runs before the event loop starts.
-    fn join_via(&mut self, bootstrap: SocketAddr) {
+    /// only request that is: it runs before the event loop starts, and
+    /// its dial retries under the default backoff because daemons
+    /// started together may find the bootstrap not yet listening. Any
+    /// answer but the membership is an error: a node serving as a
+    /// one-member ring would answer "not found" for what its cluster
+    /// holds.
+    fn join_via(&mut self, bootstrap: SocketAddr) -> io::Result<()> {
         let req = Frame::JoinReq { site: self.core.site, addr: self.addr.to_string() };
-        match self.conns.request(bootstrap, &req.encode()).map_err(io::Error::other).and_then(
-            |raw| Frame::decode(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-        ) {
+        let mut stream = transport::dial(bootstrap, &Backoff::default())?;
+        let raw = transport::request(&mut stream, &req.encode())?;
+        match Frame::decode(&raw) {
             Ok(Frame::JoinResp { peers }) => {
                 for (site, addr) in peers {
                     if addr.parse::<SocketAddr>().is_ok() {
                         self.log_apply(WalRecord::Member { site, addr });
                     }
                 }
+                Ok(())
             }
-            _ => {
-                // Leave membership as-is; the bootstrap's PeerJoined
-                // broadcast (or a retried join by the operator) repairs
-                // it. Count the oddity so tests notice.
-                self.core.unsupported += 1;
-            }
+            reply => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("join through {bootstrap} answered {reply:?}"),
+            )),
         }
     }
 
@@ -1127,14 +1149,20 @@ impl Engine {
             // and empty.
             self.install_snapshot();
         }
-        // Drain pending responses — the final ack among them — with a
-        // deadline so a vanished client cannot wedge the exit.
+        // Drain pending responses — the final ack among them — and
+        // queued protocol frames, with a deadline so a vanished client
+        // or peer cannot wedge the exit.
         let deadline = Instant::now() + Duration::from_secs(2);
-        while self.econns.iter().flatten().any(|e| e.conn.queued_bytes() > 0)
-            && Instant::now() < deadline
-        {
+        loop {
+            let mut drained = true;
             for ec in self.econns.iter_mut().flatten() {
-                ec.conn.try_flush();
+                drained &= ec.conn.try_flush();
+            }
+            for link in self.links.values_mut() {
+                drained &= link.conn.try_flush();
+            }
+            if drained || Instant::now() >= deadline {
+                break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1144,7 +1172,6 @@ impl Engine {
         for link in self.links.values_mut() {
             link.conn.close();
         }
-        self.conns.close_all();
         NodeReport {
             site: self.core.site,
             metrics: self.core.metrics,
@@ -1202,7 +1229,11 @@ impl Engine {
                 }
             }
         }
-        let peers: Vec<SocketAddr> = self.links.keys().copied().collect();
+        // Only a link somebody waits on can have a reply due. The rest
+        // carry fire-and-forget frames and are read before their next
+        // send ([`Engine::send_to`]), not on every wakeup.
+        let peers: Vec<SocketAddr> =
+            self.links.iter().filter(|(_, l)| !l.waiters.is_empty()).map(|(&a, _)| a).collect();
         for peer in peers {
             activity |= self.service_link(peer);
         }
@@ -1214,7 +1245,7 @@ impl Engine {
     /// something no waiter can use, or has left its oldest waiter
     /// unanswered past [`RPC_DEADLINE`] — every remaining waiter gets
     /// "no answer" and the link is dropped, to be redialed by the next
-    /// read. Returns `true` if any query was answered.
+    /// frame sent to `peer`. Returns `true` if any query was answered.
     fn service_link(&mut self, peer: SocketAddr) -> bool {
         let Some(link) = self.links.get_mut(&peer) else { return false };
         link.conn.read_ready();
@@ -1482,7 +1513,7 @@ impl Engine {
             .collect();
         let news = Frame::PeerJoined { site, addr: addr.to_string() }.encode();
         for peer in others {
-            let _ = self.conns.send(peer, &news);
+            self.send_to(peer, &news);
         }
         Frame::JoinResp {
             peers: self.core.members.iter().map(|(s, a)| (*s, a.to_string())).collect(),
@@ -1541,24 +1572,11 @@ impl Engine {
         }
     }
 
-    /// Queue one read request on the link to its site, dialing the link
-    /// through the connection cache (backoff schedule, geo dial delay)
-    /// if there is none. `false` = the site cannot be reached.
+    /// Queue one read request on the link to its site, with query `id`
+    /// as its waiter. `false` = the site cannot be reached.
     fn send_read(&mut self, id: u64, (site, request): &ReadKey) -> bool {
         let Some(&peer) = self.core.members.get(site) else { return false };
-        // Read the link before reusing it: a peer that hung up since
-        // the last read is noticed here, not after a lost request.
-        self.service_link(peer);
-        if !self.links.contains_key(&peer) {
-            self.inject_dial_delay(*site, peer);
-            let Ok(conn) = self.conns.dial(peer).and_then(|s| NbConn::new(s, peer)) else {
-                return false;
-            };
-            self.links.insert(peer, ReadLink { conn, waiters: VecDeque::new() });
-        }
-        let link = self.links.get_mut(&peer).expect("dialed above");
-        link.conn.queue_frame(request);
-        link.conn.try_flush();
+        let Some(link) = self.send_to(peer, request) else { return false };
         link.waiters.push_back((id, Instant::now()));
         true
     }

@@ -11,7 +11,7 @@ use daemon::proto::Frame;
 use daemon::{LoopbackCluster, Node, NodeConfig};
 use moods::SiteId;
 use simnet::SimTime;
-use transport::{Backoff, ConnCache};
+use transport::{dial, request, Backoff};
 use workload::{epc_object, CaptureEvent};
 
 fn can_bind() -> bool {
@@ -44,13 +44,14 @@ fn three_nodes_converge_and_agree_on_the_ring() {
     // Every node must converge to 3 members, including the bootstrap
     // (which learns of 1 and 2 only through their join requests) and
     // node 1 (which learns of 2 only through the PeerJoined broadcast).
-    let mut ctl = ConnCache::new(Backoff::default());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let nodes = [&n0, &n1, &n2];
+    let mut ctl: Vec<_> =
+        nodes.iter().map(|n| dial(n.addr(), &Backoff::default()).expect("dial")).collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
         let mut members = [0u32; 3];
-        for (i, n) in nodes.iter().enumerate() {
-            let raw = ctl.request(n.addr(), &Frame::Status.encode()).expect("status");
+        for (i, stream) in ctl.iter_mut().enumerate() {
+            let raw = request(stream, &Frame::Status.encode()).expect("status");
             match Frame::decode(&raw).expect("status decode") {
                 Frame::StatusResp { members: m, .. } => members[i] = m,
                 other => panic!("unexpected status reply {other:?}"),
@@ -68,13 +69,28 @@ fn three_nodes_converge_and_agree_on_the_ring() {
         assert_eq!(chord_id_for(seed, n.site()), chord_id_for(seed, SiteId(i as u32)));
     }
 
-    for n in [n0, n1, n2] {
-        let addr = n.addr();
-        let raw = ctl.request(addr, &Frame::Shutdown.encode()).expect("shutdown rpc");
+    for (n, stream) in [n0, n1, n2].into_iter().zip(&mut ctl) {
+        let raw = request(stream, &Frame::Shutdown.encode()).expect("shutdown rpc");
         assert!(matches!(Frame::decode(&raw), Ok(Frame::Ack)));
         let report = n.join();
         assert_eq!(report.unsupported, 0, "site {} hit an unsupported path", report.site.0);
     }
+}
+
+/// A join the bootstrap does not answer fails the spawn: a node that
+/// served as a one-member ring would answer "not found" for objects its
+/// cluster holds.
+#[test]
+fn join_through_a_peer_that_hangs_up_fails_the_spawn() {
+    require_sockets!();
+    let bootstrap = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = bootstrap.local_addr().expect("addr");
+    let hangup = std::thread::spawn(move || drop(bootstrap.accept().expect("accept")));
+    let started = std::time::Instant::now();
+    let spawned = Node::spawn(NodeConfig::loopback(SiteId(1), 7, Some(addr)));
+    assert!(spawned.is_err(), "a node started on an unanswered join");
+    assert!(started.elapsed() < std::time::Duration::from_secs(2), "the failure is prompt");
+    hangup.join().unwrap();
 }
 
 #[test]

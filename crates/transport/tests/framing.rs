@@ -1,14 +1,14 @@
 //! Satellite: transport framing over *real* sockets — round-trips,
 //! split reads/writes at every byte boundary, mid-frame connection
-//! drops, and the connection cache's request/reply and redial paths.
+//! drops, and request/reply order on one connection.
 //!
 //! These tests bind ephemeral loopback listeners; in sandboxes that
 //! forbid binding they are skipped (same probe the verify.sh smoke
 //! gate uses).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use transport::{read_frame, write_frame, Backoff, ConnCache};
+use transport::{read_frame, request, write_frame};
 
 /// `true` when the sandbox lets us bind a loopback socket.
 fn can_bind() -> bool {
@@ -109,36 +109,10 @@ fn replies_flow_back_fifo_per_connection() {
         assert_eq!(read_frame(&mut s).expect("read").as_deref(), Some(&b"ping-2"[..]));
     });
 
-    let mut cache = ConnCache::new(Backoff::fast());
-    cache.send(addr, b"ping-1").expect("send");
-    // request() reuses the cached stream, so what it reads back after
-    // its own send is the reply to ping-1: FIFO per connection.
-    assert_eq!(cache.request(addr, b"ping-2").expect("request"), b"pong-1");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, b"ping-1").expect("send");
+    // What request() reads back after its own send is the reply to
+    // ping-1: FIFO per connection.
+    assert_eq!(request(&mut stream, b"ping-2").expect("request"), b"pong-1");
     peer.join().unwrap();
-}
-
-#[test]
-fn conncache_reconnects_after_peer_restart() {
-    require_sockets!();
-    let first = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = first.local_addr().expect("addr");
-    let first_life = std::thread::spawn(move || {
-        let (mut s, _) = first.accept().expect("accept");
-        read_frame(&mut s).expect("read")
-        // Listener and connection both close here: the peer is gone.
-    });
-
-    let mut cache = ConnCache::new(Backoff::fast());
-    cache.send(addr, b"before restart").expect("send");
-    assert_eq!(first_life.join().unwrap().as_deref(), Some(&b"before restart"[..]));
-
-    // Rebind the same port (free now) and send again: the cache must
-    // notice the stale stream and redial under backoff.
-    let second = TcpListener::bind(addr).expect("rebind same port");
-    let second_life = std::thread::spawn(move || {
-        let (mut s, _) = second.accept().expect("accept redial");
-        read_frame(&mut s).expect("read")
-    });
-    cache.send(addr, b"after restart").expect("send after restart");
-    assert_eq!(second_life.join().unwrap().as_deref(), Some(&b"after restart"[..]));
 }

@@ -262,6 +262,22 @@ pump_calls=$(grep -rn -F 'self.pump(' crates/daemon/src | wc -l)
     || { echo "Engine::pump has $pump_calls call sites, expected 1 (run)" >&2; exit 1; }
 echo "OK: one pump, one call site, no blocking read path."
 
+# One link per peer, no sleeping dial: every frame the engine sends a
+# peer rides that peer's nonblocking link, dialed once with no retry.
+# The blocking stream cache, its staleness peek and the test-build dial
+# delay must not grow back, and the engine sleeps only in `run` (the
+# idle slice and the exit drain).
+if grep -rnE 'ConnCache|dial_delay|is_stale' crates --include='*.rs'; then
+    echo "the blocking outbound stream cache is back under crates/" >&2
+    exit 1
+fi
+node_sleeps=$(grep -c 'thread::sleep' crates/daemon/src/node.rs)
+run_sleeps=$(awk '/^    fn run\(/{on=1} on{print} on&&/^    }$/{on=0}' crates/daemon/src/node.rs \
+    | grep -c 'thread::sleep')
+[[ "$node_sleeps" -eq 2 && "$run_sleeps" -eq 2 ]] \
+    || { echo "node.rs sleeps $node_sleeps times, $run_sleeps in Engine::run; expected 2 and 2" >&2; exit 1; }
+echo "OK: one link per peer, no connection cache, the engine sleeps only in run."
+
 # Nothing under crates/ lives for a demo alone: every crate is a
 # dependency of another crate, the integration tests or the benchmark,
 # or ships binaries of its own. examples/Cargo.toml does not count.

@@ -21,13 +21,15 @@
 //!    client are on disk: kill the node with `Frame::Crash` (the
 //!    kill -9 model — no flush, no snapshot) right after the last ack
 //!    and the restarted node's canonical state is byte-identical.
-//! 5. **Queries in flight** — a query waiting on a peer is a table
-//!    entry, not a held engine: a peer that never answers stalls that
-//!    one query while every other connection is served, its death
-//!    completes the query as *incomplete*, stopping the node answers
-//!    what is in flight instead of waiting, and origins querying each
-//!    other — or one trace making hundreds of remote reads — stay
-//!    oracle-exact.
+//! 5. **Peers** — a query waiting on a peer is a table entry, not a
+//!    held engine: a peer that never answers stalls that one query
+//!    while every other connection is served, its death completes the
+//!    query as *incomplete*, stopping the node answers what is in
+//!    flight instead of waiting, a member whose port is closed costs
+//!    only the frames meant for it, everything sent to one peer rides
+//!    one connection (redialed when the peer restarts), and origins
+//!    querying each other — or one trace making hundreds of remote
+//!    reads — stay oracle-exact.
 
 use daemon::node::chord_id_for;
 use daemon::{Frame, LoopbackCluster, Node, NodeConfig};
@@ -36,13 +38,15 @@ use ids::Prefix;
 use integration_tests::triple_from_events;
 use moods::{Locate, MovementLog, ObjectId, SiteId, Trace};
 use peertrack::config::GroupConfig;
+use peertrack::messages::Msg;
+use peertrack::store::Link;
 use peertrack::Builder;
 use simnet::time::secs;
 use simnet::SimTime;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use transport::frame::{read_frame, write_frame};
 use workload::paper::PaperWorkload;
 
@@ -433,7 +437,7 @@ fn pipelined_acked_captures_survive_crash_under_batch_fsync() {
 }
 
 // ----------------------------------------------------------------------
-// 5. Queries in flight
+// 5. Peers: queries in flight, dead members, one link per peer
 // ----------------------------------------------------------------------
 
 /// How long a request that needs no silent peer may take to be answered.
@@ -444,45 +448,49 @@ fn request(stream: &mut TcpStream, frame: &Frame) -> Frame {
     Frame::decode(&read_response(stream)).expect("response decode")
 }
 
+/// Node 0 of a two-member cluster whose site 1 is announced at `peer`
+/// (whatever listens there, if anything), and a connection to it.
+fn node_with_peer_at(seed: u64, peer: SocketAddr) -> (Node, TcpStream) {
+    let node = Node::spawn(NodeConfig::loopback(SiteId(0), seed, None)).expect("spawn");
+    let mut conn = TcpStream::connect(node.addr()).expect("connect");
+    conn.set_read_timeout(Some(PROMPT)).expect("timeout");
+    let joined = Frame::PeerJoined { site: SiteId(1), addr: peer.to_string() };
+    write_frame(&mut conn, &joined.encode()).expect("announce");
+    match request(&mut conn, &Frame::Status) {
+        Frame::StatusResp { members: 2, .. } => {}
+        other => panic!("peer not admitted: {other:?}"),
+    }
+    (node, conn)
+}
+
+/// Never-captured objects whose gateway on that two-member ring is site
+/// 1 — from the ring, not by trial.
+fn gatewayed_at_site_1(seed: u64) -> impl Iterator<Item = ObjectId> {
+    let sim = Builder::new().sites(2).seed(seed).build();
+    (0..u64::MAX).map(|serial| workload::epc_object(0, serial)).filter(move |o| {
+        let key = Prefix::of_id(&o.id(), sim.current_lp()).gateway_id();
+        let found = sim.ring().lookup(chord_id_for(seed, SiteId(0)), key).expect("lookup");
+        sim.ring().app_index_of(&found.owner) == Some(1)
+    })
+}
+
 /// A node whose only peer accepts connections and never answers, with
 /// one `Locate` — of an object whose gateway that peer is — in flight.
 struct Stalled {
     node: Node,
     /// The connection the in-flight locate was asked on.
     asker: TcpStream,
-    /// The silent peer: its listener and the read link the node dialed.
+    /// The silent peer: its listener and the link the node dialed.
     silent: (TcpListener, TcpStream),
 }
 
 fn stall_a_locate() -> Stalled {
     const SEED: u64 = 29;
-    let node = Node::spawn(NodeConfig::loopback(SiteId(0), SEED, None)).expect("spawn");
     let listener = TcpListener::bind("127.0.0.1:0").expect("silent peer bind");
-    let mut asker = TcpStream::connect(node.addr()).expect("connect");
-    asker.set_read_timeout(Some(PROMPT)).expect("timeout");
-    let joined = Frame::PeerJoined {
-        site: SiteId(1),
-        addr: listener.local_addr().expect("addr").to_string(),
-    };
-    write_frame(&mut asker, &joined.encode()).expect("announce");
-    match request(&mut asker, &Frame::Status) {
-        Frame::StatusResp { members: 2, .. } => {}
-        other => panic!("silent peer not admitted: {other:?}"),
-    }
-
-    // From the ring, not by trial: a never-captured object whose gateway
-    // on the two-member ring is the silent peer.
-    let sim = Builder::new().sites(2).seed(SEED).build();
-    let object = (0..u64::MAX)
-        .map(|serial| workload::epc_object(0, serial))
-        .find(|o| {
-            let key = Prefix::of_id(&o.id(), sim.current_lp()).gateway_id();
-            let found = sim.ring().lookup(chord_id_for(SEED, SiteId(0)), key).expect("lookup");
-            sim.ring().app_index_of(&found.owner) == Some(1)
-        })
-        .expect("some object hashes to the peer");
+    let (node, mut asker) = node_with_peer_at(SEED, listener.local_addr().expect("addr"));
+    let object = gatewayed_at_site_1(SEED).next().expect("some object hashes to the peer");
     write_frame(&mut asker, &Frame::Locate { object, t: secs(1) }.encode()).expect("locate");
-    let (link, _) = listener.accept().expect("the node dials its read link");
+    let (link, _) = listener.accept().expect("the node dials its link");
     Stalled { node, asker, silent: (listener, link) }
 }
 
@@ -537,6 +545,99 @@ fn shutdown_answers_queries_in_flight_before_its_ack() {
     }
     assert_eq!(node.join().unsupported, 0);
     drop(silent);
+}
+
+/// A member whose port is closed costs the engine nothing: the flush
+/// that routes a `GroupIndex` to it and a locate that needs it as
+/// gateway each fail at one refused dial, and every other connection
+/// is served meanwhile. Fails at the parent commit, where the flush held
+/// the engine 12.4 s and the locate 6.2 s in blocking backoff dials.
+#[test]
+fn dead_member_costs_the_engine_nothing() {
+    require_sockets!();
+    const SEED: u64 = 31;
+    let closed = TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
+    let (node, mut asker) = node_with_peer_at(SEED, closed);
+    let mut objects = gatewayed_at_site_1(SEED);
+    let (indexed, unseen) = (objects.next().expect("object"), objects.next().expect("object"));
+
+    let capture = Frame::Capture { at: secs(1), objects: vec![indexed] };
+    assert!(matches!(request(&mut asker, &capture), Frame::Ack));
+    let mut other = TcpStream::connect(node.addr()).expect("second connection");
+    other.set_read_timeout(Some(PROMPT)).expect("timeout");
+    let started = Instant::now();
+    write_frame(&mut asker, &Frame::Flush { now: secs(2) }.encode()).expect("flush");
+    // Let the engine take the flush before the status arrives.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(matches!(request(&mut other, &Frame::Status), Frame::StatusResp { .. }));
+    assert!(started.elapsed() < Duration::from_secs(1), "status waited {:?}", started.elapsed());
+    assert!(matches!(Frame::decode(&read_response(&mut asker)), Ok(Frame::Ack)));
+
+    // The captured object is answered from the origin's own repository;
+    // one it never saw needs the dead gateway, and is incomplete.
+    let started = Instant::now();
+    match request(&mut other, &Frame::Locate { object: unseen, t: secs(3) }) {
+        Frame::LocateResp { answer: None, complete: false, .. } => {}
+        other => panic!("locate through a dead gateway: {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(1), "locate took {:?}", started.elapsed());
+
+    assert!(matches!(request(&mut other, &Frame::Shutdown), Frame::Ack));
+    let report = node.join();
+    assert_eq!(report.anomalies.dropped_to_dead, 1, "the GroupIndex, and nothing else");
+    assert_eq!(report.unsupported, 0);
+}
+
+/// Everything the node sends a peer rides one connection: a flush's
+/// `GroupIndex` and then a locate's `GatewayProbe` arrive on the one
+/// stream the peer accepted, and after the peer restarts at the same
+/// address the node redials it for both. Fails at the parent commit,
+/// where protocol frames and reads took two connections.
+#[test]
+fn one_link_per_peer_redialed_at_the_same_address() {
+    require_sockets!();
+    const SEED: u64 = 29;
+    let mut listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (node, mut conn) = node_with_peer_at(SEED, addr);
+    let mut objects = gatewayed_at_site_1(SEED);
+    for life in 1..=2u64 {
+        let (indexed, asked) = (objects.next().expect("object"), objects.next().expect("object"));
+        let at = secs(10 * life);
+        for req in [Frame::Capture { at, objects: vec![indexed] }, Frame::Flush { now: at }] {
+            assert!(matches!(request(&mut conn, &req), Frame::Ack), "life {life}");
+        }
+        let (mut link, _) = listener.accept().expect("the node dials site 1");
+        link.set_read_timeout(Some(PROMPT)).expect("timeout");
+        match Frame::decode(&read_response(&mut link)) {
+            Ok(Frame::Protocol { wire, .. }) if matches!(wire.msg, Msg::GroupIndex { .. }) => {}
+            other => panic!("life {life}: expected the GroupIndex, got {other:?}"),
+        }
+
+        write_frame(&mut conn, &Frame::Locate { object: asked, t: at }.encode()).expect("locate");
+        match Frame::decode(&read_response(&mut link)) {
+            Ok(Frame::GatewayProbe { object }) if object == asked => {}
+            other => panic!("life {life}: expected the GatewayProbe, got {other:?}"),
+        }
+        let latest = Link { site: SiteId(0), time: at };
+        write_frame(&mut link, &Frame::LinkResp(Some(latest)).encode()).expect("answer");
+        match Frame::decode(&read_response(&mut conn)) {
+            Ok(Frame::LocateResp { answer: Some(SiteId(0)), complete: true, .. }) => {}
+            other => panic!("life {life}: locate answered {other:?}"),
+        }
+
+        listener.set_nonblocking(true).expect("nonblocking");
+        let second = listener.accept().map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(second, Err(std::io::ErrorKind::WouldBlock), "life {life}: a second connection");
+        // The peer restarts at the same address.
+        drop((link, listener));
+        listener = TcpListener::bind(addr).expect("rebind the same address");
+    }
+
+    assert!(matches!(request(&mut conn, &Frame::Shutdown), Frame::Ack));
+    let report = node.join();
+    assert_eq!(report.anomalies.dropped_to_dead, 0);
+    assert_eq!(report.unsupported, 0);
 }
 
 /// Two origins, each answering the other's reads while its own queries
