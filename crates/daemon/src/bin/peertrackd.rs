@@ -77,7 +77,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn print_usage() {
     println!(
         "usage:\n  peertrackd --site N --seed S --listen ADDR [--bootstrap ADDR]\n           \
-         [--data-dir DIR] [--fsync always|batch|never] [--snapshot-every N]\n           \
+         [--data-dir DIR] [--fsync batch|never] [--snapshot-every N]\n           \
          [--replicas K] [--locate-cache N]\n  \
          peertrackd ctl ADDR (status | capture AT_US OBJ... | flush NOW_US | \
          locate OBJ T_US | trace OBJ T0_US T1_US | load | dead SITE | shutdown | crash)\n  \

@@ -1,5 +1,7 @@
 //! In-process loopback cluster: N daemon nodes on ephemeral 127.0.0.1
-//! ports, driven through the same schedule the simulator runs.
+//! ports, driven through the same schedule the simulator runs. Nodes
+//! join one at a time through site 0 — at start, or later into a
+//! cluster that already holds data ([`LoopbackCluster::join`]).
 //!
 //! The harness is the cluster's *virtual-time conductor*. Off-sim there
 //! is no global clock and no timer wheel, so the harness carries both:
@@ -119,9 +121,8 @@ impl LoopbackCluster {
     }
 
     /// Start `n` nodes with an explicit group config. Site 0 bootstraps;
-    /// the rest join through it one at a time, and the call returns only
-    /// once every node reports full membership (so every ring replica is
-    /// identical before any traffic flows).
+    /// the rest join through it one at a time ([`LoopbackCluster::join`]),
+    /// so every ring replica is identical before any traffic flows.
     pub fn start_with(n: usize, seed: u64, group: GroupConfig) -> io::Result<LoopbackCluster> {
         LoopbackCluster::start_inner(n, seed, group, None, 1, None, None)
     }
@@ -221,8 +222,8 @@ impl LoopbackCluster {
             nodes: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
             ctl: HashMap::new(),
-            mirrors: (0..n).map(|i| WindowBuffer::new(site_id(i), group.n_max)).collect(),
-            deadlines: vec![None; n],
+            mirrors: Vec::with_capacity(n),
+            deadlines: Vec::with_capacity(n),
             next_arm: 0,
             t_max: group.t_max,
             seed,
@@ -234,12 +235,8 @@ impl LoopbackCluster {
             dead_sent: 0,
             dead_received: 0,
         };
-        for i in 0..n {
-            let bootstrap = if i == 0 { None } else { Some(cluster.addrs[0]) };
-            let node = Node::spawn(cluster.config_for(i, bootstrap))?;
-            cluster.addrs.push(node.addr());
-            cluster.nodes.push(Some(node));
-            cluster.wait_members(i + 1)?;
+        for _ in 0..n {
+            cluster.join()?;
         }
         Ok(cluster)
     }
@@ -256,6 +253,22 @@ impl LoopbackCluster {
         cfg.locate_cache = self.locate_cache;
         cfg.geo = self.geo.clone();
         cfg
+    }
+
+    /// Start the next site and join it through site 0 (the first one
+    /// bootstraps) — into a cluster that may already hold data. Returns
+    /// once every live node reports the full membership and the join's
+    /// key handoff and any `Lp` split have drained (quiesce).
+    pub fn join(&mut self) -> io::Result<SiteId> {
+        let i = self.nodes.len();
+        let node = Node::spawn(self.config_for(i, self.addrs.first().copied()))?;
+        self.addrs.push(node.addr());
+        self.nodes.push(Some(node));
+        self.mirrors.push(WindowBuffer::new(site_id(i), self.group.n_max));
+        self.deadlines.push(None);
+        self.wait_members(self.nodes.iter().flatten().count())?;
+        self.quiesce()?;
+        Ok(site_id(i))
     }
 
     /// Sever the region pair `(a, b)` cluster-wide: every live node

@@ -6,11 +6,14 @@
 //! [`peertrack::site::Site`] — capture window, IOP repository, gateway
 //! shards, replica copies. The write plane that advances it is not
 //! implemented here: [`Core`] is a [`peertrack::site::Host`], the same
-//! protocol body the simulator hosts, and keeps only its driver —
-//! the log-record vocabulary, the outbox, `(sender, seq)` duplicate
-//! suppression, model-cost charging, and the `unsupported` counter for
-//! whatever falls outside the daemon's regime (refresh fetches,
-//! triangle delegation, split/merge, individual mode). The engine is a
+//! protocol body the simulator hosts — shard movement included, so a
+//! member that joins a cluster already holding data is handed its key
+//! ranges and every node re-levels its shards when `Lp` grows — and
+//! keeps only its driver: the log-record vocabulary, the outbox,
+//! `(sender, seq)` duplicate suppression, model-cost charging, and the
+//! `unsupported` counter for whatever falls outside the daemon's regime
+//! (refresh fetches that would move entries, crossing the delegation
+//! threshold, individual mode, undecodable input). The engine is a
 //! readiness-driven event loop over nonblocking sockets
 //! ([`transport::nio`], std-only): each poll wakeup drains whatever
 //! bytes the kernel has per connection, decodes as many whole frames
@@ -94,7 +97,7 @@ use obs::Recorder;
 use peertrack::config::GroupConfig;
 use peertrack::messages::{Msg, Wire};
 use peertrack::query::{self, Incomplete, QueryCost, RecordSource};
-use peertrack::site::{self, Anomalies, Site};
+use peertrack::site::{self, Anomalies, Move, Site};
 use peertrack::store::{IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
@@ -299,7 +302,6 @@ pub struct Core {
     /// This site's protocol state — window, IOP repository, gateway
     /// shards, replica copies — advanced by [`peertrack::site`].
     pub(crate) proto: Site,
-    pub(crate) hosted: HashSet<Prefix>,
     pub(crate) metrics: Metrics,
     pub(crate) next_seq: u64,
     /// `(sender, seq)` pairs already processed (duplicate suppression,
@@ -336,7 +338,6 @@ impl Core {
             ring: Ring::new(),
             lp: group.l_min,
             proto: Site::new(site, group.n_max),
-            hosted: HashSet::new(),
             metrics: Metrics::new(),
             next_seq: 1,
             seen: HashSet::new(),
@@ -390,8 +391,7 @@ impl Core {
                 }
                 if let Ok(a) = addr.parse() {
                     self.members.insert(*site, a);
-                    self.rebuild_ring();
-                    site::settle(self, self.site);
+                    self.on_ring_change();
                 }
             }
             WalRecord::Capture { at, objects } => site::capture(self, self.site, objects, *at),
@@ -435,15 +435,32 @@ impl Core {
         // `Lp` is clamped against the *ever-joined* count (live members
         // plus permanent deaths), so it grows as members join but never
         // shrinks when one dies. The simulator re-clamps on the live
-        // count and runs the §IV-A.2 splitting–merging migration; the
-        // daemon's supported regime is stable-`Lp`, so after a permanent
-        // loss it keeps the finer granularity instead. Both inputs are
-        // in the canonical state, so live nodes and snapshot-recovered
-        // ones derive the same value and routing stays agreed.
+        // count and merges; a merge leaves entries one level below the
+        // new `Lp`, where only the simulator's triangle search looks, so
+        // after a permanent loss the daemon keeps the finer granularity
+        // instead. Both inputs are in the canonical state, so live nodes
+        // and snapshot-recovered ones derive the same value and routing
+        // stays agreed.
         self.lp = self
             .group
             .scheme
             .lp_clamped(self.ring.len() + self.dead.len(), self.group.l_min);
+    }
+
+    /// A member joined (or moved to a new address): rebuild the ring,
+    /// hand off the shards whose keys it now owns, re-level the rest if
+    /// `Lp` grew — the simulator's post-join `refresh_lp`, one site's
+    /// share of it — and re-establish replica placement.
+    fn on_ring_change(&mut self) {
+        let (me, old_lp) = (self.site, self.lp);
+        self.rebuild_ring();
+        site::move_shards(self, me, Move::Handoff);
+        if self.group.eager_split_merge {
+            for l in old_lp..self.lp {
+                site::move_shards(self, me, Move::Split(l));
+            }
+        }
+        site::settle(self, me);
     }
 
     fn my_chord_id(&self) -> Id {
@@ -498,12 +515,9 @@ impl Core {
                 self.maybe_delegate(prefix);
                 site::replicate_shard(self, me, Some(prefix));
             }
-            // Individual mode, triangle delegation and split/merge
-            // migration are simulator-only paths (they never trigger in
-            // the stable-`Lp`, under-threshold regime the daemon
-            // supports), acks belong to a retry layer TCP replaces, and
-            // a replica state that does not decode is bad network data:
-            // counted, not fatal.
+            // Individual mode is a simulator-only path, acks belong to a
+            // retry layer TCP replaces, and a replica state that does not
+            // decode is bad network data: counted, not fatal.
             Some(_) => self.unsupported += 1,
         }
     }
@@ -520,7 +534,7 @@ impl Core {
         let mut l = prefix.len();
         while l > self.group.l_min {
             l -= 1;
-            if self.hosted.contains(&prefix.truncate(l)) {
+            if self.proto.gateway.prefixes.contains_key(&prefix.truncate(l)) {
                 self.unsupported += 1;
             }
         }
@@ -528,7 +542,7 @@ impl Core {
             for one in [false, true] {
                 let child = prefix.child(one);
                 if missing.iter().any(|o| child.matches(&o.id()))
-                    && self.hosted.contains(&child)
+                    && self.proto.gateway.prefixes.contains_key(&child)
                 {
                     self.unsupported += 1;
                 }
@@ -715,8 +729,18 @@ impl site::Host for Core {
         &mut self.anomalies
     }
 
-    fn mark_hosted(&mut self, prefix: Prefix) {
-        self.hosted.insert(prefix);
+    fn owner(&self, key: Id) -> SiteId {
+        self.site_of_chord(&self.ring.successor_of(&key).expect("a node is on its own ring"))
+    }
+
+    /// A shard handed over above this node's `Lp` — a newcomer's
+    /// successor hands it what the newcomer owns before learning the
+    /// new `Lp` — splits on arrival, exactly where the simulator's
+    /// post-handoff split does.
+    fn migrated(&mut self, at: SiteId, prefix: Prefix) {
+        if self.group.eager_split_merge && prefix.len() < self.lp {
+            site::move_shard(self, at, prefix, Move::Split(prefix.len()));
+        }
     }
 }
 
@@ -1096,15 +1120,17 @@ impl Engine {
     /// only request that is: it runs before the event loop starts, and
     /// its dial retries under the default backoff because daemons
     /// started together may find the bootstrap not yet listening. Any
-    /// answer but the membership is an error: a node serving as a
-    /// one-member ring would answer "not found" for what its cluster
-    /// holds.
+    /// answer but a membership that lists this node at its own address
+    /// is an error: a node serving as a one-member ring, or from a ring
+    /// nobody else routes to, would answer "not found" for what its
+    /// cluster holds.
     fn join_via(&mut self, bootstrap: SocketAddr) -> io::Result<()> {
-        let req = Frame::JoinReq { site: self.core.site, addr: self.addr.to_string() };
+        let me = (self.core.site, self.addr.to_string());
+        let req = Frame::JoinReq { site: me.0, addr: me.1.clone() };
         let mut stream = transport::dial(bootstrap, &Backoff::default())?;
         let raw = transport::request(&mut stream, &req.encode())?;
         match Frame::decode(&raw) {
-            Ok(Frame::JoinResp { peers }) => {
+            Ok(Frame::JoinResp { peers }) if peers.contains(&me) => {
                 for (site, addr) in peers {
                     if addr.parse::<SocketAddr>().is_ok() {
                         self.log_apply(WalRecord::Member { site, addr });

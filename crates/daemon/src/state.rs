@@ -188,7 +188,9 @@ impl Core {
         codec::put_state_window(&mut buf, &self.proto.window);
         codec::put_state_iop(&mut buf, &self.proto.iop);
         codec::put_state_gateway(&mut buf, &self.proto.gateway);
-        let mut hosted: Vec<&Prefix> = self.hosted.iter().collect();
+        // The prefixes this node hosts: its shards' keys, kept in the
+        // encoding so older snapshots stay readable byte for byte.
+        let mut hosted: Vec<&Prefix> = self.proto.gateway.prefixes.keys().collect();
         hosted.sort();
         buf.put_u32(hosted.len() as u32);
         for p in hosted {
@@ -296,8 +298,8 @@ fn decode_state(
     let window = codec::get_state_window(r, site, group.n_max)?;
     let iop = codec::get_state_iop(r)?;
     let gateway = codec::get_state_gateway(r)?;
-    let hosted: HashSet<Prefix> =
-        r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?.into_iter().collect();
+    // Hosted prefixes: derived from the gateway shards, so read past.
+    r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?;
     let mut metrics = Metrics::new();
     for class in ALL_CLASSES {
         let (messages, bytes, hops) = (r.u64()?, r.u64()?, r.u64()?);
@@ -333,7 +335,6 @@ fn decode_state(
         ring: Ring::new(),
         lp: group.l_min,
         proto: Site { site, window, iop, gateway, replica_iop, replica_gateway },
-        hosted,
         metrics,
         next_seq,
         seen,

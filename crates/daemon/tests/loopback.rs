@@ -93,6 +93,26 @@ fn join_through_a_peer_that_hangs_up_fails_the_spawn() {
     hangup.join().unwrap();
 }
 
+/// A join answered with a membership that leaves the joiner out — here
+/// none at all — fails the spawn too: the node would serve as a
+/// one-member ring that nobody else routes to.
+#[test]
+fn join_answered_without_the_joiner_fails_the_spawn() {
+    require_sockets!();
+    let bootstrap = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = bootstrap.local_addr().expect("addr");
+    let refuse = std::thread::spawn(move || {
+        let (mut stream, _) = bootstrap.accept().expect("accept");
+        let req = transport::read_frame(&mut stream).expect("read").expect("a join request");
+        assert!(matches!(Frame::decode(&req), Ok(Frame::JoinReq { .. })));
+        let reply = Frame::JoinResp { peers: Vec::new() }.encode();
+        transport::write_frame(&mut stream, &reply).expect("reply");
+    });
+    let spawned = Node::spawn(NodeConfig::loopback(SiteId(1), 7, Some(addr)));
+    assert!(spawned.is_err(), "a node started on a join that left it out");
+    refuse.join().unwrap();
+}
+
 #[test]
 fn movement_is_queryable_over_the_wire() {
     require_sockets!();

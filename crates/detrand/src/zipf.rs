@@ -20,7 +20,6 @@ use crate::{unit_f64, RngCore};
 pub struct Zipf {
     /// `cdf[r]` = P(rank ≤ r); strictly increasing, last element 1.0.
     cdf: Vec<f64>,
-    s: f64,
 }
 
 impl Zipf {
@@ -44,17 +43,12 @@ impl Zipf {
         // Normalization can leave the top fractionally under 1.0; clamp
         // so every u in [0, 1) maps to a valid rank.
         *cdf.last_mut().expect("n >= 1") = 1.0;
-        Zipf { cdf, s }
+        Zipf { cdf }
     }
 
     /// Number of ranks in the population.
     pub fn population(&self) -> usize {
         self.cdf.len()
-    }
-
-    /// The exponent this sampler was built with.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// P(rank = r), for tests and analytical checks.

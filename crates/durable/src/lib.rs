@@ -86,20 +86,9 @@ impl DataDir {
         Ok((DataDir { dir: dir.to_path_buf(), wal, mode }, Recovery { snapshot, tail }))
     }
 
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Append one record (write-through; `fsync` per mode). Returns the
-    /// record's LSN.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.wal.append(payload)
-    }
-
     /// Group-commit append: write-through, fsync deferred to the next
-    /// [`DataDir::sync`] in every mode (see [`Wal::append_deferred`]).
-    /// Returns the record's LSN.
+    /// [`DataDir::sync`] (see [`Wal::append_deferred`]). Returns the
+    /// record's LSN.
     pub fn append_deferred(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.wal.append_deferred(payload)
     }
@@ -155,10 +144,10 @@ mod tests {
         let dir = tmp("snap-tail");
         {
             let (mut d, _) = DataDir::open(&dir, FsyncMode::Batch).unwrap();
-            d.append(b"r1").unwrap();
-            d.append(b"r2").unwrap();
+            d.append_deferred(b"r1").unwrap();
+            d.append_deferred(b"r2").unwrap();
             d.install_snapshot(b"state after r2").unwrap();
-            d.append(b"r3").unwrap();
+            d.append_deferred(b"r3").unwrap();
             d.sync().unwrap();
         }
         let (d, rec) = DataDir::open(&dir, FsyncMode::Batch).unwrap();
@@ -173,8 +162,8 @@ mod tests {
         let dir = tmp("mid-compact");
         {
             let (mut d, _) = DataDir::open(&dir, FsyncMode::Never).unwrap();
-            d.append(b"a").unwrap();
-            d.append(b"b").unwrap();
+            d.append_deferred(b"a").unwrap();
+            d.append_deferred(b"b").unwrap();
             // Simulate the crash window: snapshot renamed in, WAL not
             // yet reset.
             snapshot::write_snapshot(&dir, d.last_lsn(), b"covers a,b", false).unwrap();
@@ -189,7 +178,7 @@ mod tests {
         let dir = tmp("loud");
         {
             let (mut d, _) = DataDir::open(&dir, FsyncMode::Never).unwrap();
-            d.append(b"x").unwrap();
+            d.append_deferred(b"x").unwrap();
             d.install_snapshot(b"good state").unwrap();
         }
         let snap = dir.join(snapshot::SNAPSHOT_FILE);
@@ -289,7 +278,7 @@ mod tests {
             {
                 let (mut d, _) = DataDir::open(&dir, FsyncMode::Never).unwrap();
                 for p in &originals {
-                    d.append(p).unwrap();
+                    d.append_deferred(p).unwrap();
                 }
             }
             let wal_path = dir.join(WAL_FILE);

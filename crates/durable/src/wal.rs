@@ -17,29 +17,30 @@
 //! must be strictly increasing; a non-monotonic record is treated as
 //! corruption like any other.
 //!
-//! Durability is two-layered: every [`Wal::append`] issues the
+//! Durability is two-layered: every [`Wal::append_deferred`] issues the
 //! `write(2)` immediately (so the record survives a *process* crash in
-//! every mode — the page cache belongs to the kernel, not the process),
-//! while [`FsyncMode`] only controls when `fsync` pushes it to stable
-//! storage for *power-loss* durability.
+//! either mode — the page cache belongs to the kernel, not the process),
+//! while [`FsyncMode`] only controls whether the caller's
+//! [`Wal::sync`] pushes it to stable storage for *power-loss*
+//! durability.
 
 use crate::crc::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Upper bound on one record's body; matches the transport's frame cap
 /// so anything the daemon can receive can be logged.
 pub const MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
 
-/// When `fsync` runs relative to appends.
+/// Whether `fsync` runs at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncMode {
-    /// `fsync` after every append — survives power loss at ack time.
-    Always,
-    /// `fsync` at batch points (snapshots, explicit [`Wal::sync`],
-    /// clean shutdown). Process crashes lose nothing; power loss can
-    /// lose the un-synced suffix — which recovery then truncates.
+    /// `fsync` at batch points (the group commit's [`Wal::sync`],
+    /// snapshots, clean shutdown), so a record acked after its batch's
+    /// sync survives power loss. Process crashes lose nothing; power
+    /// loss can lose the un-synced suffix — which recovery then
+    /// truncates.
     Batch,
     /// Never `fsync` (benchmarks and tests on tmpfs).
     Never,
@@ -49,10 +50,9 @@ impl FsyncMode {
     /// Parse a `--fsync` flag value.
     pub fn parse(s: &str) -> Result<FsyncMode, String> {
         match s {
-            "always" => Ok(FsyncMode::Always),
             "batch" => Ok(FsyncMode::Batch),
             "never" => Ok(FsyncMode::Never),
-            other => Err(format!("fsync mode `{other}` is not always|batch|never")),
+            other => Err(format!("fsync mode `{other}` is not batch|never")),
         }
     }
 }
@@ -69,7 +69,6 @@ pub struct WalEntry {
 /// An open write-ahead log positioned for appends.
 pub struct Wal {
     file: File,
-    path: PathBuf,
     next_lsn: u64,
     mode: FsyncMode,
     dirty: bool,
@@ -141,14 +140,7 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
 
         let next_lsn = (last_lsn + 1).max(min_next_lsn).max(1);
-        let wal =
-            Wal { file, path: path.to_path_buf(), next_lsn, mode, dirty: false };
-        Ok((wal, entries))
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((Wal { file, next_lsn, mode, dirty: false }, entries))
     }
 
     /// LSN the next append will carry.
@@ -162,36 +154,13 @@ impl Wal {
         self.next_lsn - 1
     }
 
-    /// Append one record; the `write(2)` happens before return, the
-    /// `fsync` per [`FsyncMode`]. Returns the record's LSN.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        assert!(payload.len() <= MAX_RECORD_BYTES - 8, "record exceeds MAX_RECORD_BYTES");
-        let lsn = self.next_lsn;
-        let len = (8 + payload.len()) as u32;
-        let mut rec = Vec::with_capacity(16 + payload.len());
-        rec.extend_from_slice(&len.to_be_bytes());
-        rec.extend_from_slice(&[0; 4]); // crc placeholder
-        rec.extend_from_slice(&lsn.to_be_bytes());
-        rec.extend_from_slice(payload);
-        let crc = crc32(&rec[8..]);
-        rec[4..8].copy_from_slice(&crc.to_be_bytes());
-        self.file.write_all(&rec)?;
-        match self.mode {
-            FsyncMode::Always => self.file.sync_data()?,
-            FsyncMode::Batch => self.dirty = true,
-            FsyncMode::Never => {}
-        }
-        self.next_lsn += 1;
-        Ok(lsn)
-    }
-
     /// Group-commit append: the `write(2)` happens before return, but
-    /// the `fsync` is *deferred* to the caller's next [`Wal::sync`]
-    /// even under [`FsyncMode::Always`] — the event loop accumulates
-    /// every record drained in one wakeup, syncs once, and only then
-    /// acks, so the ack-after-fsync contract holds while the fsync cost
-    /// amortizes over the batch. Under [`FsyncMode::Never`] the log is
-    /// never marked dirty (sync stays a no-op). Returns the LSN.
+    /// the `fsync` is *deferred* to the caller's next [`Wal::sync`] —
+    /// the event loop accumulates every record drained in one wakeup,
+    /// syncs once, and only then acks, so the ack-after-fsync contract
+    /// holds while the fsync cost amortizes over the batch. Under
+    /// [`FsyncMode::Never`] the log is never marked dirty (sync stays a
+    /// no-op). Returns the LSN.
     pub fn append_deferred(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(payload.len() <= MAX_RECORD_BYTES - 8, "record exceeds MAX_RECORD_BYTES");
         let lsn = self.next_lsn;
@@ -241,6 +210,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -250,15 +220,23 @@ mod tests {
     }
 
     #[test]
+    fn always_is_not_a_mode() {
+        let err = FsyncMode::parse("always").unwrap_err();
+        assert!(err.contains("batch|never"), "{err}");
+        assert_eq!(FsyncMode::parse("batch"), Ok(FsyncMode::Batch));
+        assert_eq!(FsyncMode::parse("never"), Ok(FsyncMode::Never));
+    }
+
+    #[test]
     fn roundtrip_and_lsn_continuity() {
         let path = tmp("roundtrip");
         std::fs::remove_file(&path).ok();
         {
             let (mut wal, entries) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
             assert!(entries.is_empty());
-            assert_eq!(wal.append(b"alpha").unwrap(), 1);
-            assert_eq!(wal.append(b"").unwrap(), 2);
-            assert_eq!(wal.append(&[0xAB; 300]).unwrap(), 3);
+            assert_eq!(wal.append_deferred(b"alpha").unwrap(), 1);
+            assert_eq!(wal.append_deferred(b"").unwrap(), 2);
+            assert_eq!(wal.append_deferred(&[0xAB; 300]).unwrap(), 3);
         }
         let (wal, entries) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
         assert_eq!(entries.len(), 3);
@@ -274,8 +252,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let (mut wal, _) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
-            wal.append(b"kept").unwrap();
-            wal.append(b"also kept").unwrap();
+            wal.append_deferred(b"kept").unwrap();
+            wal.append_deferred(b"also kept").unwrap();
         }
         // Simulate a crash mid-append: half a record at the tail.
         let mut raw = std::fs::read(&path).unwrap();
@@ -295,7 +273,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
             for i in 0..5u8 {
-                wal.append(&[i; 32]).unwrap();
+                wal.append_deferred(&[i; 32]).unwrap();
             }
         }
         let mut raw = std::fs::read(&path).unwrap();
@@ -320,7 +298,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let (mut wal, _) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
-            wal.append(b"kept").unwrap();
+            wal.append_deferred(b"kept").unwrap();
         }
         let good_len = std::fs::metadata(&path).unwrap().len();
         // Forge a header claiming a ~4 GiB body (crc irrelevant: the
@@ -353,12 +331,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let (mut wal, _) = Wal::open(&path, FsyncMode::Batch, 1).unwrap();
         for _ in 0..4 {
-            wal.append(b"x").unwrap();
+            wal.append_deferred(b"x").unwrap();
         }
         wal.sync().unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.size_bytes().unwrap(), 0);
-        assert_eq!(wal.append(b"y").unwrap(), 5, "lsn keeps counting across compaction");
+        assert_eq!(wal.append_deferred(b"y").unwrap(), 5, "lsn keeps counting across compaction");
         drop(wal);
         // Reopen as recovery would: snapshot covered lsn ≤ 4.
         let (wal, entries) = Wal::open(&path, FsyncMode::Batch, 5).unwrap();
@@ -373,7 +351,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let (mut wal, _) = Wal::open(&path, FsyncMode::Never, 1).unwrap();
-            wal.append(b"one").unwrap();
+            wal.append_deferred(b"one").unwrap();
         }
         // Append a structurally valid record re-using lsn 1.
         let mut rec = Vec::new();

@@ -62,11 +62,6 @@ impl MovementLog {
         }
         out
     }
-
-    /// The site of the object's latest arrival (its current location).
-    pub fn last_site(&self, object: ObjectId) -> Option<SiteId> {
-        self.arrivals.get(&object).and_then(|v| v.last()).map(|&(_, s)| s)
-    }
 }
 
 impl Locate for MovementLog {

@@ -41,13 +41,3 @@ pub fn latency_summary_csv(rec: &Recorder, span_label: &dyn Fn(u32) -> &'static 
     }
     out
 }
-
-/// Full bucket dump of one histogram (`lower_us,upper_us,count`), for
-/// plotting distributions rather than summaries.
-pub fn histogram_buckets_csv(h: &Histogram) -> String {
-    let mut out = String::from("lower_us,upper_us,count\n");
-    for (lo, hi, c) in h.buckets() {
-        let _ = writeln!(out, "{lo},{hi},{c}");
-    }
-    out
-}

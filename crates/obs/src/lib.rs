@@ -37,7 +37,7 @@ pub mod region;
 pub mod view;
 
 pub use chrome::chrome_trace_json;
-pub use export::{histogram_buckets_csv, latency_summary_csv, LATENCY_CSV_HEADER};
+pub use export::{latency_summary_csv, LATENCY_CSV_HEADER};
 pub use hist::Histogram;
 pub use recorder::{Recorder, SharedRecorder, Span};
 pub use region::{RegionRecorder, SharedRegionRecorder};

@@ -28,13 +28,6 @@ pub struct Span {
     pub cause: EventId,
 }
 
-impl Span {
-    /// Duration, for closed spans.
-    pub fn duration(&self) -> Option<SimTime> {
-        self.close.map(|c| SimTime::from_micros(c.as_micros() - self.open.as_micros()))
-    }
-}
-
 /// In-memory trace recorder.
 ///
 /// Install it on a `Sim` (boxed, or shared via [`SharedRecorder`] to

@@ -494,12 +494,7 @@ impl TraceableNetwork {
             .ring
             .join(bootstrap, chord_id, idx)
             .expect("join routing failed");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            outcome.messages,
-            outcome.messages * 32,
-            outcome.messages,
-        );
+        self.charge_overlay(outcome.messages);
         let site = self.world.push_site(chord_id, n_max);
 
         if let Some(m) = outcome.migration {
@@ -508,7 +503,7 @@ impl TraceableNetwork {
                 .ring
                 .app_index_of(&m.from)
                 .expect("migration source is a member");
-            self.world.apply_migration(&mut self.sim, &m, from_idx, idx);
+            self.world.hand_off(&mut self.sim, from_idx);
         }
         self.world.ring.stabilize_all();
         // Settle the key handoff before recomputing Lp: the migrated
@@ -518,11 +513,7 @@ impl TraceableNetwork {
         // splitting the object's identity across two triangle levels.
         self.run_until_quiescent();
         let lp_span = self.sim.span_open(spans::OP_LP_REFRESH, idx);
-        self.world.refresh_lp(&mut self.sim);
-        self.world.clear_locate_caches();
-        // The eager split/merge migration also completes before control
-        // returns; the traffic it cost stays in the metrics.
-        self.run_until_quiescent();
+        self.refresh_lp_and_drain();
         self.sim.span_close(lp_span);
         self.sim.span_close(join_span);
         self.replica_settle();
@@ -548,21 +539,10 @@ impl TraceableNetwork {
 
         let chord_id = self.world.sites[idx].chord_id;
         let outcome = self.world.ring.leave(chord_id);
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            outcome.messages,
-            outcome.messages * 32,
-            outcome.messages,
-        );
-        let succ_idx = self
-            .world
-            .ring
-            .app_index_of(&outcome.migration.to)
-            .expect("successor is a member");
-        // Hand off all hosted index data — everything the node hosts
-        // lies in its key range `(pred, id]`, which is exactly the
-        // migration Chord reports.
-        self.world.apply_migration(&mut self.sim, &outcome.migration, idx, succ_idx);
+        self.charge_overlay(outcome.messages);
+        // Hand off all hosted index data: off the ring, the node owns no
+        // key, and everything it hosts goes to its successor.
+        self.world.hand_off(&mut self.sim, idx);
         // Drain the handoff while the leaver still counts as alive: a
         // graceful departure waits for its migration to be acked, so
         // under link faults the retry layer may retransmit it. Marking
@@ -572,10 +552,7 @@ impl TraceableNetwork {
         self.world.sites[idx].alive = false;
         self.world.ring.stabilize_all();
         let lp_span = self.sim.span_open(spans::OP_LP_REFRESH, idx);
-        self.world.refresh_lp(&mut self.sim);
-        self.world.clear_locate_caches();
-        // Handoff (and any eager merge) completes before control returns.
-        self.run_until_quiescent();
+        self.refresh_lp_and_drain();
         self.sim.span_close(lp_span);
         self.sim.span_close(leave_span);
         self.replica_settle();
@@ -610,18 +587,11 @@ impl TraceableNetwork {
             .ring
             .stabilize_until_converged(ids::ID_BITS + 1)
             .expect("post-crash stabilization must converge");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            messages,
-            messages * 32,
-            messages,
-        );
-        self.world.refresh_lp(&mut self.sim);
-        self.world.clear_locate_caches();
+        self.charge_overlay(messages);
         // Drain survivors' in-flight traffic (deliveries to the crashed
         // node are discarded by the plane as they surface), then forget
         // hosted prefixes whose only copy died with the node.
-        self.run_until_quiescent();
+        self.refresh_lp_and_drain();
         self.world.rebuild_hosted();
         self.replica_settle();
     }
@@ -666,22 +636,31 @@ impl TraceableNetwork {
             .ring
             .stabilize_until_converged(ids::ID_BITS + 1)
             .expect("post-kill stabilization must converge");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            messages,
-            messages * 32,
-            messages,
-        );
+        self.charge_overlay(messages);
         // Failover before the Lp refresh: the heir must serve the dead
         // site's ranges as primary data when split/merge re-levels.
         self.world.promote_dead_primary(&mut self.sim, idx);
-        self.world.refresh_lp(&mut self.sim);
-        self.world.clear_locate_caches();
-        self.run_until_quiescent();
+        self.refresh_lp_and_drain();
         self.world.rebuild_hosted();
         // Close the replication hole: every live primary's state back
         // onto exactly its K−1 current successors.
         self.replica_settle();
+    }
+
+    /// Charge the overlay's own maintenance traffic for a membership
+    /// change: `messages` messages of 32 bytes, one hop each.
+    fn charge_overlay(&mut self, messages: u64) {
+        self.sim.metrics_mut().record_bulk(MsgClass::Overlay, messages, messages * 32, messages);
+    }
+
+    /// The tail every membership change shares: recompute `Lp` (running
+    /// any eager split/merge), drop the locate caches, and drain, so the
+    /// moved shards have landed — and their traffic is in the metrics —
+    /// before control returns.
+    fn refresh_lp_and_drain(&mut self) {
+        self.world.refresh_lp(&mut self.sim);
+        self.world.clear_locate_caches();
+        self.run_until_quiescent();
     }
 
     /// Re-establish the K-successor placement invariant after a

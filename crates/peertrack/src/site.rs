@@ -2,22 +2,27 @@
 //!
 //! §III Fig. 2 (M1 arrival → gateway, M2 `set_to` to the previous site,
 //! M3 `set_from` to the capturing site), the §IV Fig. 5 `update_index`
-//! over a prefix group, and the K-successor replication that rides on
-//! both are the same protocol whether a site lives inside the simulator
-//! or behind a socket. This module is that protocol's only
-//! implementation: [`Site`] is the state one site owns, and the free
-//! functions below advance it.
+//! over a prefix group, the shard movement that keeps the index whole
+//! as the ring and `Lp` change (Chord's key handoff, §IV-A.2 splitting
+//! and merging, triangle delegation) and the K-successor replication
+//! that rides on all of them are the same protocol whether a site lives
+//! inside the simulator or behind a socket. This module is that
+//! protocol's only implementation: [`Site`] is the state one site owns,
+//! and the free functions below advance it.
 //!
 //! They are generic (static dispatch) over a [`Host`], which supplies
 //! exactly what a site cannot know alone — how a message leaves, where a
 //! prefix's gateway is, who is on the ring. Two hosts exist:
 //!
 //! * the simulator ([`crate::world::NetWorld`] plus its `Sim`), which
-//!   holds every site, sends through the event queue and keeps the
-//!   paths no single node runs off-sim — individual mode, refresh
-//!   fetches, triangle delegation, split/merge, retries and acks;
+//!   holds every site, sends through the event queue, decides *when*
+//!   shards move (after a join or leave, per live site on an `Lp`
+//!   change, when a shard crosses the delegation threshold) and keeps
+//!   the paths no single node runs off-sim — individual mode, refresh
+//!   fetches, retries and acks;
 //! * the daemon's `Core`, which holds one site, sends through its
-//!   outbox and counts anything outside its regime as unsupported.
+//!   outbox, moves its own shards when a membership record changes its
+//!   ring, and counts anything outside its regime as unsupported.
 //!
 //! [`handle`] applies the arms both hosts share and hands every other
 //! message back to the caller, so each host keeps its own driver around
@@ -153,6 +158,11 @@ pub trait Host {
     /// `from`. `None` = the host could not route (and has counted it).
     fn route(&mut self, from: SiteId, prefix: Prefix) -> Option<(SiteId, u32)>;
 
+    /// The ring's ground-truth owner of `key` (its successor) — where a
+    /// handed-off shard goes, one hop away. Not a routed lookup: it is
+    /// neither charged nor traced.
+    fn owner(&self, key: Id) -> SiteId;
+
     /// Current prefix length `Lp`.
     fn lp(&self) -> usize;
 
@@ -174,8 +184,16 @@ pub trait Host {
     /// The anomaly counters.
     fn anomalies_mut(&mut self) -> &mut Anomalies;
 
-    /// `prefix` now holds index data.
-    fn mark_hosted(&mut self, prefix: Prefix);
+    /// `prefix` now holds index data (the simulator keeps the global
+    /// set its refresh walks consult).
+    fn mark_hosted(&mut self, _prefix: Prefix) {}
+
+    /// `prefix`'s shard was drained by a split or merge.
+    fn unmark_hosted(&mut self, _prefix: Prefix) {}
+
+    /// A [`Msg::Migrate`] landed entries in `site`'s shard `prefix`
+    /// (the daemon re-levels one that arrives above its `Lp`).
+    fn migrated(&mut self, _site: SiteId, _prefix: Prefix) {}
 
     /// The stored latest link of `object` changed content (the
     /// simulator bumps its locate-cache epoch).
@@ -213,13 +231,31 @@ pub fn dispatch<H: Host>(h: &mut H, from: SiteId, to: SiteId, hops: u32, msg: Ms
 }
 
 /// Apply `msg` at `to` if it is one of the arms every host shares: the
-/// IOP link updates and the replication plane. Anything else — and a
-/// replica state that does not decode, which off-sim is network data —
-/// comes back for the host's own driver.
+/// IOP link updates, shard movement and the replication plane. Anything
+/// else — and a replica state that does not decode, which off-sim is
+/// network data — comes back for the host's own driver.
 pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<Msg> {
     match msg {
         Msg::SetTo { updates } => thread_links(h, to, updates, IopStore::set_to),
         Msg::SetFrom { updates } => thread_links(h, to, updates, IopStore::set_from),
+        Msg::Delegate { prefix, entries } => land(h, to, prefix, entries),
+        Msg::Migrate { prefix: Some(p), entries } => {
+            land(h, to, p, entries);
+            h.migrated(to, p);
+        }
+        Msg::Migrate { prefix: None, entries } => {
+            let objects = &mut h.site(to).gateway.objects;
+            for (o, e) in entries {
+                match objects.get(&o) {
+                    Some(ex) if ex.time > e.time => {} // racing update won
+                    Some(ex) if ex.time == e.time && e.prev.is_none() => {}
+                    _ => {
+                        objects.insert(o, e);
+                    }
+                }
+            }
+            replicate_shard(h, to, None);
+        }
         Msg::ReplIop { primary, updates } => {
             let store = h.site(to).replica_iop.entry(primary).or_default();
             for (o, rec) in updates {
@@ -394,6 +430,193 @@ fn index_batch<H: Host>(h: &mut H, batch: WindowBatch) {
         let Some((owner, hops)) = h.route(site, group.prefix) else { continue };
         let msg = Msg::GroupIndex { prefix: group.prefix, site, members: group.members };
         dispatch(h, site, owner, hops, msg);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Shard movement: key handoff, splitting–merging, delegation
+// ----------------------------------------------------------------------
+//
+// A shard moves as one `Migrate` (or `Delegate`) per destination; the
+// receiver merges it with whatever a racing index update put there
+// ([`merge_entry`]). *When* shards move is the host's: the simulator
+// after each join or leave and, on an `Lp` change, per live site in
+// index order; the daemon when a membership record changes its ring.
+
+/// Where [`move_shards`] sends a drained shard's entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Move {
+    /// §IV-A.2 splitting: every shard of length `l`, to its two
+    /// children by bit `l` ("the data stored in the old parent will all
+    /// be delegated into the two new parent nodes").
+    Split(usize),
+    /// §IV-A.2 merging: every shard of length `l`, to its parent ("the
+    /// parent node's two child nodes migrate the data they are indexing
+    /// to the parent node").
+    Merge(usize),
+    /// Chord's key handoff: every shard and individual-mode entry whose
+    /// key this site no longer owns, whole, to the key's owner.
+    Handoff,
+}
+
+/// Drain every shard of `at` that `mv` selects and send its entries on.
+/// Shards go in prefix order: dispatch order feeds the latency and
+/// fault RNGs, so it must not depend on the hasher.
+pub fn move_shards<H: Host>(h: &mut H, at: SiteId, mv: Move) {
+    if mv == Move::Handoff {
+        hand_off_objects(h, at);
+    }
+    let mut shards: Vec<Prefix> = h.site(at).gateway.prefixes.keys().copied().collect();
+    shards.retain(|p| match mv {
+        Move::Split(l) | Move::Merge(l) => p.len() == l,
+        Move::Handoff => h.owner(p.gateway_id()) != at,
+    });
+    shards.sort();
+    for p in shards {
+        move_shard(h, at, p, mv);
+    }
+}
+
+/// Drain `at`'s shard `p` — its replicas drop it — and send the entries
+/// where `mv` says.
+pub fn move_shard<H: Host>(h: &mut H, at: SiteId, p: Prefix, mv: Move) {
+    let Some(mut shard) = h.site(at).gateway.prefixes.remove(&p) else { return };
+    let entries = shard.drain_all();
+    if mv != Move::Handoff {
+        h.unmark_hosted(p);
+    }
+    replicate_shard(h, at, Some(p));
+    if entries.is_empty() {
+        return;
+    }
+    let migrate = |prefix, entries| Msg::Migrate { prefix: Some(prefix), entries };
+    match mv {
+        Move::Split(_) => to_children(h, at, p, entries, migrate),
+        Move::Merge(_) => {
+            let parent = p.parent().expect("a merged shard has a parent");
+            route_to(h, at, parent, migrate(parent, entries));
+        }
+        Move::Handoff => {
+            let owner = h.owner(p.gateway_id());
+            dispatch(h, at, owner, 1, Msg::Migrate { prefix: Some(p), entries });
+        }
+    }
+}
+
+/// Individual-mode half of [`Move::Handoff`]: entries move by object id,
+/// one message per new owner, sorted so contents are hasher-independent.
+fn hand_off_objects<H: Host>(h: &mut H, at: SiteId) {
+    let mut moved: Vec<ObjectId> = h.site(at).gateway.objects.keys().copied().collect();
+    moved.retain(|o| h.owner(o.id()) != at);
+    if moved.is_empty() {
+        return;
+    }
+    moved.sort();
+    let mut by_owner: BTreeMap<SiteId, Vec<(ObjectId, IndexEntry)>> = BTreeMap::new();
+    for o in moved {
+        let e = h.site(at).gateway.objects.remove(&o).expect("listed above");
+        by_owner.entry(h.owner(o.id())).or_default().push((o, e));
+    }
+    for (owner, entries) in by_owner {
+        dispatch(h, at, owner, 1, Msg::Migrate { prefix: None, entries });
+    }
+    replicate_shard(h, at, None);
+}
+
+/// Fig. 5 `update_index` lines 2–4, the sending half: `victims`, taken
+/// from `at`'s overfull shard `prefix`, go to its two triangle
+/// children. Whether a shard is overfull is the host's call.
+pub fn delegate<H: Host>(
+    h: &mut H,
+    at: SiteId,
+    prefix: Prefix,
+    victims: Vec<(ObjectId, IndexEntry)>,
+) {
+    to_children(h, at, prefix, victims, |prefix, entries| Msg::Delegate { prefix, entries });
+}
+
+/// Partition `entries` of shard `p` by bit `p.len()` and route each
+/// non-empty half to its child's gateway as `wrap(child, half)`.
+fn to_children<H: Host>(
+    h: &mut H,
+    at: SiteId,
+    p: Prefix,
+    entries: Vec<(ObjectId, IndexEntry)>,
+    wrap: fn(Prefix, Vec<(ObjectId, IndexEntry)>) -> Msg,
+) {
+    let bit = p.len();
+    let mut halves: [Vec<(ObjectId, IndexEntry)>; 2] = [Vec::new(), Vec::new()];
+    for (o, e) in entries {
+        halves[o.id().bit(bit) as usize].push((o, e));
+    }
+    for (one, half) in halves.into_iter().enumerate() {
+        if !half.is_empty() {
+            let child = p.child(one == 1);
+            route_to(h, at, child, wrap(child, half));
+        }
+    }
+}
+
+/// `prefix` is hosted now: send `msg` on to its gateway.
+fn route_to<H: Host>(h: &mut H, at: SiteId, prefix: Prefix, msg: Msg) {
+    h.mark_hosted(prefix);
+    if let Some((owner, hops)) = h.route(at, prefix) {
+        dispatch(h, at, owner, hops, msg);
+    }
+}
+
+/// Merge moved entries into `gw`'s shard `p` and replicate the shard.
+fn land<H: Host>(h: &mut H, gw: SiteId, p: Prefix, entries: Vec<(ObjectId, IndexEntry)>) {
+    for (o, e) in entries {
+        merge_entry(h, gw, p, o, e);
+    }
+    replicate_shard(h, gw, Some(p));
+}
+
+/// Install one moved index entry, merging with any entry a concurrent
+/// index update created at this gateway while the move was in flight —
+/// a move can be arbitrarily delayed by loss and retransmission. The two
+/// racing visits are re-threaded into one IOP chain where possible
+/// (late M2/M3 repairs); a conflict that cannot be reconciled locally is
+/// counted as an out-of-order arrival so exactness-sensitive consumers
+/// can back off.
+fn merge_entry<H: Host>(h: &mut H, gw: SiteId, p: Prefix, o: ObjectId, e: IndexEntry) {
+    let shard = h.site(gw).gateway.shard_mut(p);
+    let Some(ex) = shard.get(&o).copied() else {
+        shard.upsert(o, e);
+        return;
+    };
+    if ex.time == e.time {
+        // The same visit arrived twice (e.g. a duplicated move); keep
+        // the richer threading.
+        if ex.prev.is_none() && e.prev.is_some() {
+            shard.upsert(o, e);
+        }
+        return;
+    }
+    let moved_is_newer = ex.time < e.time;
+    let (older, newer) = if moved_is_newer { (ex, e) } else { (e, ex) };
+    let repair = newer.prev.is_none();
+    if repair {
+        // Thread the older visit in as the newer one's predecessor.
+        shard.upsert(o, IndexEntry { prev: Some(older.link()), ..newer });
+    } else if moved_is_newer {
+        shard.upsert(o, newer);
+    }
+    // The stored latest link changed content only when the move carried
+    // the newer visit; the reverse direction only enriches threading.
+    if moved_is_newer {
+        h.index_changed(o);
+    }
+    if repair {
+        // …and repair the repositories' links (late M2/M3).
+        dispatch(h, gw, older.site, 1, Msg::SetTo { updates: vec![(o, older.time, newer.link())] });
+        let m3 = Msg::SetFrom { updates: vec![(o, newer.time, Some(older.link()))] };
+        dispatch(h, gw, newer.site, 1, m3);
+    } else if newer.prev != Some(older.link()) {
+        // The newer visit already has a different predecessor: the
+        // older one belongs somewhere mid-chain. Record the reordering.
+        h.anomalies_mut().out_of_order_arrivals += 1;
     }
 }
 

@@ -5,7 +5,7 @@
 //! site's [`Site`] — and implements [`simnet::World`] so the
 //! discrete-event engine can drive it. The write plane itself (§III
 //! M2/M3 link threading, the §IV Fig. 5 `update_index`, capture →
-//! window → `GroupIndex`, K-successor replication) is
+//! window → `GroupIndex`, shard movement, K-successor replication) is
 //! [`crate::site`], which this module hosts through [`site::Host`]; what
 //! stays here is what no single node does alone, or does only in the
 //! simulator:
@@ -16,10 +16,9 @@
 //!   for unknown objects (charged as `Refresh` traffic; executed as
 //!   zero-latency RPCs — the figures measure message volume, not
 //!   indexing latency, see DESIGN.md);
-//! * Data-Triangle delegation of an overfull shard's earliest `α·count`
-//!   records (Fig. 5 `update_index` lines 2–4);
-//! * the splitting–merging process on a change of `Lp` (§IV-A.2) when
-//!   `eager_split_merge` is set, and key-range handoff on churn;
+//! * *when* shards move: the delegation trigger (Fig. 5 `update_index`
+//!   lines 2–4), the key handoff after a join or leave, and the §IV-A.2
+//!   split or merge of every live site on an `Lp` change;
 //! * timers (`Tmax`, scheduled captures, retry, the one-shot
 //!   anti-entropy trigger), trace spans and the locate-cache epochs.
 
@@ -28,7 +27,7 @@ use crate::messages::{Msg, Wire, ENTRY_BYTES, HEADER_BYTES, OBJECT_ID_BYTES, PRE
 pub use crate::site::Anomalies;
 use crate::site::{self, Site};
 use crate::spans;
-use crate::store::{IndexEntry, IopRecord, Link, PrefixIndex};
+use crate::store::{IndexEntry, IopRecord, Link};
 use chord::Ring;
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
@@ -444,32 +443,6 @@ impl NetWorld {
             Msg::GroupIndex { prefix, site, members } => {
                 self.handle_group_index(sim, to, prefix, site, members);
             }
-            Msg::Delegate { prefix, entries } => {
-                for (o, e) in entries {
-                    self.merge_entry(sim, to, prefix, o, e);
-                }
-                self.replicate_shard(sim, to, Some(prefix));
-            }
-            Msg::Migrate { prefix, entries } => match prefix {
-                Some(p) => {
-                    for (o, e) in entries {
-                        self.merge_entry(sim, to, p, o, e);
-                    }
-                    self.replicate_shard(sim, to, Some(p));
-                }
-                None => {
-                    for (o, e) in entries {
-                        match self.sites[to].gateway.objects.get(&o).copied() {
-                            Some(ex) if ex.time > e.time => {} // racing update won
-                            Some(ex) if ex.time == e.time && e.prev.is_none() => {}
-                            _ => {
-                                self.sites[to].gateway.objects.insert(o, e);
-                            }
-                        }
-                    }
-                    self.replicate_shard(sim, to, None);
-                }
-            },
             other => unreachable!("{other:?} is an ack or a well-formed shared arm"),
         }
     }
@@ -559,67 +532,6 @@ impl NetWorld {
         // any shrink `maybe_delegate` just performed (the delegation
         // receivers replicate their own shards on receipt).
         self.replicate_shard(sim, gw, Some(prefix));
-    }
-
-    /// Install one handed-off index entry (shard migration or triangle
-    /// delegation), merging with any entry a concurrent index update
-    /// created at this gateway while the handoff was in flight — a
-    /// handoff can be arbitrarily delayed by loss and retransmission.
-    /// The two racing visits are re-threaded into one IOP chain where
-    /// possible (late M2/M3 repairs); a conflict that cannot be
-    /// reconciled locally is counted as an out-of-order arrival so
-    /// exactness-sensitive consumers can back off.
-    fn merge_entry(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        p: Prefix,
-        o: ObjectId,
-        e: IndexEntry,
-    ) {
-        let Some(ex) = self.sites[gw].gateway.shard_mut(p).get(&o).copied() else {
-            self.sites[gw].gateway.shard_mut(p).upsert(o, e);
-            return;
-        };
-        if ex.time == e.time {
-            // The same visit arrived twice (e.g. a duplicated handoff);
-            // keep the richer threading.
-            if ex.prev.is_none() && e.prev.is_some() {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, e);
-            }
-            return;
-        }
-        let handoff_is_newer = ex.time < e.time;
-        let (older, newer) = if handoff_is_newer { (ex, e) } else { (e, ex) };
-        // When the handoff carries the newer visit, the stored latest
-        // link changes content below — cached answers die with it. (The
-        // reverse direction only enriches threading; the answer stands.)
-        if handoff_is_newer {
-            self.bump_epoch(o);
-        }
-        if newer.prev == Some(older.link()) {
-            // Already threaded past the older visit — nothing to repair.
-            if handoff_is_newer {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, newer);
-            }
-        } else if newer.prev.is_none() {
-            // Thread the older visit in as the newer one's predecessor
-            // and repair the repositories' links (late M2/M3).
-            let merged = IndexEntry { prev: Some(older.link()), ..newer };
-            self.sites[gw].gateway.shard_mut(p).upsert(o, merged);
-            let m2 = Msg::SetTo { updates: vec![(o, older.time, newer.link())] };
-            self.dispatch(sim, gw, self.site_idx(older.site), 1, m2);
-            let m3 = Msg::SetFrom { updates: vec![(o, newer.time, Some(older.link()))] };
-            self.dispatch(sim, gw, self.site_idx(newer.site), 1, m3);
-        } else {
-            // The newer visit already has a different predecessor: the
-            // older one belongs somewhere mid-chain. Keep the newer
-            // entry and record the reordering.
-            if handoff_is_newer {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, newer);
-            }
-            self.anomalies.out_of_order_arrivals += 1;
-        }
     }
 
     /// Fig. 5 `refresh_from_ascent`: walk shorter prefixes (nearest
@@ -790,22 +702,7 @@ impl NetWorld {
         let k = ((g.alpha * len as f64).ceil() as usize).min(len);
         let victims = self.sites[gw].gateway.shard_mut(prefix).take_earliest(k);
         self.sites[gw].gateway.shard_mut(prefix).delegated = true;
-
-        let bit = prefix.len();
-        let mut split: [Vec<(ObjectId, IndexEntry)>; 2] = [Vec::new(), Vec::new()];
-        for (o, e) in victims {
-            split[o.id().bit(bit) as usize].push((o, e));
-        }
-        for (oneness, entries) in split.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let child = prefix.child(oneness == 1);
-            self.hosted.insert(child);
-            let (owner, hops) = self.route_traced(sim, self.sites[gw].site, child.gateway_id());
-            let msg = Msg::Delegate { prefix: child, entries };
-            self.dispatch(sim, gw, owner, hops, msg);
-        }
+        site::delegate(&mut self.host(sim), sid(gw), prefix, victims);
     }
 
     // ------------------------------------------------------------------
@@ -813,7 +710,8 @@ impl NetWorld {
     // ------------------------------------------------------------------
 
     /// Recompute `Lp` from the ring size; on change, run the eager
-    /// splitting/merging migration if configured. Returns the new `Lp`.
+    /// splitting/merging migration if configured — one level at a time,
+    /// each live site in index order. Returns the new `Lp`.
     pub fn refresh_lp(&mut self, sim: &mut Sim<Wire>) -> usize {
         let Some(g) = self.group_config() else { return self.current_lp };
         let target = g.scheme.lp_clamped(self.ring.len(), g.l_min);
@@ -822,112 +720,23 @@ impl NetWorld {
             return target;
         }
         while self.current_lp < target {
-            let l = self.current_lp;
-            self.split_level(sim, l);
+            self.move_at_live_sites(sim, site::Move::Split(self.current_lp));
             self.current_lp += 1;
         }
         while self.current_lp > target {
-            let l = self.current_lp;
             // Children of the old triangles sit one level below the old
             // parents; they migrate up into the (new child) level first.
-            self.merge_level(sim, l + 1);
+            self.move_at_live_sites(sim, site::Move::Merge(self.current_lp + 1));
             self.current_lp -= 1;
         }
         target
     }
 
-    /// Push every shard of length `l` down into its two children
-    /// ("the data stored in the old parent will all be delegated into
-    /// the two new parent nodes which are its child nodes").
-    fn split_level(&mut self, sim: &mut Sim<Wire>, l: usize) {
-        // Sorted: the shard map iterates in hash order, and dispatch
-        // order feeds the latency/fault RNGs — runs must not depend on
-        // the process's hasher seed.
-        let mut shards: Vec<(usize, Prefix)> = self
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .flat_map(|(i, s)| {
-                s.gateway
-                    .prefixes
-                    .keys()
-                    .filter(|p| p.len() == l)
-                    .map(move |p| (i, *p))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        shards.sort();
-        for (idx, p) in shards {
-            let entries = match self.sites[idx].gateway.prefixes.get_mut(&p) {
-                Some(s) => s.drain_all(),
-                None => continue,
-            };
-            self.sites[idx].gateway.prefixes.remove(&p);
-            self.hosted.remove(&p);
-            self.replicate_shard(sim, idx, Some(p)); // now empty: replicas drop it
-            if entries.is_empty() {
-                continue;
+    fn move_at_live_sites(&mut self, sim: &mut Sim<Wire>, mv: site::Move) {
+        for idx in 0..self.sites.len() {
+            if self.sites[idx].alive {
+                site::move_shards(&mut self.host(sim), sid(idx), mv);
             }
-            let mut split: [Vec<(ObjectId, IndexEntry)>; 2] = [Vec::new(), Vec::new()];
-            for (o, e) in entries {
-                split[o.id().bit(l) as usize].push((o, e));
-            }
-            for (oneness, part) in split.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let child = p.child(oneness == 1);
-                self.hosted.insert(child);
-                let (owner, hops) =
-                    self.route_traced(sim, self.sites[idx].site, child.gateway_id());
-                let msg = Msg::Migrate { prefix: Some(child), entries: part };
-                self.dispatch(sim, idx, owner, hops, msg);
-            }
-        }
-    }
-
-    /// Merge every shard of length `l` up into its parent ("the parent
-    /// node's two child nodes migrate the data they are indexing to the
-    /// parent node").
-    fn merge_level(&mut self, sim: &mut Sim<Wire>, l: usize) {
-        if l == 0 {
-            return;
-        }
-        // Sorted for hasher-independent dispatch order, as in
-        // `split_level`.
-        let mut shards: Vec<(usize, Prefix)> = self
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .flat_map(|(i, s)| {
-                s.gateway
-                    .prefixes
-                    .keys()
-                    .filter(|p| p.len() == l)
-                    .map(move |p| (i, *p))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        shards.sort();
-        for (idx, p) in shards {
-            let entries = match self.sites[idx].gateway.prefixes.get_mut(&p) {
-                Some(s) => s.drain_all(),
-                None => continue,
-            };
-            self.sites[idx].gateway.prefixes.remove(&p);
-            self.hosted.remove(&p);
-            self.replicate_shard(sim, idx, Some(p)); // now empty: replicas drop it
-            if entries.is_empty() {
-                continue;
-            }
-            let parent = p.parent().expect("l > 0");
-            self.hosted.insert(parent);
-            let (owner, hops) =
-                self.route_traced(sim, self.sites[idx].site, parent.gateway_id());
-            let msg = Msg::Migrate { prefix: Some(parent), entries };
-            self.dispatch(sim, idx, owner, hops, msg);
         }
     }
 
@@ -935,61 +744,11 @@ impl NetWorld {
     // Churn support (data plane; ring membership handled by `net`)
     // ------------------------------------------------------------------
 
-    /// After a ring change, move every gateway entry/shard whose key the
-    /// migration covers from `from_site` to `to_site`, charging
-    /// `SplitMerge` traffic (Chord's key handoff).
-    pub(crate) fn apply_migration(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        migration: &chord::Migration,
-        from_idx: usize,
-        to_idx: usize,
-    ) {
-        // Individual-mode entries move by object id. Sorted so message
-        // contents and dispatch order are hasher-independent.
-        let mut moved_objects: Vec<ObjectId> = self.sites[from_idx]
-            .gateway
-            .objects
-            .keys()
-            .filter(|o| migration.covers(&o.id()))
-            .copied()
-            .collect();
-        moved_objects.sort();
-        let mut entries = Vec::with_capacity(moved_objects.len());
-        for o in moved_objects {
-            let e = self.sites[from_idx].gateway.objects.remove(&o).expect("listed above");
-            entries.push((o, e));
-        }
-        if !entries.is_empty() {
-            let msg = Msg::Migrate { prefix: None, entries };
-            self.dispatch(sim, from_idx, to_idx, 1, msg);
-            self.replicate_shard(sim, from_idx, None);
-        }
-
-        // Group-mode shards move whole, by their gateway key; sorted
-        // for the same reason as above.
-        let mut moved_prefixes: Vec<Prefix> = self.sites[from_idx]
-            .gateway
-            .prefixes
-            .keys()
-            .filter(|p| migration.covers(&p.gateway_id()))
-            .copied()
-            .collect();
-        moved_prefixes.sort();
-        for p in moved_prefixes {
-            let mut shard = self.sites[from_idx]
-                .gateway
-                .prefixes
-                .remove(&p)
-                .expect("listed above");
-            let entries = shard.drain_all();
-            self.replicate_shard(sim, from_idx, Some(p)); // now gone at the source
-            if entries.is_empty() {
-                continue;
-            }
-            let msg = Msg::Migrate { prefix: Some(p), entries };
-            self.dispatch(sim, from_idx, to_idx, 1, msg);
-        }
+    /// After a ring change, `idx` hands every shard whose key it no
+    /// longer owns to the key's owner, charging `SplitMerge` traffic
+    /// (Chord's key handoff).
+    pub(crate) fn hand_off(&mut self, sim: &mut Sim<Wire>, idx: usize) {
+        site::move_shards(&mut self.host(sim), sid(idx), site::Move::Handoff);
     }
 
     /// Recompute the hosted-prefix set from the shards that actually
@@ -1040,11 +799,6 @@ impl NetWorld {
             }
         }
         total
-    }
-
-    /// Borrow a shard for inspection (tests, queries).
-    pub fn shard(&self, site: SiteId, p: &Prefix) -> Option<&PrefixIndex> {
-        self.sites[self.site_idx(site)].gateway.prefixes.get(p)
     }
 
     // ------------------------------------------------------------------
@@ -1179,14 +933,10 @@ impl NetWorld {
     /// primary inherits its gateway stores ([`site::inherit_gateway`]).
     /// Call after `ring.fail` + stabilization.
     pub(crate) fn promote_dead_primary(&mut self, sim: &mut Sim<Wire>, dead_idx: usize) {
-        let dead = self.sites[dead_idx].site;
-        let heir = self
-            .ring
-            .successor_of(&self.sites[dead_idx].chord_id)
-            .and_then(|id| self.ring.app_index_of(&id));
-        if let Some(heir) = heir {
-            site::inherit_gateway(&mut self.host(sim), sid(heir), dead);
-        }
+        let (dead, dead_chord) = (self.sites[dead_idx].site, self.sites[dead_idx].chord_id);
+        let mut host = self.host(sim);
+        let heir = site::Host::owner(&host, dead_chord);
+        site::inherit_gateway(&mut host, heir, dead);
         // The heir owns the ranges now; other holders' copies of the
         // dead gateway are stale bootstrap data, not serving state.
         for s in &mut self.sites {
@@ -1262,8 +1012,17 @@ impl site::Host for Driver<'_> {
         &mut self.world.anomalies
     }
 
+    fn owner(&self, key: Id) -> SiteId {
+        let owner = self.world.ring.successor_of(&key).expect("the ring has members");
+        sid(self.world.ring.app_index_of(&owner).expect("owner is a member"))
+    }
+
     fn mark_hosted(&mut self, prefix: Prefix) {
         self.world.hosted.insert(prefix);
+    }
+
+    fn unmark_hosted(&mut self, prefix: Prefix) {
+        self.world.hosted.remove(&prefix);
     }
 
     fn index_changed(&mut self, object: ObjectId) {

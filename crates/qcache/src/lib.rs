@@ -128,11 +128,6 @@ impl<V: Clone> LocateCache<V> {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Live entries.
     pub fn len(&self) -> usize {
         self.entries.len()

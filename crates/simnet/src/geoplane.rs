@@ -66,11 +66,6 @@ impl GeoPlane {
         }
     }
 
-    /// The topology the plane runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Per-region-pair traffic the plane has charged so far.
     pub fn stats(&self) -> &GeoStats {
         &self.stats

@@ -262,6 +262,18 @@ pump_calls=$(grep -rn -F 'self.pump(' crates/daemon/src | wc -l)
     || { echo "Engine::pump has $pump_calls call sites, expected 1 (run)" >&2; exit 1; }
 echo "OK: one pump, one call site, no blocking read path."
 
+# One shard mover: key handoff, split/merge and delegation move index
+# entries through `peertrack::site` on both hosts. The simulator's own
+# copies, the daemon's stored hosted-prefix set and the fsync mode that
+# behaved exactly like `batch` must not grow back.
+if grep -nE 'fn (split_level|merge_level|apply_migration|merge_entry)\b' crates/peertrack/src/world.rs \
+    || grep -nE '\bhosted:' crates/daemon/src/node.rs \
+    || grep -rn 'FsyncMode::Always' crates tests; then
+    echo "a second shard mover, a stored hosted set or FsyncMode::Always is back" >&2
+    exit 1
+fi
+echo "OK: one shard mover for both hosts, hosted prefixes derived, two fsync modes."
+
 # One link per peer, no sleeping dial: every frame the engine sends a
 # peer rides that peer's nonblocking link, dialed once with no retry.
 # The blocking stream cache, its staleness peek and the test-build dial

@@ -327,7 +327,7 @@ proptiny! {
             let (mut d, _) = DataDir::open(&dir, FsyncMode::Never).unwrap();
             let mut core = Core::new(site, seed as u64, group, addr_of(0));
             for (k, rec) in records.iter().enumerate() {
-                d.append(&rec.encode()).unwrap();
+                d.append_deferred(&rec.encode()).unwrap();
                 core.replay(rec);
                 if k + 1 == snap_at {
                     d.install_snapshot(&core.snapshot_body()).unwrap();

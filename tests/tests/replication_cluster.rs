@@ -11,8 +11,8 @@
 //! the whole run — kills included — must finish with zero protocol
 //! anomalies on every node that ever lived.
 
-use daemon::LoopbackCluster;
-use moods::{Locate, MovementLog, ObjectId, SiteId, Trace};
+use daemon::{LoopbackCluster, Node, NodeConfig};
+use moods::{MovementLog, ObjectId, SiteId, Trace};
 use peertrack::config::GroupConfig;
 use simnet::time::secs;
 use simnet::SimTime;
@@ -127,4 +127,21 @@ fn cluster_survives_two_permanent_losses_with_k3() {
         );
         assert_eq!(r.unsupported, 0, "site {} left the supported regime", r.site.0);
     }
+}
+
+/// A permanently dead site never rejoins: the survivor it asks answers
+/// with a membership that leaves it out, and the spawn fails instead of
+/// serving from a ring that nobody else routes to.
+#[test]
+fn a_killed_site_cannot_join_again() {
+    require_sockets!();
+    const SEED: u64 = 41;
+    const VICTIM: usize = 2;
+    let mut cluster = LoopbackCluster::start_replicated(4, SEED, GroupConfig::default(), 3)
+        .expect("replicated cluster start");
+    cluster.kill_forever(VICTIM).expect("kill");
+    let mut cfg = NodeConfig::loopback(SiteId(VICTIM as u32), SEED, Some(cluster.addr(0)));
+    cfg.replicas = 3;
+    assert!(Node::spawn(cfg).is_err(), "a killed site joined again");
+    cluster.shutdown().expect("shutdown");
 }

@@ -7,9 +7,11 @@
 //! (`take_outbox` → `WalRecord::Protocol` at the destination) beside a
 //! `TraceableNetwork` at the same seed — and asserts that every site
 //! ends in byte-identical canonical state and that the merged model
-//! accounting agrees class by class. What may differ is only what the
-//! hosts supply: *when* the anti-entropy digest goes out, and the
-//! overlay's own stabilization traffic.
+//! accounting agrees class by class — through a permanent death, and
+//! through a join into a network that already holds data, with and
+//! without an `Lp` change. What may differ is only what the hosts
+//! supply: *when* the anti-entropy digest goes out, and the overlay's
+//! own join and stabilization traffic.
 
 use daemon::node::chord_id_for;
 use daemon::{Core, WalRecord};
@@ -56,21 +58,27 @@ impl Cores {
         c
     }
 
-    /// A new member: it learns the membership, the membership learns it.
+    /// A new member: it learns the membership, then the membership
+    /// learns it, every record ahead of the traffic they cause — as a
+    /// socket join orders them: the newcomer reads nothing before its
+    /// join reply has taught it the whole ring.
     fn admit(&mut self, s: u32) {
         let group = GroupConfig::default();
         let core = Core::new(SiteId(s), self.seed, group, addr(s).parse().expect("literal"))
             .with_replicas(self.replicas);
         let known: Vec<u32> = self.live.keys().copied().collect();
         self.live.insert(s, core);
-        for &other in &known {
-            self.apply(s, WalRecord::Member { site: SiteId(other), addr: addr(other) });
-            self.apply(other, WalRecord::Member { site: SiteId(s), addr: addr(s) });
-        }
+        let member = |m: u32| WalRecord::Member { site: SiteId(m), addr: addr(m) };
+        let learns = known.iter().map(|&other| (s, member(other)));
+        let told = known.iter().map(|&other| (other, member(s)));
+        self.deliver(learns.chain(told).collect());
     }
 
     fn apply(&mut self, at: u32, rec: WalRecord) {
-        let mut queue = VecDeque::from([(at, rec)]);
+        self.deliver(VecDeque::from([(at, rec)]));
+    }
+
+    fn deliver(&mut self, mut queue: VecDeque<(u32, WalRecord)>) {
         while let Some((at, rec)) = queue.pop_front() {
             // A frame to a node that is gone is dropped, as a failed
             // socket write would.
@@ -291,6 +299,69 @@ fn replicated_hosts_agree_through_a_permanent_death() {
     }
     assert_same_accounting(net.metrics(), &off, &indexing);
     assert!(off.messages_of(MsgClass::Gossip) > warm_up.messages_of(MsgClass::Gossip));
+}
+
+/// A member joins a network that already holds data: the successor
+/// hands it the key ranges it now owns and, when `Lp` grows, every site
+/// splits its shards (§IV-A.2) — on both hosts alike, byte for byte at
+/// every checkpoint. The schedule is split around the join because
+/// `join_site` drains whatever captures are scheduled.
+fn join_mid_schedule(sites: usize, seed: u64, replicas: usize, crosses_lp: bool) {
+    let mut events = workload(sites, seed);
+    events.sort_by_key(|e| e.at);
+    let cut = SimTime::from_micros(events.last().expect("events").at.as_micros() / 2);
+    let (before, after): (Vec<CaptureEvent>, Vec<CaptureEvent>) =
+        events.into_iter().partition(|e| e.at <= cut);
+    assert!(!before.is_empty() && !after.is_empty());
+
+    let mut net = Builder::new().sites(sites).seed(seed).replicas(replicas).build();
+    let mut cores = Cores::start(sites as u32, seed, replicas);
+    simulate(&mut net, &before);
+    cores.run(&before);
+    assert_same_state(&net, &cores);
+
+    let lp = net.current_lp();
+    let newcomer = net.join_site();
+    cores.admit(newcomer.0);
+    assert_eq!(net.current_lp() != lp, crosses_lp, "Lp {lp} → {}", net.current_lp());
+    let handed = cores.live[&newcomer.0].proto().gateway.load();
+    assert!(handed > 0, "the newcomer was handed nothing: the case was not exercised");
+    assert_same_state(&net, &cores);
+
+    simulate(&mut net, &after);
+    cores.run(&after);
+    assert_same_state(&net, &cores);
+    assert_eq!(net.anomalies(), Anomalies::default());
+    cores.assert_clean();
+    // `Overlay` is the simulator's join and stabilization traffic (the
+    // cores rebuild their rings for free); with replication on,
+    // `Gossip`'s digest trigger is the host's, as in the kill test.
+    let classes: Vec<MsgClass> = ALL_CLASSES
+        .into_iter()
+        .filter(|c| *c != MsgClass::Overlay && (replicas == 1 || *c != MsgClass::Gossip))
+        .collect();
+    assert_same_accounting(net.metrics(), &cores.merged_metrics([]), &classes);
+    assert!(net.metrics().messages_of(MsgClass::SplitMerge) > 0, "no shard moved");
+}
+
+#[test]
+fn a_join_that_grows_lp_moves_the_same_shards_on_both_hosts() {
+    join_mid_schedule(6, 33, 1, true);
+}
+
+#[test]
+fn a_join_that_keeps_lp_hands_off_the_same_shards_on_both_hosts() {
+    join_mid_schedule(8, 30, 1, false);
+}
+
+#[test]
+fn replicated_hosts_agree_through_a_join_that_grows_lp() {
+    join_mid_schedule(6, 33, 3, true);
+}
+
+#[test]
+fn replicated_hosts_agree_through_a_join_that_keeps_lp() {
+    join_mid_schedule(8, 30, 3, false);
 }
 
 /// A `ReplIopPatch` must never create a replica store. Holders of a
