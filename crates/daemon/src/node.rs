@@ -22,7 +22,8 @@
 //! simulator's event handlers — and then *commits the batch*: one WAL
 //! fsync covering every record the wakeup logged, after which (and
 //! never before) the batch's responses are released to their
-//! connections' write buffers. DESIGN.md §14 specifies the loop.
+//! connections' write buffers; a read-only batch logged nothing and
+//! releases them at once. DESIGN.md §14 specifies the loop.
 //!
 //! **Core/engine split.** Since the durability work the node is two
 //! layers. [`Core`] is the deterministic state machine: it holds every
@@ -48,6 +49,7 @@
 //! every node's metrics therefore reproduces the simulator's global
 //! tally for the same workload (asserted over sockets by
 //! `tests/tests/cluster_parity.rs`, without them by `site_parity.rs`).
+//! Like the anomaly counters, the tallies are volatile: never logged.
 //!
 //! **Queries.** `locate`/`trace` are not implemented here: the engine
 //! is a [`RecordSource`] — each read the planner needs is answered from
@@ -78,7 +80,7 @@
 //! connection's inbox suspended so responses keep request order. When
 //! the reply — or the link's death, or `RPC_DEADLINE` — arrives in the
 //! ordinary intake it is appended and the planner re-run; only the run
-//! that finishes touches the cache, the load tally, the WAL or the
+//! that finishes touches the cache, the load tally, the metrics or the
 //! client.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
@@ -202,10 +204,11 @@ impl NodeConfig {
 pub struct NodeReport {
     /// The site that ran.
     pub site: SiteId,
-    /// Model accounting (merge across nodes to compare with the
-    /// simulator's global tally).
+    /// Model accounting of this process's traffic (merge crash-free
+    /// nodes' to compare with the simulator's global tally).
     pub metrics: Metrics,
-    /// Protocol anomaly counters (all zero in a clean run).
+    /// Protocol anomaly counters since process start (all zero in a
+    /// clean run).
     pub anomalies: Anomalies,
     /// Protocol situations the daemon does not implement (refresh
     /// fetches, delegation, individual mode); zero within the supported
@@ -286,7 +289,8 @@ pub struct Outbound {
 }
 
 /// The deterministic half of a node: every field that must survive a
-/// crash, advanced only by [`Core::apply_record`]. No sockets, no
+/// crash, advanced only by [`Core::apply_record`], plus the volatile
+/// `metrics` and `anomalies` tallies its handlers bump. No sockets, no
 /// clocks, no filesystem — the same struct runs live under the engine
 /// and offline under WAL replay, and `tests/tests/crash_recovery.rs`
 /// holds the two byte-identical.
@@ -397,9 +401,9 @@ impl Core {
             WalRecord::Capture { at, objects } => site::capture(self, self.site, objects, *at),
             WalRecord::Flush { now } => self.on_flush(*now),
             WalRecord::Protocol { sender, wire } => self.on_protocol(*sender, wire),
-            WalRecord::Query { messages, hops, bytes } => {
-                self.metrics.record_bulk(MsgClass::Query, *messages, *bytes, *hops);
-            }
+            // Retired: logs written before reads left the disk still
+            // hold it, and it changes no protocol state.
+            WalRecord::Query { .. } => {}
             WalRecord::Dead { site } => self.on_dead(*site),
         }
     }
@@ -961,6 +965,9 @@ impl Engine {
                 })?;
                 core.replay(&rec);
             }
+            // The report counts this life's traffic, not the replay's.
+            core.metrics = Metrics::new();
+            core.anomalies = Anomalies::default();
             data = Some(d);
         }
         let mut engine = Engine {
@@ -1650,9 +1657,9 @@ impl Engine {
     }
 
     /// Apply the run that finished: cache and load tally, the model
-    /// cost through the WAL — query traffic mutates the metrics, and
-    /// metrics are recovered state — the wall-clock latency sample, and
-    /// the response, staged for this batch's commit.
+    /// cost (charged to the volatile metrics, never logged), the
+    /// wall-clock latency sample, and the response, staged for this
+    /// batch's commit.
     fn finish(
         &mut self,
         q: Query,
@@ -1673,11 +1680,7 @@ impl Engine {
                 }
             }
         }
-        self.log_apply(WalRecord::Query {
-            messages: cost.messages,
-            hops: cost.hops,
-            bytes: cost.bytes,
-        });
+        self.core.metrics.record_bulk(MsgClass::Query, cost.messages, cost.bytes, cost.hops);
         self.recorder
             .record_latency(MsgClass::Query, wall_us().saturating_sub(q.started_us));
         self.stage(q.conn, response);

@@ -2,43 +2,44 @@
 //! [`Core`] is serialized.
 //!
 //! **Log events, not state diffs.** A [`WalRecord`] is an *inbound
-//! event* — a membership change, an injected capture, a window flush, a
-//! received protocol message, a query's model cost. Recovery replays
-//! these through the exact handler code that ran live
-//! ([`Core::apply_record`]), so the WAL never has to describe the
-//! node's data structures and can never disagree with the handlers
-//! about what an event means.
+//! event* that changes protocol state — a membership change, an
+//! injected capture, a window flush, a received protocol message, a
+//! death. Recovery replays these through the exact handler code that
+//! ran live ([`Core::apply_record`]), so the WAL never has to describe
+//! the node's data structures and can never disagree with the handlers
+//! about what an event means. Reads are not events: a locate or trace
+//! appends nothing, and kind 5 ([`WalRecord::Query`]) is retired.
 //!
-//! **Canonical state encoding.** [`Core::state_bytes`] serializes the
-//! full replicated state deterministically: maps are emitted in sorted
-//! key order, sets sorted, and per-object IOP/gateway structure reuses
-//! the canonical encoders in [`peertrack::codec`]. Two cores that went
-//! through the same transitions produce the same bytes, which is the
-//! equality `tests/tests/crash_recovery.rs` asserts across a
-//! kill-and-restart. The `with_addrs` flag chooses between the two
-//! uses: snapshots keep listener addresses (`true` — a restart must
-//! recover the membership's dial targets), while comparison digests
-//! drop them (`false` — a restarted node binds a fresh ephemeral port,
-//! and that difference is *expected*).
+//! **Canonical state encoding (v3).** [`Core::state_bytes`] serializes
+//! protocol state only — identity, membership, window, IOP repository,
+//! gateway shards, sequencing and duplicate-suppression state, the
+//! `sent`/`received` counters, the dead set and the replica copies —
+//! deterministically: maps in sorted key order, sets sorted, per-object
+//! structure through the canonical encoders in [`peertrack::codec`].
+//! Two cores that went through the same transitions produce the same
+//! bytes, which is the equality `tests/tests/crash_recovery.rs` asserts
+//! across a kill-and-restart. With addresses (`with_addrs`) it is the
+//! snapshot body — a restart must recover the dial targets; without,
+//! a restart-stable digest, since a restarted node binds a fresh port.
 //!
-//! Excluded on purpose: the Chord ring and `Lp` (derived from the
-//! membership via `rebuild_ring`), the wall-clock latency recorder
-//! (observability, not protocol state), and the `unsupported`
-//! diagnostic counter (bumped by un-logged read-side probes from
-//! remote queries, so it is not replicated state and cannot survive
-//! replay).
+//! Excluded on purpose: the Chord ring, `Lp` and the hosted prefixes
+//! (derived from the membership and the shards); the per-class
+//! `Metrics` and the `Anomalies` (volatile counters about the protocol:
+//! a restarted node reports only its own life's traffic); the latency
+//! recorder; and `unsupported`. A v2 snapshot, which still carries the
+//! hosted list, the metrics and the anomalies, decodes by reading past
+//! them.
 
 use crate::node::Core;
 use crate::proto::{self, ProtoError};
 use chord::Ring;
-use ids::Prefix;
 use moods::SiteId;
 use peertrack::bytebuf::{ByteBuf, Reader};
 use peertrack::codec::{self, get_site, get_str, get_time, put_site, put_str, put_time};
 use peertrack::config::GroupConfig;
 use peertrack::messages::Wire;
 use peertrack::site::{Anomalies, Site};
-use simnet::metrics::{Metrics, ALL_CLASSES};
+use simnet::metrics::Metrics;
 use simnet::SimTime;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io;
@@ -76,8 +77,10 @@ pub enum WalRecord {
         /// The sequenced payload.
         wire: Wire,
     },
-    /// Model cost of one locate/trace answered at this node (queries
-    /// mutate the metrics, and metrics are recovered state).
+    /// Retired: the model cost of one locate/trace, logged before
+    /// reads left the disk. Kept only so older logs still decode; it
+    /// replays as a no-op, nothing appends it, and kind 5 is never
+    /// reused.
     Query {
         /// Model messages charged.
         messages: u64,
@@ -166,12 +169,12 @@ impl WalRecord {
     }
 }
 
-const STATE_VERSION: u8 = 2;
+const STATE_VERSION: u8 = 3;
 
 impl Core {
-    /// The canonical deterministic encoding of the full replicated
-    /// state. `with_addrs` keeps the members' listener addresses
-    /// (snapshots); without them the bytes are restart-stable digests.
+    /// The canonical deterministic encoding of the protocol state.
+    /// `with_addrs` keeps the members' listener addresses (snapshots);
+    /// without them the bytes are restart-stable digests.
     pub fn state_bytes(&self, with_addrs: bool) -> Vec<u8> {
         let mut buf = ByteBuf::with_capacity(512);
         buf.put_u8(STATE_VERSION);
@@ -188,19 +191,6 @@ impl Core {
         codec::put_state_window(&mut buf, &self.proto.window);
         codec::put_state_iop(&mut buf, &self.proto.iop);
         codec::put_state_gateway(&mut buf, &self.proto.gateway);
-        // The prefixes this node hosts: its shards' keys, kept in the
-        // encoding so older snapshots stay readable byte for byte.
-        let mut hosted: Vec<&Prefix> = self.proto.gateway.prefixes.keys().collect();
-        hosted.sort();
-        buf.put_u32(hosted.len() as u32);
-        for p in hosted {
-            codec::put_prefix(&mut buf, p);
-        }
-        for class in ALL_CLASSES {
-            buf.put_u64(self.metrics.messages_of(class));
-            buf.put_u64(self.metrics.bytes_of(class));
-            buf.put_u64(self.metrics.hops_of(class));
-        }
         buf.put_u64(self.next_seq);
         let mut seen: Vec<(u32, u64)> = self.seen.iter().copied().collect();
         seen.sort_unstable();
@@ -211,18 +201,7 @@ impl Core {
         }
         buf.put_u64(self.sent);
         buf.put_u64(self.received);
-        let a = &self.anomalies;
-        for v in [
-            a.out_of_order_arrivals,
-            a.dangling_iop_updates,
-            a.dropped_to_dead,
-            a.retries_exhausted,
-            a.duplicates_suppressed,
-            a.refresh_failures,
-        ] {
-            buf.put_u64(v);
-        }
-        // v2: the permanently-dead set and this node's replica copies,
+        // The permanently-dead set and this node's replica copies,
         // sorted by primary (BTree iteration order is already sorted).
         buf.put_u32(self.dead.len() as u32);
         for s in &self.dead {
@@ -272,7 +251,7 @@ fn decode_state(
 ) -> Result<Core, Box<dyn std::error::Error>> {
     let r = &mut Reader::new(body);
     let version = r.u8()?;
-    if version != STATE_VERSION {
+    if version != 2 && version != STATE_VERSION {
         return Err(format!("unknown state version {version}").into());
     }
     if r.u8()? != 1 {
@@ -298,25 +277,19 @@ fn decode_state(
     let window = codec::get_state_window(r, site, group.n_max)?;
     let iop = codec::get_state_iop(r)?;
     let gateway = codec::get_state_gateway(r)?;
-    // Hosted prefixes: derived from the gateway shards, so read past.
-    r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?;
-    let mut metrics = Metrics::new();
-    for class in ALL_CLASSES {
-        let (messages, bytes, hops) = (r.u64()?, r.u64()?, r.u64()?);
-        metrics.record_bulk(class, messages, bytes, hops);
+    if version == 2 {
+        // v2's hosted prefixes and its 12 classes × (messages, bytes,
+        // hops) of metrics: derived or volatile, so read past.
+        r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?;
+        r.take(12 * 3 * 8)?;
     }
     let next_seq = r.u64()?;
     let seen: HashSet<(u32, u64)> = r.vec(12, |r| Ok((r.u32()?, r.u64()?)))?.into_iter().collect();
     let sent = r.u64()?;
     let received = r.u64()?;
-    let anomalies = Anomalies {
-        out_of_order_arrivals: r.u64()?,
-        dangling_iop_updates: r.u64()?,
-        dropped_to_dead: r.u64()?,
-        retries_exhausted: r.u64()?,
-        duplicates_suppressed: r.u64()?,
-        refresh_failures: r.u64()?,
-    };
+    if version == 2 {
+        r.take(6 * 8)?; // v2's anomaly counters
+    }
     let dead: BTreeSet<SiteId> = r.vec(4, get_site)?.into_iter().collect();
     let mut replica_iop = BTreeMap::new();
     for _ in 0..r.len(4)? {
@@ -335,12 +308,12 @@ fn decode_state(
         ring: Ring::new(),
         lp: group.l_min,
         proto: Site { site, window, iop, gateway, replica_iop, replica_gateway },
-        metrics,
+        metrics: Metrics::new(),
         next_seq,
         seen,
         sent,
         received,
-        anomalies,
+        anomalies: Anomalies::default(),
         unsupported: 0,
         outbox: Vec::new(),
         replicas: 1,
@@ -390,9 +363,8 @@ mod tests {
     }
 
     /// `samples()[index].encode()` for `Member`, `Capture`, `Protocol`,
-    /// `Query` and `Dead`, and the SHA-1 of the snapshot fixture's
-    /// `state_bytes(true)`, as written by the commit before the borrowed
-    /// `Reader` (PR 18): a data dir from then stays readable.
+    /// the retired `Query` and `Dead`, as written by the commit before
+    /// the borrowed `Reader`: a data dir from then stays readable.
     const GOLDEN: [(usize, &str); 5] = [
         (0, "01000000030000000e3132372e302e302e313a37343033"),
         (1, "0200000000000003e800000003cb473678976f425d6ec1339838f11011007ad27d07aae1b618f604c684ee3189fa1723bef8656fe4461d6580e38ccb6dc72699b6c945e53831dcdf03"),
@@ -400,7 +372,33 @@ mod tests {
         (5, "050000000000000005000000000000000700000000000000a0"),
         (6, "0600000002"),
     ];
-    const GOLDEN_SNAPSHOT_SHA1: &str = "d38790083689854c3a07e2dd0b0824180fe9f8c2";
+    /// SHA-1 of the fixture's v3 `state_bytes(true)`. The v2 encoding
+    /// of the same fixture hashed to
+    /// d38790083689854c3a07e2dd0b0824180fe9f8c2.
+    const GOLDEN_SNAPSHOT_SHA1: &str = "46c9a787887b16097eed947e16842cd350af1732";
+    /// The fixture's snapshot body as the last v2 build wrote it (hosted
+    /// prefixes, per-class metrics and anomalies included).
+    const V2_SNAPSHOT_BODY: &str = concat!(
+        "020100000000000000000000002a00000002000000000000000e3132372e302e302e313a3734303000000003",
+        "0000000e3132372e302e302e313a373430330000000000000bb8000000000000000307aae1b618f604c684ee",
+        "3189fa1723bef8656fe40000000100000000000003e800000000000000000000000000000000000000000000",
+        "00000000461d6580e38ccb6dc72699b6c945e53831dcdf030000000100000000000003e80000000000000000",
+        "000000000000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000010000",
+        "0000000003e80000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000300000000000000ab000000000000000300000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000005",
+        "00000000000000a0000000000000000700000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000004000000010000000100000000",
+        "0000000900000000000000030000000000000001000000000000000000000000000000010000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000000000000000",
+    );
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
 
     fn fixture() -> (GroupConfig, Core) {
         let addr: SocketAddr = "127.0.0.1:7400".parse().unwrap();
@@ -450,6 +448,15 @@ mod tests {
     }
 
     #[test]
+    fn v2_snapshot_decodes_to_the_v3_state() {
+        let (group, core) = fixture();
+        let v2 = unhex(V2_SNAPSHOT_BODY);
+        let restored = Core::from_snapshot(SiteId(0), 42, group, &v2).unwrap();
+        assert_eq!(restored.state_bytes(true), core.state_bytes(true));
+        assert_eq!(restored.metrics(), &Metrics::new(), "v2 metrics are read past, not restored");
+    }
+
+    #[test]
     fn snapshot_for_wrong_identity_is_rejected() {
         let addr: SocketAddr = "127.0.0.1:7400".parse().unwrap();
         let group = GroupConfig::default();
@@ -475,6 +482,7 @@ mod tests {
         let mut padded = body.clone();
         padded.push(0);
         assert!(Core::from_snapshot(SiteId(0), 42, group, &padded).is_err());
-        hostile_bytes(&[body], |raw| drop(Core::from_snapshot(SiteId(0), 42, group, raw)));
+        let v2 = unhex(V2_SNAPSHOT_BODY);
+        hostile_bytes(&[body, v2], |raw| drop(Core::from_snapshot(SiteId(0), 42, group, raw)));
     }
 }

@@ -66,6 +66,59 @@ pub struct WalEntry {
     pub payload: Vec<u8>,
 }
 
+/// One record as it lies in the file: header, then body.
+fn record(lsn: u64, payload: &[u8]) -> Vec<u8> {
+    let len = (8 + payload.len()) as u32;
+    let mut rec = Vec::with_capacity(16 + payload.len());
+    rec.extend_from_slice(&len.to_be_bytes());
+    rec.extend_from_slice(&[0; 4]); // crc placeholder
+    rec.extend_from_slice(&lsn.to_be_bytes());
+    rec.extend_from_slice(payload);
+    let crc = crc32(&rec[8..]);
+    rec[4..8].copy_from_slice(&crc.to_be_bytes());
+    rec
+}
+
+/// Validate a log image record by record, without touching a file:
+/// the valid records and the length of the prefix they fill. The scan
+/// stops at the first invalid record; when that is one no append wrote
+/// — a length outside `8..=MAX_RECORD_BYTES`, or a checksummed but
+/// non-increasing LSN — rather than a torn tail, it also says why.
+fn scan(raw: &[u8]) -> (Vec<WalEntry>, usize, Option<String>) {
+    let mut entries: Vec<WalEntry> = Vec::new();
+    let mut pos = 0usize;
+    while raw.len() - pos >= 8 {
+        let len = u32::from_be_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
+        let crc = u32::from_be_bytes(raw[pos + 4..pos + 8].try_into().unwrap());
+        if len < 8 || len > MAX_RECORD_BYTES {
+            // Checked *before* `len` feeds any slice arithmetic, so a
+            // record claiming near-`u32::MAX` bytes never sizes an
+            // allocation.
+            let why = format!(
+                "record at byte {pos} claims a {len}-byte body \
+                 (valid range is 8..={MAX_RECORD_BYTES})"
+            );
+            return (entries, pos, Some(why));
+        }
+        if raw.len() - pos - 8 < len {
+            break; // torn tail (crash mid-write)
+        }
+        let body = &raw[pos + 8..pos + 8 + len];
+        if crc32(body) != crc {
+            break; // bit flip (anywhere in the body) or torn write
+        }
+        let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
+        let last = entries.last().map_or(0, |e| e.lsn);
+        if lsn <= last {
+            let why = format!("record at byte {pos} has non-monotonic lsn {lsn} (after {last})");
+            return (entries, pos, Some(why));
+        }
+        entries.push(WalEntry { lsn, payload: body[8..].to_vec() });
+        pos += 8 + len;
+    }
+    (entries, pos, None)
+}
+
 /// An open write-ahead log positioned for appends.
 pub struct Wal {
     file: File,
@@ -76,7 +129,8 @@ pub struct Wal {
 
 impl Wal {
     /// Open (creating if absent) the log at `path`, validate every
-    /// record, truncate the file at the first invalid one, and return
+    /// record (`scan`), truncate the file at the first invalid one —
+    /// saying why, unless it is a torn tail — and return
     /// the log plus the surviving entries. `min_next_lsn` lower-bounds
     /// the next LSN handed out (pass `snapshot_lsn + 1` so compacted
     /// history is never renumbered).
@@ -90,55 +144,16 @@ impl Wal {
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut raw)?;
 
-        let mut entries = Vec::new();
-        let mut pos = 0usize;
-        let mut valid_end = 0usize;
-        let mut last_lsn = 0u64;
-        while raw.len() - pos >= 8 {
-            let len = u32::from_be_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_be_bytes(raw[pos + 4..pos + 8].try_into().unwrap());
-            if len < 8 || len > MAX_RECORD_BYTES {
-                // A hostile/corrupt length field. The cap check runs
-                // *before* `len` feeds any slice arithmetic, so a record
-                // claiming near-`u32::MAX` bytes is rejected here rather
-                // than sizing an allocation — and unlike a torn tail
-                // (which a crash produces routinely and recovery prunes
-                // in silence), no append() ever wrote this, so say so.
-                eprintln!(
-                    "wal: {}: record at byte {pos} claims a {len}-byte body \
-                     (valid range is 8..={MAX_RECORD_BYTES}); truncating log here",
-                    path.display()
-                );
-                break;
-            }
-            if raw.len() - pos - 8 < len {
-                break; // torn tail (crash mid-write)
-            }
-            let body = &raw[pos + 8..pos + 8 + len];
-            if crc32(body) != crc {
-                break; // bit flip (anywhere in the body) or torn write
-            }
-            let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
-            if lsn <= last_lsn {
-                // Checksummed yet out of order: not something append()
-                // produces, so flag it like the hostile length above.
-                eprintln!(
-                    "wal: {}: record at byte {pos} has non-monotonic lsn \
-                     {lsn} (after {last_lsn}); truncating log here",
-                    path.display()
-                );
-                break;
-            }
-            last_lsn = lsn;
-            entries.push(WalEntry { lsn, payload: body[8..].to_vec() });
-            pos += 8 + len;
-            valid_end = pos;
+        let (entries, valid_end, why) = scan(&raw);
+        if let Some(why) = why {
+            eprintln!("wal: {}: {why}; truncating log here", path.display());
         }
         if valid_end < raw.len() {
             file.set_len(valid_end as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
 
+        let last_lsn = entries.last().map_or(0, |e| e.lsn);
         let next_lsn = (last_lsn + 1).max(min_next_lsn).max(1);
         Ok((Wal { file, next_lsn, mode, dirty: false }, entries))
     }
@@ -164,15 +179,7 @@ impl Wal {
     pub fn append_deferred(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(payload.len() <= MAX_RECORD_BYTES - 8, "record exceeds MAX_RECORD_BYTES");
         let lsn = self.next_lsn;
-        let len = (8 + payload.len()) as u32;
-        let mut rec = Vec::with_capacity(16 + payload.len());
-        rec.extend_from_slice(&len.to_be_bytes());
-        rec.extend_from_slice(&[0; 4]); // crc placeholder
-        rec.extend_from_slice(&lsn.to_be_bytes());
-        rec.extend_from_slice(payload);
-        let crc = crc32(&rec[8..]);
-        rec[4..8].copy_from_slice(&crc.to_be_bytes());
-        self.file.write_all(&rec)?;
+        self.file.write_all(&record(lsn, payload))?;
         if self.mode != FsyncMode::Never {
             self.dirty = true;
         }
@@ -210,6 +217,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptiny::hostile_bytes;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -343,6 +351,29 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].lsn, 5);
         assert_eq!(wal.next_lsn(), 6);
+    }
+
+    /// The scan under hostile input — every single-byte corruption,
+    /// every truncation, forged lengths, random strings — never panics,
+    /// and what it keeps is a prefix of the appended records, lying
+    /// exactly in the `valid_end` bytes it claims.
+    #[test]
+    fn scan_of_hostile_bytes_keeps_a_prefix_of_the_valid_entries() {
+        let valid: Vec<WalEntry> = (1..=4u64)
+            .map(|lsn| WalEntry { lsn, payload: vec![lsn as u8; 3 * lsn as usize] })
+            .collect();
+        let image: Vec<u8> = valid.iter().flat_map(|e| record(e.lsn, &e.payload)).collect();
+        assert_eq!(scan(&image), (valid.clone(), image.len(), None));
+        let check = |raw: &[u8]| {
+            let (kept, valid_end, _) = scan(raw);
+            assert!(valid.starts_with(&kept), "kept records that were never appended");
+            let framed: Vec<u8> = kept.iter().flat_map(|e| record(e.lsn, &e.payload)).collect();
+            assert_eq!(&raw[..valid_end], framed.as_slice());
+        };
+        for cut in 0..image.len() {
+            check(&image[..cut]);
+        }
+        hostile_bytes(&[image], check);
     }
 
     #[test]

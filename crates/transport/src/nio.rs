@@ -52,11 +52,6 @@ impl FrameAccum {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet returned as a frame.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
     /// Pop the next whole frame, if one has fully arrived.
     ///
     /// Returns `Err(InvalidData)` when the buffered prefix claims more

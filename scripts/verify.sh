@@ -274,6 +274,17 @@ if grep -nE 'fn (split_level|merge_level|apply_migration|merge_entry)\b' crates/
 fi
 echo "OK: one shard mover for both hosts, hosted prefixes derived, two fsync modes."
 
+# A read never touches the disk: no engine path logs a query, and the
+# snapshot keeps only protocol state — `state_bytes` writes no metrics,
+# no anomaly counters and no hosted-prefix list. Silent when clean.
+state_body=$(awk '/pub fn state_bytes/{on=1} on{print} on&&/^    }$/{on=0}' crates/daemon/src/state.rs)
+if [[ -z "$state_body" ]] \
+    || grep -rn 'log_apply(WalRecord::Query' crates \
+    || grep -nE 'metrics|anomalies|hosted|put_prefix' <<<"$state_body"; then
+    echo "a read is logged again, or the snapshot carries counters or hosted prefixes" >&2
+    exit 1
+fi
+
 # One link per peer, no sleeping dial: every frame the engine sends a
 # peer rides that peer's nonblocking link, dialed once with no retry.
 # The blocking stream cache, its staleness peek and the test-build dial

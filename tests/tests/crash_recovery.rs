@@ -8,11 +8,14 @@
 //!    abandoned) and restarted on a fresh port; its canonical state
 //!    encoding must come back byte-identical, the schedule continues,
 //!    and every locate/trace answer afterwards must match the
-//!    `MovementLog` ground truth with zero protocol anomalies.
+//!    `MovementLog` ground truth with zero protocol anomalies. Reads
+//!    are not events: a read-only run leaves every data dir and every
+//!    node's state byte-identical.
 //! 2. **State-machine level** — a socket-free property: replaying a WAL
 //!    through `daemon::Core` equals snapshotting at *any* record
 //!    boundary and replaying the tail. This is the invariant that makes
-//!    snapshot cadence a pure performance knob.
+//!    snapshot cadence a pure performance knob. Logs holding the
+//!    retired `Query` record replay as if it were absent.
 //! 3. **Storage level** — torn writes and bit flips in a node's data
 //!    dir either recover a strict prefix of the logged records (WAL
 //!    damage) or fail the open loudly (snapshot damage) — never a
@@ -20,6 +23,7 @@
 
 use daemon::node::chord_id_for;
 use daemon::{Core, LoopbackCluster, ScheduleCursor, WalRecord};
+use durable::snapshot::SNAPSHOT_FILE;
 use durable::{DataDir, FsyncMode, WAL_FILE};
 use ids::Prefix;
 use integration_tests::triple_from_events;
@@ -92,8 +96,8 @@ fn crashed_node_recovers_byte_identical_and_answers_match_oracle() {
     )
     .expect("durable cluster start");
 
-    // First leg: part of the schedule, then a query so the WAL holds
-    // every record kind (Member, Capture, Flush, Protocol, Query).
+    // First leg: part of the schedule, then a query (which logs
+    // nothing) before the crash.
     let mut cursor = ScheduleCursor::new(&events);
     let ran = cluster.run_cursor(&mut cursor, FIRST_LEG_OPS).expect("first schedule leg");
     assert_eq!(ran, FIRST_LEG_OPS, "workload too short to split around a crash");
@@ -175,6 +179,81 @@ fn crashed_node_recovers_byte_identical_and_answers_match_oracle() {
         );
         assert_eq!(r.unsupported, 0, "site {} left the supported regime", r.site.0);
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Every site's `wal.log` and `snapshot.bin`, as bytes.
+fn data_files(root: &std::path::Path, sites: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    (0..sites)
+        .map(|i| {
+            let dir = root.join(format!("site-{i}"));
+            let read = |name: &str| std::fs::read(dir.join(name)).expect("data file");
+            (read(WAL_FILE), read(SNAPSHOT_FILE))
+        })
+        .collect()
+}
+
+/// A read is not an event: locates and traces on durable nodes append
+/// no WAL record, install no snapshot and change no recovered state —
+/// even at the tightest cadence, where any appended record would
+/// rewrite `snapshot.bin`.
+#[test]
+fn reads_leave_the_data_dir_and_state_untouched() {
+    require_sockets!();
+    const SITES: usize = 3;
+    const VOL: usize = 6;
+    const SEED: u64 = 13;
+
+    let events = PaperWorkload {
+        sites: SITES,
+        objects_per_site: VOL,
+        grouped_movement: true,
+        seed: SEED,
+        ..PaperWorkload::default()
+    }
+    .generate();
+    let root = scratch("read-only");
+    let mut cluster = LoopbackCluster::start_durable(
+        SITES,
+        SEED,
+        GroupConfig::default(),
+        &root,
+        FsyncMode::Batch,
+        1,
+    )
+    .expect("durable cluster start");
+    cluster.run_schedule(&events).expect("schedule");
+
+    let dumps = |cluster: &mut LoopbackCluster| -> Vec<Vec<u8>> {
+        (0..SITES).map(|i| cluster.state_dump(i).expect("state dump")).collect()
+    };
+    let files_before = data_files(&root, SITES);
+    let state_before = dumps(&mut cluster);
+
+    // 3 origins × 18 objects × (2 locates + 1 trace) = 162 reads, each
+    // answered in full.
+    for origin in 0..SITES as u32 {
+        for home in 0..SITES as u32 {
+            for serial in 0..VOL as u64 {
+                let o = workload::epc_object(home, serial);
+                for probe in [secs(100), secs(4_200)] {
+                    let (_, _, complete) = cluster.locate(SiteId(origin), o, probe).expect("locate");
+                    assert!(complete, "locate of {o:?} at {probe} incomplete");
+                }
+                let (_, _, complete) =
+                    cluster.trace(SiteId(origin), o, SimTime::ZERO, SimTime::INFINITY).expect("trace");
+                assert!(complete, "trace of {o:?} incomplete");
+            }
+        }
+    }
+
+    let files_after = data_files(&root, SITES);
+    for (i, (before, after)) in files_before.iter().zip(&files_after).enumerate() {
+        assert!(before.0 == after.0, "site {i}: a read wrote wal.log");
+        assert!(before.1 == after.1, "site {i}: a read rewrote snapshot.bin");
+    }
+    assert!(dumps(&mut cluster) == state_before, "a read changed recovered state");
+    cluster.shutdown().expect("shutdown");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -287,6 +366,46 @@ proptiny! {
             }
             prop_assert_eq!(&recovered.state_bytes(true), &want);
         }
+    }
+}
+
+/// Logs written before reads left the disk hold one `Query` record per
+/// answered read. Kind 5 is retired, not forgotten: such a log still
+/// opens, decodes and replays to the state — and the metrics — of the
+/// same log without them.
+#[test]
+fn retired_query_records_replay_as_no_ops() {
+    const SITES: usize = 3;
+    const SEED: u64 = 5;
+    let group = GroupConfig::default();
+    let events = PaperWorkload {
+        sites: SITES,
+        objects_per_site: 4,
+        grouped_movement: true,
+        seed: SEED,
+        ..PaperWorkload::default()
+    }
+    .generate();
+    let (live, logs) = run_universe(SITES, SEED, group, &events);
+    for (i, log) in logs.iter().enumerate() {
+        let dir = scratch(&format!("retired-query-{i}"));
+        {
+            let (mut d, _) = DataDir::open(&dir, FsyncMode::Never).unwrap();
+            for (k, rec) in log.iter().enumerate() {
+                let query = WalRecord::Query { messages: k as u64 + 1, hops: 2, bytes: 64 };
+                d.append_deferred(&query.encode()).unwrap();
+                d.append_deferred(&rec.encode()).unwrap();
+            }
+        }
+        let (_, recovery) = DataDir::open(&dir, FsyncMode::Never).unwrap();
+        assert_eq!(recovery.tail.len(), 2 * log.len());
+        let mut core = Core::new(SiteId(i as u32), SEED, group, addr_of(i));
+        for e in &recovery.tail {
+            core.replay(&WalRecord::decode(&e.payload).expect("old log decodes"));
+        }
+        assert_eq!(core.state_bytes(true), live[i].state_bytes(true), "site {i} state");
+        assert_eq!(core.metrics(), live[i].metrics(), "site {i}: a retired record charged");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -113,10 +113,10 @@ fn pipelined_burst_matches_request_at_a_time_and_oracle() {
     // (distributed queries — each parks on its remote reads while later
     // frames of this same connection wait their turn), interleaved with
     // local lookups (Resolve). Responses must be position-for-position
-    // identical across client disciplines; queries log `Query` records
-    // whose *per-query* costs are deterministic, while cumulative
-    // surfaces (StateDump, Status) are deliberately left out of the
-    // plan — they drift with history, not with discipline.
+    // identical across client disciplines: per-query costs are
+    // deterministic, while cumulative surfaces (Status) are
+    // deliberately left out of the plan — they drift with history, not
+    // with discipline.
     let probes = [secs(0), secs(1_400), secs(4_200)];
     let mut requests: Vec<Vec<u8>> = Vec::new();
     for site in 0..SITES as u32 {
