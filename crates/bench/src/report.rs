@@ -124,7 +124,7 @@ pub fn imbalance_row(loads: &[u64]) -> Vec<String> {
 }
 
 /// Column names matching [`class_traffic_rows`].
-const CLASS_TRAFFIC_HEADER: [&str; 4] = ["class", "messages", "model_bytes", "hops"];
+pub const CLASS_TRAFFIC_HEADER: [&str; 4] = ["class", "messages", "model_bytes", "hops"];
 
 /// One row per message class that carried traffic — the single place
 /// per-class tallies are formatted, shared by the examples and
@@ -143,19 +143,6 @@ pub fn class_traffic_rows(m: &Metrics) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// Print the per-class traffic tally as an aligned console table, with
-/// a totals row.
-pub fn print_class_traffic(title: &str, m: &Metrics) {
-    let mut rows = class_traffic_rows(m);
-    rows.push(vec![
-        "total".to_string(),
-        m.total_messages().to_string(),
-        m.total_bytes().to_string(),
-        m.total_hops().to_string(),
-    ]);
-    print_table(title, &CLASS_TRAFFIC_HEADER, &rows);
 }
 
 /// Column names matching [`region_pair_row`].

@@ -183,7 +183,10 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     let report = node.join(); // blocks until a Shutdown frame (or signal) arrives
 
     println!("site {} shut down", report.site.0);
-    println!("  protocol frames: {} sent, {} received", report.sent, report.received);
+    println!(
+        "  protocol messages: {} sent, {} received, {} in flight, {} held back",
+        report.sent, report.received, report.in_flight, report.held
+    );
     for class in ALL_CLASSES {
         let m = report.metrics.messages_of(class);
         if m > 0 {
@@ -262,8 +265,12 @@ fn ctl(args: &[String]) -> Result<ExitCode, String> {
     let reply = Frame::decode(&raw).map_err(|e| format!("reply: {e}"))?;
     match reply {
         Frame::Ack => println!("ok"),
-        Frame::StatusResp { site, members, sent, received } => {
-            println!("site {} members {members} sent {sent} received {received}", site.0);
+        Frame::StatusResp { site, members, sent, received, in_flight, held } => {
+            println!(
+                "site {} members {members} sent {sent} received {received} \
+                 in_flight {in_flight} held {held}",
+                site.0
+            );
         }
         Frame::QueryLoadResp { loads, hits, misses } => {
             for (site, count) in &loads {

@@ -15,11 +15,11 @@
 //!
 //! Control operations are strictly serialized: the harness sends one
 //! capture/flush/query at a time and, whenever an operation can have
-//! emitted protocol traffic, waits for the cluster to **quiesce**
-//! (every node's sent/received frame counters globally balanced and
-//! stable) before proceeding. That preserves the simulator's causal
-//! delivery order — two gateways' `GroupIndex` messages can never race
-//! each other on different TCP connections.
+//! emitted protocol traffic, waits for the cluster to **quiesce** (no
+//! node has a message in flight, and nobody sent one, across two
+//! consecutive status rounds) before proceeding. That preserves the
+//! simulator's causal delivery order — two gateways' `GroupIndex`
+//! messages can never race each other on different TCP connections.
 
 use crate::node::{Node, NodeConfig, NodeReport};
 use crate::proto::{CostWire, Frame};
@@ -106,12 +106,6 @@ pub struct LoopbackCluster {
     /// WAN region topology shared by every node (DESIGN.md §17);
     /// `None` = flat cluster (the default everywhere).
     geo: Option<geo::Topology>,
-    /// Final sent/received counters of permanently killed nodes
-    /// ([`LoopbackCluster::kill_forever`]): their frames stay in the
-    /// cluster-wide balance [`LoopbackCluster::quiesce`] checks even
-    /// though the nodes no longer answer [`Frame::Status`].
-    dead_sent: u64,
-    dead_received: u64,
 }
 
 impl LoopbackCluster {
@@ -232,8 +226,6 @@ impl LoopbackCluster {
             replicas: replicas.max(1),
             locate_cache,
             geo,
-            dead_sent: 0,
-            dead_received: 0,
         };
         for _ in 0..n {
             cluster.join()?;
@@ -272,19 +264,19 @@ impl LoopbackCluster {
     }
 
     /// Sever the region pair `(a, b)` cluster-wide: every live node
-    /// parks its protocol frames across the pair until
+    /// holds its protocol messages across the pair until
     /// [`LoopbackCluster::region_heal`]. Geo clusters only. No quiesce
-    /// needed — parked frames are excluded from the sent/received
-    /// balance, so a cut cluster still quiesces between operations.
+    /// needed — held messages are not in flight, so a cut cluster still
+    /// quiesces between operations.
     pub fn region_cut(&mut self, a: u16, b: u16) -> io::Result<()> {
         assert!(self.geo.is_some(), "region_cut requires a geo cluster");
         assert_ne!(a, b, "a region cannot be cut from itself");
         self.broadcast_region(&Frame::RegionCut { a, b })
     }
 
-    /// Heal the region pair `(a, b)`: every live node releases its
-    /// parked frames in original order, then the harness waits for the
-    /// released traffic to drain (quiesce).
+    /// Heal the region pair `(a, b)`: every live node writes what it
+    /// held from its link cursor, in sequence order, then the harness
+    /// waits for the released traffic to drain (quiesce).
     pub fn region_heal(&mut self, a: u16, b: u16) -> io::Result<()> {
         assert!(self.geo.is_some(), "region_heal requires a geo cluster");
         self.broadcast_region(&Frame::RegionHeal { a, b })?;
@@ -342,8 +334,9 @@ impl LoopbackCluster {
         Frame::decode(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Status of every *live* node (crashed slots are skipped — their
-    /// counters are frozen on disk, not reachable over a socket).
+    /// `(members, sent, in_flight)` of every *live* node (crashed slots
+    /// are skipped — their state is on disk, not reachable over a
+    /// socket).
     fn statuses(&mut self) -> io::Result<Vec<(u32, u64, u64)>> {
         let mut out = Vec::with_capacity(self.nodes.len());
         for i in 0..self.nodes.len() {
@@ -351,8 +344,8 @@ impl LoopbackCluster {
                 continue;
             }
             match self.ctl_request(site_id(i), &Frame::Status)? {
-                Frame::StatusResp { members, sent, received, .. } => {
-                    out.push((members, sent, received));
+                Frame::StatusResp { members, sent, in_flight, .. } => {
+                    out.push((members, sent, in_flight));
                 }
                 other => {
                     return Err(io::Error::new(
@@ -383,28 +376,32 @@ impl LoopbackCluster {
         }
     }
 
-    /// Wait until the protocol plane is drained: the cluster-wide sums
-    /// of sent and received frames are equal and stable across two
-    /// consecutive polls.
+    /// Wait until the protocol plane is drained: two consecutive status
+    /// rounds in which every live node has nothing in flight and the
+    /// cluster-wide count of messages sent is the same. A node acks
+    /// only after committing what the message caused, so a message
+    /// still travelling would show up in flight at its sender or in a
+    /// changed count. The confirming round follows a clean one at once.
     pub fn quiesce(&mut self) -> io::Result<()> {
         let start = Instant::now();
-        let mut prev: Option<(u64, u64)> = None;
+        let mut prev: Option<u64> = None;
         loop {
-            let sums = self.statuses()?.iter().fold(
-                (self.dead_sent, self.dead_received),
-                |(s, r), &(_, ns, nr)| (s + ns, r + nr),
-            );
-            if sums.0 == sums.1 && prev == Some(sums) {
+            let statuses = self.statuses()?;
+            let sent: u64 = statuses.iter().map(|s| s.1).sum();
+            let idle = statuses.iter().all(|s| s.2 == 0);
+            if idle && prev == Some(sent) {
                 return Ok(());
             }
-            prev = Some(sums);
+            prev = idle.then_some(sent);
             if start.elapsed() > SETTLE_TIMEOUT {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("protocol plane did not quiesce: {sums:?}"),
+                    format!("protocol plane did not quiesce: {statuses:?}"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(1));
+            if !idle {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
 
@@ -552,8 +549,6 @@ impl LoopbackCluster {
         }
         self.quiesce()?;
         let report = self.crash(i)?;
-        self.dead_sent += report.sent;
-        self.dead_received += report.received;
         let live: Vec<usize> =
             (0..self.nodes.len()).filter(|&j| self.nodes[j].is_some()).collect();
         for &j in &live {

@@ -9,8 +9,8 @@
 //! protocol body the simulator hosts — shard movement included, so a
 //! member that joins a cluster already holding data is handed its key
 //! ranges and every node re-levels its shards when `Lp` grows — and
-//! keeps only its driver: the log-record vocabulary, the outbox,
-//! `(sender, seq)` duplicate suppression, model-cost charging, and the
+//! keeps only its driver: the log-record vocabulary, the delivery rule
+//! below, model-cost charging, and the
 //! `unsupported` counter for whatever falls outside the daemon's regime
 //! (refresh fetches that would move entries, crossing the delegation
 //! threshold, individual mode, undecodable input). The engine is a
@@ -32,9 +32,9 @@
 //! ([`crate::state::WalRecord`]) is exactly what the write-ahead log
 //! stores. Outbound protocol messages leave the core through an
 //! `outbox` rather than a socket, so the same `apply` call serves both
-//! live execution (the engine drains the outbox onto TCP) and crash
-//! recovery (replay drops it — every peer already received those
-//! messages in the first life). [`Engine`] owns everything a replay
+//! live execution (the engine writes them to TCP) and crash recovery
+//! (replay drops the outbox, and the engine resends whatever the
+//! peers have not acknowledged). [`Engine`] owns everything a replay
 //! must not touch: the listener, the links to peers, the wall-clock
 //! latency recorder and the [`durable::DataDir`]. Its single write
 //! path is `log_apply`: append to the WAL, then apply — state is never
@@ -63,14 +63,19 @@
 //! ring from the sorted member list, so owner, hops and path equal the
 //! simulator's single ring without asking a peer.
 //!
+//! **One delivery rule.** A message to a peer takes that peer's next
+//! sequence number and stays in its unacked suffix until a cumulative
+//! `Msg::Ack` — logged like any protocol record — trims it; a receiver
+//! keeps one watermark per sender. Replay rebuilds the suffix, so a
+//! crash at any instant loses nothing (DESIGN.md §9, §11).
+//!
 //! **One link per peer.** Everything the engine sends a peer — protocol
-//! frames, the join fan-out, read requests — is queued on that peer's
-//! one nonblocking connection. Only read requests are answered, in
-//! arrival order, so replies match the link's waiters first-in
+//! frames, acks, the join fan-out, read requests — is queued on that
+//! peer's one nonblocking connection. Only read requests are answered,
+//! in arrival order, so replies match the link's waiters first-in
 //! first-out. A link is dialed with one bounded connect, no retry and
-//! no sleep: an unreachable peer costs the frame that wanted it (a
-//! protocol frame is counted `dropped_to_dead`, a read answers "no
-//! answer"), never the engine.
+//! no sleep: an unreachable peer is marked down (its messages are held,
+//! a read answers "no answer"), never costing the engine.
 //!
 //! **In-flight queries.** No handler waits: a `Locate`/`Trace` is a
 //! table entry holding its *read log* — `(site, request) → reply` — and
@@ -173,8 +178,8 @@ pub struct NodeConfig {
     /// WAN region topology (DESIGN.md §17). `None` (the default) is the
     /// flat pre-geo behaviour. With a topology, the node derives its
     /// region from its site id and honors
-    /// [`Frame::RegionCut`]/[`Frame::RegionHeal`] by parking protocol
-    /// frames across severed pairs; that is all it is used for.
+    /// [`Frame::RegionCut`]/[`Frame::RegionHeal`] by holding protocol
+    /// messages across severed pairs; that is all it is used for.
     /// Engine-side network-plane state: never logged, never in the
     /// canonical state encoding. Must agree across the cluster, like
     /// `seed`.
@@ -217,10 +222,15 @@ pub struct NodeReport {
     /// Wall-clock delivery-latency histograms per message class, plus
     /// origin-side query latencies under [`MsgClass::Query`].
     pub recorder: Recorder,
-    /// Protocol-plane frames sent to other nodes.
+    /// Protocol messages sequenced for other nodes.
     pub sent: u64,
-    /// Protocol-plane frames received.
+    /// Protocol messages from other nodes applied.
     pub received: u64,
+    /// Unacknowledged messages to reachable peers at exit.
+    pub in_flight: u64,
+    /// Unacknowledged messages held back at exit: the peer is across a
+    /// region cut or down since a failed dial.
+    pub held: u64,
     /// Times a connection crossed the bounded-outbox limit
     /// ([`OUTBOX_LIMIT_BYTES`]) and was parked — reads and request
     /// processing suspended until the client drained its responses.
@@ -274,10 +284,9 @@ impl Node {
     }
 }
 
-/// A protocol message the core wants delivered. The core has already
-/// sequenced it, charged the model cost and counted it sent; the
-/// engine's only job is the socket write (and undoing the `sent` count
-/// if that write fails).
+/// A protocol message the core wants delivered: a sequenced message,
+/// already charged and kept in its peer's unacked suffix, or an
+/// uncharged, unsequenced ack.
 #[derive(Clone, Debug)]
 pub struct Outbound {
     /// Destination site.
@@ -286,6 +295,17 @@ pub struct Outbound {
     pub hops: u32,
     /// Sequenced protocol payload.
     pub wire: Wire,
+}
+
+/// The delivery state between this node and one peer.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Channel {
+    /// Number of the last message sequenced for the peer.
+    pub(crate) sent: u64,
+    /// Watermark: the peer's messages up to this number are applied.
+    pub(crate) received: u64,
+    /// Messages the peer has not acknowledged, in sequence order.
+    pub(crate) unacked: VecDeque<Outbound>,
 }
 
 /// The deterministic half of a node: every field that must survive a
@@ -307,12 +327,8 @@ pub struct Core {
     /// shards, replica copies — advanced by [`peertrack::site`].
     pub(crate) proto: Site,
     pub(crate) metrics: Metrics,
-    pub(crate) next_seq: u64,
-    /// `(sender, seq)` pairs already processed (duplicate suppression,
-    /// mirroring the simulator's per-site `seen_seqs`).
-    pub(crate) seen: HashSet<(u32, u64)>,
-    pub(crate) sent: u64,
-    pub(crate) received: u64,
+    /// The delivery rule's state per peer: O(members), never per message.
+    pub(crate) peers: BTreeMap<SiteId, Channel>,
     pub(crate) anomalies: Anomalies,
     /// Diagnostic only: bumped by un-logged read-side probes too, so it
     /// is deliberately *excluded* from the canonical state encoding.
@@ -343,10 +359,7 @@ impl Core {
             lp: group.l_min,
             proto: Site::new(site, group.n_max),
             metrics: Metrics::new(),
-            next_seq: 1,
-            seen: HashSet::new(),
-            sent: 0,
-            received: 0,
+            peers: BTreeMap::new(),
             anomalies: Anomalies::default(),
             unsupported: 0,
             outbox: Vec::new(),
@@ -409,8 +422,8 @@ impl Core {
     }
 
     /// Apply during recovery: identical transition, but the outbox is
-    /// discarded — every message this event produced was already
-    /// delivered (or accounted dropped) in the life that logged it.
+    /// discarded — what it held is still in the unacked suffix, which
+    /// the engine writes once recovery is done.
     pub fn replay(&mut self, rec: &WalRecord) {
         self.apply_record(rec);
         self.outbox.clear();
@@ -419,6 +432,29 @@ impl Core {
     /// Drain the messages the last apply produced.
     pub fn take_outbox(&mut self) -> Vec<Outbound> {
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Messages sequenced for `to` that it has not acknowledged, oldest
+    /// first.
+    pub fn unacked(&self, to: SiteId) -> impl Iterator<Item = &Outbound> {
+        self.peers.get(&to).into_iter().flat_map(|c| &c.unacked)
+    }
+
+    /// The cumulative ack of everything applied from `peer`, if anything.
+    pub fn ack_for(&self, peer: SiteId) -> Option<Outbound> {
+        let acked = self.peers.get(&peer).map_or(0, |c| c.received);
+        let wire = Wire { seq: 0, msg: Msg::Ack { acked } };
+        (acked > 0).then_some(Outbound { to: peer, hops: 0, wire })
+    }
+
+    /// Protocol messages sequenced for other nodes so far.
+    pub fn sent(&self) -> u64 {
+        self.peers.values().map(|c| c.sent).sum()
+    }
+
+    /// Protocol messages from other nodes applied so far.
+    pub fn received(&self) -> u64 {
+        self.peers.values().map(|c| c.received).sum()
     }
 
     /// Rebuild the local ring replica from the sorted membership,
@@ -496,13 +532,31 @@ impl Core {
     // Protocol plane: this node's driver around `peertrack::site`
     // ------------------------------------------------------------------
 
+    /// The receiving half of the delivery rule: an ack trims the suffix
+    /// it covers; the sender's next message is applied and one at or
+    /// below its watermark only re-acked; a gap is counted, not applied.
     fn on_protocol(&mut self, sender: SiteId, wire: &Wire) {
-        self.received += 1;
-        if wire.seq != 0 && !self.seen.insert((sender.0, wire.seq)) {
-            self.anomalies.duplicates_suppressed += 1;
+        let ch = self.peers.entry(sender).or_default();
+        if let Msg::Ack { acked } = wire.msg {
+            while ch.unacked.front().is_some_and(|o| o.wire.seq <= acked) {
+                ch.unacked.pop_front();
+            }
             return;
         }
-        self.handle_msg(sender, wire.msg.clone());
+        if wire.seq > ch.received + 1 {
+            self.unsupported += 1;
+            return;
+        }
+        let fresh = wire.seq == ch.received + 1;
+        if fresh {
+            ch.received = wire.seq;
+        } else {
+            self.anomalies.duplicates_suppressed += 1;
+        }
+        self.outbox.extend(self.ack_for(sender));
+        if fresh {
+            self.handle_msg(sender, wire.msg.clone());
+        }
     }
 
     fn handle_msg(&mut self, sender: SiteId, msg: Msg) {
@@ -519,9 +573,9 @@ impl Core {
                 self.maybe_delegate(prefix);
                 site::replicate_shard(self, me, Some(prefix));
             }
-            // Individual mode is a simulator-only path, acks belong to a
-            // retry layer TCP replaces, and a replica state that does not
-            // decode is bad network data: counted, not fatal.
+            // Individual mode is a simulator-only path, and a replica
+            // state that does not decode is bad network data: counted,
+            // not fatal.
             Some(_) => self.unsupported += 1,
         }
     }
@@ -607,6 +661,10 @@ impl Core {
         if site == self.site || self.members.remove(&site).is_none() {
             return;
         }
+        if let Some(ch) = self.peers.get_mut(&site) {
+            self.anomalies.dropped_to_dead += ch.unacked.len() as u64;
+            ch.unacked.clear();
+        }
         self.dead.insert(site);
         self.rebuild_ring();
         if self.replicas <= 1 {
@@ -676,19 +734,21 @@ impl site::Host for Core {
         &mut self.proto
     }
 
-    /// Sequence the message, charge its model cost and count it sent —
-    /// the simulator charges the same at its send — then queue it on
-    /// the outbox for the engine (live) or for dropping (replay).
+    /// Charge the message's model cost — the simulator charges the same
+    /// at its send — give it the peer's next sequence number and keep it
+    /// in the peer's unacked suffix until acknowledged; the outbox copy
+    /// is for the engine (live) or for dropping (replay).
     fn send(&mut self, _from: SiteId, to: SiteId, hops: u32, msg: Msg) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.metrics.record(msg.class(), msg.wire_size(), hops);
         if !self.members.contains_key(&to) {
             self.anomalies.dropped_to_dead += 1;
             return;
         }
-        self.sent += 1;
-        self.outbox.push(Outbound { to, hops, wire: Wire { seq, msg } });
+        let ch = self.peers.entry(to).or_default();
+        ch.sent += 1;
+        let out = Outbound { to, hops, wire: Wire { seq: ch.sent, msg } };
+        ch.unacked.push_back(out.clone());
+        self.outbox.push(out);
     }
 
     fn deliver(&mut self, _to: SiteId, from: SiteId, msg: Msg) {
@@ -845,14 +905,16 @@ struct LocateEffects {
 }
 
 /// The one nonblocking connection this node sends a peer everything
-/// on: protocol frames, the join fan-out and read requests. The serving
-/// engine answers only the read requests, in arrival order, so replies
-/// match `waiters` first-in first-out.
+/// on: protocol frames, acks, the join fan-out and read requests. The
+/// serving engine answers only the read requests, in arrival order, so
+/// replies match `waiters` first-in first-out.
 struct PeerLink {
     conn: NbConn,
     /// Queries with a request outstanding here, oldest first, each with
     /// the instant it was sent.
     waiters: VecDeque<(u64, Instant)>,
+    /// The write cursor: the last sequence number written here.
+    written: u64,
 }
 
 /// Hand each whole frame the link has received to its oldest waiter.
@@ -882,8 +944,13 @@ struct Engine {
     /// reused, never compacted) because staged replies and in-flight
     /// queries refer to them.
     econns: Vec<Option<EConn>>,
-    /// The one outbound link per peer, by peer listener address.
-    links: HashMap<SocketAddr, PeerLink>,
+    /// The one outbound link per peer.
+    links: HashMap<SiteId, PeerLink>,
+    /// Peers to write at the next commit, each with the acks due to it.
+    owed: BTreeMap<SiteId, Vec<Outbound>>,
+    /// Peers whose last dial failed: what they have not acknowledged is
+    /// held, not in flight, until a dial succeeds.
+    down: HashSet<SiteId>,
     /// Queries parked on a remote read, by id.
     queries: HashMap<u64, Query>,
     next_query: u64,
@@ -921,14 +988,10 @@ struct Engine {
     query_load: BTreeMap<SiteId, u64>,
     /// WAN region topology (DESIGN.md §17); `None` = flat cluster.
     geo: Option<geo::Topology>,
-    /// Severed region pairs, normalized `(min, max)`. Network-plane
-    /// state like the recorder: volatile, engine-side, never logged.
+    /// Severed region pairs, normalized `(min, max)`: nothing is
+    /// written to a peer across one. Network-plane state like the
+    /// recorder: volatile, engine-side, never logged.
     severed: HashSet<(u16, u16)>,
-    /// Protocol frames parked at this sender because their destination
-    /// lies across a severed pair, in park order. Their `sent` count
-    /// was undone at park time so the harness's sent/received balance
-    /// holds while a cut is open; release re-counts and re-sends.
-    parked_out: Vec<Outbound>,
 }
 
 impl Engine {
@@ -970,11 +1033,16 @@ impl Engine {
             core.anomalies = Anomalies::default();
             data = Some(d);
         }
+        // Recovered: every peer is owed its suffix and our watermark.
+        let owed = core.peers.keys().map(|&s| (s, Vec::from_iter(core.ack_for(s))));
+        let owed = owed.collect();
         let mut engine = Engine {
             addr,
             listener,
             econns: Vec::new(),
             links: HashMap::new(),
+            owed,
+            down: HashSet::new(),
             queries: HashMap::new(),
             next_query: 0,
             running: None,
@@ -992,7 +1060,6 @@ impl Engine {
             query_load: BTreeMap::new(),
             geo: cfg.geo,
             severed: HashSet::new(),
-            parked_out: Vec::new(),
         };
         // A recovered core remembers the listener address of its
         // previous life; this life bound a fresh port.
@@ -1008,10 +1075,10 @@ impl Engine {
     }
 
     /// The single live write path: log the event (group-commit append —
-    /// the fsync is deferred to this batch's `commit`), apply it,
-    /// deliver what it produced. A WAL append failure is fatal by
-    /// design — running on past an unlogged mutation would make the
-    /// next recovery silently diverge.
+    /// the fsync is deferred to this batch's `commit`), apply it, note
+    /// the peers owed a write at commit (a rejoining member on a fresh
+    /// link). A WAL append failure is fatal by design — running on past
+    /// an unlogged mutation would make the next recovery silently diverge.
     fn log_apply(&mut self, rec: WalRecord) {
         if let Some(d) = self.data.as_mut() {
             d.append_deferred(&rec.encode())
@@ -1020,98 +1087,106 @@ impl Engine {
             self.records_since_snapshot += 1;
         }
         self.core.apply_record(&rec);
-        self.pump_outbox();
-    }
-
-    /// Deliver everything the core queued. On a send failure the core
-    /// has already counted the message sent — undo that and count the
-    /// drop, keeping cluster-wide sent/received sums balanced (which is
-    /// what the harness's quiesce watches). With a topology, frames
-    /// whose destination lies across a severed region pair are parked
-    /// instead (sent-count undone the same way, so a cut cluster still
-    /// quiesces); [`Engine::release_parked`] re-sends them at heal.
-    fn pump_outbox(&mut self) {
         for out in self.core.take_outbox() {
-            if let Some(pair) = self.severed_pair_of(out.to) {
-                debug_assert!(self.severed.contains(&pair));
-                self.core.sent -= 1;
-                self.parked_out.push(out);
-                continue;
+            let acks = self.owed.entry(out.to).or_default();
+            if matches!(out.wire.msg, Msg::Ack { .. }) {
+                acks.push(out);
             }
-            self.send_outbound(out);
+        }
+        if let WalRecord::Member { site, .. } = rec {
+            if site != self.core.site {
+                if let Some(link) = self.links.get_mut(&site) {
+                    link.conn.close();
+                }
+                self.service_link(site);
+                self.down.remove(&site);
+                let ack = self.core.ack_for(site);
+                self.owed.entry(site).or_default().extend(ack);
+            }
         }
     }
 
-    /// The normalized region pair between this node and `to`, if (and
-    /// only if) that pair is currently severed.
-    fn severed_pair_of(&self, to: SiteId) -> Option<(u16, u16)> {
+    /// The normalized region pair between this node and `to`.
+    fn region_pair(&self, to: SiteId) -> Option<(u16, u16)> {
         let topo = self.geo.as_ref()?;
         let a = topo.region_of(self.core.site.0 as usize);
         let b = topo.region_of(to.0 as usize);
-        let pair = (a.min(b), a.max(b));
-        self.severed.contains(&pair).then_some(pair)
+        Some((a.min(b), a.max(b)))
     }
 
-    /// Queue one core-sequenced protocol message on its peer's link,
-    /// undoing its `sent` count if the peer cannot be reached.
-    fn send_outbound(&mut self, out: Outbound) {
-        let frame = Frame::Protocol {
-            sender: self.core.site,
-            hops: out.hops,
-            sent_us: wall_us(),
-            wire: out.wire,
+    fn severed(&self, to: SiteId) -> bool {
+        self.region_pair(to).is_some_and(|pair| self.severed.contains(&pair))
+    }
+
+    /// Unacknowledged messages `(in flight, held back)`: held are those
+    /// to a peer across a cut or down since a failed dial.
+    fn unacked_counts(&self) -> (u64, u64) {
+        let held = |to: &SiteId| self.severed(*to) || self.down.contains(to);
+        let count = |h: bool| -> u64 {
+            let peers = self.core.peers.iter().filter(|(to, _)| held(to) == h);
+            peers.map(|(_, c)| c.unacked.len() as u64).sum()
         };
-        let peer = self.core.members.get(&out.to).copied();
-        if peer.and_then(|peer| self.send_to(peer, &frame.encode())).is_none() {
-            self.core.sent -= 1;
-            self.core.anomalies.dropped_to_dead += 1;
+        (count(false), count(true))
+    }
+
+    /// The link to `to`, dialed if there is none: one connect under
+    /// [`DIAL_TIMEOUT`], no retry, no sleep; a failed dial marks the peer
+    /// down. Callers read the link first ([`Engine::service_link`]).
+    fn link(&mut self, to: SiteId) -> Option<&mut PeerLink> {
+        let addr = *self.core.members.get(&to)?;
+        match self.links.entry(to) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => {
+                let dialed = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)
+                    .and_then(|stream| NbConn::new(stream, addr));
+                let Ok(conn) = dialed else {
+                    self.down.insert(to);
+                    return None;
+                };
+                self.down.remove(&to);
+                Some(e.insert(PeerLink { conn, waiters: VecDeque::new(), written: 0 }))
+            }
         }
     }
 
-    /// Queue one frame on the link to `peer` and write what the kernel
-    /// takes now. The link is read once first — a peer that hung up
-    /// since its last use is noticed here, not after a lost frame — and
-    /// dialed if there is none: one connect under [`DIAL_TIMEOUT`], no
-    /// retry, no sleep. `None` = the peer cannot be reached.
-    fn send_to(&mut self, peer: SocketAddr, payload: &[u8]) -> Option<&mut PeerLink> {
-        self.service_link(peer);
-        let link = match self.links.entry(peer) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let stream = TcpStream::connect_timeout(&peer, DIAL_TIMEOUT).ok()?;
-                let conn = NbConn::new(stream, peer).ok()?;
-                e.insert(PeerLink { conn, waiters: VecDeque::new() })
-            }
-        };
+    /// Queue a read request or the join news on the link to `to`; a link
+    /// dialed here owes `to` its suffix at commit. `None` = unreachable.
+    fn send_to(&mut self, to: SiteId, payload: &[u8]) -> Option<&mut PeerLink> {
+        self.service_link(to);
+        if !self.links.contains_key(&to) {
+            self.owed.entry(to).or_default();
+        }
+        let link = self.link(to)?;
         link.conn.queue_frame(payload);
         link.conn.try_flush();
         if link.conn.is_dead() {
-            self.service_link(peer); // its waiters get "no answer"
+            self.service_link(to); // its waiters get "no answer"
             return None;
         }
-        self.links.get_mut(&peer)
+        self.links.get_mut(&to)
     }
 
-    /// Re-send every frame parked on the region pair `(a, b)`, in the
-    /// order they were parked — per-destination sequence order is
-    /// preserved, so receivers see the frames as merely delayed.
-    fn release_parked(&mut self, a: u16, b: u16) {
-        let pair = (a.min(b), a.max(b));
-        let parked = std::mem::take(&mut self.parked_out);
-        for out in parked {
-            let out_pair = {
-                let topo = self.geo.as_ref().expect("parked frames require a topology");
-                let ra = topo.region_of(self.core.site.0 as usize);
-                let rb = topo.region_of(out.to.0 as usize);
-                (ra.min(rb), ra.max(rb))
-            };
-            if out_pair == pair {
-                self.core.sent += 1;
-                self.send_outbound(out);
-            } else {
-                self.parked_out.push(out);
-            }
+    /// Write `to` its `acks`, then the unacknowledged messages past its
+    /// link's cursor. Nothing crosses a cut; the heal owes both again.
+    fn write_peer(&mut self, to: SiteId, acks: Vec<Outbound>) {
+        self.service_link(to);
+        if self.severed(to) {
+            return;
         }
+        let written = self.links.get(&to).map_or(0, |l| l.written);
+        let behind = self.core.unacked(to).last().is_some_and(|o| o.wire.seq > written);
+        if (acks.is_empty() && !behind) || self.link(to).is_none() {
+            return;
+        }
+        let (sender, sent_us) = (self.core.site, wall_us());
+        let link = self.links.get_mut(&to).expect("the link was just read or dialed");
+        let unwritten = self.core.unacked(to).skip_while(|o| o.wire.seq <= written);
+        for o in acks.iter().chain(unwritten) {
+            let wire = o.wire.clone();
+            link.conn.queue_frame(&Frame::Protocol { sender, hops: o.hops, sent_us, wire }.encode());
+            link.written = link.written.max(o.wire.seq);
+        }
+        link.conn.try_flush();
     }
 
     fn install_snapshot(&mut self) {
@@ -1205,14 +1280,17 @@ impl Engine {
         for link in self.links.values_mut() {
             link.conn.close();
         }
+        let (in_flight, held) = self.unacked_counts();
         NodeReport {
             site: self.core.site,
+            sent: self.core.sent(),
+            received: self.core.received(),
             metrics: self.core.metrics,
             anomalies: self.core.anomalies,
             unsupported: self.core.unsupported,
             recorder: self.recorder,
-            sent: self.core.sent,
-            received: self.core.received,
+            in_flight,
+            held,
             backpressure_parks: self.parks,
         }
     }
@@ -1262,11 +1340,13 @@ impl Engine {
                 }
             }
         }
-        // Only a link somebody waits on can have a reply due. The rest
-        // carry fire-and-forget frames and are read before their next
-        // send ([`Engine::send_to`]), not on every wakeup.
-        let peers: Vec<SocketAddr> =
-            self.links.iter().filter(|(_, l)| !l.waiters.is_empty()).map(|(&a, _)| a).collect();
+        // A link with a waiter has a reply due, and one holding
+        // unacknowledged messages must be seen to die. The rest are read
+        // before their next write, not on every wakeup.
+        let peers: Vec<SiteId> = (self.links.iter())
+            .filter(|&(s, l)| !l.waiters.is_empty() || self.core.unacked(*s).next().is_some())
+            .map(|(&s, _)| s)
+            .collect();
         for peer in peers {
             activity |= self.service_link(peer);
         }
@@ -1278,8 +1358,9 @@ impl Engine {
     /// something no waiter can use, or has left its oldest waiter
     /// unanswered past [`RPC_DEADLINE`] — every remaining waiter gets
     /// "no answer" and the link is dropped, to be redialed by the next
-    /// frame sent to `peer`. Returns `true` if any query was answered.
-    fn service_link(&mut self, peer: SocketAddr) -> bool {
+    /// frame sent to `peer` — at the next commit if it still owes
+    /// messages. Returns `true` if any query was answered.
+    fn service_link(&mut self, peer: SiteId) -> bool {
         let Some(link) = self.links.get_mut(&peer) else { return false };
         link.conn.read_ready();
         let mut answers = Vec::new();
@@ -1292,6 +1373,9 @@ impl Engine {
             answers.extend(link.waiters.drain(..).map(|(id, _)| (id, None)));
             link.conn.close();
             self.links.remove(&peer);
+            if self.core.unacked(peer).next().is_some() {
+                self.owed.entry(peer).or_default();
+            }
         }
         let answered = !answers.is_empty();
         for (id, reply) in answers {
@@ -1332,7 +1416,8 @@ impl Engine {
 
     /// The group-commit point: one fsync covering every record this
     /// batch appended, then — and never before — release the batch's
-    /// staged responses to their connections. A crash stop releases
+    /// staged responses to their connections, and its protocol messages
+    /// and acks to their peers' links. A crash stop releases
     /// without the fsync (process-crash model: the `write(2)` already
     /// happened, and `Frame::Crash` simulates `kill -9`, not power
     /// loss). Snapshot cadence also lands here, after the sync.
@@ -1357,6 +1442,9 @@ impl Engine {
             if let Some(ec) = self.econns[idx].as_mut() {
                 ec.conn.queue_frame(&bytes);
             }
+        }
+        for (to, acks) in std::mem::take(&mut self.owed) {
+            self.write_peer(to, acks);
         }
     }
 
@@ -1460,13 +1548,16 @@ impl Engine {
                 self.start_query(idx, Ask::Trace { object, t0, t1 })
             }
             Frame::Status => {
+                let (in_flight, held) = self.unacked_counts();
                 self.stage(
                     idx,
                     Frame::StatusResp {
                         site: self.core.site,
                         members: self.core.members.len() as u32,
-                        sent: self.core.sent,
-                        received: self.core.received,
+                        sent: self.core.sent(),
+                        received: self.core.received(),
+                        in_flight,
+                        held,
                     },
                 );
             }
@@ -1512,8 +1603,16 @@ impl Engine {
                 self.stage(idx, Frame::Ack);
             }
             Frame::RegionHeal { a, b } => {
-                if self.severed.remove(&(a.min(b), a.max(b))) {
-                    self.release_parked(a, b);
+                // What the cut held is written from each link's cursor,
+                // after our watermark.
+                let pair = (a.min(b), a.max(b));
+                if self.severed.remove(&pair) {
+                    let peers = self.core.peers.keys();
+                    let healed = peers.filter(|&&s| self.region_pair(s) == Some(pair));
+                    let healed: Vec<_> = healed.map(|&s| (s, self.core.ack_for(s))).collect();
+                    for (s, ack) in healed {
+                        self.owed.entry(s).or_default().extend(ack);
+                    }
                 }
                 self.stage(idx, Frame::Ack);
             }
@@ -1537,13 +1636,9 @@ impl Engine {
         self.log_apply(WalRecord::Member { site, addr: addr.to_string() });
         // Tell everyone else about the newcomer (fire-and-forget,
         // daemon-plane: not charged, not counted as protocol traffic).
-        let others: Vec<SocketAddr> = self
-            .core
-            .members
-            .iter()
-            .filter(|(s, _)| **s != self.core.site && **s != site)
-            .map(|(_, a)| *a)
-            .collect();
+        let me = self.core.site;
+        let others = self.core.members.keys().filter(|&&s| s != me && s != site);
+        let others: Vec<SiteId> = others.copied().collect();
         let news = Frame::PeerJoined { site, addr: addr.to_string() }.encode();
         for peer in others {
             self.send_to(peer, &news);
@@ -1608,8 +1703,7 @@ impl Engine {
     /// Queue one read request on the link to its site, with query `id`
     /// as its waiter. `false` = the site cannot be reached.
     fn send_read(&mut self, id: u64, (site, request): &ReadKey) -> bool {
-        let Some(&peer) = self.core.members.get(site) else { return false };
-        let Some(link) = self.send_to(peer, request) else { return false };
+        let Some(link) = self.send_to(*site, request) else { return false };
         link.waiters.push_back((id, Instant::now()));
         true
     }
@@ -1894,7 +1988,7 @@ mod tests {
         assert!(replayed.outbox.is_empty());
         // Identical transitions: full state (addresses included) agrees.
         assert_eq!(live.state_bytes(true), replayed.state_bytes(true));
-        assert_eq!(live.sent, replayed.sent);
+        assert_eq!(live.sent(), replayed.sent());
     }
 
     /// A bad peer costs one link: whatever bytes arrive where replies

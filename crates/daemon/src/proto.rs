@@ -191,12 +191,11 @@ pub enum Frame {
         site: SiteId,
     },
     /// WAN fault injection: sever the region pair `(a, b)` of the
-    /// node's configured topology. Protocol frames whose destination
-    /// lies across the severed pair are **parked** at the sender (not
-    /// dropped, not counted sent) until the matching
-    /// [`Frame::RegionHeal`] releases them in original order — mirroring
-    /// the simulator's park-and-release `GeoPlane::sever`. Replied with
-    /// Ack; a no-op on nodes without a topology.
+    /// node's configured topology. Nothing is written to a peer across
+    /// the severed pair: its protocol messages and acks are **held** in
+    /// the delivery state until the matching [`Frame::RegionHeal`] —
+    /// mirroring the simulator's park-and-release `GeoPlane::sever`.
+    /// Replied with Ack; a no-op on nodes without a topology.
     RegionCut {
         /// One region of the severed pair.
         a: u16,
@@ -204,11 +203,10 @@ pub enum Frame {
         /// the harness, not the wire).
         b: u16,
     },
-    /// Heal the region pair `(a, b)`: parked frames for the pair are
-    /// re-sent in the order they were parked (per-destination sequence
-    /// order preserved, so duplicate suppression and in-order gateway
-    /// updates behave as if the frames had merely been delayed).
-    /// Replied with Ack.
+    /// Heal the region pair `(a, b)`: each peer across it is written our
+    /// watermark and then the held messages from its link's cursor, in
+    /// sequence order, as if they had merely been delayed. Replied with
+    /// Ack.
     RegionHeal {
         /// One region of the healed pair.
         a: u16,
@@ -291,10 +289,15 @@ pub enum Frame {
         site: SiteId,
         /// Members it currently knows (itself included).
         members: u32,
-        /// Protocol-plane frames sent to other nodes so far.
+        /// Protocol messages sequenced for other nodes so far.
         sent: u64,
-        /// Protocol-plane frames received and processed so far.
+        /// Protocol messages from other nodes applied so far.
         received: u64,
+        /// Unacknowledged messages to reachable peers.
+        in_flight: u64,
+        /// Unacknowledged messages held back: their peer is across a
+        /// region cut or down since a failed dial.
+        held: u64,
     },
     /// Reply to [`Frame::GatewayProbe`]: the latest-state link on hit.
     LinkResp(Option<Link>),
@@ -516,12 +519,13 @@ impl Frame {
                 put_cost(&mut buf, cost);
                 buf.put_u8(u8::from(*complete));
             }
-            Frame::StatusResp { site, members, sent, received } => {
+            Frame::StatusResp { site, members, sent, received, in_flight, held } => {
                 buf.put_u8(K_STATUS_RESP);
                 put_site(&mut buf, *site);
                 buf.put_u32(*members);
-                buf.put_u64(*sent);
-                buf.put_u64(*received);
+                for n in [sent, received, in_flight, held] {
+                    buf.put_u64(*n);
+                }
             }
             Frame::QueryLoadResp { loads, hits, misses } => {
                 buf.put_u8(K_QUERY_LOAD_RESP);
@@ -638,6 +642,8 @@ impl Frame {
                 members: r.u32()?,
                 sent: r.u64()?,
                 received: r.u64()?,
+                in_flight: r.u64()?,
+                held: r.u64()?,
             },
             K_QUERY_LOAD_RESP => Frame::QueryLoadResp {
                 loads: r.vec(12, |r| Ok((get_site(r)?, r.u64()?)))?,
@@ -761,7 +767,14 @@ mod tests {
                 cost: CostWire { messages: 2, hops: 2, bytes: 96 },
                 complete: true,
             },
-            Frame::StatusResp { site: SiteId(1), members: 5, sent: 10, received: 9 },
+            Frame::StatusResp {
+                site: SiteId(1),
+                members: 5,
+                sent: 10,
+                received: 9,
+                in_flight: 1,
+                held: 0,
+            },
             Frame::QueryLoadResp {
                 loads: vec![(SiteId(0), 3), (SiteId(2), 17)],
                 hits: 11,
@@ -786,11 +799,14 @@ mod tests {
 
     /// `samples()[index].encode()` for `Capture`, `Protocol{GroupIndex}`
     /// and `LocateResp`, as written by the commit before the borrowed
-    /// `Reader` (PR 18): a peer from then still reads these frames.
-    const GOLDEN: [(usize, &str); 3] = [
+    /// `Reader` (PR 18): a peer from then still reads these frames. And
+    /// `StatusResp` with `in_flight` and `held`; before them it encoded
+    /// as 230000000100000005000000000000000a0000000000000009.
+    const GOLDEN: [(usize, &str); 4] = [
         (5, "05000000000000006300000002aebf740096fea5f738202d5d299fc84e932155d5c9e1208fdafeca60716624e08ac95d5d3036071c"),
         (0, "010000000300000002000000000012d687000000590201000000000000000000000000002a0340000000000000000000000300000002cb473678976f425d6ec1339838f11011007ad27d000000000000000507aae1b618f604c684ee3189fa1723bef8656fe40000000000000006"),
         (25, "21010000000200000000000000030000000000000005000000000000009001"),
+        (28, "230000000100000005000000000000000a000000000000000900000000000000010000000000000000"),
     ];
 
     #[test]

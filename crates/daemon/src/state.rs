@@ -10,11 +10,12 @@
 //! about what an event means. Reads are not events: a locate or trace
 //! appends nothing, and kind 5 ([`WalRecord::Query`]) is retired.
 //!
-//! **Canonical state encoding (v3).** [`Core::state_bytes`] serializes
+//! **Canonical state encoding (v4).** [`Core::state_bytes`] serializes
 //! protocol state only — identity, membership, window, IOP repository,
-//! gateway shards, sequencing and duplicate-suppression state, the
-//! `sent`/`received` counters, the dead set and the replica copies —
-//! deterministically: maps in sorted key order, sets sorted, per-object
+//! gateway shards, the delivery state per peer (last sequence number
+//! sent, watermark received, unacknowledged suffix), the dead set and
+//! the replica copies — deterministically: maps in sorted key order,
+//! sets sorted, per-object
 //! structure through the canonical encoders in [`peertrack::codec`].
 //! Two cores that went through the same transitions produce the same
 //! bytes, which is the equality `tests/tests/crash_recovery.rs` asserts
@@ -28,9 +29,11 @@
 //! a restarted node reports only its own life's traffic); the latency
 //! recorder; and `unsupported`. A v2 snapshot, which still carries the
 //! hosted list, the metrics and the anomalies, decodes by reading past
-//! them.
+//! them; a v2 or v3 snapshot's global sequence number, per-message
+//! dedup set and counters are read past too, leaving the delivery state
+//! empty — they kept no suffix to resume.
 
-use crate::node::Core;
+use crate::node::{Channel, Core, Outbound};
 use crate::proto::{self, ProtoError};
 use chord::Ring;
 use moods::SiteId;
@@ -41,7 +44,7 @@ use peertrack::messages::Wire;
 use peertrack::site::{Anomalies, Site};
 use simnet::metrics::Metrics;
 use simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
 
@@ -169,7 +172,7 @@ impl WalRecord {
     }
 }
 
-const STATE_VERSION: u8 = 3;
+const STATE_VERSION: u8 = 4;
 
 impl Core {
     /// The canonical deterministic encoding of the protocol state.
@@ -191,16 +194,17 @@ impl Core {
         codec::put_state_window(&mut buf, &self.proto.window);
         codec::put_state_iop(&mut buf, &self.proto.iop);
         codec::put_state_gateway(&mut buf, &self.proto.gateway);
-        buf.put_u64(self.next_seq);
-        let mut seen: Vec<(u32, u64)> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
-        buf.put_u32(seen.len() as u32);
-        for (sender, seq) in seen {
-            buf.put_u32(sender);
-            buf.put_u64(seq);
+        buf.put_u32(self.peers.len() as u32);
+        for (peer, ch) in &self.peers {
+            put_site(&mut buf, *peer);
+            buf.put_u64(ch.sent);
+            buf.put_u64(ch.received);
+            buf.put_u32(ch.unacked.len() as u32);
+            for out in &ch.unacked {
+                buf.put_u32(out.hops);
+                proto::put_wire(&mut buf, &out.wire);
+            }
         }
-        buf.put_u64(self.sent);
-        buf.put_u64(self.received);
         // The permanently-dead set and this node's replica copies,
         // sorted by primary (BTree iteration order is already sorted).
         buf.put_u32(self.dead.len() as u32);
@@ -251,7 +255,7 @@ fn decode_state(
 ) -> Result<Core, Box<dyn std::error::Error>> {
     let r = &mut Reader::new(body);
     let version = r.u8()?;
-    if version != 2 && version != STATE_VERSION {
+    if !(2..=STATE_VERSION).contains(&version) {
         return Err(format!("unknown state version {version}").into());
     }
     if r.u8()? != 1 {
@@ -283,10 +287,21 @@ fn decode_state(
         r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?;
         r.take(12 * 3 * 8)?;
     }
-    let next_seq = r.u64()?;
-    let seen: HashSet<(u32, u64)> = r.vec(12, |r| Ok((r.u32()?, r.u64()?)))?.into_iter().collect();
-    let sent = r.u64()?;
-    let received = r.u64()?;
+    let mut peers = BTreeMap::new();
+    if version < 4 {
+        // The global sequence number, the dedup set and the counters.
+        r.u64()?;
+        r.vec(12, |r| r.take(12))?;
+        r.take(2 * 8)?;
+    } else {
+        for _ in 0..r.len(4 + 8 + 8 + 4)? {
+            let to = get_site(r)?;
+            let (sent, received) = (r.u64()?, r.u64()?);
+            let unacked =
+                r.vec(4 + 4, |r| Ok(Outbound { to, hops: r.u32()?, wire: proto::get_wire(r)? }))?;
+            peers.insert(to, Channel { sent, received, unacked: unacked.into() });
+        }
+    }
     if version == 2 {
         r.take(6 * 8)?; // v2's anomaly counters
     }
@@ -309,10 +324,7 @@ fn decode_state(
         lp: group.l_min,
         proto: Site { site, window, iop, gateway, replica_iop, replica_gateway },
         metrics: Metrics::new(),
-        next_seq,
-        seen,
-        sent,
-        received,
+        peers,
         anomalies: Anomalies::default(),
         unsupported: 0,
         outbox: Vec::new(),
@@ -372,10 +384,24 @@ mod tests {
         (5, "050000000000000005000000000000000700000000000000a0"),
         (6, "0600000002"),
     ];
-    /// SHA-1 of the fixture's v3 `state_bytes(true)`. The v2 encoding
-    /// of the same fixture hashed to
+    /// SHA-1 of the fixture's v4 `state_bytes(true)`, whose delivery
+    /// state holds three unacked `GroupIndex` messages to site 3. The v3
+    /// encoding of the same fixture hashed to
+    /// 46c9a787887b16097eed947e16842cd350af1732, the v2 one to
     /// d38790083689854c3a07e2dd0b0824180fe9f8c2.
-    const GOLDEN_SNAPSHOT_SHA1: &str = "46c9a787887b16097eed947e16842cd350af1732";
+    const GOLDEN_SNAPSHOT_SHA1: &str = "d0e0705efefd6ed3a6ed48ca451157fa304b2538";
+    /// The fixture's snapshot body as the last v3 build wrote it (global
+    /// sequence number, per-message dedup set and counters).
+    const V3_SNAPSHOT_BODY: &str = concat!(
+        "030100000000000000000000002a00000002000000000000000e3132372e302e302e313a3734303000000003",
+        "0000000e3132372e302e302e313a373430330000000000000bb8000000000000000307aae1b618f604c684ee",
+        "3189fa1723bef8656fe40000000100000000000003e800000000000000000000000000000000000000000000",
+        "00000000461d6580e38ccb6dc72699b6c945e53831dcdf030000000100000000000003e80000000000000000",
+        "000000000000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000010000",
+        "0000000003e80000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000400000001000000010000000000000009000000000000000300000000000000010000000000000000",
+        "00000000",
+    );
     /// The fixture's snapshot body as the last v2 build wrote it (hosted
     /// prefixes, per-class metrics and anomalies included).
     const V2_SNAPSHOT_BODY: &str = concat!(
@@ -447,13 +473,18 @@ mod tests {
         assert_eq!(restored.state_bytes(false), core.state_bytes(false));
     }
 
+    /// The older formats kept no unacked suffix: they decode to the same
+    /// stores with empty delivery state.
     #[test]
-    fn v2_snapshot_decodes_to_the_v3_state() {
-        let (group, core) = fixture();
-        let v2 = unhex(V2_SNAPSHOT_BODY);
-        let restored = Core::from_snapshot(SiteId(0), 42, group, &v2).unwrap();
-        assert_eq!(restored.state_bytes(true), core.state_bytes(true));
-        assert_eq!(restored.metrics(), &Metrics::new(), "v2 metrics are read past, not restored");
+    fn v2_and_v3_snapshots_decode_with_empty_delivery_state() {
+        let (group, mut core) = fixture();
+        assert_eq!(core.unacked(SiteId(3)).count(), 3);
+        core.peers.clear();
+        for old in [V2_SNAPSHOT_BODY, V3_SNAPSHOT_BODY] {
+            let restored = Core::from_snapshot(SiteId(0), 42, group, &unhex(old)).unwrap();
+            assert_eq!(restored.state_bytes(true), core.state_bytes(true));
+            assert_eq!(restored.metrics(), &Metrics::new(), "v2 metrics are read past");
+        }
     }
 
     #[test]
@@ -482,7 +513,8 @@ mod tests {
         let mut padded = body.clone();
         padded.push(0);
         assert!(Core::from_snapshot(SiteId(0), 42, group, &padded).is_err());
-        let v2 = unhex(V2_SNAPSHOT_BODY);
-        hostile_bytes(&[body, v2], |raw| drop(Core::from_snapshot(SiteId(0), 42, group, raw)));
+        let old = [V2_SNAPSHOT_BODY, V3_SNAPSHOT_BODY].map(unhex);
+        let all = [body, old[0].clone(), old[1].clone()];
+        hostile_bytes(&all, |raw| drop(Core::from_snapshot(SiteId(0), 42, group, raw)));
     }
 }

@@ -68,7 +68,9 @@ fn main() {
     // The whole session's traffic, class by class: indexing, IOP link
     // updates, split/merge migration and handoff all itemized through
     // the shared reporter.
-    bench::report::print_class_traffic("traffic by message class", net.metrics());
+    use bench::report::{class_traffic_rows, print_table, CLASS_TRAFFIC_HEADER};
+    let rows = class_traffic_rows(net.metrics());
+    print_table("traffic by message class", &CLASS_TRAFFIC_HEADER, &rows);
 
     println!("done.");
 }

@@ -70,7 +70,9 @@ fn main() {
 
     // What crossed the (virtual) wire, class by class — rendered by the
     // same shared reporter the experiment binaries use.
-    bench::report::print_class_traffic("traffic by message class", net.metrics());
+    use bench::report::{class_traffic_rows, print_table, CLASS_TRAFFIC_HEADER};
+    let rows = class_traffic_rows(net.metrics());
+    print_table("traffic by message class", &CLASS_TRAFFIC_HEADER, &rows);
 
     println!("done.");
 }

@@ -159,13 +159,13 @@ if ./target/release/peertrackd --probe-bind; then
     echo "== region-cut partition smoke (wan3 over real sockets) =="
     # A six-node cluster over geo::Topology::wan3 is partitioned into
     # three isolated regions (Frame::RegionCut), keeps answering about
-    # fully-propagated history, parks cross-region frames at the
+    # fully-propagated history, holds cross-region messages at the
     # senders, then heals and must be oracle-exact on everything —
     # including a handoff made during the partition — with zero
     # protocol anomalies on every node (DESIGN.md §17).
     timeout 180 cargo test -q --offline -p integration-tests --test wan_cluster \
         || { echo "region-cut partition smoke failed (or timed out)" >&2; exit 1; }
-    echo "OK: three-way region partition parked, healed, reconverged oracle-exact."
+    echo "OK: three-way region partition held, healed, reconverged oracle-exact."
 
     echo "== event-loop pipelining & backpressure (real sockets) =="
     # Pipelined bursts must answer byte-identical to request-at-a-time
@@ -282,6 +282,17 @@ if [[ -z "$state_body" ]] \
     || grep -rn 'log_apply(WalRecord::Query' crates \
     || grep -nE 'metrics|anomalies|hosted|put_prefix' <<<"$state_body"; then
     echo "a read is logged again, or the snapshot carries counters or hosted prefixes" >&2
+    exit 1
+fi
+
+# One delivery rule: per-peer sequence numbers and a cumulative ack,
+# released after commit, replace the per-message dedup set, the
+# harness's sent/received balancing and the region-cut park list; none
+# of them may grow back. Silent when clean.
+if grep -nE '\bseen *:|HashSet<\(u32, u64\)>' crates/daemon/src/node.rs \
+    || grep -rnE 'sent -= 1|dead_sent|dead_received|parked_out' crates/daemon \
+    || grep -nw 'seen' <<<"$state_body"; then
+    echo "a dedup set, counter balancing or the park list is back in the daemon" >&2
     exit 1
 fi
 

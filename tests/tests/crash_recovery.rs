@@ -182,6 +182,74 @@ fn crashed_node_recovers_byte_identical_and_answers_match_oracle() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A crash loses nothing in flight: the gateway of two objects is down
+/// while their captures are indexed, and the `GroupIndex` messages wait
+/// for it instead of being dropped. After its restart one object moves
+/// on, and every locate and trace, from every origin, is oracle-exact
+/// and complete, with no message in flight anywhere. Fails at the
+/// commit before the delivery rule, where the frames were dropped and
+/// the locates answered "not in the system" with `complete = true`.
+#[test]
+fn index_updates_for_a_crashed_gateway_wait_for_its_restart() {
+    require_sockets!();
+    const SITES: usize = 6;
+    const SEED: u64 = 5;
+    const GATEWAY: u32 = 3;
+    let sim = Builder::new().sites(SITES).seed(SEED).build();
+    let gatewayed_at_3 = |o: &moods::ObjectId| {
+        let key = Prefix::of_id(&o.id(), sim.current_lp()).gateway_id();
+        let found = sim.ring().lookup(chord_id_for(SEED, SiteId(0)), key).expect("lookup");
+        sim.ring().app_index_of(&found.owner) == Some(GATEWAY as usize)
+    };
+    let mut objects = (0..u64::MAX).map(|n| workload::epc_object(9, n)).filter(gatewayed_at_3);
+    let (still, moved) = (objects.next().expect("object"), objects.next().expect("object"));
+
+    let root = scratch("held");
+    let group = GroupConfig::default();
+    let mut cluster =
+        LoopbackCluster::start_durable(SITES, SEED, group, &root, FsyncMode::Batch, 64)
+            .expect("durable cluster start");
+    cluster.crash(GATEWAY as usize).expect("crash");
+
+    let mut log = moods::MovementLog::new();
+    let mut capture = |cluster: &mut LoopbackCluster, site, t, objects: Vec<_>| {
+        for &o in &objects {
+            log.record(o, SiteId(site), t);
+        }
+        let event = workload::CaptureEvent { at: t, site: SiteId(site), objects };
+        cluster.run_schedule(&[event]).expect("schedule");
+    };
+    capture(&mut cluster, 0, secs(10), vec![still, moved]);
+    cluster.restart(GATEWAY as usize).expect("restart");
+    cluster.quiesce().expect("quiesce after the restart");
+    capture(&mut cluster, 1, secs(500), vec![moved]);
+
+    for origin in (0..SITES as u32).map(SiteId) {
+        for o in [still, moved] {
+            for t in [secs(10), secs(300), secs(500), secs(900)] {
+                let (ans, _, complete) = cluster.locate(origin, o, t).expect("locate");
+                assert!(complete, "locate of {o:?} at {t} from {origin:?} incomplete");
+                assert_eq!(ans, log.locate(o, t), "locate of {o:?} at {t} from {origin:?}");
+            }
+            let (path, _, complete) =
+                cluster.trace(origin, o, SimTime::ZERO, SimTime::INFINITY).expect("trace");
+            assert!(complete, "trace of {o:?} from {origin:?} incomplete");
+            assert_eq!(path, log.trace(o, SimTime::ZERO, SimTime::INFINITY));
+        }
+    }
+    for i in 0..SITES {
+        let mut ctl = std::net::TcpStream::connect(cluster.addr(i)).expect("connect");
+        transport::frame::write_frame(&mut ctl, &daemon::Frame::Status.encode()).expect("status");
+        let raw = transport::frame::read_frame(&mut ctl).expect("read").expect("reply");
+        match daemon::Frame::decode(&raw) {
+            Ok(daemon::Frame::StatusResp { in_flight: 0, held: 0, .. }) => {}
+            other => panic!("site {i} still has messages out: {other:?}"),
+        }
+    }
+    cluster.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Every site's `wal.log` and `snapshot.bin`, as bytes.
 fn data_files(root: &std::path::Path, sites: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
     (0..sites)

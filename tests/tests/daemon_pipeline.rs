@@ -550,8 +550,10 @@ fn shutdown_answers_queries_in_flight_before_its_ack() {
 /// A member whose port is closed costs the engine nothing: the flush
 /// that routes a `GroupIndex` to it and a locate that needs it as
 /// gateway each fail at one refused dial, and every other connection
-/// is served meanwhile. Fails at the parent commit, where the flush held
-/// the engine 12.4 s and the locate 6.2 s in blocking backoff dials.
+/// is served meanwhile. The `GroupIndex` is held for the member's
+/// return, not dropped. The engine-cost bounds failed at the commit
+/// before one link per peer, where the flush held the engine 12.4 s and
+/// the locate 6.2 s in blocking backoff dials.
 #[test]
 fn dead_member_costs_the_engine_nothing() {
     require_sockets!();
@@ -569,7 +571,10 @@ fn dead_member_costs_the_engine_nothing() {
     write_frame(&mut asker, &Frame::Flush { now: secs(2) }.encode()).expect("flush");
     // Let the engine take the flush before the status arrives.
     std::thread::sleep(Duration::from_millis(50));
-    assert!(matches!(request(&mut other, &Frame::Status), Frame::StatusResp { .. }));
+    match request(&mut other, &Frame::Status) {
+        Frame::StatusResp { sent: 1, in_flight: 0, held: 1, .. } => {}
+        other => panic!("the GroupIndex must be held, not in flight: {other:?}"),
+    }
     assert!(started.elapsed() < Duration::from_secs(1), "status waited {:?}", started.elapsed());
     assert!(matches!(Frame::decode(&read_response(&mut asker)), Ok(Frame::Ack)));
 
@@ -584,15 +589,18 @@ fn dead_member_costs_the_engine_nothing() {
 
     assert!(matches!(request(&mut other, &Frame::Shutdown), Frame::Ack));
     let report = node.join();
-    assert_eq!(report.anomalies.dropped_to_dead, 1, "the GroupIndex, and nothing else");
+    assert_eq!(report.anomalies.dropped_to_dead, 0, "the GroupIndex is held, not dropped");
+    assert_eq!((report.in_flight, report.held), (0, 1));
     assert_eq!(report.unsupported, 0);
 }
 
 /// Everything the node sends a peer rides one connection: a flush's
 /// `GroupIndex` and then a locate's `GatewayProbe` arrive on the one
 /// stream the peer accepted, and after the peer restarts at the same
-/// address the node redials it for both. Fails at the parent commit,
-/// where protocol frames and reads took two connections.
+/// address the node redials it for both — the redialed link opening
+/// with the first life's `GroupIndex`, which that life never acked.
+/// Fails at the commit before one link per peer, where protocol frames
+/// and reads took two connections.
 #[test]
 fn one_link_per_peer_redialed_at_the_same_address() {
     require_sockets!();
@@ -609,9 +617,12 @@ fn one_link_per_peer_redialed_at_the_same_address() {
         }
         let (mut link, _) = listener.accept().expect("the node dials site 1");
         link.set_read_timeout(Some(PROMPT)).expect("timeout");
-        match Frame::decode(&read_response(&mut link)) {
-            Ok(Frame::Protocol { wire, .. }) if matches!(wire.msg, Msg::GroupIndex { .. }) => {}
-            other => panic!("life {life}: expected the GroupIndex, got {other:?}"),
+        for seq in 1..=life {
+            match Frame::decode(&read_response(&mut link)) {
+                Ok(Frame::Protocol { wire, .. })
+                    if wire.seq == seq && matches!(wire.msg, Msg::GroupIndex { .. }) => {}
+                other => panic!("life {life}: expected GroupIndex {seq}, got {other:?}"),
+            }
         }
 
         write_frame(&mut conn, &Frame::Locate { object: asked, t: at }.encode()).expect("locate");
@@ -638,6 +649,57 @@ fn one_link_per_peer_redialed_at_the_same_address() {
     let report = node.join();
     assert_eq!(report.anomalies.dropped_to_dead, 0);
     assert_eq!(report.unsupported, 0);
+}
+
+/// A region cut holds protocol messages by cursor and the heal writes
+/// from it: the flush's `GroupIndex` for a peer across the cut is held
+/// (not in flight, no link dialed), the heal writes it, and the peer's
+/// cumulative ack trims it.
+#[test]
+fn a_cut_holds_frames_by_cursor_and_the_heal_writes_from_it() {
+    require_sockets!();
+    const SEED: u64 = 29;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut cfg = NodeConfig::loopback(SiteId(0), SEED, None);
+    cfg.geo = Some(geo::Topology::wan3(3)); // one site per region
+    let node = Node::spawn(cfg).expect("spawn");
+    let mut conn = TcpStream::connect(node.addr()).expect("connect");
+    conn.set_read_timeout(Some(PROMPT)).expect("timeout");
+    let peer = listener.local_addr().expect("addr").to_string();
+    let joined = Frame::PeerJoined { site: SiteId(1), addr: peer };
+    write_frame(&mut conn, &joined.encode()).expect("announce");
+    let status = |conn: &mut TcpStream| match request(conn, &Frame::Status) {
+        Frame::StatusResp { sent, in_flight, held, .. } => (sent, in_flight, held),
+        other => panic!("expected StatusResp, got {other:?}"),
+    };
+    assert!(matches!(request(&mut conn, &Frame::RegionCut { a: 0, b: 1 }), Frame::Ack));
+    let indexed = gatewayed_at_site_1(SEED).next().expect("object");
+    let capture = Frame::Capture { at: secs(1), objects: vec![indexed] };
+    for req in [capture, Frame::Flush { now: secs(2) }] {
+        assert!(matches!(request(&mut conn, &req), Frame::Ack));
+    }
+    assert_eq!(status(&mut conn), (1, 0, 1), "held at the cut");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let dialed = listener.accept().map(|_| ()).map_err(|e| e.kind());
+    assert_eq!(dialed, Err(std::io::ErrorKind::WouldBlock), "written across the cut");
+
+    assert!(matches!(request(&mut conn, &Frame::RegionHeal { a: 0, b: 1 }), Frame::Ack));
+    assert_eq!(status(&mut conn), (1, 1, 0), "in flight after the heal");
+    listener.set_nonblocking(false).expect("blocking");
+    let (mut link, _) = listener.accept().expect("the heal dials site 1");
+    link.set_read_timeout(Some(PROMPT)).expect("timeout");
+    match Frame::decode(&read_response(&mut link)) {
+        Ok(Frame::Protocol { wire, .. }) if wire.seq == 1 => {}
+        other => panic!("expected GroupIndex 1, got {other:?}"),
+    }
+    let wire = peertrack::messages::Wire { seq: 0, msg: Msg::Ack { acked: 1 } };
+    let ack = Frame::Protocol { sender: SiteId(1), hops: 0, sent_us: 0, wire };
+    write_frame(&mut conn, &ack.encode()).expect("ack");
+    assert_eq!(status(&mut conn), (1, 0, 0), "trimmed by the ack");
+
+    assert!(matches!(request(&mut conn, &Frame::Shutdown), Frame::Ack));
+    let report = node.join();
+    assert_eq!((report.unsupported, report.anomalies), (0, Default::default()));
 }
 
 /// Two origins, each answering the other's reads while its own queries

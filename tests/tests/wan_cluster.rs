@@ -3,15 +3,16 @@
 //! The loopback-cluster counterpart of the simulator's region-cut
 //! audits: a 6-node cluster started over `geo::Topology::wan3` (two
 //! sites per region) runs a cross-region schedule, is then partitioned
-//! into three isolated regions — every node parks its cross-region
-//! protocol frames instead of dropping them — keeps answering queries
-//! about fully-propagated history exactly, and after the heal releases
-//! the parked frames in order, reconverges, and is oracle-exact on
+//! into three isolated regions — every node holds its cross-region
+//! protocol messages in their unacked suffix, writing none — keeps
+//! answering queries about fully-propagated history exactly, and after
+//! the heal writes what it held from each link's cursor, reconverges,
+//! and is oracle-exact on
 //! *everything*, movements made during the partition included, with
 //! zero protocol anomalies on every node.
 //!
 //! The partition covers all three region pairs so that the mid-cut
-//! movement is guaranteed to park at least one frame: the handoff's M2
+//! movement is guaranteed to hold at least one message: the handoff's M2
 //! (to the previous holder's region) and M3 (to the new holder's
 //! region) cannot both be same-region with the serving gateway.
 
@@ -104,7 +105,7 @@ fn partition_parks_frames_and_heals_to_oracle_exact() {
     cluster.region_cut(1, 2).expect("cut us-ap");
 
     // Fully-propagated history stays exact mid-cut from any region:
-    // query RPCs are driver-plane (never parked), and every index entry
+    // query RPCs are driver-plane (never held), and every index entry
     // they read was delivered before the cut.
     for origin in [0u32, 2, 4] {
         audit(&mut cluster, &log, SiteId(origin));
@@ -112,15 +113,15 @@ fn partition_parks_frames_and_heals_to_oracle_exact() {
 
     // A handoff *during* the partition: object 0 moves ap -> us. The
     // serving gateway cannot be in both the old and the new holder's
-    // region, so at least one of the update frames parks at a sender
-    // until the heal. The harness still quiesces — parked frames are
-    // excluded from the sent/received balance.
+    // region, so at least one of the update messages is held at its
+    // sender until the heal. The harness still quiesces — a held
+    // message is not in flight.
     let mut more: Vec<CaptureEvent> = Vec::new();
     hop(&mut more, &mut log, obj(0), 2, secs(5_000));
     cluster.run_schedule(&more).expect("mid-cut schedule");
 
-    // Heal every pair: parked frames are released in park order and the
-    // cluster drains to a converged state.
+    // Heal every pair: held messages are written in sequence order and
+    // the cluster drains to a converged state.
     cluster.region_heal(0, 1).expect("heal eu-us");
     cluster.region_heal(0, 2).expect("heal eu-ap");
     cluster.region_heal(1, 2).expect("heal us-ap");
