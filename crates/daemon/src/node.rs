@@ -15,15 +15,17 @@
 //! (refresh fetches that would move entries, crossing the delegation
 //! threshold, individual mode, undecodable input). The engine is a
 //! readiness-driven event loop over nonblocking sockets
-//! ([`transport::nio`], std-only): each poll wakeup drains whatever
-//! bytes the kernel has per connection, decodes as many whole frames
-//! as arrived (many requests in flight per connection), processes them
-//! strictly serially — every state transition as atomic as the
-//! simulator's event handlers — and then *commits the batch*: one WAL
-//! fsync covering every record the wakeup logged, after which (and
-//! never before) the batch's responses are released to their
-//! connections' write buffers; a read-only batch logged nothing and
-//! releases them at once. DESIGN.md §14 specifies the loop.
+//! ([`transport::nio`], std-only): each pump drains whatever bytes the
+//! kernel has per connection, decodes as many whole frames as arrived
+//! (many requests in flight per connection), processes them strictly
+//! serially — every state transition as atomic as the simulator's event
+//! handlers — and then *commits the batch*: one WAL fsync covering
+//! every record the pump logged, after which (and never before) the
+//! batch's responses are released to their connections' write buffers;
+//! a read-only batch logged nothing and releases them at once. With
+//! nothing to do it blocks until a socket it would read is readable
+//! (no poll(2) without libc: one watcher thread per socket rings its
+//! doorbell). DESIGN.md §14 specifies the loop.
 //!
 //! **Core/engine split.** Since the durability work the node is two
 //! layers. [`Core`] is the deterministic state machine: it holds every
@@ -114,9 +116,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use transport::{Backoff, NbConn, NbListener};
+use transport::{Backoff, Doorbell, NbConn, NbListener};
 
 /// The ring identity of a site, matching the simulator's derivation
 /// (`peertrack::net::Builder`) so lookups hash identically.
@@ -242,7 +246,7 @@ pub struct NodeReport {
 pub struct Node {
     site: SiteId,
     addr: SocketAddr,
-    engine: Option<JoinHandle<NodeReport>>,
+    engine: Option<JoinHandle<Option<NodeReport>>>,
 }
 
 impl Node {
@@ -253,13 +257,31 @@ impl Node {
     /// the membership fail the spawn loudly rather than starting a node
     /// with fabricated state.
     pub fn spawn(cfg: NodeConfig) -> io::Result<Node> {
-        let listener = NbListener::bind(&cfg.listen)?;
-        let addr = listener.local_addr();
         let site = cfg.site;
-        let engine = Engine::new(cfg, addr, listener)?;
+        // The engine thread starts first, then waits for its engine:
+        // glibc hands each new thread a malloc arena, and a crashed
+        // engine's arena should go to its successor, not to a helper
+        // thread `Engine::new` starts (`transport::Doorbell`).
+        let (give, take) = sync_channel::<Engine>(1);
+        let started = Arc::new(Barrier::new(2));
+        let go = Arc::clone(&started);
         let handle = std::thread::Builder::new()
             .name(format!("peertrackd-{}", site.0))
-            .spawn(move || engine.run())?;
+            .spawn(move || {
+                go.wait();
+                take.recv().ok().map(Engine::run)
+            })?;
+        started.wait();
+        let engine = match Engine::new(cfg) {
+            Ok(engine) => engine,
+            Err(e) => {
+                drop(give); // ends the engine thread's wait
+                let _ = handle.join();
+                return Err(e);
+            }
+        };
+        let addr = engine.addr;
+        let _ = give.send(engine);
         Ok(Node { site, addr, engine: Some(handle) })
     }
 
@@ -281,6 +303,7 @@ impl Node {
             .expect("join called once")
             .join()
             .expect("engine thread panicked")
+            .expect("spawn handed the engine over")
     }
 }
 
@@ -833,10 +856,14 @@ const RPC_DEADLINE: Duration = Duration::from_secs(10);
 /// frame; on loopback a closed port refuses at once.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Idle strategy: spin-yield this many empty wakeups, then sleep —
-/// unless a query is in flight, whose reply a sleep would delay.
+/// Empty pumps the engine spins through, yielding, before it waits:
+/// a closed-loop client's next request usually lands within them, and
+/// arming the watchers and waking from the doorbell would cost it more.
 const IDLE_SPINS: u32 = 64;
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// Bound on an idle wait while the kernel refuses queued output: no
+/// watcher rings when a socket becomes writable.
+const FLUSH_RETRY: Duration = Duration::from_millis(5);
 
 /// One accepted connection: the nonblocking socket plus the decoded
 /// frames waiting their turn.
@@ -850,6 +877,14 @@ struct EConn {
     /// not processed, so its responses stay in request order, and the
     /// slot is not reaped, so the query's index stays its own.
     querying: bool,
+}
+
+impl EConn {
+    /// Whether `intake` reads this connection, and so may watch it: bytes
+    /// the engine leaves in the kernel would ring at once on every wait.
+    fn readable(&self) -> bool {
+        !self.parked && !self.conn.is_dead() && self.inbox.len() < INBOX_CAP
+    }
 }
 
 /// What a client asked: the two requests that run the query planner.
@@ -992,6 +1027,9 @@ struct Engine {
     /// written to a peer across one. Network-plane state like the
     /// recorder: volatile, engine-side, never logged.
     severed: HashSet<(u16, u16)>,
+    /// What every socket watcher rings, and what spawns the watchers
+    /// (`transport::nio`).
+    bell: Doorbell,
 }
 
 impl Engine {
@@ -999,13 +1037,16 @@ impl Engine {
     /// correct the self-address on file, then join through the
     /// bootstrap. Runs on the spawning thread so recovery and join
     /// errors fail `Node::spawn` instead of killing a detached thread.
-    fn new(cfg: NodeConfig, addr: SocketAddr, listener: NbListener) -> io::Result<Engine> {
+    fn new(cfg: NodeConfig) -> io::Result<Engine> {
         if cfg.locate_cache == Some(0) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "locate cache capacity must be at least 1",
             ));
         }
+        let bell = Doorbell::new()?;
+        let listener = NbListener::bind(&cfg.listen, &bell)?;
+        let addr = listener.local_addr();
         let mut core =
             Core::new(cfg.site, cfg.seed, cfg.group, addr).with_replicas(cfg.replicas);
         let mut data = None;
@@ -1060,6 +1101,7 @@ impl Engine {
             query_load: BTreeMap::new(),
             geo: cfg.geo,
             severed: HashSet::new(),
+            bell,
         };
         // A recovered core remembers the listener address of its
         // previous life; this life bound a fresh port.
@@ -1231,23 +1273,19 @@ impl Engine {
     // Main loop
     // ------------------------------------------------------------------
 
+    /// The loop: pump while there is work, spin a few empty pumps (a
+    /// closed-loop client's next request is usually that close), then
+    /// [`Engine::wait`] — blocked, at no CPU, until a socket rings.
     fn run(mut self) -> NodeReport {
         let mut idle = 0u32;
         while self.stop.is_none() {
             if self.pump() {
                 idle = 0;
-            } else {
-                // Adaptive idle: no poll(2) without libc, so spin-yield
-                // briefly (keeps round trips fast under load), then
-                // sleep in short slices (keeps an idle 8-node cluster
-                // cheap) — but never with a query in flight, whose
-                // every remote read would wait the sleep out.
+            } else if idle < IDLE_SPINS {
                 idle += 1;
-                if idle < IDLE_SPINS || !self.queries.is_empty() {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
+                std::thread::yield_now();
+            } else {
+                self.wait();
             }
             self.reap();
         }
@@ -1274,13 +1312,11 @@ impl Engine {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        for ec in self.econns.iter_mut().flatten() {
-            ec.conn.close();
-        }
-        for link in self.links.values_mut() {
-            link.conn.close();
-        }
+        // Dropping a connection or the listener (with `self`) joins its
+        // watcher or acceptor: nothing outlives the node, its port included.
         let (in_flight, held) = self.unacked_counts();
+        self.econns.clear();
+        self.links.clear();
         NodeReport {
             site: self.core.site,
             sent: self.core.sent(),
@@ -1299,8 +1335,35 @@ impl Engine {
     // The event loop: intake → process → commit → flush
     // ------------------------------------------------------------------
 
-    /// One poll wakeup. Returns `true` if anything at all happened
-    /// (the idle strategy watches this).
+    /// Watch every socket `intake` reads (`transport::nio`) and block
+    /// on the doorbell, bounded by the oldest remote read's
+    /// [`RPC_DEADLINE`] and, while output is queued, [`FLUSH_RETRY`]. A
+    /// link whose watcher rang is read here, not at its next write.
+    fn wait(&mut self) {
+        let readable = self.econns.iter_mut().flatten().filter(|ec| ec.readable());
+        let links = self.links.values_mut().filter(|l| !l.conn.is_dead());
+        let conns = readable.map(|ec| &mut ec.conn).chain(links.map(|l| &mut l.conn));
+        let mut watched = true;
+        for conn in conns {
+            watched &= conn.watch(&self.bell).is_ok();
+        }
+        let queued = (self.econns.iter().flatten().map(|ec| &ec.conn))
+            .chain(self.links.values().map(|l| &l.conn))
+            .any(|c| c.queued_bytes() > 0);
+        let retry = (queued || !watched).then_some(FLUSH_RETRY);
+        let waiters = self.links.values().filter_map(|l| l.waiters.front());
+        let deadline = waiters.map(|w| RPC_DEADLINE.saturating_sub(w.1.elapsed())).min();
+        self.bell.wait(retry.into_iter().chain(deadline).min());
+        let econns = self.econns.iter_mut().flatten().map(|ec| &mut ec.conn);
+        econns.chain(self.links.values_mut().map(|l| &mut l.conn)).for_each(NbConn::unwatch);
+        let rang = self.links.iter().filter(|(_, l)| l.conn.rang()).map(|(&p, _)| p);
+        for peer in rang.collect::<Vec<_>>() {
+            self.service_link(peer);
+        }
+    }
+
+    /// One pass of the loop. Returns `true` if anything at all happened
+    /// (`run` waits when nothing did).
     fn pump(&mut self) -> bool {
         let mut activity = self.intake();
         if self.stop.is_none() {
@@ -1315,8 +1378,7 @@ impl Engine {
     /// read replies to the queries that wait for them.
     fn intake(&mut self) -> bool {
         let mut activity = false;
-        for (stream, peer) in self.listener.accept_ready() {
-            let Ok(conn) = NbConn::new(stream, peer) else { continue };
+        for conn in self.listener.accept_ready() {
             let ec = EConn { conn, inbox: VecDeque::new(), parked: false, querying: false };
             match self.econns.iter_mut().find(|s| s.is_none()) {
                 Some(slot) => *slot = Some(ec),
@@ -1325,10 +1387,7 @@ impl Engine {
             activity = true;
         }
         for idx in 0..self.econns.len() {
-            let Some(ec) = self.econns[idx].as_mut() else { continue };
-            if ec.parked || ec.conn.is_dead() || ec.inbox.len() >= INBOX_CAP {
-                continue;
-            }
+            let Some(ec) = self.econns[idx].as_mut().filter(|ec| ec.readable()) else { continue };
             if ec.conn.read_ready() {
                 activity = true;
             }

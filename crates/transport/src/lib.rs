@@ -21,9 +21,10 @@
 //!   run outside an engine loop: the pre-loop join, `peertrackd ctl`,
 //!   the loopback harness.
 //! * [`nio`] — nonblocking building blocks ([`nio::NbListener`],
-//!   [`nio::NbConn`], [`nio::FrameAccum`]) for the daemon's
-//!   readiness-driven event loop: many frames in flight per
-//!   connection, explicit write buffering for backpressure.
+//!   [`nio::NbConn`], [`nio::FrameAccum`], [`nio::Doorbell`]) for the
+//!   daemon's readiness-driven event loop: many frames in flight per
+//!   connection, explicit write buffering for backpressure, and an
+//!   idle wait that blocks until a socket has something to read.
 
 #![forbid(unsafe_code)]
 
@@ -33,4 +34,4 @@ pub mod nio;
 
 pub use conn::{dial, request, Backoff};
 pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
-pub use nio::{FrameAccum, NbConn, NbListener};
+pub use nio::{Doorbell, FrameAccum, NbConn, NbListener};

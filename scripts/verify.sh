@@ -299,8 +299,8 @@ fi
 # One link per peer, no sleeping dial: every frame the engine sends a
 # peer rides that peer's nonblocking link, dialed once with no retry.
 # The blocking stream cache, its staleness peek and the test-build dial
-# delay must not grow back, and the engine sleeps only in `run` (the
-# idle slice and the exit drain).
+# delay must not grow back, and the engine sleeps only in `run`'s exit
+# drain.
 if grep -rnE 'ConnCache|dial_delay|is_stale' crates --include='*.rs'; then
     echo "the blocking outbound stream cache is back under crates/" >&2
     exit 1
@@ -308,9 +308,22 @@ fi
 node_sleeps=$(grep -c 'thread::sleep' crates/daemon/src/node.rs)
 run_sleeps=$(awk '/^    fn run\(/{on=1} on{print} on&&/^    }$/{on=0}' crates/daemon/src/node.rs \
     | grep -c 'thread::sleep')
-[[ "$node_sleeps" -eq 2 && "$run_sleeps" -eq 2 ]] \
-    || { echo "node.rs sleeps $node_sleeps times, $run_sleeps in Engine::run; expected 2 and 2" >&2; exit 1; }
+[[ "$node_sleeps" -eq 1 && "$run_sleeps" -eq 1 ]] \
+    || { echo "node.rs sleeps $node_sleeps times, $run_sleeps in Engine::run; expected 1 and 1" >&2; exit 1; }
 echo "OK: one link per peer, no connection cache, the engine sleeps only in run."
+
+# An idle engine waits on its sockets (`transport::nio` watchers), not
+# on a clock: the 200 us idle sleep and the spin while a query is parked
+# must not grow back. Refused: the identifier `IDLE_SLEEP` anywhere
+# under crates/, and a sleep or yield in `Engine::run`'s loop that
+# depends on `queries`. Silent when clean.
+run_loop=$(awk '/^    fn run\(/{on=1} on&&/while self\.stop\.is_none\(\)/{loop=1} loop{print} loop&&/^        }$/{exit}' \
+    crates/daemon/src/node.rs)
+if [[ -z "$run_loop" ]] || grep -rnw 'IDLE_SLEEP' crates \
+    || { grep -q 'queries' <<<"$run_loop" && grep -qE 'thread::sleep|yield_now' <<<"$run_loop"; }; then
+    echo "the idle sleep or the spin on parked queries is back in Engine::run" >&2
+    exit 1
+fi
 
 # Nothing under crates/ lives for a demo alone: every crate is a
 # dependency of another crate, the integration tests or the benchmark,
