@@ -10,10 +10,12 @@
 //! member that joins a cluster already holding data is handed its key
 //! ranges and every node re-levels its shards when `Lp` grows — and
 //! keeps only its driver: the log-record vocabulary, the delivery rule
-//! below, model-cost charging, and the
-//! `unsupported` counter for whatever falls outside the daemon's regime
-//! (refresh fetches that would move entries, crossing the delegation
-//! threshold, individual mode, undecodable input). The engine is a
+//! below, model-cost charging, and the `unsupported` counter for what
+//! falls outside the daemon's regime — delegation, an `Arrival` (group
+//! mode only), a sequence gap, undecodable input, and a gateway read
+//! that misses while this node holds a shard on the object's path at
+//! another length. The Fig. 5 refresh walk runs here too, but fetches
+//! only from shards this node holds. The engine is a
 //! readiness-driven event loop over nonblocking sockets
 //! ([`transport::nio`], std-only): each pump drains whatever bytes the
 //! kernel has per connection, decodes as many whole frames as arrived
@@ -107,7 +109,7 @@ use peertrack::config::GroupConfig;
 use peertrack::messages::{Msg, Wire};
 use peertrack::query::{self, Incomplete, QueryCost, RecordSource};
 use peertrack::site::{self, Anomalies, Move, Site};
-use peertrack::store::{IopRecord, Link};
+use peertrack::store::{IndexEntry, IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
@@ -219,9 +221,10 @@ pub struct NodeReport {
     /// Protocol anomaly counters since process start (all zero in a
     /// clean run).
     pub anomalies: Anomalies,
-    /// Protocol situations the daemon does not implement (refresh
-    /// fetches, delegation, individual mode); zero within the supported
-    /// regime — the parity test asserts it.
+    /// Protocol situations the daemon does not implement (delegation,
+    /// individual mode, a read miss beside another level) and input it
+    /// cannot apply; zero within the supported regime — the parity test
+    /// asserts it.
     pub unsupported: u64,
     /// Wall-clock delivery-latency histograms per message class, plus
     /// origin-side query latencies under [`MsgClass::Query`].
@@ -369,7 +372,11 @@ pub struct Core {
 }
 
 impl Core {
-    /// Fresh state for `site`: a one-member ring of itself.
+    /// Fresh state for `site`: a one-member ring of itself. `group` must
+    /// pass [`GroupConfig::validate`] and split eagerly
+    /// (`eager_split_merge`): the gateway read looks at the `Lp` shard
+    /// only, so a lazily re-levelled index would strand entries.
+    /// [`Node::spawn`] refuses any other configuration.
     pub fn new(site: SiteId, seed: u64, group: GroupConfig, addr: SocketAddr) -> Core {
         let mut members = BTreeMap::new();
         members.insert(site, addr);
@@ -518,10 +525,8 @@ impl Core {
         let (me, old_lp) = (self.site, self.lp);
         self.rebuild_ring();
         site::move_shards(self, me, Move::Handoff);
-        if self.group.eager_split_merge {
-            for l in old_lp..self.lp {
-                site::move_shards(self, me, Move::Split(l));
-            }
+        for l in old_lp..self.lp {
+            site::move_shards(self, me, Move::Split(l));
         }
         site::settle(self, me);
     }
@@ -582,64 +587,11 @@ impl Core {
         }
     }
 
+    /// Apply one message through the protocol body; what it hands back
+    /// (an `Arrival`, an undecodable replica state) is counted, not
+    /// fatal.
     fn handle_msg(&mut self, sender: SiteId, msg: Msg) {
-        let me = self.site;
-        match site::handle(self, me, sender, msg) {
-            None => {}
-            // The Fig. 5 `index` algorithm against this node's shards.
-            Some(Msg::GroupIndex { prefix, site, members }) => {
-                let unknown = self.proto.unindexed(prefix, &members);
-                if !unknown.is_empty() {
-                    self.check_refresh_unneeded(prefix, &unknown);
-                }
-                site::update_index(self, me, prefix, site, &members);
-                self.maybe_delegate(prefix);
-                site::replicate_shard(self, me, Some(prefix));
-            }
-            // Individual mode is a simulator-only path, and a replica
-            // state that does not decode is bad network data: counted,
-            // not fatal.
-            Some(_) => self.unsupported += 1,
-        }
-    }
-
-    /// The Fig. 5 refresh walk, reduced to its in-regime form: with a
-    /// stable `Lp` at `Lmin`, no delegation and no split/merge, the
-    /// ascent never iterates and no descent child is ever hosted, so
-    /// every probe is a free existence check (the simulator charges
-    /// nothing for those either). If a probe *would* find a hosted
-    /// prefix, a real entry-moving fetch RPC would be required — the
-    /// daemon doesn't implement it, and counts the situation instead so
-    /// parity tests fail loudly rather than drift.
-    fn check_refresh_unneeded(&mut self, prefix: Prefix, missing: &[ObjectId]) {
-        let mut l = prefix.len();
-        while l > self.group.l_min {
-            l -= 1;
-            if self.proto.gateway.prefixes.contains_key(&prefix.truncate(l)) {
-                self.unsupported += 1;
-            }
-        }
-        if prefix.len() < ids::prefix::MAX_PREFIX_BITS {
-            for one in [false, true] {
-                let child = prefix.child(one);
-                if missing.iter().any(|o| child.matches(&o.id()))
-                    && self.proto.gateway.prefixes.contains_key(&child)
-                {
-                    self.unsupported += 1;
-                }
-            }
-        }
-    }
-
-    /// Delegation threshold check (Fig. 5 `update_index` lines 2–4).
-    /// Crossing it off-sim is unsupported — counted, not silently
-    /// skipped.
-    fn maybe_delegate(&mut self, prefix: Prefix) {
-        let Some(threshold) = self.group.delegate_threshold else { return };
-        if prefix.len() >= ids::prefix::MAX_PREFIX_BITS {
-            return;
-        }
-        if self.proto.gateway.shard_mut(prefix).len() > threshold {
+        if site::handle(self, self.site, sender, msg).is_some() {
             self.unsupported += 1;
         }
     }
@@ -735,14 +687,14 @@ impl Core {
     }
 
     /// §IV-A.3 lookup at this gateway, reduced to the in-regime form:
-    /// current-`Lp` shard only. A miss with hosted neighbours (never in
-    /// regime) would need further routed probes — counted as
-    /// unsupported by [`Core::check_refresh_unneeded`].
+    /// current-`Lp` shard only. A miss while this node holds a shard on
+    /// the object's path at another length (never in regime) may be
+    /// wrong, and is counted unsupported.
     fn gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
-        let p = Prefix::of_id(&object.id(), self.lp);
-        let entry = self.proto.gateway.prefixes.get(&p).and_then(|s| s.get(&object)).copied();
-        if entry.is_none() {
-            self.check_refresh_unneeded(p, &[object]);
+        let (id, shards) = (object.id(), &self.proto.gateway.prefixes);
+        let entry = shards.get(&Prefix::of_id(&id, self.lp)).and_then(|s| s.get(&object));
+        if entry.is_none() && shards.keys().any(|q| q.len() != self.lp && q.matches(&id)) {
+            self.unsupported += 1;
         }
         entry.map(|e| e.link())
     }
@@ -816,6 +768,37 @@ impl site::Host for Core {
         &mut self.anomalies
     }
 
+    fn group(&self) -> Option<GroupConfig> {
+        Some(self.group)
+    }
+
+    /// Only a shard this node holds is visible: taken in place, free,
+    /// like the simulator's fetch from the gateway's own shard. A remote
+    /// shard would need a request/response refresh.
+    fn fetch(
+        &mut self,
+        _gw: SiteId,
+        p: Prefix,
+        missing: &HashSet<ObjectId>,
+    ) -> Option<Vec<(ObjectId, IndexEntry)>> {
+        if !self.proto.gateway.prefixes.contains_key(&p) {
+            return None;
+        }
+        let want: Vec<ObjectId> = missing.iter().filter(|o| p.matches(&o.id())).copied().collect();
+        let (fetched, _) = self.proto.gateway.take_from(&p, &want);
+        if !fetched.is_empty() {
+            site::replicate_shard(self, self.site, Some(p));
+        }
+        Some(fetched)
+    }
+
+    /// Never: [`Core::gateway_probe`] does not search triangle children,
+    /// so delegated entries would be lost to reads. Counted instead.
+    fn may_delegate(&mut self, _gw: SiteId, _prefix: Prefix) -> bool {
+        self.unsupported += 1;
+        false
+    }
+
     fn owner(&self, key: Id) -> SiteId {
         self.site_of_chord(&self.ring.successor_of(&key).expect("a node is on its own ring"))
     }
@@ -825,7 +808,7 @@ impl site::Host for Core {
     /// new `Lp` — splits on arrival, exactly where the simulator's
     /// post-handoff split does.
     fn migrated(&mut self, at: SiteId, prefix: Prefix) {
-        if self.group.eager_split_merge && prefix.len() < self.lp {
+        if prefix.len() < self.lp {
             site::move_shard(self, at, prefix, Move::Split(prefix.len()));
         }
     }
@@ -1038,11 +1021,15 @@ impl Engine {
     /// bootstrap. Runs on the spawning thread so recovery and join
     /// errors fail `Node::spawn` instead of killing a detached thread.
     fn new(cfg: NodeConfig) -> io::Result<Engine> {
+        let invalid = |why: String| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         if cfg.locate_cache == Some(0) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "locate cache capacity must be at least 1",
-            ));
+            return invalid("locate cache capacity must be at least 1".into());
+        }
+        if let Err(why) = cfg.group.validate() {
+            return invalid(why);
+        }
+        if !cfg.group.eager_split_merge {
+            return invalid("the daemon splits and merges eagerly".into());
         }
         let bell = Doorbell::new()?;
         let listener = NbListener::bind(&cfg.listen, &bell)?;
@@ -1996,6 +1983,27 @@ mod tests {
     use super::*;
     use proptiny::hostile_bytes;
 
+    /// A core for site 0 of a four-member cluster, outbox drained.
+    fn core4(group: GroupConfig) -> Core {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let mut c = Core::new(SiteId(0), 7, group, addr);
+        for s in 1..4u32 {
+            let addr = format!("127.0.0.1:{}", 7400 + s);
+            c.apply_record(&WalRecord::Member { site: SiteId(s), addr });
+        }
+        c.outbox.clear();
+        c
+    }
+
+    /// Apply `msgs` as site 1's next protocol messages.
+    fn deliver_from_1(core: &mut Core, msgs: Vec<Msg>) {
+        for msg in msgs {
+            let seq = core.peers.get(&SiteId(1)).map_or(0, |c| c.received) + 1;
+            let wire = Wire { seq, msg };
+            core.apply_record(&WalRecord::Protocol { sender: SiteId(1), wire });
+        }
+    }
+
     #[test]
     fn chord_ids_match_simulator_derivation() {
         // The sim derives ring ids as hash("site-{seed}-{index}"); the
@@ -2012,19 +2020,7 @@ mod tests {
 
     #[test]
     fn replay_discards_outbox_but_keeps_state() {
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let seed = 7;
-        let mk = || {
-            let mut c = Core::new(SiteId(0), seed, GroupConfig::default(), addr);
-            for s in 1..4u32 {
-                c.apply_record(&WalRecord::Member {
-                    site: SiteId(s),
-                    addr: format!("127.0.0.1:{}", 7400 + s),
-                });
-            }
-            c.outbox.clear();
-            c
-        };
+        let mk = || core4(GroupConfig::default());
         let objects: Vec<ObjectId> =
             (0..6u64).map(|n| ObjectId(Id::hash(&n.to_be_bytes()))).collect();
         let records = vec![
@@ -2110,28 +2106,110 @@ mod tests {
         assert!(!match_replies(|| frames.pop(), &mut none, &mut Vec::new()));
     }
 
+    /// Fig. 5 `refresh_from_ascent` against a shard the gateway holds:
+    /// the entry moves down a level and threads the new visit into its
+    /// IOP chain, instead of being counted and left behind.
+    #[test]
+    fn gateway_refreshes_from_a_shard_it_holds() {
+        let mut core = core4(GroupConfig::default());
+        let o = ObjectId(Id::hash(b"o"));
+        let (at_lp, below) = (Prefix::of_id(&o.id(), core.lp), Prefix::of_id(&o.id(), core.lp + 1));
+        let old = Link { site: SiteId(2), time: SimTime::from_millis(1) };
+        let planted = IndexEntry { site: old.site, time: old.time, prev: None };
+        let new = Link { site: SiteId(3), time: SimTime::from_millis(5) };
+        deliver_from_1(
+            &mut core,
+            vec![
+                Msg::Migrate { prefix: Some(at_lp), entries: vec![(o, planted)] },
+                Msg::GroupIndex { prefix: below, site: new.site, members: vec![(o, new.time)] },
+            ],
+        );
+        assert_eq!(core.unsupported(), 0);
+        let entry = core.proto.gateway.prefixes.get(&below).and_then(|s| s.get(&o)).copied();
+        assert_eq!(entry, Some(IndexEntry { site: new.site, time: new.time, prev: Some(old) }));
+        assert!(!core.proto.gateway.prefixes.contains_key(&at_lp), "stale ancestor shard");
+        let m2: Vec<_> = core
+            .take_outbox()
+            .into_iter()
+            .filter_map(|out| match out.wire.msg {
+                Msg::SetTo { updates } => Some((out.to, updates)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(m2, vec![(old.site, vec![(o, old.time, new)])]);
+    }
+
+    /// Past the delegation threshold the daemon counts the situation
+    /// and keeps the shard whole, so its gateway read stays right.
+    #[test]
+    fn delegation_is_counted_and_the_shard_stays_readable() {
+        let group = GroupConfig { delegate_threshold: Some(2), ..GroupConfig::default() };
+        let mut core = core4(group);
+        let lp = core.lp;
+        let of = |n: u64| ObjectId(Id::hash(&n.to_be_bytes()));
+        let prefix = Prefix::of_id(&of(0).id(), lp);
+        let objects: Vec<ObjectId> =
+            (0..).map(of).filter(|o| prefix.matches(&o.id())).take(3).collect();
+        let members: Vec<(ObjectId, SimTime)> = (1..)
+            .zip(&objects)
+            .map(|(ms, &o)| (o, SimTime::from_millis(ms)))
+            .collect();
+        deliver_from_1(&mut core, vec![Msg::GroupIndex { prefix, site: SiteId(2), members }]);
+        assert_eq!(core.unsupported(), 1);
+        assert!(core.take_outbox().iter().all(|out| !matches!(out.wire.msg, Msg::Delegate { .. })));
+        let shard = &core.proto.gateway.prefixes[&prefix];
+        assert!(objects.iter().all(|o| shard.get(o).is_some()) && !shard.delegated);
+        let earliest = Frame::GatewayProbe { object: objects[0] };
+        let link = Link { site: SiteId(2), time: SimTime::from_millis(1) };
+        assert_eq!(
+            core.serve_read(&earliest).map(|f| f.encode()),
+            Some(Frame::LinkResp(Some(link)).encode())
+        );
+        assert_eq!(core.unsupported(), 1);
+    }
+
+    /// A configuration the daemon cannot run fails the spawn, on the
+    /// caller's thread, before anything binds.
+    #[test]
+    fn spawn_refuses_a_group_config_it_cannot_run() {
+        let lazy = GroupConfig { eager_split_merge: false, ..GroupConfig::default() };
+        let empty_window = GroupConfig { n_max: 0, ..GroupConfig::default() };
+        for group in [lazy, empty_window] {
+            let cfg = NodeConfig { group, ..NodeConfig::loopback(SiteId(0), 7, None) };
+            let spawned = std::panic::catch_unwind(|| Node::spawn(cfg).map(|_| ()));
+            let kind = spawned.map(|r| r.map_err(|e| e.kind()));
+            assert_eq!(kind.ok(), Some(Err(io::ErrorKind::InvalidInput)), "{group:?}");
+        }
+    }
+
     #[test]
     fn undecodable_repl_state_is_counted_and_handed_back_intact() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let mut peer = Core::new(SiteId(1), 7, GroupConfig::default(), addr);
-        let objects = vec![ObjectId(Id::hash(b"o"))];
-        peer.apply_record(&WalRecord::Capture { at: SimTime::from_micros(5), objects });
+        let o = ObjectId(Id::hash(b"o"));
+        peer.apply_record(&WalRecord::Capture { at: SimTime::from_micros(5), objects: vec![o] });
         let mut padded = peer.proto.store_state_bytes();
         padded.push(0);
 
         let mut core = Core::new(SiteId(0), 7, GroupConfig::default(), addr).with_replicas(2);
-        for (i, state) in [vec![0xFF; 9], padded].into_iter().enumerate() {
+        let state = |state| Msg::ReplState { primary: SiteId(1), state };
+        // An individual-mode arrival is not part of the daemon's group
+        // mode: handed back and counted just the same.
+        let arrival = Msg::Arrival { object: o, site: SiteId(1), time: SimTime::from_micros(5) };
+        for (i, msg) in [state(vec![0xFF; 9]), state(padded), arrival].into_iter().enumerate() {
             // The host gets back the message that arrived, not the tail
-            // the decoder had not read yet.
-            let msg = Msg::ReplState { primary: SiteId(1), state: state.clone() };
+            // the decoder had not read yet, and nothing was applied.
+            let before = core.state_bytes(true);
             let back = site::handle(&mut core, SiteId(0), SiteId(1), msg.clone());
-            assert!(matches!(back, Some(Msg::ReplState { state: s, .. }) if s == state));
+            assert_eq!(format!("{back:?}"), format!("{:?}", Some(&msg)), "message {i}");
+            assert_eq!(core.state_bytes(true), before, "message {i}");
 
             let before = core.unsupported();
             let wire = Wire { seq: i as u64 + 1, msg };
             core.apply_record(&WalRecord::Protocol { sender: SiteId(1), wire });
-            assert_eq!(core.unsupported(), before + 1, "state {i}");
+            assert_eq!(core.unsupported(), before + 1, "message {i}");
         }
         assert!(core.proto.replica_iop.is_empty() && core.proto.replica_gateway.is_empty());
+        assert!(core.proto.gateway.objects.is_empty());
     }
 }

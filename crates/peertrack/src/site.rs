@@ -1,8 +1,9 @@
 //! The write plane of one site, written once.
 //!
 //! §III Fig. 2 (M1 arrival → gateway, M2 `set_to` to the previous site,
-//! M3 `set_from` to the capturing site), the §IV Fig. 5 `update_index`
-//! over a prefix group, the shard movement that keeps the index whole
+//! M3 `set_from` to the capturing site), the whole §IV Fig. 5 `index`
+//! over a prefix group (the refresh walk, `update_index`, the
+//! delegation trigger), the shard movement that keeps the index whole
 //! as the ring and `Lp` change (Chord's key handoff, §IV-A.2 splitting
 //! and merging, triangle delegation) and the K-successor replication
 //! that rides on all of them are the same protocol whether a site lives
@@ -11,25 +12,38 @@
 //! and the free functions below advance it.
 //!
 //! They are generic (static dispatch) over a [`Host`], which supplies
-//! exactly what a site cannot know alone — how a message leaves, where a
-//! prefix's gateway is, who is on the ring. Two hosts exist:
+//! exactly what a site cannot know alone: how a message leaves, where a
+//! prefix's gateway is, who is on the ring, which indexing mode runs,
+//! and what the refresh walk can reach. Two hosts exist:
 //!
-//! * the simulator ([`crate::world::NetWorld`] plus its `Sim`), which
-//!   holds every site, sends through the event queue, decides *when*
+//! * the simulator ([`crate::world::NetWorld`] plus its `Sim`) holds
+//!   every site. It sends through the event queue, decides *when*
 //!   shards move (after a join or leave, per live site on an `Lp`
-//!   change, when a shard crosses the delegation threshold) and keeps
-//!   the paths no single node runs off-sim — individual mode, refresh
-//!   fetches, retries and acks;
-//! * the daemon's `Core`, which holds one site, sends through its
-//!   outbox, moves its own shards when a membership record changes its
-//!   ring, and counts anything outside its regime as unsupported.
+//!   change), and fetches from any site's shard;
+//! * the daemon's `Core` holds one site. It sends through its outbox,
+//!   moves its own shards when a membership record changes its ring,
+//!   and counts what falls outside its regime as unsupported.
 //!
-//! [`handle`] applies the arms both hosts share and hands every other
-//! message back to the caller, so each host keeps its own driver around
-//! one protocol body instead of a copy of it.
+//! Two contracts carry the Fig. 5 walk across that difference:
+//!
+//! * [`Host::fetch`] takes a shard's entries for the objects a gateway
+//!   lacks and hands them back; `index` lands them. `None` means the
+//!   shard is not hosted as far as the host can see, and the descent
+//!   does not recurse below it. The simulator reaches any site (charged
+//!   as `Refresh` traffic, lossy under faults); the daemon reaches only
+//!   the shards it holds itself, in place and free.
+//! * [`Host::may_delegate`] is asked once a shard crosses the threshold.
+//!   The daemon answers `false` (and counts it): its gateway read does
+//!   not search triangle children.
+//!
+//! [`handle`] applies every arm of the protocol and hands back only
+//! what the host's mode does not run: an `Arrival` in group mode, a
+//! `GroupIndex` in individual mode, and a replica state that does not
+//! decode.
 
 use crate::bytebuf::{ByteBuf, Reader};
 use crate::codec;
+use crate::config::GroupConfig;
 use crate::grouping::group_batch;
 use crate::messages::Msg;
 use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
@@ -37,7 +51,7 @@ use crate::window::{WindowBatch, WindowBuffer, WindowEvent};
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
 use simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Counters for conditions that should not occur in well-formed runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -116,9 +130,8 @@ impl Site {
     /// Fig. 5 `index` line 2: the members of a group this gateway does
     /// not index under `prefix` yet (the paper's set expression has the
     /// operands transposed — the accompanying comment "objects which
-    /// are not stored locally" fixes the intent). What the host does
-    /// about them — refresh fetches in the simulator — is its own.
-    pub fn unindexed(&mut self, prefix: Prefix, members: &[(ObjectId, SimTime)]) -> Vec<ObjectId> {
+    /// are not stored locally" fixes the intent).
+    fn unindexed(&mut self, prefix: Prefix, members: &[(ObjectId, SimTime)]) -> Vec<ObjectId> {
         let shard = self.gateway.shard_mut(prefix);
         members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
     }
@@ -184,6 +197,30 @@ pub trait Host {
     /// The anomaly counters.
     fn anomalies_mut(&mut self) -> &mut Anomalies;
 
+    /// The §IV group parameters; `None` = individual mode (§III).
+    fn group(&self) -> Option<GroupConfig>;
+
+    /// One Fig. 5 refresh fetch for gateway `gw`: take the entries of
+    /// the `missing` objects under `p` out of shard `p`, wherever it
+    /// lives, and return them; `index` lands them. `None` = `p` is not
+    /// hosted as far as this host can see, so the descent stops there.
+    /// `Some` may be empty: nothing matched, or the fetch was lost. The
+    /// host charges the exchange, and replicates the source shard when
+    /// it gave something up.
+    fn fetch(
+        &mut self,
+        gw: SiteId,
+        p: Prefix,
+        missing: &HashSet<ObjectId>,
+    ) -> Option<Vec<(ObjectId, IndexEntry)>>;
+
+    /// `gw`'s shard `prefix` crossed the delegation threshold: may it
+    /// delegate to its triangle children? A host whose reads cannot
+    /// follow the entries there answers `false`.
+    fn may_delegate(&mut self, _gw: SiteId, _prefix: Prefix) -> bool {
+        true
+    }
+
     /// `prefix` now holds index data (the simulator keeps the global
     /// set its refresh walks consult).
     fn mark_hosted(&mut self, _prefix: Prefix) {}
@@ -230,12 +267,21 @@ pub fn dispatch<H: Host>(h: &mut H, from: SiteId, to: SiteId, hops: u32, msg: Ms
     h.send(from, to, hops, msg);
 }
 
-/// Apply `msg` at `to` if it is one of the arms every host shares: the
-/// IOP link updates, shard movement and the replication plane. Anything
-/// else — and a replica state that does not decode, which off-sim is
-/// network data — comes back for the host's own driver.
+/// Apply `msg` at `to`. What the host's indexing mode does not run —
+/// an `Arrival` in group mode, a `GroupIndex` in individual mode — and
+/// a replica state that does not decode, which off-sim is network data,
+/// come back for the host to count.
 pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<Msg> {
     match msg {
+        Msg::Arrival { object, site, time } if h.group().is_none() => {
+            arrive(h, to, object, site, time);
+        }
+        Msg::GroupIndex { prefix, site, members } => {
+            let Some(g) = h.group() else {
+                return Some(Msg::GroupIndex { prefix, site, members });
+            };
+            index(h, to, g, prefix, site, &members);
+        }
         Msg::SetTo { updates } => thread_links(h, to, updates, IopStore::set_to),
         Msg::SetFrom { updates } => thread_links(h, to, updates, IopStore::set_from),
         Msg::Delegate { prefix, entries } => land(h, to, prefix, entries),
@@ -342,13 +388,116 @@ fn thread_links<H: Host, L>(
     replicate_iop(h, to, touched);
 }
 
+/// The §III gateway (Fig. 2) at `gw`: index `object`'s visit to `site`
+/// unless a newer one is indexed, then send M2 to the previous site and
+/// M3 to the capturing one.
+fn arrive<H: Host>(h: &mut H, gw: SiteId, object: ObjectId, site: SiteId, time: SimTime) {
+    let prev = h.site(gw).gateway.objects.get(&object).copied();
+    if prev.is_some_and(|p| p.time > time) {
+        h.anomalies_mut().out_of_order_arrivals += 1;
+        return;
+    }
+    let entry = IndexEntry { site, time, prev: prev.map(|p| p.link()) };
+    h.site(gw).gateway.objects.insert(object, entry);
+    h.index_changed(object);
+    replicate_shard(h, gw, None);
+    if let Some(p) = prev {
+        // M2 — direct (the index stores the source's address).
+        let m2 = Msg::SetTo { updates: vec![(object, p.time, Link { site, time })] };
+        dispatch(h, gw, p.site, 1, m2);
+    }
+    let m3 = Msg::SetFrom { updates: vec![(object, time, prev.map(|p| p.link()))] };
+    dispatch(h, gw, site, 1, m3);
+}
+
+/// The Fig. 5 `index` at gateway `gw` for a group captured at `site`:
+/// refresh what the shard lacks — `refresh_from_ascent` (ancestors,
+/// nearest first, down to `Lmin`), then `refresh_from_descent` (hosted
+/// children) —, run `update_index`, delegate the earliest `α·count`
+/// records to the two triangle children if the shard now exceeds the
+/// threshold (lines 2–4), and replicate the shard once.
+fn index<H: Host>(
+    h: &mut H,
+    gw: SiteId,
+    g: GroupConfig,
+    prefix: Prefix,
+    site: SiteId,
+    members: &[(ObjectId, SimTime)],
+) {
+    let mut missing: HashSet<ObjectId> =
+        h.site(gw).unindexed(prefix, members).into_iter().collect();
+    let mut l = prefix.len();
+    while l > g.l_min && !missing.is_empty() {
+        l -= 1;
+        refresh(h, gw, prefix.truncate(l), prefix, &mut missing);
+    }
+    descend(h, gw, prefix, prefix, &mut missing);
+    update_index(h, gw, prefix, site, members);
+    let len = h.site(gw).gateway.shard_mut(prefix).len();
+    if g.delegate_threshold.is_some_and(|t| len > t)
+        && prefix.len() < ids::prefix::MAX_PREFIX_BITS
+        && h.may_delegate(gw, prefix)
+    {
+        let k = ((g.alpha * len as f64).ceil() as usize).min(len);
+        let shard = h.site(gw).gateway.shard_mut(prefix);
+        let victims = shard.take_earliest(k);
+        shard.delegated = true;
+        to_children(h, gw, prefix, victims, |prefix, entries| Msg::Delegate { prefix, entries });
+    }
+    // One replication covers the upserts and the delegation's shrink
+    // (the receivers replicate their own shards on receipt).
+    replicate_shard(h, gw, Some(prefix));
+}
+
+/// The refresh descent below `node`: fetch from each child prefix that
+/// covers a missing object, and recurse into the ones that were hosted.
+fn descend<H: Host>(
+    h: &mut H,
+    gw: SiteId,
+    node: Prefix,
+    dest: Prefix,
+    missing: &mut HashSet<ObjectId>,
+) {
+    if missing.is_empty() || node.len() >= ids::prefix::MAX_PREFIX_BITS {
+        return;
+    }
+    for one in [false, true] {
+        let child = node.child(one);
+        // filter(objects, p+bit): only objects under this child.
+        if missing.iter().any(|o| child.matches(&o.id())) && refresh(h, gw, child, dest, missing) {
+            descend(h, gw, child, dest, missing);
+        }
+    }
+}
+
+/// One refresh fetch from shard `p` ([`Host::fetch`]); what it returns
+/// lands in `gw`'s shard `dest`, the one that asked. Returns whether
+/// `p` was hosted.
+fn refresh<H: Host>(
+    h: &mut H,
+    gw: SiteId,
+    p: Prefix,
+    dest: Prefix,
+    missing: &mut HashSet<ObjectId>,
+) -> bool {
+    let Some(fetched) = h.fetch(gw, p, missing) else { return false };
+    if !fetched.is_empty() {
+        h.mark_hosted(dest);
+        let shard = h.site(gw).gateway.shard_mut(dest);
+        for (o, e) in fetched {
+            shard.upsert(o, e);
+            missing.remove(&o);
+        }
+    }
+    true
+}
+
 /// The Fig. 5 `update_index` core at gateway `gw`: for each member of a
 /// group captured at `site`, drop it if the index already holds a newer
 /// visit, else upsert it and thread the IOP links — M2 batched per
 /// source site ("one message for each group of objects which are from
-/// the same node"), M3 to the capturing site. The caller replicates the
-/// shard ([`replicate_shard`]) once it has finished with it.
-pub fn update_index<H: Host>(
+/// the same node"), M3 to the capturing site.
+fn update_index<H: Host>(
     h: &mut H,
     gw: SiteId,
     prefix: Prefix,
@@ -521,18 +670,6 @@ fn hand_off_objects<H: Host>(h: &mut H, at: SiteId) {
         dispatch(h, at, owner, 1, Msg::Migrate { prefix: None, entries });
     }
     replicate_shard(h, at, None);
-}
-
-/// Fig. 5 `update_index` lines 2–4, the sending half: `victims`, taken
-/// from `at`'s overfull shard `prefix`, go to its two triangle
-/// children. Whether a shard is overfull is the host's call.
-pub fn delegate<H: Host>(
-    h: &mut H,
-    at: SiteId,
-    prefix: Prefix,
-    victims: Vec<(ObjectId, IndexEntry)>,
-) {
-    to_children(h, at, prefix, victims, |prefix, entries| Msg::Delegate { prefix, entries });
 }
 
 /// Partition `entries` of shard `p` by bit `p.len()` and route each

@@ -312,6 +312,21 @@ impl GatewayStore {
         self.prefixes.entry(prefix).or_default()
     }
 
+    /// The source side of a Fig. 5 refresh fetch: take the entries of
+    /// `objects` out of shard `prefix`, then drop the shard if it is
+    /// empty. Returns the entries taken and whether the shard went.
+    pub fn take_from(
+        &mut self,
+        prefix: &Prefix,
+        objects: &[ObjectId],
+    ) -> (Vec<(ObjectId, IndexEntry)>, bool) {
+        let taken = match self.prefixes.get_mut(prefix) {
+            Some(shard) => objects.iter().filter_map(|o| Some((*o, shard.take(o)?))).collect(),
+            None => Vec::new(),
+        };
+        (taken, self.prune_if_empty(prefix))
+    }
+
     /// Remove a shard if it is empty; returns true if removed.
     pub fn prune_if_empty(&mut self, prefix: &Prefix) -> bool {
         if self.prefixes.get(prefix).is_some_and(PrefixIndex::is_empty) {

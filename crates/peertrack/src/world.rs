@@ -3,22 +3,21 @@
 //!
 //! [`NetWorld`] owns all distributed state — the Chord ring and each
 //! site's [`Site`] — and implements [`simnet::World`] so the
-//! discrete-event engine can drive it. The write plane itself (§III
-//! M2/M3 link threading, the §IV Fig. 5 `update_index`, capture →
-//! window → `GroupIndex`, shard movement, K-successor replication) is
-//! [`crate::site`], which this module hosts through [`site::Host`]; what
-//! stays here is what no single node does alone, or does only in the
-//! simulator:
+//! discrete-event engine can drive it. The protocol itself (the §III
+//! gateway and M2/M3 link threading, the whole §IV Fig. 5 `index`,
+//! capture → window → `GroupIndex`, shard movement, K-successor
+//! replication) is [`crate::site`], which this module hosts through
+//! [`site::Host`]. What stays here is what only the simulator does:
 //!
-//! * individual mode (**M1** arrivals, §III) and the sequenced
-//!   at-least-once delivery layer (acks, retries, duplicate filter);
-//! * the Fig. 5 `refresh_from_ascent` / `refresh_from_descent` fetches
-//!   for unknown objects (charged as `Refresh` traffic; executed as
-//!   zero-latency RPCs — the figures measure message volume, not
-//!   indexing latency, see DESIGN.md);
-//! * *when* shards move: the delegation trigger (Fig. 5 `update_index`
-//!   lines 2–4), the key handoff after a join or leave, and the §IV-A.2
-//!   split or merge of every live site on an `Lp` change;
+//! * individual-mode *capture*: each arrival routed to its gateway as
+//!   an M1 message;
+//! * the sequenced at-least-once delivery layer (acks, retries,
+//!   duplicate filter);
+//! * the host half of a Fig. 5 refresh fetch: a zero-latency read of
+//!   any site's shard, charged as `Refresh` traffic (the figures
+//!   measure message volume, not indexing latency, see DESIGN.md);
+//! * *when* shards move: the key handoff after a join or leave, and the
+//!   §IV-A.2 split or merge of every live site on an `Lp` change;
 //! * timers (`Tmax`, scheduled captures, retry, the one-shot
 //!   anti-entropy trigger), trace spans and the locate-cache epochs.
 
@@ -431,19 +430,10 @@ impl NetWorld {
                 }
             }
         }
-        // The arms every host shares are applied by the one protocol
-        // body; what comes back is the simulator's own.
-        let Some(msg) = site::handle(&mut self.host(sim), sid(to), sid(from), msg) else {
-            return;
-        };
-        match msg {
-            Msg::Arrival { object, site, time } => {
-                self.handle_arrival(sim, to, object, site, time);
-            }
-            Msg::GroupIndex { prefix, site, members } => {
-                self.handle_group_index(sim, to, prefix, site, members);
-            }
-            other => unreachable!("{other:?} is an ack or a well-formed shared arm"),
+        // The one protocol body runs every arm the simulator's mode
+        // sends; it hands back nothing a well-formed run produces.
+        if let Some(msg) = site::handle(&mut self.host(sim), sid(to), sid(from), msg) {
+            unreachable!("{msg:?} does not belong to this indexing mode");
         }
     }
 
@@ -472,237 +462,6 @@ impl NetWorld {
             Wire { seq, msg: p.msg.clone() },
         );
         self.pending_retries.insert(seq, p);
-    }
-
-    /// Individual-mode gateway logic (§III, Fig. 2): update the index,
-    /// send M2 to the source and M3 to the destination of the move.
-    fn handle_arrival(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        object: ObjectId,
-        site: SiteId,
-        time: SimTime,
-    ) {
-        let prev = self.sites[gw].gateway.objects.get(&object).copied();
-        if let Some(p) = prev {
-            if p.time > time {
-                self.anomalies.out_of_order_arrivals += 1;
-                return;
-            }
-        }
-        let entry = IndexEntry { site, time, prev: prev.map(|p| p.link()) };
-        self.sites[gw].gateway.objects.insert(object, entry);
-        self.bump_epoch(object);
-        self.replicate_shard(sim, gw, None);
-
-        let new_link = Link { site, time };
-        if let Some(p) = prev {
-            // M2 — direct (the index stores the source's address).
-            let m2 = Msg::SetTo { updates: vec![(object, p.time, new_link)] };
-            self.dispatch(sim, gw, self.site_idx(p.site), 1, m2);
-        }
-        // M3 — direct to the capturing node.
-        let m3 = Msg::SetFrom { updates: vec![(object, time, prev.map(|p| p.link()))] };
-        self.dispatch(sim, gw, self.site_idx(site), 1, m3);
-    }
-
-    /// Group-mode gateway logic — the Fig. 5 `index` algorithm: refresh
-    /// what this gateway does not know yet, run the shared
-    /// `update_index`, delegate if the shard grew past its threshold.
-    fn handle_group_index(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        prefix: Prefix,
-        site: SiteId,
-        members: Vec<(ObjectId, SimTime)>,
-    ) {
-        let unknown = self.sites[gw].unindexed(prefix, &members);
-        if !unknown.is_empty() {
-            let mut missing: HashSet<ObjectId> = unknown.into_iter().collect();
-            self.refresh_from_ascent(sim, gw, prefix, &mut missing);
-            if !missing.is_empty() {
-                self.refresh_from_descent(sim, gw, prefix, &mut missing);
-            }
-        }
-        site::update_index(&mut self.host(sim), sid(gw), prefix, site, &members);
-        self.maybe_delegate(sim, gw, prefix);
-        // One shard replication covers both the index upserts above and
-        // any shrink `maybe_delegate` just performed (the delegation
-        // receivers replicate their own shards on receipt).
-        self.replicate_shard(sim, gw, Some(prefix));
-    }
-
-    /// Fig. 5 `refresh_from_ascent`: walk shorter prefixes (nearest
-    /// ancestor first, down to `Lmin`), fetching — *moving* — any index
-    /// entries for the missing objects into the local shard.
-    fn refresh_from_ascent(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        prefix: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        let Some(g) = self.group_config() else { return };
-        let mut l = prefix.len();
-        while l > g.l_min && !missing.is_empty() {
-            l -= 1;
-            let p = prefix.truncate(l);
-            self.fetch_remote(sim, gw, p, prefix, missing);
-        }
-    }
-
-    /// Fig. 5 `refresh_from_descent`: recurse into hosted child prefixes
-    /// fetching entries for the missing objects.
-    fn refresh_from_descent(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        prefix: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        self.descend(sim, gw, prefix, prefix, missing);
-    }
-
-    fn descend(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        node: Prefix,
-        dest: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        if missing.is_empty() || node.len() >= ids::prefix::MAX_PREFIX_BITS {
-            return;
-        }
-        for one in [false, true] {
-            let child = node.child(one);
-            // filter(objects, p+bit): only objects under this child.
-            if !missing.iter().any(|o| child.matches(&o.id())) {
-                continue;
-            }
-            let was_hosted = self.is_hosted(&child);
-            self.fetch_remote(sim, gw, child, dest, missing);
-            if was_hosted {
-                self.descend(sim, gw, child, dest, missing);
-            }
-        }
-    }
-
-    /// One refresh fetch: take matching entries from the shard at
-    /// `p`'s gateway into `gw`'s shard for the original prefix, charging
-    /// a request/reply pair of `Refresh` messages.
-    fn fetch_remote(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        p: Prefix,
-        dest: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        if !self.is_hosted(&p) {
-            return;
-        }
-        let (owner, hops) = self.route_traced(sim, self.sites[gw].site, p.gateway_id());
-        let want: Vec<ObjectId> = missing
-            .iter()
-            .filter(|o| p.matches(&o.id()))
-            .copied()
-            .collect();
-        if want.is_empty() {
-            return;
-        }
-
-        // Fault plane: the fetch is a synchronous request/reply RPC, so
-        // loss is sampled directly (it never crosses the event queue).
-        // Either leg can be lost; with retries enabled the exchange is
-        // re-attempted within the configured budget (extra requests are
-        // charged as `Retrans`), otherwise a single loss abandons the
-        // fetch — the entries stay at the remote shard and the local
-        // index goes stale, a genuine fault the auditor can observe.
-        if owner != gw && sim.has_faults() {
-            let req_bytes = HEADER_BYTES + PREFIX_BYTES + want.len() * OBJECT_ID_BYTES;
-            let max_attempts =
-                if self.config.retry.enabled { self.config.retry.max_attempts } else { 1 };
-            let mut attempt = 1u32;
-            let ok = loop {
-                let plane = sim.faults_mut().expect("has_faults");
-                let lost = plane.sample_loss(gw, owner) || plane.sample_loss(owner, gw);
-                if !lost {
-                    break true;
-                }
-                if attempt >= max_attempts {
-                    break false;
-                }
-                attempt += 1;
-                sim.metrics_mut().record(MsgClass::Retrans, req_bytes, hops);
-            };
-            if !ok {
-                // The initial request was still transmitted and charged.
-                sim.metrics_mut().record(MsgClass::Refresh, req_bytes, hops);
-                self.anomalies.refresh_failures += 1;
-                return;
-            }
-        }
-
-        // Take matching entries from the remote shard.
-        let mut fetched: Vec<(ObjectId, IndexEntry)> = Vec::new();
-        if let Some(shard) = self.sites[owner].gateway.prefixes.get_mut(&p) {
-            for o in &want {
-                if let Some(e) = shard.take(o) {
-                    fetched.push((*o, e));
-                }
-            }
-        }
-        if self.sites[owner].gateway.prune_if_empty(&p) {
-            self.hosted.remove(&p);
-        }
-
-        // Charge request + reply (even when the reply is empty: the
-        // gateway could not know without asking).
-        if owner != gw {
-            let req_bytes = HEADER_BYTES + PREFIX_BYTES + want.len() * OBJECT_ID_BYTES;
-            let rep_bytes =
-                HEADER_BYTES + fetched.len() * (OBJECT_ID_BYTES + ENTRY_BYTES);
-            let m = sim.metrics_mut();
-            m.record(MsgClass::Refresh, req_bytes, hops);
-            m.record(MsgClass::Refresh, rep_bytes, 1);
-        }
-
-        if !fetched.is_empty() {
-            // History lands in the shard that requested the refresh.
-            self.hosted.insert(dest);
-            let shard = self.sites[gw].gateway.shard_mut(dest);
-            for (o, e) in &fetched {
-                shard.upsert(*o, *e);
-                missing.remove(o);
-            }
-            // The source shard shrank (possibly to nothing); ship the
-            // new content to its replica set. The destination shard is
-            // replicated once by `handle_group_index` after all
-            // refresh fetches land.
-            self.replicate_shard(sim, owner, Some(p));
-        }
-    }
-
-    /// Fig. 5 `update_index` lines 2–4: delegate the earliest `α·count`
-    /// records to the two triangle children when the shard exceeds the
-    /// configured threshold.
-    fn maybe_delegate(&mut self, sim: &mut Sim<Wire>, gw: usize, prefix: Prefix) {
-        let Some(g) = self.group_config() else { return };
-        let Some(threshold) = g.delegate_threshold else { return };
-        if prefix.len() >= ids::prefix::MAX_PREFIX_BITS {
-            return;
-        }
-        let len = self.sites[gw].gateway.shard_mut(prefix).len();
-        if len <= threshold {
-            return;
-        }
-        let k = ((g.alpha * len as f64).ceil() as usize).min(len);
-        let victims = self.sites[gw].gateway.shard_mut(prefix).take_earliest(k);
-        self.sites[gw].gateway.shard_mut(prefix).delegated = true;
-        site::delegate(&mut self.host(sim), sid(gw), prefix, victims);
     }
 
     // ------------------------------------------------------------------
@@ -839,10 +598,6 @@ impl NetWorld {
         let period = self.config.replication.anti_entropy_period;
         let t = sim.set_timer(idx, period, timer_kind(TAG_ANTIENTROPY, idx as u64));
         self.sites[idx].antientropy_timer = Some(t);
-    }
-
-    fn replicate_shard(&mut self, sim: &mut Sim<Wire>, idx: usize, prefix: Option<Prefix>) {
-        site::replicate_shard(&mut self.host(sim), sid(idx), prefix);
     }
 
     /// Read a visit record, falling back to replica copies when the
@@ -1010,6 +765,78 @@ impl site::Host for Driver<'_> {
 
     fn anomalies_mut(&mut self) -> &mut Anomalies {
         &mut self.world.anomalies
+    }
+
+    fn group(&self) -> Option<GroupConfig> {
+        self.world.group_config()
+    }
+
+    /// A zero-latency request/reply RPC to the shard's gateway, whoever
+    /// that is: charged as a `Refresh` pair, with loss sampled directly
+    /// (it never crosses the event queue).
+    fn fetch(
+        &mut self,
+        gw: SiteId,
+        p: Prefix,
+        missing: &HashSet<ObjectId>,
+    ) -> Option<Vec<(ObjectId, IndexEntry)>> {
+        let (w, sim) = (&mut *self.world, &mut *self.sim);
+        if !w.is_hosted(&p) {
+            return None;
+        }
+        let (owner, hops) = w.route_traced(sim, gw, p.gateway_id());
+        let want: Vec<ObjectId> = missing.iter().filter(|o| p.matches(&o.id())).copied().collect();
+        if want.is_empty() {
+            return Some(Vec::new());
+        }
+        let gw = gw.0 as usize;
+        let req_bytes = HEADER_BYTES + PREFIX_BYTES + want.len() * OBJECT_ID_BYTES;
+
+        // Either leg can be lost; with retries enabled the exchange is
+        // re-attempted within the configured budget (extra requests are
+        // charged as `Retrans`), otherwise a single loss abandons the
+        // fetch — the entries stay at the remote shard and the local
+        // index goes stale, a genuine fault the auditor can observe.
+        if owner != gw && sim.has_faults() {
+            let max_attempts = if w.config.retry.enabled { w.config.retry.max_attempts } else { 1 };
+            let mut attempt = 1u32;
+            let ok = loop {
+                let plane = sim.faults_mut().expect("has_faults");
+                let lost = plane.sample_loss(gw, owner) || plane.sample_loss(owner, gw);
+                if !lost {
+                    break true;
+                }
+                if attempt >= max_attempts {
+                    break false;
+                }
+                attempt += 1;
+                sim.metrics_mut().record(MsgClass::Retrans, req_bytes, hops);
+            };
+            if !ok {
+                // The initial request was still transmitted and charged.
+                sim.metrics_mut().record(MsgClass::Refresh, req_bytes, hops);
+                w.anomalies.refresh_failures += 1;
+                return Some(Vec::new());
+            }
+        }
+
+        let (fetched, pruned) = w.sites[owner].gateway.take_from(&p, &want);
+        if pruned {
+            w.hosted.remove(&p);
+        }
+        // Charge request + reply (even when the reply is empty: the
+        // gateway could not know without asking).
+        if owner != gw {
+            let rep_bytes = HEADER_BYTES + fetched.len() * (OBJECT_ID_BYTES + ENTRY_BYTES);
+            let m = sim.metrics_mut();
+            m.record(MsgClass::Refresh, req_bytes, hops);
+            m.record(MsgClass::Refresh, rep_bytes, 1);
+        }
+        if !fetched.is_empty() {
+            // The source shard shrank, possibly to nothing.
+            site::replicate_shard(self, sid(owner), Some(p));
+        }
+        Some(fetched)
     }
 
     fn owner(&self, key: Id) -> SiteId {

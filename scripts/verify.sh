@@ -274,6 +274,18 @@ if grep -nE 'fn (split_level|merge_level|apply_migration|merge_entry)\b' crates/
 fi
 echo "OK: one shard mover for both hosts, hosted prefixes derived, two fsync modes."
 
+# The gateway is written once: the §III arrival and the whole Fig. 5
+# `index` (refresh walk, `update_index`, delegation trigger) run in
+# `peertrack::site` for both hosts. No host may define its own copy
+# again; doc comments may still name the paper's functions. Silent
+# when clean.
+gateway_copies='fn (handle_group_index|handle_arrival|refresh_from_ascent|refresh_from_descent'
+gateway_copies+='|check_refresh_unneeded|maybe_delegate)\b'
+if grep -rnE "$gateway_copies" crates --include='*.rs'; then
+    echo "a host defines its own copy of the gateway's index path again" >&2
+    exit 1
+fi
+
 # A read never touches the disk: no engine path logs a query, and the
 # snapshot keeps only protocol state — `state_bytes` writes no metrics,
 # no anomaly counters and no hosted-prefix list. Silent when clean.
