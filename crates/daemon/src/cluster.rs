@@ -18,8 +18,9 @@
 //! emitted protocol traffic, waits for the cluster to **quiesce** (no
 //! node has a message in flight, and nobody sent one, across two
 //! consecutive status rounds) before proceeding. That preserves the
-//! simulator's causal delivery order — two gateways' `GroupIndex`
-//! messages can never race each other on different TCP connections.
+//! simulator's causal delivery order, so the cluster walks the
+//! simulator's message trajectory; any order would build the same IOP
+//! chains (`peertrack::site::splice`), but not the same messages.
 
 use crate::node::{Node, NodeConfig, NodeReport};
 use crate::proto::{CostWire, Frame};

@@ -95,6 +95,7 @@ const TAG_REPL_DIGEST: u8 = 10;
 const TAG_REPL_SYNC_REQ: u8 = 11;
 const TAG_REPL_STATE: u8 = 12;
 const TAG_REPL_IOP_PATCH: u8 = 13;
+const TAG_SPLICE: u8 = 14;
 
 /// Wire bytes of one `Option<Link>`: presence byte + fixed-width link.
 const OPT_LINK_BYTES: usize = 1 + LINK_BYTES;
@@ -233,6 +234,10 @@ pub fn encode(msg: &Msg, seq: u64) -> Vec<u8> {
         Msg::SetFrom { updates } => {
             put_header(&mut buf, TAG_SET_FROM, seq);
             put_set_from(&mut buf, updates);
+        }
+        Msg::Splice { updates } => {
+            put_header(&mut buf, TAG_SPLICE, seq);
+            put_set_to(&mut buf, updates);
         }
         Msg::Delegate { prefix, entries } => {
             put_header(&mut buf, TAG_DELEGATE, seq);
@@ -391,6 +396,7 @@ pub fn decode(raw: impl AsRef<[u8]>) -> Result<(Msg, u64), DecodeError> {
         },
         TAG_SET_TO => Msg::SetTo { updates: get_set_to(r)? },
         TAG_SET_FROM => Msg::SetFrom { updates: get_set_from(r)? },
+        TAG_SPLICE => Msg::Splice { updates: get_set_to(r)? },
         TAG_DELEGATE => Msg::Delegate { prefix: get_prefix(r)?, entries: get_entries(r)? },
         TAG_MIGRATE => Msg::Migrate { prefix: get_opt_prefix(r)?, entries: get_entries(r)? },
         TAG_ACK => Msg::Ack { acked: r.u64()? },
@@ -624,6 +630,7 @@ mod tests {
                 set_to: vec![(obj(7), SimTime::from_micros(3), link(1, 4))],
                 set_from: vec![(obj(7), SimTime::from_micros(4), Some(link(2, 3))), (obj(8), SimTime::from_micros(5), None)],
             },
+            Msg::Splice { updates: vec![(obj(9), SimTime::from_micros(8), link(3, 6))] },
         ]
     }
 
@@ -634,9 +641,10 @@ mod tests {
     }
 
     /// `encode(sample, index)` of each `Msg` variant's first sample, as
-    /// written by the commit before the borrowed `Reader` (PR 18): a peer
-    /// or a WAL from before this codec was rewritten stays readable.
-    const GOLDEN: [(usize, &str); 13] = [
+    /// written by the commit before the borrowed `Reader` (PR 18) — a peer
+    /// or a WAL from before this codec was rewritten stays readable — and,
+    /// for `Splice`, by the commit that added it.
+    const GOLDEN: [(usize, &str); 14] = [
         (0, "01010000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000030000000000000063"),
         (1, "02010000000000000000000000000001045000000000000000000000020000000505fe405753166f125559e7c9ac558654f107c7e90000000000000000cb473678976f425d6ec1339838f11011007ad27d000000000000000107aae1b618f604c684ee3189fa1723bef8656fe40000000000000002461d6580e38ccb6dc72699b6c945e53831dcdf0300000000000000037f028ddbb42e47ac2cd00e27a37bd191f1c2b9250000000000000004"),
         (3, "0301000000000000000000000000000300000001cb473678976f425d6ec1339838f11011007ad27d0000000000000005000000020000000000000009"),
@@ -650,6 +658,7 @@ mod tests {
         (14, "0b01000000000000000000000000000e0000000a"),
         (15, "0c01000000000000000000000000000f0000000b000000050102030405"),
         (16, "0d0100000000000000000000000000100000000c00000001aebf740096fea5f738202d5d299fc84e932155d5000000000000000300000001000000000000000400000002aebf740096fea5f738202d5d299fc84e932155d5000000000000000401000000020000000000000003c9e1208fdafeca60716624e08ac95d5d3036071c000000000000000500000000000000000000000000"),
+        (17, "0e0100000000000000000000000000110000000163b0ee19900a432c8601bd0bed2b1f881fbd7a860000000000000008000000030000000000000006"),
     ];
 
     #[test]
@@ -684,6 +693,7 @@ mod tests {
                 Msg::GroupIndex { .. }
                 | Msg::SetTo { .. }
                 | Msg::SetFrom { .. }
+                | Msg::Splice { .. }
                 | Msg::Delegate { .. }
                 | Msg::Migrate { .. }
                 | Msg::ReplIop { .. }
@@ -720,6 +730,7 @@ mod tests {
             TAG_GROUP_INDEX,
             TAG_SET_TO,
             TAG_SET_FROM,
+            TAG_SPLICE,
             TAG_DELEGATE,
             TAG_MIGRATE,
             TAG_REPL_IOP,
@@ -885,7 +896,7 @@ mod tests {
 
         #[test]
         fn prop_mutated_encodings_never_panic(
-            which in 0usize..16,
+            which in 0usize..18,
             mutations in prop::collection::vec((any::<u16>(), any::<u8>()), 1..32),
             seq in any::<u64>(),
         ) {
@@ -923,7 +934,7 @@ mod tests {
 
         #[test]
         fn prop_every_variant_roundtrips_and_sizes_agree(
-            variant in 0u8..14,
+            variant in 0u8..15,
             seeds in prop::collection::vec((any::<u64>(), any::<u64>()), 0..24),
             bits in "[01]{0,20}",
             site in any::<u32>(),
@@ -943,12 +954,13 @@ mod tests {
                     time: SimTime::from_micros(seq),
                 },
                 1 => Msg::GroupIndex { prefix, site: SiteId(site), members: objects(&seeds) },
-                2 => Msg::SetTo {
-                    updates: seeds
+                2 | 13 => {
+                    let updates = seeds
                         .iter()
                         .map(|(o, t)| (obj(*o), SimTime::from_micros(*t), link(site, *t ^ 1)))
-                        .collect(),
-                },
+                        .collect();
+                    if variant == 2 { Msg::SetTo { updates } } else { Msg::Splice { updates } }
+                }
                 3 => Msg::SetFrom {
                     updates: seeds
                         .iter()

@@ -63,6 +63,14 @@ pub enum Msg {
         /// `None` marks the object's first appearance.
         updates: Vec<(ObjectId, SimTime, Option<Link>)>,
     },
+    /// **Splice**, the out-of-order M3: thread an earlier visit in
+    /// behind the receiver's record, or pass it on to the record's later
+    /// predecessor — a walk along `from` links to the gap that holds it.
+    /// A stored link is answered with M2, which no gateway sent.
+    Splice {
+        /// `(object, arrival time at the receiving site, earlier visit)`.
+        updates: Vec<(ObjectId, SimTime, Link)>,
+    },
     /// Data-Triangle delegation (Fig. 5 `update_index`): parent pushes
     /// its earliest records to a child prefix's gateway.
     Delegate {
@@ -184,7 +192,7 @@ impl Msg {
                 Msg::GroupIndex { members, .. } => {
                     PREFIX_BYTES + SITE_BYTES + members.len() * (OBJECT_ID_BYTES + TIME_BYTES)
                 }
-                Msg::SetTo { updates } => {
+                Msg::SetTo { updates } | Msg::Splice { updates } => {
                     updates.len() * (OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES)
                 }
                 Msg::SetFrom { updates } => {
@@ -225,7 +233,9 @@ impl Msg {
         match self {
             Msg::Arrival { .. } => simnet::MsgClass::IndexReport,
             Msg::GroupIndex { .. } => simnet::MsgClass::GroupIndex,
-            Msg::SetTo { .. } | Msg::SetFrom { .. } => simnet::MsgClass::IopUpdate,
+            Msg::SetTo { .. } | Msg::SetFrom { .. } | Msg::Splice { .. } => {
+                simnet::MsgClass::IopUpdate
+            }
             Msg::Delegate { .. } => simnet::MsgClass::Delegate,
             Msg::Migrate { .. } => simnet::MsgClass::SplitMerge,
             Msg::Ack { .. } => simnet::MsgClass::Ack,
@@ -249,7 +259,9 @@ impl Msg {
         match self {
             Msg::Arrival { object, .. } => Some(*object),
             Msg::GroupIndex { members, .. } if members.len() == 1 => Some(members[0].0),
-            Msg::SetTo { updates } if updates.len() == 1 => Some(updates[0].0),
+            Msg::SetTo { updates } | Msg::Splice { updates } if updates.len() == 1 => {
+                Some(updates[0].0)
+            }
             Msg::SetFrom { updates } if updates.len() == 1 => Some(updates[0].0),
             Msg::Delegate { entries, .. } | Msg::Migrate { entries, .. }
                 if entries.len() == 1 =>
@@ -315,10 +327,12 @@ mod tests {
             updates: vec![(obj(1), ms(1), Link { site: SiteId(2), time: ms(3) })],
         };
         let set_from = Msg::SetFrom { updates: vec![(obj(1), ms(3), None)] };
-        assert_eq!(set_to.class(), simnet::MsgClass::IopUpdate);
-        assert_eq!(set_from.class(), simnet::MsgClass::IopUpdate);
-        assert!(set_to.wire_size() > HEADER_BYTES);
-        assert!(set_from.wire_size() > HEADER_BYTES);
+        let early = Link { site: SiteId(2), time: ms(1) };
+        let splice = Msg::Splice { updates: vec![(obj(1), ms(3), early)] };
+        for m in [&set_to, &set_from, &splice] {
+            assert_eq!(m.class(), simnet::MsgClass::IopUpdate);
+            assert!(m.wire_size() > HEADER_BYTES);
+        }
     }
 
     #[test]

@@ -36,6 +36,12 @@
 //!   The daemon answers `false` (and counts it): its gateway read does
 //!   not search triangle children.
 //!
+//! A gateway merges each visit it meets by one rule, [`splice`]: one
+//! older than the visit it indexes is threaded into the IOP chain — by
+//! a walk back along `from` links ([`Msg::Splice`]) when it belongs
+//! further back — and link writes commute, so every delivery order
+//! builds the same chain.
+//!
 //! [`handle`] applies every arm of the protocol and hands back only
 //! what the host's mode does not run: an `Arrival` in group mode, a
 //! `GroupIndex` in individual mode, and a replica state that does not
@@ -46,7 +52,7 @@ use crate::codec;
 use crate::config::GroupConfig;
 use crate::grouping::group_batch;
 use crate::messages::Msg;
-use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
+use crate::store::{FromLink, GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
 use crate::window::{WindowBatch, WindowBuffer, WindowEvent};
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
@@ -56,8 +62,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// Counters for conditions that should not occur in well-formed runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Anomalies {
-    /// Gateway saw an arrival older than the indexed latest state
-    /// (message reordering faster than the movement cadence).
+    /// Always 0: a gateway splices a visit older than the one it
+    /// indexes into the chain ([`splice`]) instead of dropping it. Kept
+    /// for the benchmark, which sums it.
     pub out_of_order_arrivals: u64,
     /// IOP update targeting a record the site does not hold (e.g. the
     /// site re-joined after data loss), or a redirected update reaching
@@ -125,15 +132,6 @@ impl Site {
             self.replica_iop.get(&primary).unwrap_or(&empty_iop),
             self.replica_gateway.get(&primary).unwrap_or(&empty_gw),
         )
-    }
-
-    /// Fig. 5 `index` line 2: the members of a group this gateway does
-    /// not index under `prefix` yet (the paper's set expression has the
-    /// operands transposed — the accompanying comment "objects which
-    /// are not stored locally" fixes the intent).
-    fn unindexed(&mut self, prefix: Prefix, members: &[(ObjectId, SimTime)]) -> Vec<ObjectId> {
-        let shard = self.gateway.shard_mut(prefix);
-        members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
     }
 }
 
@@ -250,21 +248,30 @@ pub trait Host {
 }
 
 /// Deliver a message. A site does not pay network cost to talk to
-/// itself: self-sends run inline, depth-first. An IOP update aimed at a
-/// permanently failed site is repaired onto the holders of its replica
-/// repository instead of being dropped on the floor.
+/// itself: self-sends run inline, depth-first. An IOP update (M2, M3 or
+/// a walk) aimed at a permanently failed site is repaired onto the
+/// holders of its replica repository as a [`Msg::ReplIopPatch`] instead
+/// of being dropped on the floor; with no surviving holder it is lost
+/// and counted.
 pub fn dispatch<H: Host>(h: &mut H, from: SiteId, to: SiteId, hops: u32, msg: Msg) {
     if from == to {
         h.deliver(to, from, msg);
         return;
     }
-    if matches!(msg, Msg::SetTo { .. } | Msg::SetFrom { .. }) {
-        if let Some(holders) = h.holders_if_dead(to) {
-            redirect_to_replicas(h, from, to, holders, msg);
-            return;
-        }
+    let Some(holders) = h.holders_if_dead(to) else { return h.send(from, to, hops, msg) };
+    let (set_to, set_from) = match msg {
+        Msg::SetTo { updates } => (updates, Vec::new()),
+        Msg::SetFrom { updates } => (Vec::new(), updates),
+        Msg::Splice { updates } => (Vec::new(), from_links(updates)),
+        other => return h.send(from, to, hops, other),
+    };
+    if holders.is_empty() {
+        h.anomalies_mut().dropped_to_dead += 1;
     }
-    h.send(from, to, hops, msg);
+    for holder in holders {
+        let (set_to, set_from) = (set_to.clone(), set_from.clone());
+        dispatch(h, from, holder, 1, Msg::ReplIopPatch { primary: to, set_to, set_from });
+    }
 }
 
 /// Apply `msg` at `to`. What the host's indexing mode does not run —
@@ -273,8 +280,13 @@ pub fn dispatch<H: Host>(h: &mut H, from: SiteId, to: SiteId, hops: u32, msg: Ms
 /// come back for the host to count.
 pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<Msg> {
     match msg {
+        // The §III gateway (Fig. 2): index the visit, then M2 to the
+        // previous site and M3 to the capturing one.
         Msg::Arrival { object, site, time } if h.group().is_none() => {
-            arrive(h, to, object, site, time);
+            let mut out = Threads::default();
+            splice(h, to, None, object, IndexEntry { site, time, prev: None }, true, &mut out);
+            replicate_shard(h, to, None);
+            out.send(h, to);
         }
         Msg::GroupIndex { prefix, site, members } => {
             let Some(g) = h.group() else {
@@ -282,26 +294,15 @@ pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<
             };
             index(h, to, g, prefix, site, &members);
         }
-        Msg::SetTo { updates } => thread_links(h, to, updates, IopStore::set_to),
-        Msg::SetFrom { updates } => thread_links(h, to, updates, IopStore::set_from),
-        Msg::Delegate { prefix, entries } => land(h, to, prefix, entries),
+        Msg::SetTo { updates } => thread_links(h, to, None, updates, Vec::new(), false),
+        Msg::SetFrom { updates } => thread_links(h, to, None, Vec::new(), updates, false),
+        Msg::Splice { updates } => thread_links(h, to, None, Vec::new(), from_links(updates), true),
+        Msg::Delegate { prefix, entries } => land(h, to, Some(prefix), entries),
         Msg::Migrate { prefix: Some(p), entries } => {
-            land(h, to, p, entries);
+            land(h, to, Some(p), entries);
             h.migrated(to, p);
         }
-        Msg::Migrate { prefix: None, entries } => {
-            let objects = &mut h.site(to).gateway.objects;
-            for (o, e) in entries {
-                match objects.get(&o) {
-                    Some(ex) if ex.time > e.time => {} // racing update won
-                    Some(ex) if ex.time == e.time && e.prev.is_none() => {}
-                    _ => {
-                        objects.insert(o, e);
-                    }
-                }
-            }
-            replicate_shard(h, to, None);
-        }
+        Msg::Migrate { prefix: None, entries } => land(h, to, None, entries),
         Msg::ReplIop { primary, updates } => {
             let store = h.site(to).replica_iop.entry(primary).or_default();
             for (o, rec) in updates {
@@ -343,79 +344,163 @@ pub fn handle<H: Host>(h: &mut H, to: SiteId, from: SiteId, msg: Msg) -> Option<
             site.replica_iop.insert(primary, iop);
             site.replica_gateway.insert(primary, gw);
         }
+        // A patch only ever repairs a copy that exists: planting a fresh
+        // store would leave a partial record (`from: None`) that a later
+        // trace reads as the start of the chain. It does not say whether
+        // a `from` link was M3 or a walk, so it is answered like a walk,
+        // whose extra M2 repeats the gateway's and changes nothing.
         Msg::ReplIopPatch { primary, set_to, set_from } => {
-            // A patch only ever repairs a copy that exists. Planting a
-            // fresh store here would leave a partial record (`from:
-            // None`) that a later trace reads as the start of the chain.
-            let Some(store) = h.site(to).replica_iop.get_mut(&primary) else {
-                h.anomalies_mut().dangling_iop_updates += (set_to.len() + set_from.len()) as u64;
-                return None;
-            };
-            let at = |store: &IopStore, o, arrived| {
-                store.record_at(o, arrived).copied().unwrap_or(IopRecord {
-                    arrived,
-                    from: None,
-                    to: None,
-                })
-            };
-            for (o, arrived, link) in set_to {
-                store.upsert_record(o, IopRecord { to: Some(link), ..at(store, o, arrived) });
-            }
-            for (o, arrived, from_link) in set_from {
-                store.upsert_record(o, IopRecord { from: from_link, ..at(store, o, arrived) });
-            }
+            thread_links(h, to, Some(primary), set_to, set_from, true);
         }
         other => return Some(other),
     }
     None
 }
 
-/// Apply one M2 or M3 batch to `to`'s repository, count the updates
-/// whose record it does not hold, and replicate the ones it does.
-fn thread_links<H: Host, L>(
-    h: &mut H,
-    to: SiteId,
-    updates: Vec<(ObjectId, SimTime, L)>,
-    set: impl Fn(&mut IopStore, ObjectId, SimTime, L) -> bool,
-) {
-    let n = updates.len();
-    let iop = &mut h.site(to).iop;
-    let touched: Vec<(ObjectId, SimTime)> = updates
-        .into_iter()
-        .filter_map(|(o, arrived, link)| set(iop, o, arrived, link).then_some((o, arrived)))
-        .collect();
-    h.anomalies_mut().dangling_iop_updates += (n - touched.len()) as u64;
-    replicate_iop(h, to, touched);
+/// A walk's updates as `from` links.
+fn from_links(updates: Vec<(ObjectId, SimTime, Link)>) -> Vec<(ObjectId, SimTime, Option<Link>)> {
+    updates.into_iter().map(|(o, t, l)| (o, t, Some(l))).collect()
 }
 
-/// The §III gateway (Fig. 2) at `gw`: index `object`'s visit to `site`
-/// unless a newer one is indexed, then send M2 to the previous site and
-/// M3 to the capturing one.
-fn arrive<H: Host>(h: &mut H, gw: SiteId, object: ObjectId, site: SiteId, time: SimTime) {
-    let prev = h.site(gw).gateway.objects.get(&object).copied();
-    if prev.is_some_and(|p| p.time > time) {
-        h.anomalies_mut().out_of_order_arrivals += 1;
+/// Apply M2 links (`to`) and M3 links (`from`; with `walk`, the links of
+/// a [`Msg::Splice`]) to the repository at `at` — or, with `primary`,
+/// to its copy of that dead primary's —, count the ones whose record it
+/// does not hold, and replicate the rest. What does not stop here is
+/// passed on: a link that belongs behind the record's later predecessor
+/// walks on to it, and a predecessor that a later link displaced walks
+/// on behind that link. A walk's stored link is answered with M2 to the
+/// linked site. No link is lost on the way, so the chain ends the same
+/// in every delivery order.
+fn thread_links<H: Host>(
+    h: &mut H,
+    at: SiteId,
+    primary: Option<SiteId>,
+    to: Vec<(ObjectId, SimTime, Link)>,
+    from: Vec<(ObjectId, SimTime, Option<Link>)>,
+    walk: bool,
+) {
+    let (n, here, mut out) = (to.len() + from.len(), primary.unwrap_or(at), Threads::default());
+    let site = h.site(at);
+    let Some(iop) = primary.map_or(Some(&mut site.iop), |p| site.replica_iop.get_mut(&p)) else {
+        h.anomalies_mut().dangling_iop_updates += n as u64;
         return;
+    };
+    let mut touched: Vec<(ObjectId, SimTime)> =
+        to.into_iter().filter_map(|(o, t, l)| iop.set_to(o, t, l).then_some((o, t))).collect();
+    for (o, arrived, l) in from {
+        let Some(done) = iop.set_from(o, arrived, l) else { continue };
+        touched.push((o, arrived));
+        match (done, l) {
+            (FromLink::Stored(old), Some(l)) => {
+                if walk {
+                    push(&mut out.to, l.site, (o, l.time, Link { site: here, time: arrived }));
+                }
+                if let Some(old) = old {
+                    push(&mut out.walks, l.site, (o, l.time, old));
+                }
+            }
+            (FromLink::Behind(b), Some(l)) => push(&mut out.walks, b.site, (o, b.time, l)),
+            _ => {}
+        }
     }
-    let entry = IndexEntry { site, time, prev: prev.map(|p| p.link()) };
-    h.site(gw).gateway.objects.insert(object, entry);
-    h.index_changed(object);
-    replicate_shard(h, gw, None);
-    if let Some(p) = prev {
-        // M2 — direct (the index stores the source's address).
-        let m2 = Msg::SetTo { updates: vec![(object, p.time, Link { site, time })] };
-        dispatch(h, gw, p.site, 1, m2);
+    h.anomalies_mut().dangling_iop_updates += (n - touched.len()) as u64;
+    if primary.is_none() {
+        replicate_iop(h, at, touched);
     }
-    let m3 = Msg::SetFrom { updates: vec![(object, time, prev.map(|p| p.link()))] };
-    dispatch(h, gw, site, 1, m3);
+    out.send(h, at);
+}
+
+// ----------------------------------------------------------------------
+// The gateway: the one merge rule, and Fig. 5 `index`
+// ----------------------------------------------------------------------
+
+/// The link writes a site owes others, batched per destination and sent
+/// M2, then M3, then walks ([`Msg::Splice`]) — each in site order.
+#[derive(Default)]
+struct Threads {
+    to: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>>,
+    from: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Option<Link>)>>,
+    walks: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>>,
+}
+
+impl Threads {
+    fn send<H: Host>(self, h: &mut H, at: SiteId) {
+        let to = self.to.into_iter().map(|(dest, updates)| (dest, Msg::SetTo { updates }));
+        let from = self.from.into_iter().map(|(dest, updates)| (dest, Msg::SetFrom { updates }));
+        let walks = self.walks.into_iter().map(|(dest, updates)| (dest, Msg::Splice { updates }));
+        for (dest, msg) in to.chain(from).chain(walks) {
+            dispatch(h, at, dest, 1, msg);
+        }
+    }
+}
+
+fn push<T>(batches: &mut BTreeMap<SiteId, Vec<T>>, dest: SiteId, update: T) {
+    batches.entry(dest).or_default().push(update);
+}
+
+/// The gateway's one merge rule. `gw` indexes `o` in `shard` (`None` =
+/// the individual-mode map); `v` is a visit of it reaching the gateway:
+/// a `fresh` capture, or an entry moved here with what it knows of its
+/// predecessor. The entry keeps the newer visit and, as its predecessor,
+/// the later candidate. The older visit joins the chain behind the newer
+/// one: in order (M2 and M3) when the newer one has no predecessor yet,
+/// else by a walk back from the newer one's record. The same visit twice
+/// is one visit. So every merge order ends in the same entry and, once
+/// `out` lands, the same chain. A visit that changes the indexed latest,
+/// or is a first capture, bumps the cache.
+fn splice<H: Host>(
+    h: &mut H,
+    gw: SiteId,
+    shard: Option<Prefix>,
+    o: ObjectId,
+    v: IndexEntry,
+    fresh: bool,
+    out: &mut Threads,
+) {
+    let gateway = &mut h.site(gw).gateway;
+    let ex = match shard {
+        Some(p) => gateway.shard_mut(p).get(&o).copied(),
+        None => gateway.objects.get(&o).copied(),
+    };
+    let entry = match ex {
+        None => {
+            if fresh {
+                push(&mut out.from, v.site, (o, v.time, None));
+            }
+            v
+        }
+        Some(n) if n.link() == v.link() => IndexEntry { prev: n.prev.max(v.prev), ..n },
+        Some(n) => {
+            let (older, newer) = if n.link() < v.link() { (n.link(), v) } else { (v.link(), n) };
+            let at = newer.link();
+            match newer.prev {
+                None => {
+                    push(&mut out.to, older.site, (o, older.time, at));
+                    push(&mut out.from, at.site, (o, at.time, Some(older)));
+                }
+                Some(p) if p == older => {}
+                Some(_) => push(&mut out.walks, at.site, (o, at.time, older)),
+            }
+            IndexEntry { prev: newer.prev.max(Some(older)), ..newer }
+        }
+    };
+    match shard {
+        Some(p) => gateway.shard_mut(p).upsert(o, entry),
+        None => _ = gateway.objects.insert(o, entry),
+    }
+    if ex.map_or(fresh, |n| n.link() != entry.link()) {
+        h.index_changed(o);
+    }
 }
 
 /// The Fig. 5 `index` at gateway `gw` for a group captured at `site`:
 /// refresh what the shard lacks — `refresh_from_ascent` (ancestors,
 /// nearest first, down to `Lmin`), then `refresh_from_descent` (hosted
-/// children) —, run `update_index`, delegate the earliest `α·count`
-/// records to the two triangle children if the shard now exceeds the
-/// threshold (lines 2–4), and replicate the shard once.
+/// children) —, run `update_index` (splice each member in, M2 batched
+/// per source site — "one message for each group of objects which are
+/// from the same node" —, M3 to the capturing site), delegate the
+/// earliest `α·count` records to the two triangle children if the shard
+/// now exceeds the threshold (lines 2–4), and replicate the shard once.
 fn index<H: Host>(
     h: &mut H,
     gw: SiteId,
@@ -424,15 +509,24 @@ fn index<H: Host>(
     site: SiteId,
     members: &[(ObjectId, SimTime)],
 ) {
+    // Line 2: the members not indexed here yet (the paper's set
+    // expression has the operands transposed — its comment "objects
+    // which are not stored locally" fixes the intent).
+    let shard = h.site(gw).gateway.shard_mut(prefix);
     let mut missing: HashSet<ObjectId> =
-        h.site(gw).unindexed(prefix, members).into_iter().collect();
+        members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect();
     let mut l = prefix.len();
     while l > g.l_min && !missing.is_empty() {
         l -= 1;
         refresh(h, gw, prefix.truncate(l), prefix, &mut missing);
     }
     descend(h, gw, prefix, prefix, &mut missing);
-    update_index(h, gw, prefix, site, members);
+    let mut out = Threads::default();
+    for &(o, time) in members {
+        splice(h, gw, Some(prefix), o, IndexEntry { site, time, prev: None }, true, &mut out);
+    }
+    h.mark_hosted(prefix);
+    out.send(h, gw);
     let len = h.site(gw).gateway.shard_mut(prefix).len();
     if g.delegate_threshold.is_some_and(|t| len > t)
         && prefix.len() < ids::prefix::MAX_PREFIX_BITS
@@ -492,47 +586,6 @@ fn refresh<H: Host>(
     true
 }
 
-/// The Fig. 5 `update_index` core at gateway `gw`: for each member of a
-/// group captured at `site`, drop it if the index already holds a newer
-/// visit, else upsert it and thread the IOP links — M2 batched per
-/// source site ("one message for each group of objects which are from
-/// the same node"), M3 to the capturing site.
-fn update_index<H: Host>(
-    h: &mut H,
-    gw: SiteId,
-    prefix: Prefix,
-    site: SiteId,
-    members: &[(ObjectId, SimTime)],
-) {
-    let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
-    let mut m3: Vec<(ObjectId, SimTime, Option<Link>)> = Vec::with_capacity(members.len());
-    let shard = h.site(gw).gateway.shard_mut(prefix);
-    for &(o, t) in members {
-        let prev = shard.get(&o).copied();
-        if prev.is_some_and(|p| p.time > t) {
-            continue;
-        }
-        shard.upsert(o, IndexEntry { site, time: t, prev: prev.map(|p| p.link()) });
-        if let Some(p) = prev {
-            m2.entry(p.site).or_default().push((o, p.time, Link { site, time: t }));
-        }
-        m3.push((o, t, prev.map(|p| p.link())));
-    }
-    // `m3` holds exactly the accepted upserts: each changed the stored
-    // latest link for its object; the rest arrived out of order.
-    h.anomalies_mut().out_of_order_arrivals += (members.len() - m3.len()) as u64;
-    h.mark_hosted(prefix);
-    for &(o, _, _) in &m3 {
-        h.index_changed(o);
-    }
-    for (dest, updates) in m2 {
-        dispatch(h, gw, dest, 1, Msg::SetTo { updates });
-    }
-    if !m3.is_empty() {
-        dispatch(h, gw, site, 1, Msg::SetFrom { updates: m3 });
-    }
-}
-
 /// Receptors at `at` captured `objects` at `now`: open the visit
 /// records and replicate them. Individual-mode hosts report the
 /// arrivals themselves; group mode goes on through [`capture`].
@@ -587,8 +640,8 @@ fn index_batch<H: Host>(h: &mut H, batch: WindowBatch) {
 // ----------------------------------------------------------------------
 //
 // A shard moves as one `Migrate` (or `Delegate`) per destination; the
-// receiver merges it with whatever a racing index update put there
-// ([`merge_entry`]). *When* shards move is the host's: the simulator
+// receiver splices it into whatever a racing index update put there
+// ([`splice`]). *When* shards move is the host's: the simulator
 // after each join or leave and, on an `Lp` change, per live site in
 // index order; the daemon when a membership record changes its ring.
 
@@ -702,59 +755,17 @@ fn route_to<H: Host>(h: &mut H, at: SiteId, prefix: Prefix, msg: Msg) {
     }
 }
 
-/// Merge moved entries into `gw`'s shard `p` and replicate the shard.
-fn land<H: Host>(h: &mut H, gw: SiteId, p: Prefix, entries: Vec<(ObjectId, IndexEntry)>) {
+/// Splice moved entries into `gw`'s shard `p` (`None` = the
+/// individual-mode map), each one's link writes sent before the next,
+/// and replicate the shard. A move can be arbitrarily delayed by loss
+/// and retransmission, so an index update may have reached it first.
+fn land<H: Host>(h: &mut H, gw: SiteId, p: Option<Prefix>, entries: Vec<(ObjectId, IndexEntry)>) {
     for (o, e) in entries {
-        merge_entry(h, gw, p, o, e);
+        let mut out = Threads::default();
+        splice(h, gw, p, o, e, false, &mut out);
+        out.send(h, gw);
     }
-    replicate_shard(h, gw, Some(p));
-}
-
-/// Install one moved index entry, merging with any entry a concurrent
-/// index update created at this gateway while the move was in flight —
-/// a move can be arbitrarily delayed by loss and retransmission. The two
-/// racing visits are re-threaded into one IOP chain where possible
-/// (late M2/M3 repairs); a conflict that cannot be reconciled locally is
-/// counted as an out-of-order arrival so exactness-sensitive consumers
-/// can back off.
-fn merge_entry<H: Host>(h: &mut H, gw: SiteId, p: Prefix, o: ObjectId, e: IndexEntry) {
-    let shard = h.site(gw).gateway.shard_mut(p);
-    let Some(ex) = shard.get(&o).copied() else {
-        shard.upsert(o, e);
-        return;
-    };
-    if ex.time == e.time {
-        // The same visit arrived twice (e.g. a duplicated move); keep
-        // the richer threading.
-        if ex.prev.is_none() && e.prev.is_some() {
-            shard.upsert(o, e);
-        }
-        return;
-    }
-    let moved_is_newer = ex.time < e.time;
-    let (older, newer) = if moved_is_newer { (ex, e) } else { (e, ex) };
-    let repair = newer.prev.is_none();
-    if repair {
-        // Thread the older visit in as the newer one's predecessor.
-        shard.upsert(o, IndexEntry { prev: Some(older.link()), ..newer });
-    } else if moved_is_newer {
-        shard.upsert(o, newer);
-    }
-    // The stored latest link changed content only when the move carried
-    // the newer visit; the reverse direction only enriches threading.
-    if moved_is_newer {
-        h.index_changed(o);
-    }
-    if repair {
-        // …and repair the repositories' links (late M2/M3).
-        dispatch(h, gw, older.site, 1, Msg::SetTo { updates: vec![(o, older.time, newer.link())] });
-        let m3 = Msg::SetFrom { updates: vec![(o, newer.time, Some(older.link()))] };
-        dispatch(h, gw, newer.site, 1, m3);
-    } else if newer.prev != Some(older.link()) {
-        // The newer visit already has a different predecessor: the
-        // older one belongs somewhere mid-chain. Record the reordering.
-        h.anomalies_mut().out_of_order_arrivals += 1;
-    }
+    replicate_shard(h, gw, p);
 }
 
 // ----------------------------------------------------------------------
@@ -822,33 +833,6 @@ pub fn replicate_shard<H: Host>(h: &mut H, primary: SiteId, prefix: Option<Prefi
     h.replicated_write(primary);
 }
 
-/// Redirect an M2/M3 IOP update whose destination is permanently dead
-/// to the holders of that site's replica repository, as a
-/// [`Msg::ReplIopPatch`]. With no surviving holder the update is lost
-/// and counted.
-fn redirect_to_replicas<H: Host>(
-    h: &mut H,
-    from: SiteId,
-    dead: SiteId,
-    holders: Vec<SiteId>,
-    msg: Msg,
-) {
-    if holders.is_empty() {
-        h.anomalies_mut().dropped_to_dead += 1;
-        return;
-    }
-    let (set_to, set_from) = match msg {
-        Msg::SetTo { updates } => (updates, Vec::new()),
-        Msg::SetFrom { updates } => (Vec::new(), updates),
-        other => unreachable!("only IOP updates are redirected, got {other:?}"),
-    };
-    for holder in holders {
-        let patch =
-            Msg::ReplIopPatch { primary: dead, set_to: set_to.clone(), set_from: set_from.clone() };
-        dispatch(h, from, holder, 1, patch);
-    }
-}
-
 /// Anti-entropy, step 1: `primary` sends a digest of its canonical
 /// store state to each replica; one whose copy hashes differently pulls
 /// the full state ([`Msg::ReplSyncReq`]).
@@ -888,30 +872,24 @@ pub fn settle<H: Host>(h: &mut H, at: SiteId) {
 /// failed `dead`: fold its replica copy of the dead site's *gateway*
 /// stores into its own primary stores — the ring now routes the dead
 /// site's key ranges to it, so the index data must be served as primary
-/// data. Where both hold an entry the newer visit wins (a racing index
+/// data. Where both hold an entry they are spliced (a racing index
 /// update at the heir may already be ahead). The dead site's IOP copies
 /// stay where they are: repository records are keyed by the site that
 /// observed them, and reads reach them through the replica fallback.
 pub fn inherit_gateway<H: Host>(h: &mut H, heir: SiteId, dead: SiteId) {
-    let site = h.site(heir);
-    let Some(gw) = site.replica_gateway.remove(&dead) else { return };
-    // Sorted walks: the merge is hasher-independent.
-    let objects: BTreeMap<ObjectId, IndexEntry> = gw.objects.into_iter().collect();
-    for (o, e) in objects {
-        if site.gateway.objects.get(&o).is_none_or(|ex| ex.time < e.time) {
-            site.gateway.objects.insert(o, e);
-        }
-    }
-    let prefixes: BTreeMap<Prefix, PrefixIndex> = gw.prefixes.into_iter().collect();
-    for (p, shard) in prefixes {
-        let entries: BTreeMap<ObjectId, IndexEntry> = shard.entries.into_iter().collect();
-        let dst = h.site(heir).gateway.shard_mut(p);
-        dst.delegated |= shard.delegated;
-        for (o, e) in entries {
-            if dst.get(&o).is_none_or(|ex| ex.time < e.time) {
-                dst.upsert(o, e);
-            }
-        }
+    let Some(gw) = h.site(heir).replica_gateway.remove(&dead) else { return };
+    let mut entries: Vec<(Option<Prefix>, ObjectId, IndexEntry)> =
+        gw.objects.into_iter().map(|(o, e)| (None, o, e)).collect();
+    for (p, shard) in gw.prefixes {
+        h.site(heir).gateway.shard_mut(p).delegated |= shard.delegated;
         h.mark_hosted(p);
+        entries.extend(shard.entries.into_iter().map(|(o, e)| (Some(p), o, e)));
+    }
+    // Sorted: the merge is hasher-independent.
+    entries.sort_by_key(|&(p, o, _)| (p, o));
+    for (p, o, e) in entries {
+        let mut out = Threads::default();
+        splice(h, heir, p, o, e, false, &mut out);
+        out.send(h, heir);
     }
 }

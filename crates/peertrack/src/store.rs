@@ -16,13 +16,28 @@ use simnet::SimTime;
 use std::collections::{BTreeSet, HashMap};
 
 /// One hop of the distributed doubly-linked list: a site together with
-/// the arrival timestamp that identifies the visit record there.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the arrival timestamp that identifies the visit record there. Links
+/// order by time, then site — the order of one object's chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Link {
-    /// The linked site.
-    pub site: SiteId,
     /// Arrival time of the object at that site (record key).
     pub time: SimTime,
+    /// The linked site.
+    pub site: SiteId,
+}
+
+/// What [`IopStore::set_from`] did with an offered predecessor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FromLink {
+    /// The record is unchanged: no link was offered, the link was not
+    /// earlier than the record, or it is the predecessor already held.
+    Kept,
+    /// Stored. `Some(old)` is the earlier predecessor it displaced,
+    /// which now belongs behind the new one.
+    Stored(Option<Link>),
+    /// Refused: the record holds this later predecessor, and the offered
+    /// link belongs behind it.
+    Behind(Link),
 }
 
 /// A gateway's knowledge of one object: its latest location and the link
@@ -113,20 +128,37 @@ impl IopStore {
     }
 
     /// Apply message **M2**: the object captured here at `arrived` has
-    /// moved on to `to`. Returns false if no such record exists (e.g. the
-    /// site joined after the visit).
+    /// moved on to `to`. Writes commute: the earlier successor is kept,
+    /// and a link not later than the record is refused. Returns false
+    /// if no such record exists (e.g. the site joined after the visit).
     pub fn set_to(&mut self, object: ObjectId, arrived: SimTime, to: Link) -> bool {
-        self.record_mut(object, arrived)
-            .map(|r| r.to = Some(to))
-            .is_some()
+        let Some(r) = self.record_mut(object, arrived) else { return false };
+        if to.time > arrived && r.to.is_none_or(|old| to < old) {
+            r.to = Some(to);
+        }
+        true
     }
 
     /// Apply message **M3**: the object captured here at `arrived` came
-    /// from `from` (None = first appearance in the system).
-    pub fn set_from(&mut self, object: ObjectId, arrived: SimTime, from: Option<Link>) -> bool {
-        self.record_mut(object, arrived)
-            .map(|r| r.from = from)
-            .is_some()
+    /// from `from` (None = first appearance in the system). Writes
+    /// commute: the later predecessor is kept, `None` never erases a
+    /// link, and a link not earlier than the record is refused. `None`
+    /// if no such record exists.
+    pub fn set_from(
+        &mut self,
+        object: ObjectId,
+        arrived: SimTime,
+        from: Option<Link>,
+    ) -> Option<FromLink> {
+        let r = self.record_mut(object, arrived)?;
+        Some(match (from, r.from) {
+            (Some(f), old) if f.time < arrived && old.is_none_or(|old| f > old) => {
+                r.from = Some(f);
+                FromLink::Stored(old)
+            }
+            (Some(f), Some(old)) if f < old => FromLink::Behind(old),
+            _ => FromLink::Kept,
+        })
     }
 
     fn record_mut(&mut self, object: ObjectId, arrived: SimTime) -> Option<&mut IopRecord> {
@@ -353,7 +385,7 @@ mod tests {
         let mut iop = IopStore::new();
         iop.capture(obj(1), ms(10));
         assert!(iop.knows(obj(1)));
-        assert!(iop.set_from(obj(1), ms(10), None));
+        assert_eq!(iop.set_from(obj(1), ms(10), None), Some(FromLink::Kept));
         assert!(iop.set_to(obj(1), ms(10), Link { site: SiteId(2), time: ms(30) }));
         let r = iop.record_at(obj(1), ms(10)).unwrap();
         assert_eq!(r.from, None);
@@ -365,7 +397,28 @@ mod tests {
         let mut iop = IopStore::new();
         assert!(!iop.set_to(obj(1), ms(10), Link { site: SiteId(0), time: ms(1) }));
         iop.capture(obj(1), ms(10));
-        assert!(!iop.set_from(obj(1), ms(99), None));
+        assert_eq!(iop.set_from(obj(1), ms(99), None), None);
+    }
+
+    #[test]
+    fn link_writes_commute_and_never_point_at_their_own_record() {
+        let at = |n: u32, t: u64| Link { site: SiteId(n), time: ms(t) };
+        let mut iop = IopStore::new();
+        iop.capture(obj(1), ms(50));
+        // The later predecessor and the earlier successor win in any
+        // order; a displaced or refused predecessor is handed back.
+        let mut from = |l| iop.set_from(obj(1), ms(50), l).unwrap();
+        assert_eq!(from(Some(at(2, 20))), FromLink::Stored(None));
+        assert_eq!(from(Some(at(3, 30))), FromLink::Stored(Some(at(2, 20))));
+        assert_eq!(from(Some(at(4, 10))), FromLink::Behind(at(3, 30)));
+        for same in [Some(at(3, 30)), None, Some(at(0, 50))] {
+            assert_eq!(from(same), FromLink::Kept);
+        }
+        for to in [at(5, 90), at(6, 70), at(5, 90), at(0, 50)] {
+            assert!(iop.set_to(obj(1), ms(50), to));
+        }
+        let r = iop.record_at(obj(1), ms(50)).unwrap();
+        assert_eq!((r.from, r.to), (Some(at(3, 30)), Some(at(6, 70))));
     }
 
     #[test]

@@ -286,6 +286,18 @@ if grep -rnE "$gateway_copies" crates --include='*.rs'; then
     exit 1
 fi
 
+# One merge rule at the gateway: a visit older than the one indexed is
+# spliced into the IOP chain (`site::splice`), never dropped and
+# counted, so the auditor holds every untainted object to exactness in
+# every schedule. The drop counter's increments, `merge_entry` and the
+# auditor's run-wide ordering switch must not grow back. Silent when
+# clean.
+if grep -rnE 'out_of_order_arrivals *\+=|fn merge_entry\b' crates --include='*.rs' \
+    || grep -rn 'ordering_clean' tests; then
+    echo "a gateway drop rule or the auditor's ordering switch is back" >&2
+    exit 1
+fi
+
 # A read never touches the disk: no engine path logs a query, and the
 # snapshot keeps only protocol state — `state_bytes` writes no metrics,
 # no anomaly counters and no hosted-prefix list. Silent when clean.

@@ -21,7 +21,8 @@
 //!   list from the gateway's latest link visits only true oracle visits
 //!   in order, with mutually consistent `from`/`to` links.
 //! * **Trace agreement** — `TR(o)` is a subsequence of the oracle path;
-//!   exact (and flagged complete) when no reordering anomaly occurred.
+//!   exact (and flagged complete) for every untainted object: a
+//!   reordered delivery is spliced into the chain, not dropped.
 //!
 //! Crashes lose data by design (no replication in the paper), so
 //! crash-affected objects are *tainted* and held to the weaker
@@ -36,7 +37,7 @@
 //! post-heal state is held to full oracle exactness plus replica
 //! reconvergence (every holder's copy byte-identical to its primary).
 
-use moods::{MovementLog, ObjectId, Path, SiteId, Visit};
+use moods::{MovementLog, ObjectId, Path, SiteId};
 use peertrack::config::RetryConfig;
 use peertrack::store::IndexEntry;
 use peertrack::{Builder, GroupConfig, IndexingMode, TraceableNetwork};
@@ -779,11 +780,6 @@ fn check_invariants(
         }
     }
 
-    // Reordered deliveries (retransmission racing a later capture) are
-    // detected and skipped by the gateway, leaving the out-of-order
-    // visit unthreaded; exact-chain assertions apply only to runs where
-    // that never happened.
-    let ordering_clean = net.anomalies().out_of_order_arrivals == 0;
     let origin = SiteId(0);
 
     for &o in created {
@@ -792,12 +788,10 @@ fn check_invariants(
         let trace_tainted = truth.iter().any(|t| dead.contains(&t.site));
         let loc_tainted = locate_taint.contains(&o);
 
-        // I4 — locate agreement. Exactness requires ordering_clean: a
-        // detected-but-unrepairable reordering (counted by the system)
-        // legitimately leaves a mid-chain visit unthreaded, which the
-        // local-anchor shortcut can answer from.
+        // I4 — locate agreement. A reordered delivery is spliced into
+        // the chain, so every untainted object is held to exactness.
         let (loc, stats) = net.locate(origin, o, net.now());
-        if !loc_tainted && ordering_clean {
+        if !loc_tainted {
             if loc != Some(latest.site) {
                 v.push(format!(
                     "locate: {o:?} answered {loc:?}, oracle says {:?} (complete={})",
@@ -817,9 +811,8 @@ fn check_invariants(
                 v.push(format!("index: {o:?} has no gateway entry anywhere"));
             }
         } else if let Some(site) = loc {
-            // Tainted or reordered: degraded answers are acceptable,
-            // fabricated ones are not — the site must appear in the
-            // true history.
+            // Tainted: degraded answers are acceptable, fabricated ones
+            // are not — the site must appear in the true history.
             if stats.complete && !truth.iter().any(|t| t.site == site) {
                 v.push(format!("locate: degraded {o:?} fabricated site {site}"));
             }
@@ -832,7 +825,7 @@ fn check_invariants(
                 "trace: {o:?} returned visits outside the oracle path: {path:?} vs {truth:?}"
             ));
         }
-        if !trace_tainted && !loc_tainted && ordering_clean {
+        if !trace_tainted && !loc_tainted {
             if path != truth {
                 v.push(format!("trace: {o:?} incomplete: {path:?} vs oracle {truth:?}"));
             } else if !tstats.complete {
@@ -845,7 +838,7 @@ fn check_invariants(
         if !trace_tainted && !loc_tainted {
             if let Some(entries) = holders.get(&o) {
                 if let [(_, _, e)] = entries.as_slice() {
-                    walk_iop_chain(net, o, e, &truth, ordering_clean, &mut v);
+                    walk_iop_chain(net, o, e, &truth, &mut v);
                 }
             }
         }
@@ -856,73 +849,30 @@ fn check_invariants(
     v
 }
 
-/// Follow `from` links backwards from the gateway's latest link,
-/// checking record existence, back-link (`to`) consistency, and that
-/// the walked visits are a suffix-free-form subsequence of the truth.
+/// I5 for one object: its chain from the gateway's entry, read through
+/// the replica-aware lookup — a record at a permanently killed site must
+/// still be readable from its holders; that IS the kill-forever
+/// invariant.
 fn walk_iop_chain(
     net: &TraceableNetwork,
     o: ObjectId,
     entry: &IndexEntry,
     truth: &Path,
-    ordering_clean: bool,
     v: &mut Vec<String>,
 ) {
-    let mut cur = entry.link();
-    let mut walked: Vec<Visit> = Vec::new();
-    let mut expected_to: Option<peertrack::store::Link> = None;
-    for _ in 0..truth.len() + 2 {
-        // Read through the replica-aware lookup: a record at a
-        // permanently-killed site must still be readable from its
-        // holders — that IS the kill-forever invariant.
-        let Some(rec) = net.world.iop_record(cur.site, o, cur.time) else {
-            if !net.world.sites[cur.site.0 as usize].alive {
-                v.push(format!(
+    v.extend(crate::chain_violations(o, entry.link(), truth, |cur| {
+        net.world.iop_record(cur.site, o, cur.time).ok_or_else(|| {
+            if net.world.sites[cur.site.0 as usize].alive {
+                format!("iop: chain of {o:?} dangles — no record at ({}, {})", cur.site, cur.time)
+            } else {
+                format!(
                     "iop: chain of untainted {o:?} leads to dead site {} and no replica \
                      holds its record at {}",
                     cur.site, cur.time
-                ));
-            } else {
-                v.push(format!(
-                    "iop: chain of {o:?} dangles — no record at ({}, {})",
-                    cur.site, cur.time
-                ));
+                )
             }
-            return;
-        };
-        if ordering_clean && rec.to.map(|l| (l.site, l.time)) != expected_to.map(|l| (l.site, l.time))
-        {
-            v.push(format!(
-                "iop: {o:?} back-link at ({}, {}) is {:?}, expected {expected_to:?}",
-                cur.site, cur.time, rec.to
-            ));
-        }
-        walked.push(Visit { site: cur.site, arrived: cur.time, departed: None });
-        match rec.from {
-            None => break,
-            Some(f) => {
-                expected_to = Some(cur);
-                cur = f;
-            }
-        }
-    }
-    if walked.len() > truth.len() {
-        v.push(format!("iop: chain of {o:?} longer than the oracle path (cycle?)"));
-        return;
-    }
-    walked.reverse();
-    if !is_subsequence(&walked, truth) {
-        v.push(format!(
-            "iop: chain of {o:?} visits {:?} — not a subsequence of the oracle path",
-            walked.iter().map(|w| (w.site.0, w.arrived)).collect::<Vec<_>>()
-        ));
-    }
-    if ordering_clean && walked.len() != truth.len() {
-        v.push(format!(
-            "iop: chain of {o:?} has {} links, oracle has {} visits",
-            walked.len(),
-            truth.len()
-        ));
-    }
+        })
+    }));
 }
 
 #[cfg(test)]
@@ -1061,9 +1011,7 @@ mod tests {
         // after a region cut (updates crossing the severed pair park
         // and release in order at the heal); after heal + quiescence
         // every answer is oracle-exact and the replica sets have
-        // reconverged (I7). No object moves twice inside one cut, and
-        // movement batches are separated by quiescence, so no
-        // reordering anomaly relaxes the exactness checks.
+        // reconverged (I7).
         let cfg = AuditConfig::wan(3);
         let words: Vec<u64> = [
             Op::Capture { site: 0 },

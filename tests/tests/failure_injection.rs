@@ -185,16 +185,26 @@ fn windows_flush_under_bursty_streams() {
 #[test]
 fn duplicate_epcs_in_one_window_do_not_corrupt_index() {
     // The same tag read twice within one window (double read after
-    // cleansing failure) must not wedge the gateway.
+    // cleansing failure) must not wedge the gateway: it is one visit,
+    // and no record links to itself.
     let mut net = Builder::new().sites(8).seed(8).mode(group_mode()).build();
     let o = obj(77);
+    let no_self_links = |net: &peertrack::TraceableNetwork| {
+        for r in net.world.sites[3].iop.all(o) {
+            let own = Some((SiteId(3), r.arrived));
+            let links = [r.from, r.to].map(|l| l.map(|l| (l.site, l.time)));
+            assert!(!links.contains(&own), "a record links to itself: {r:?}");
+        }
+    };
     net.capture(SiteId(3), &[o, o]);
     net.run_until_quiescent();
+    no_self_links(&net);
     let (loc, _) = net.locate(SiteId(0), o, net.now());
     assert_eq!(loc, Some(SiteId(3)));
     // Next movement still threads correctly.
     net.schedule_capture(secs(100), SiteId(6), vec![o]);
     net.run_until_quiescent();
+    no_self_links(&net);
     let (p, stats) = net.trace(SiteId(0), o, SimTime::ZERO, SimTime::INFINITY);
     assert_eq!(p.last().map(|v| v.site), Some(SiteId(6)));
     assert!(stats.complete);

@@ -91,6 +91,28 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
     s
 }
 
+/// Block until the node has parked `hog`, a client that never reads:
+/// the bytes waiting in its receive buffer and this process's CPU time
+/// both stay the same across two polls. The bytes alone do not show it —
+/// the hog's receive buffer fills long before the node's send buffer
+/// and outbox, and the node works until those are full too. An engine
+/// that spins never gets here and fails at the deadline.
+fn wait_until_parked(hog: &TcpStream) {
+    // Larger than a socket's receive buffer can grow, so a peek sees all.
+    let mut buf = vec![0u8; 32 << 20];
+    let deadline = Instant::now() + PROMPT;
+    let mut seen = [(usize::MAX, 0.0); 2];
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = (hog.peek(&mut buf).expect("the node answers the hog"), cpu_seconds());
+        if seen == [now; 2] {
+            return;
+        }
+        seen = [seen[1], now];
+        assert!(Instant::now() < deadline, "the hog was never parked");
+    }
+}
+
 fn request(stream: &mut TcpStream, frame: &Frame) -> Frame {
     write_frame(stream, &frame.encode()).expect("request write");
     let raw = read_frame(stream).expect("read response").expect("node closed the connection");
@@ -197,7 +219,8 @@ fn unread_sockets_do_not_spin_the_engine() {
         Ok(None) => {}
         other => panic!("the link must be dropped, got {other:?}"),
     }
-    std::thread::sleep(Duration::from_millis(200));
+    // The window opens once the node has stopped serving the hog.
+    wait_until_parked(&hog);
 
     let used = cpu_over_idle_window();
     let bound = IDLE_CPU_SHARE * IDLE_WINDOW.as_secs_f64();
