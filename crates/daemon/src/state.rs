@@ -8,20 +8,25 @@
 //! ran live ([`Core::apply_record`]), so the WAL never has to describe
 //! the node's data structures and can never disagree with the handlers
 //! about what an event means. Reads are not events: a locate or trace
-//! appends nothing, and kind 5 ([`WalRecord::Query`]) is retired.
+//! appends nothing, and kind 5 ([`WalRecord::Query`]) is retired. A
+//! record on disk is its kind byte and then its fields, as
+//! `WalRecord`'s declaration through [`peertrack::wire_enum!`] lays
+//! them out — the frame's encodings, so a logged `Protocol` payload is
+//! byte for byte the one that arrived.
 //!
 //! **Canonical state encoding (v4).** [`Core::state_bytes`] serializes
 //! protocol state only — identity, membership, window, IOP repository,
 //! gateway shards, the delivery state per peer (last sequence number
 //! sent, watermark received, unacknowledged suffix), the dead set and
 //! the replica copies — deterministically: maps in sorted key order,
-//! sets sorted, per-object
-//! structure through the canonical encoders in [`peertrack::codec`].
-//! Two cores that went through the same transitions produce the same
-//! bytes, which is the equality `tests/tests/crash_recovery.rs` asserts
-//! across a kill-and-restart. With addresses (`with_addrs`) it is the
-//! snapshot body — a restart must recover the dial targets; without,
-//! a restart-stable digest, since a restarted node binds a fresh port.
+//! sets sorted, every value through its [`peertrack::schema::Field`]
+//! and the stores through the canonical encoders in
+//! [`peertrack::codec`]. Two cores that went through the same
+//! transitions produce the same bytes, which is the equality
+//! `tests/tests/crash_recovery.rs` asserts across a kill-and-restart.
+//! With addresses (`with_addrs`) it is the snapshot body — a restart
+//! must recover the dial targets; without, a restart-stable digest,
+//! since a restarted node binds a fresh port.
 //!
 //! Excluded on purpose: the Chord ring, `Lp` and the hosted prefixes
 //! (derived from the membership and the shards); the per-class
@@ -34,116 +39,86 @@
 //! empty — they kept no suffix to resume.
 
 use crate::node::{Channel, Core, Outbound};
-use crate::proto::{self, ProtoError};
+use crate::proto::ProtoError;
 use chord::Ring;
+use ids::Prefix;
 use moods::SiteId;
 use peertrack::bytebuf::{ByteBuf, Reader};
-use peertrack::codec::{self, get_site, get_str, get_time, put_site, put_str, put_time};
+use peertrack::codec;
 use peertrack::config::GroupConfig;
 use peertrack::messages::Wire;
+use peertrack::schema::Field;
 use peertrack::site::{Anomalies, Site};
+use peertrack::wire_enum;
 use simnet::metrics::Metrics;
 use simnet::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
 
-/// One durable event. Appended to the WAL *before* the in-memory state
-/// is mutated and before the triggering request is acknowledged;
-/// replayed in LSN order on recovery.
-#[derive(Clone, Debug)]
-pub enum WalRecord {
-    /// A site's listener address became known (join, broadcast, or the
-    /// node's own rebind after a restart).
-    Member {
-        /// The site.
-        site: SiteId,
-        /// Its listener address, as received on the wire.
-        addr: String,
-    },
-    /// An injected capture batch ([`crate::proto::Frame::Capture`]).
-    Capture {
-        /// Virtual capture instant.
-        at: SimTime,
-        /// Captured objects.
-        objects: Vec<moods::ObjectId>,
-    },
-    /// An explicit window flush ([`crate::proto::Frame::Flush`]).
-    Flush {
-        /// Virtual flush instant.
-        now: SimTime,
-    },
-    /// A received protocol-plane message.
-    Protocol {
-        /// Sending site.
-        sender: SiteId,
-        /// The sequenced payload.
-        wire: Wire,
-    },
-    /// Retired: the model cost of one locate/trace, logged before
-    /// reads left the disk. Kept only so older logs still decode; it
-    /// replays as a no-op, nothing appends it, and kind 5 is never
-    /// reused.
-    Query {
-        /// Model messages charged.
-        messages: u64,
-        /// Model overlay hops charged.
-        hops: u64,
-        /// Model payload bytes charged.
-        bytes: u64,
-    },
-    /// A site was declared **permanently dead** (kill-forever). The
-    /// receiver drops it from the membership; with replication on, the
-    /// heir merges its replica copy of the dead site's gateway shards
-    /// and placement is re-established on the shrunken ring.
-    Dead {
-        /// The dead site.
-        site: SiteId,
-    },
+wire_enum! {
+    /// One durable event. Appended to the WAL *before* the in-memory
+    /// state is mutated and before the triggering request is
+    /// acknowledged; replayed in LSN order on recovery. On disk: the kind
+    /// byte, then the fields in declaration order.
+    #[derive(Clone, Debug)]
+    pub enum WalRecord {
+        /// A site's listener address became known (join, broadcast, or the
+        /// node's own rebind after a restart).
+        Member {
+            /// The site.
+            site: SiteId,
+            /// Its listener address, as received on the wire.
+            addr: String,
+        } = 1,
+        /// An injected capture batch ([`crate::proto::Frame::Capture`]).
+        Capture {
+            /// Virtual capture instant.
+            at: SimTime,
+            /// Captured objects.
+            objects: Vec<moods::ObjectId>,
+        } = 2,
+        /// An explicit window flush ([`crate::proto::Frame::Flush`]).
+        Flush {
+            /// Virtual flush instant.
+            now: SimTime,
+        } = 3,
+        /// A received protocol-plane message.
+        Protocol {
+            /// Sending site.
+            sender: SiteId,
+            /// The sequenced payload.
+            wire: Wire,
+        } = 4,
+        /// Retired: the model cost of one locate/trace, logged before
+        /// reads left the disk. Kept only so older logs still decode; it
+        /// replays as a no-op, nothing appends it, and kind 5 is never
+        /// reused.
+        Query {
+            /// Model messages charged.
+            messages: u64,
+            /// Model overlay hops charged.
+            hops: u64,
+            /// Model payload bytes charged.
+            bytes: u64,
+        } = 5,
+        /// A site was declared **permanently dead** (kill-forever). The
+        /// receiver drops it from the membership; with replication on, the
+        /// heir merges its replica copy of the dead site's gateway shards
+        /// and placement is re-established on the shrunken ring.
+        Dead {
+            /// The dead site.
+            site: SiteId,
+        } = 6,
+    }
 }
 
-const R_MEMBER: u8 = 1;
-const R_CAPTURE: u8 = 2;
-const R_FLUSH: u8 = 3;
-const R_PROTOCOL: u8 = 4;
-const R_QUERY: u8 = 5;
-const R_DEAD: u8 = 6;
-
 impl WalRecord {
-    /// Serialize to a WAL payload. Bodies a frame also carries
-    /// (`Member`, `Capture`, `Protocol`) are written by the frame's
-    /// functions.
+    /// Serialize to a WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = ByteBuf::with_capacity(32);
-        match self {
-            WalRecord::Member { site, addr } => {
-                buf.put_u8(R_MEMBER);
-                proto::put_member(&mut buf, *site, addr);
-            }
-            WalRecord::Capture { at, objects } => {
-                buf.put_u8(R_CAPTURE);
-                proto::put_capture(&mut buf, *at, objects);
-            }
-            WalRecord::Flush { now } => {
-                buf.put_u8(R_FLUSH);
-                put_time(&mut buf, *now);
-            }
-            WalRecord::Protocol { sender, wire } => {
-                buf.put_u8(R_PROTOCOL);
-                put_site(&mut buf, *sender);
-                proto::put_wire(&mut buf, wire);
-            }
-            WalRecord::Query { messages, hops, bytes } => {
-                buf.put_u8(R_QUERY);
-                buf.put_u64(*messages);
-                buf.put_u64(*hops);
-                buf.put_u64(*bytes);
-            }
-            WalRecord::Dead { site } => {
-                buf.put_u8(R_DEAD);
-                put_site(&mut buf, *site);
-            }
-        }
+        buf.put_u8(self.tag());
+        self.put_fields(&mut buf);
         buf.into_vec()
     }
 
@@ -152,21 +127,7 @@ impl WalRecord {
     /// must not replay as if it were complete.
     pub fn decode(raw: &[u8]) -> Result<WalRecord, ProtoError> {
         let r = &mut Reader::new(raw);
-        let rec = match r.u8()? {
-            R_MEMBER => {
-                let (site, addr) = proto::get_member(r)?;
-                WalRecord::Member { site, addr }
-            }
-            R_CAPTURE => {
-                let (at, objects) = proto::get_capture(r)?;
-                WalRecord::Capture { at, objects }
-            }
-            R_FLUSH => WalRecord::Flush { now: get_time(r)? },
-            R_PROTOCOL => WalRecord::Protocol { sender: get_site(r)?, wire: proto::get_wire(r)? },
-            R_QUERY => WalRecord::Query { messages: r.u64()?, hops: r.u64()?, bytes: r.u64()? },
-            R_DEAD => WalRecord::Dead { site: get_site(r)? },
-            other => return Err(ProtoError::BadKind(other)),
-        };
+        let rec = WalRecord::get_fields(r.u8()?, r, ProtoError::BadKind)?;
         r.finish()?;
         Ok(rec)
     }
@@ -181,14 +142,14 @@ impl Core {
     pub fn state_bytes(&self, with_addrs: bool) -> Vec<u8> {
         let mut buf = ByteBuf::with_capacity(512);
         buf.put_u8(STATE_VERSION);
-        buf.put_u8(u8::from(with_addrs));
-        put_site(&mut buf, self.site);
-        buf.put_u64(self.seed);
+        with_addrs.put(&mut buf);
+        self.site.put(&mut buf);
+        self.seed.put(&mut buf);
         buf.put_u32(self.members.len() as u32);
         for (s, a) in &self.members {
-            put_site(&mut buf, *s);
+            s.put(&mut buf);
             if with_addrs {
-                put_str(&mut buf, &a.to_string());
+                a.to_string().put(&mut buf);
             }
         }
         codec::put_state_window(&mut buf, &self.proto.window);
@@ -196,29 +157,29 @@ impl Core {
         codec::put_state_gateway(&mut buf, &self.proto.gateway);
         buf.put_u32(self.peers.len() as u32);
         for (peer, ch) in &self.peers {
-            put_site(&mut buf, *peer);
-            buf.put_u64(ch.sent);
-            buf.put_u64(ch.received);
+            peer.put(&mut buf);
+            ch.sent.put(&mut buf);
+            ch.received.put(&mut buf);
             buf.put_u32(ch.unacked.len() as u32);
             for out in &ch.unacked {
-                buf.put_u32(out.hops);
-                proto::put_wire(&mut buf, &out.wire);
+                out.hops.put(&mut buf);
+                out.wire.put(&mut buf);
             }
         }
         // The permanently-dead set and this node's replica copies,
         // sorted by primary (BTree iteration order is already sorted).
         buf.put_u32(self.dead.len() as u32);
         for s in &self.dead {
-            put_site(&mut buf, *s);
+            s.put(&mut buf);
         }
         buf.put_u32(self.proto.replica_iop.len() as u32);
         for (primary, store) in &self.proto.replica_iop {
-            put_site(&mut buf, *primary);
+            primary.put(&mut buf);
             codec::put_state_iop(&mut buf, store);
         }
         buf.put_u32(self.proto.replica_gateway.len() as u32);
         for (primary, store) in &self.proto.replica_gateway {
-            put_site(&mut buf, *primary);
+            primary.put(&mut buf);
             codec::put_state_gateway(&mut buf, store);
         }
         buf.into_vec()
@@ -261,18 +222,18 @@ fn decode_state(
     if r.u8()? != 1 {
         return Err("snapshot lacks member addresses".into());
     }
-    let got_site = get_site(r)?;
+    let got_site = SiteId::get(r)?;
     if got_site != site {
         return Err(format!("snapshot is for site {}, this node is {}", got_site.0, site.0).into());
     }
-    let got_seed = r.u64()?;
+    let got_seed = u64::get(r)?;
     if got_seed != seed {
         return Err(format!("snapshot seed {got_seed} does not match configured {seed}").into());
     }
     let mut members = BTreeMap::new();
-    for _ in 0..r.len(4)? {
-        let s = get_site(r)?;
-        let a: SocketAddr = get_str(r)?.parse().map_err(|e| format!("member address: {e}"))?;
+    for _ in 0..r.len(SiteId::MIN)? {
+        let s = SiteId::get(r)?;
+        let a: SocketAddr = String::get(r)?.parse().map_err(|e| format!("member address: {e}"))?;
         members.insert(s, a);
     }
     if !members.contains_key(&site) {
@@ -284,7 +245,7 @@ fn decode_state(
     if version == 2 {
         // v2's hosted prefixes and its 12 classes × (messages, bytes,
         // hops) of metrics: derived or volatile, so read past.
-        r.vec(peertrack::messages::PREFIX_BYTES, codec::get_prefix)?;
+        <Vec<Prefix>>::get(r)?;
         r.take(12 * 3 * 8)?;
     }
     let mut peers = BTreeMap::new();
@@ -294,25 +255,26 @@ fn decode_state(
         r.vec(12, |r| r.take(12))?;
         r.take(2 * 8)?;
     } else {
-        for _ in 0..r.len(4 + 8 + 8 + 4)? {
-            let to = get_site(r)?;
-            let (sent, received) = (r.u64()?, r.u64()?);
-            let unacked =
-                r.vec(4 + 4, |r| Ok(Outbound { to, hops: r.u32()?, wire: proto::get_wire(r)? }))?;
-            peers.insert(to, Channel { sent, received, unacked: unacked.into() });
+        for _ in 0..r.len(<(SiteId, u64, u64)>::MIN + <Vec<(u32, Wire)>>::MIN)? {
+            let to = SiteId::get(r)?;
+            let (sent, received) = (u64::get(r)?, u64::get(r)?);
+            let unacked = <Vec<(u32, Wire)>>::get(r)?
+                .into_iter()
+                .map(|(hops, wire)| Outbound { to, hops, wire });
+            peers.insert(to, Channel { sent, received, unacked: unacked.collect() });
         }
     }
     if version == 2 {
         r.take(6 * 8)?; // v2's anomaly counters
     }
-    let dead: BTreeSet<SiteId> = r.vec(4, get_site)?.into_iter().collect();
+    let dead: BTreeSet<SiteId> = <Vec<SiteId>>::get(r)?.into_iter().collect();
     let mut replica_iop = BTreeMap::new();
-    for _ in 0..r.len(4)? {
-        replica_iop.insert(get_site(r)?, codec::get_state_iop(r)?);
+    for _ in 0..r.len(SiteId::MIN)? {
+        replica_iop.insert(SiteId::get(r)?, codec::get_state_iop(r)?);
     }
     let mut replica_gateway = BTreeMap::new();
-    for _ in 0..r.len(4)? {
-        replica_gateway.insert(get_site(r)?, codec::get_state_gateway(r)?);
+    for _ in 0..r.len(SiteId::MIN)? {
+        replica_gateway.insert(SiteId::get(r)?, codec::get_state_gateway(r)?);
     }
     r.finish()?;
     let mut core = Core {
@@ -338,8 +300,10 @@ fn decode_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Frame;
     use ids::Id;
     use moods::ObjectId;
+    use peertrack::messages::Msg;
     use proptiny::{hex, hostile_bytes};
 
     fn obj(n: u64) -> ObjectId {
@@ -374,15 +338,19 @@ mod tests {
         ]
     }
 
-    /// `samples()[index].encode()` for `Member`, `Capture`, `Protocol`,
-    /// the retired `Query` and `Dead`, as written by the commit before
-    /// the borrowed `Reader`: a data dir from then stays readable.
-    const GOLDEN: [(usize, &str); 5] = [
-        (0, "01000000030000000e3132372e302e302e313a37343033"),
-        (1, "0200000000000003e800000003cb473678976f425d6ec1339838f11011007ad27d07aae1b618f604c684ee3189fa1723bef8656fe4461d6580e38ccb6dc72699b6c945e53831dcdf03"),
-        (4, "04000000010000003c03010000000000000000000000000009000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b925000000000000000a000000020000000000000014"),
-        (5, "050000000000000005000000000000000700000000000000a0"),
-        (6, "0600000002"),
+    /// `samples()[i].encode()` for every sample, as written before
+    /// `WalRecord` was declared through the wire schema (`Member`,
+    /// `Capture`, `Protocol`, `Query` and `Dead` were already pinned
+    /// before the borrowed `Reader`): a data dir from then stays
+    /// readable.
+    const GOLDEN: [&str; 7] = [
+        "01000000030000000e3132372e302e302e313a37343033",
+        "0200000000000003e800000003cb473678976f425d6ec1339838f11011007ad27d07aae1b618f604c684ee3189fa1723bef8656fe4461d6580e38ccb6dc72699b6c945e53831dcdf03",
+        "0200000000000007d000000000",
+        "030000000000000bb8",
+        "04000000010000003c03010000000000000000000000000009000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b925000000000000000a000000020000000000000014",
+        "050000000000000005000000000000000700000000000000a0",
+        "0600000002",
     ];
     /// SHA-1 of the fixture's v4 `state_bytes(true)`, whose delivery
     /// state holds three unacked `GroupIndex` messages to site 3. The v3
@@ -447,9 +415,57 @@ mod tests {
             raw.push(0);
             assert!(WalRecord::decode(&raw).is_err(), "record {i} replayed with a trailing byte");
         }
-        for (i, golden) in GOLDEN {
-            assert_eq!(hex(&samples[i].encode()), golden, "record {i} changed on disk");
+        assert_eq!(samples.len(), GOLDEN.len());
+        for (i, golden) in GOLDEN.iter().enumerate() {
+            assert_eq!(hex(&samples[i].encode()), *golden, "record {i} changed on disk");
         }
+    }
+
+    /// A replica's full state passes a million bytes once its primary
+    /// holds ~5,000 objects, and `site::settle` sends it on every
+    /// membership change. It must cross a frame and the WAL like any
+    /// other message: the replica installs it, counts nothing
+    /// unsupported, and applies the sender's next message in turn.
+    #[test]
+    fn repl_state_over_a_mebibyte_crosses_a_frame_and_the_wal() {
+        let group = GroupConfig::default();
+        let addr = |port| SocketAddr::from(([127, 0, 0, 1], port));
+        let mut a = Core::new(SiteId(0), 42, group, addr(7400)).with_replicas(2);
+        let mut b = Core::new(SiteId(1), 42, group, addr(7401)).with_replicas(2);
+        a.apply_record(&WalRecord::Capture { at: t(1_000), objects: (0..20_000).map(obj).collect() });
+        a.apply_record(&WalRecord::Flush { now: t(2_000) });
+        b.apply_record(&WalRecord::Member { site: SiteId(0), addr: addr(7400).to_string() });
+        a.apply_record(&WalRecord::Member { site: SiteId(1), addr: addr(7401).to_string() });
+        // What the engine does with each frame off the socket.
+        let deliver = |to: &mut Core, out: Outbound| {
+            let frame = Frame::Protocol { sender: SiteId(0), hops: out.hops, sent_us: 0, wire: out.wire };
+            match Frame::decode(&frame.encode()) {
+                Ok(Frame::Protocol { sender, wire, .. }) => {
+                    let rec = WalRecord::Protocol { sender, wire }.encode();
+                    to.apply_record(&WalRecord::decode(&rec).unwrap());
+                }
+                _ => to.unsupported += 1,
+            }
+        };
+        let to_b = |a: &mut Core| a.take_outbox().into_iter().filter(|o| o.to == SiteId(1));
+        let mut biggest = 0;
+        for out in to_b(&mut a) {
+            if let Msg::ReplState { state, .. } = &out.wire.msg {
+                biggest = biggest.max(state.len());
+            }
+            deliver(&mut b, out);
+        }
+        assert!(biggest > 1 << 20, "the settle state is only {biggest} bytes");
+        let copy = |b: &Core| b.proto().replica_iop.get(&SiteId(0)).map(|c| c.iter().count());
+        assert_eq!(copy(&b), Some(20_000), "the replica copy is not installed");
+        a.apply_record(&WalRecord::Capture { at: t(3_000), objects: vec![obj(20_000)] });
+        a.apply_record(&WalRecord::Flush { now: t(4_000) });
+        for out in to_b(&mut a) {
+            deliver(&mut b, out);
+        }
+        assert_eq!(b.unsupported(), 0);
+        assert_eq!(b.received(), a.sent(), "every message a sent b was applied");
+        assert!(b.proto().replica_iop[&SiteId(0)].knows(obj(20_000)));
     }
 
     #[test]

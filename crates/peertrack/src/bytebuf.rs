@@ -1,6 +1,6 @@
 //! In-tree byte buffers for the wire codec.
 //!
-//! Replaces the `bytes` crate with the two shapes [`crate::codec`]
+//! Replaces the `bytes` crate with the two shapes [`crate::schema`]
 //! actually needs: [`ByteBuf`], a growable big-endian writer, and
 //! [`Reader`], a borrowed cursor over untrusted bytes whose every read
 //! is bounds-checked and returns `Result` — an unchecked read cannot be
@@ -100,11 +100,15 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    /// Consume `N` bytes into a fixed-size array.
-    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+    /// Consume `N` bytes, borrowed from the input as a fixed-size array.
+    /// Borrowed, not copied: a decoder then copies an id once, from the
+    /// input to where it lands, not piecewise through a `Result` on the
+    /// stack.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], DecodeError> {
         let (head, rest) = self.rest.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
         self.rest = rest;
-        Ok(*head)
+        Ok(head)
     }
 
     /// Consume one byte.
@@ -116,13 +120,13 @@ impl<'a> Reader<'a> {
     /// Consume a big-endian `u32`.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        self.array().map(u32::from_be_bytes)
+        self.array().map(|b| u32::from_be_bytes(*b))
     }
 
     /// Consume a big-endian `u64`.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.array().map(u64::from_be_bytes)
+        self.array().map(|b| u64::from_be_bytes(*b))
     }
 
     /// Consume a vector length prefix and validate it against both the
@@ -143,6 +147,16 @@ impl<'a> Reader<'a> {
             return Err(DecodeError::Truncated);
         }
         Ok(n as usize)
+    }
+
+    /// Consume a byte string: a `u32` count and that many bytes, borrowed.
+    /// The count is bounded by the input that follows it, not by
+    /// [`MAX_VECTOR_LEN`], so a byte string never allocates more than
+    /// its input.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()?;
+        self.take(n as usize)
     }
 
     /// Consume a length-prefixed vector of elements read by `elem`, each
@@ -189,7 +203,7 @@ mod tests {
         assert_eq!(r.u8(), Ok(0xAB));
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(r.u64(), Ok(0x0123_4567_89AB_CDEF));
-        assert_eq!(r.array::<3>(), Ok([1, 2, 3]));
+        assert_eq!(r.array::<3>(), Ok(&[1, 2, 3]));
         assert_eq!(r.take(4), Ok(&[0u8; 4][..]));
         assert_eq!(r.finish(), Ok(()));
     }
@@ -219,6 +233,7 @@ mod tests {
         };
         assert_eq!(Reader::new(&claim(u32::MAX, 0)).len(1), Err(DecodeError::TooLong(u32::MAX)));
         assert_eq!(Reader::new(&claim(3, 5)).len(2), Err(DecodeError::Truncated));
-        assert_eq!(Reader::new(&claim(3, 6)).vec(2, |r| r.array::<2>()), Ok(vec![[0, 0]; 3]));
+        let three = Reader::new(&claim(3, 6)).vec(2, |r| r.array::<2>().copied());
+        assert_eq!(three, Ok(vec![[0, 0]; 3]));
     }
 }

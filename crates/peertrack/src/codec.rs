@@ -1,34 +1,30 @@
-//! Binary wire codec for [`Msg`].
+//! The binary form of a [`Msg`] and of a site's stores.
 //!
 //! The simulator never needs real serialization — state moves through
 //! the event queue as Rust values — but the volume metric (§V-A, "total
-//! volume of messages transferred over the network") must reflect real
-//! message sizes. This codec grounds that definition: [`encode`]
-//! produces the canonical on-wire form, and tests pin the exact
-//! relationship `encode(msg).len() == msg.wire_size() + 4·(vector
-//! fields)` (the accounting model carries vector lengths in the header's
-//! reserved bytes; the standalone codec spends an explicit `u32`), so
-//! the byte counts behind the figures can never silently drift from a
-//! sendable encoding.
+//! volume of messages transferred over the network") must be the size
+//! of a sendable encoding. [`encode`] produces it: a 16-byte header
+//! (tag, version, 6 reserved bytes, 8-byte sequence number) followed by
+//! the message's fields as `Msg`'s declaration in [`crate::schema`]
+//! lays them out. [`Msg::wire_size`] is the header plus the same
+//! declaration's model size, so `encode(msg).len() == msg.wire_size() +
+//! 4·(vector fields)` by construction: the model carries vector lengths
+//! in the header's reserved bytes, the codec spends an explicit `u32`.
 //!
-//! Layout: a 16-byte header (tag, version, 6 reserved bytes, 8-byte
-//! sequence number) followed by fixed-width fields; vectors are
-//! length-prefixed with `u32`. `Option<Link>` is fixed-width (presence
-//! byte + 12 bytes, zeroed when absent) so record sizes are predictable.
-//!
-//! The field writers and readers (`put_*` / `get_*`) are the only ones
-//! in the workspace: the daemon's frames, WAL records and snapshots are
-//! built from them, and every reader goes through the checked
-//! [`Reader`], so no decoder can index past the end of its input.
+//! The snapshot encoders below (`put_state_*`) are canonical: hash-map
+//! contents go out in sorted key order, so two semantically equal stores
+//! produce byte-identical encodings — which is what lets
+//! `tests/tests/crash_recovery.rs` compare a recovered node against its
+//! pre-crash self with `assert_eq!` on bytes.
 
 use crate::bytebuf::{ByteBuf, Reader};
-use crate::messages::{
-    Msg, ENTRY_BYTES, HEADER_BYTES, LINK_BYTES, OBJECT_ID_BYTES, PREFIX_BYTES, TIME_BYTES,
-};
-use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link};
+use crate::messages::{Msg, HEADER_BYTES};
+use crate::schema::{put_seq, Field};
+use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore};
 use ids::Prefix;
 use moods::{ObjectId, SiteId};
 use simnet::SimTime;
+use std::collections::HashMap;
 
 /// Codec protocol version.
 pub const VERSION: u8 = 1;
@@ -39,7 +35,8 @@ pub const VERSION: u8 = 1;
 /// far above anything the protocol produces (`n_max` windows are ≤ a
 /// few thousand observations) yet small enough that even a
 /// maximum-length claim times the largest element never overflows or
-/// reserves pathological memory.
+/// reserves pathological memory. Byte strings are bounded by their
+/// input instead ([`Reader::bytes`]).
 pub const MAX_VECTOR_LEN: usize = 1 << 20;
 
 /// Decoding failures.
@@ -55,6 +52,8 @@ pub enum DecodeError {
     BadPrefix(String),
     /// A vector length prefix exceeds [`MAX_VECTOR_LEN`].
     TooLong(u32),
+    /// A `u32` on the wire is past its field's range.
+    OutOfRange(u32),
     /// A string field is not UTF-8.
     BadString,
     /// Bytes left over after a complete structure.
@@ -73,6 +72,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TooLong(n) => {
                 write!(f, "vector length {n} exceeds limit {MAX_VECTOR_LEN}")
             }
+            DecodeError::OutOfRange(v) => write!(f, "value {v} out of range"),
             DecodeError::BadString => write!(f, "string field is not UTF-8"),
             DecodeError::Trailing(n) => write!(f, "{n} trailing bytes"),
             DecodeError::Unsorted => write!(f, "IOP history out of arrival order"),
@@ -82,295 +82,15 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const TAG_ARRIVAL: u8 = 1;
-const TAG_GROUP_INDEX: u8 = 2;
-const TAG_SET_TO: u8 = 3;
-const TAG_SET_FROM: u8 = 4;
-const TAG_DELEGATE: u8 = 5;
-const TAG_MIGRATE: u8 = 6;
-const TAG_ACK: u8 = 7;
-const TAG_REPL_IOP: u8 = 8;
-const TAG_REPL_SHARD: u8 = 9;
-const TAG_REPL_DIGEST: u8 = 10;
-const TAG_REPL_SYNC_REQ: u8 = 11;
-const TAG_REPL_STATE: u8 = 12;
-const TAG_REPL_IOP_PATCH: u8 = 13;
-const TAG_SPLICE: u8 = 14;
-
-/// Wire bytes of one `Option<Link>`: presence byte + fixed-width link.
-const OPT_LINK_BYTES: usize = 1 + LINK_BYTES;
-/// Wire bytes of one IOP record: arrival time + `from` + `to`.
-const RECORD_BYTES: usize = TIME_BYTES + 2 * OPT_LINK_BYTES;
-
-fn put_header(buf: &mut ByteBuf, tag: u8, seq: u64) {
-    buf.put_u8(tag);
-    buf.put_u8(VERSION);
-    buf.put_bytes(0, 6); // reserved
-    buf.put_u64(seq);
-}
-
-/// Append an object id.
-pub fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
-    buf.put_slice(&o.0 .0);
-}
-
-/// Append a timestamp (µs).
-pub fn put_time(buf: &mut ByteBuf, t: SimTime) {
-    buf.put_u64(t.as_micros());
-}
-
-/// Append a site id.
-pub fn put_site(buf: &mut ByteBuf, s: SiteId) {
-    buf.put_u32(s.0);
-}
-
-fn put_link(buf: &mut ByteBuf, l: &Link) {
-    put_site(buf, l.site);
-    put_time(buf, l.time);
-}
-
-/// Append an optional link: presence byte over a fixed-width body,
-/// zeroed when absent.
-pub fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
-    match l {
-        Some(l) => {
-            buf.put_u8(1);
-            put_link(buf, l);
-        }
-        None => buf.put_bytes(0, OPT_LINK_BYTES),
-    }
-}
-
-/// Append an IOP record.
-pub fn put_record(buf: &mut ByteBuf, r: &IopRecord) {
-    put_time(buf, r.arrived);
-    put_opt_link(buf, &r.from);
-    put_opt_link(buf, &r.to);
-}
-
-fn put_entry(buf: &mut ByteBuf, e: &IndexEntry) {
-    put_site(buf, e.site);
-    put_time(buf, e.time);
-    put_opt_link(buf, &e.prev);
-}
-
-/// Append a prefix descriptor.
-pub fn put_prefix(buf: &mut ByteBuf, p: &Prefix) {
-    buf.put_slice(&p.wire_bytes());
-}
-
-fn put_opt_prefix(buf: &mut ByteBuf, p: &Option<Prefix>) {
-    // Absence encoded as an over-long sentinel length (0xFF).
-    match p {
-        Some(p) => put_prefix(buf, p),
-        None => {
-            buf.put_u8(0xFF);
-            buf.put_bytes(0, 8);
-        }
-    }
-}
-
-/// Append a `u32` length-prefixed byte string.
-pub fn put_blob(buf: &mut ByteBuf, bytes: &[u8]) {
-    buf.put_u32(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut ByteBuf, s: &str) {
-    put_blob(buf, s.as_bytes());
-}
-
-fn put_entries(buf: &mut ByteBuf, entries: &[(ObjectId, IndexEntry)]) {
-    buf.put_u32(entries.len() as u32);
-    for (o, e) in entries {
-        put_object(buf, o);
-        put_entry(buf, e);
-    }
-}
-
-fn put_set_to(buf: &mut ByteBuf, updates: &[(ObjectId, SimTime, Link)]) {
-    buf.put_u32(updates.len() as u32);
-    for (o, arrived, link) in updates {
-        put_object(buf, o);
-        put_time(buf, *arrived);
-        put_link(buf, link);
-    }
-}
-
-fn put_set_from(buf: &mut ByteBuf, updates: &[(ObjectId, SimTime, Option<Link>)]) {
-    buf.put_u32(updates.len() as u32);
-    for (o, arrived, from) in updates {
-        put_object(buf, o);
-        put_time(buf, *arrived);
-        put_opt_link(buf, from);
-    }
-}
-
 /// Encode a message with the given header sequence number.
 pub fn encode(msg: &Msg, seq: u64) -> Vec<u8> {
     let mut buf = ByteBuf::with_capacity(msg.wire_size() + 8);
-    match msg {
-        Msg::Arrival { object, site, time } => {
-            put_header(&mut buf, TAG_ARRIVAL, seq);
-            put_object(&mut buf, object);
-            put_site(&mut buf, *site);
-            put_time(&mut buf, *time);
-        }
-        Msg::GroupIndex { prefix, site, members } => {
-            put_header(&mut buf, TAG_GROUP_INDEX, seq);
-            put_prefix(&mut buf, prefix);
-            put_site(&mut buf, *site);
-            buf.put_u32(members.len() as u32);
-            for (o, t) in members {
-                put_object(&mut buf, o);
-                put_time(&mut buf, *t);
-            }
-        }
-        Msg::SetTo { updates } => {
-            put_header(&mut buf, TAG_SET_TO, seq);
-            put_set_to(&mut buf, updates);
-        }
-        Msg::SetFrom { updates } => {
-            put_header(&mut buf, TAG_SET_FROM, seq);
-            put_set_from(&mut buf, updates);
-        }
-        Msg::Splice { updates } => {
-            put_header(&mut buf, TAG_SPLICE, seq);
-            put_set_to(&mut buf, updates);
-        }
-        Msg::Delegate { prefix, entries } => {
-            put_header(&mut buf, TAG_DELEGATE, seq);
-            put_prefix(&mut buf, prefix);
-            put_entries(&mut buf, entries);
-        }
-        Msg::Migrate { prefix, entries } => {
-            put_header(&mut buf, TAG_MIGRATE, seq);
-            put_opt_prefix(&mut buf, prefix);
-            put_entries(&mut buf, entries);
-        }
-        Msg::Ack { acked } => {
-            put_header(&mut buf, TAG_ACK, seq);
-            buf.put_u64(*acked);
-        }
-        Msg::ReplIop { primary, updates } => {
-            put_header(&mut buf, TAG_REPL_IOP, seq);
-            put_site(&mut buf, *primary);
-            buf.put_u32(updates.len() as u32);
-            for (o, r) in updates {
-                put_object(&mut buf, o);
-                put_record(&mut buf, r);
-            }
-        }
-        Msg::ReplShard { primary, prefix, entries, delegated } => {
-            put_header(&mut buf, TAG_REPL_SHARD, seq);
-            put_site(&mut buf, *primary);
-            put_opt_prefix(&mut buf, prefix);
-            buf.put_u8(u8::from(*delegated));
-            put_entries(&mut buf, entries);
-        }
-        Msg::ReplDigest { primary, digest } => {
-            put_header(&mut buf, TAG_REPL_DIGEST, seq);
-            put_site(&mut buf, *primary);
-            buf.put_slice(&digest.0);
-        }
-        Msg::ReplSyncReq { primary } => {
-            put_header(&mut buf, TAG_REPL_SYNC_REQ, seq);
-            put_site(&mut buf, *primary);
-        }
-        Msg::ReplState { primary, state } => {
-            put_header(&mut buf, TAG_REPL_STATE, seq);
-            put_site(&mut buf, *primary);
-            put_blob(&mut buf, state);
-        }
-        Msg::ReplIopPatch { primary, set_to, set_from } => {
-            put_header(&mut buf, TAG_REPL_IOP_PATCH, seq);
-            put_site(&mut buf, *primary);
-            put_set_to(&mut buf, set_to);
-            put_set_from(&mut buf, set_from);
-        }
-    }
+    buf.put_u8(msg.tag());
+    buf.put_u8(VERSION);
+    buf.put_bytes(0, 6); // reserved
+    buf.put_u64(seq);
+    msg.put_fields(&mut buf);
     buf.into_vec()
-}
-
-/// Read an object id.
-pub fn get_object(r: &mut Reader) -> Result<ObjectId, DecodeError> {
-    Ok(ObjectId(ids::Id(r.array()?)))
-}
-
-/// Read a timestamp (µs).
-pub fn get_time(r: &mut Reader) -> Result<SimTime, DecodeError> {
-    r.u64().map(SimTime::from_micros)
-}
-
-/// Read a site id.
-pub fn get_site(r: &mut Reader) -> Result<SiteId, DecodeError> {
-    r.u32().map(SiteId)
-}
-
-fn get_link(r: &mut Reader) -> Result<Link, DecodeError> {
-    Ok(Link { site: get_site(r)?, time: get_time(r)? })
-}
-
-/// Read an optional link (inverse of [`put_opt_link`]).
-pub fn get_opt_link(r: &mut Reader) -> Result<Option<Link>, DecodeError> {
-    let present = r.u8()? == 1;
-    let link = get_link(r)?;
-    Ok(present.then_some(link))
-}
-
-/// Read an IOP record.
-pub fn get_record(r: &mut Reader) -> Result<IopRecord, DecodeError> {
-    Ok(IopRecord { arrived: get_time(r)?, from: get_opt_link(r)?, to: get_opt_link(r)? })
-}
-
-fn get_entry(r: &mut Reader) -> Result<IndexEntry, DecodeError> {
-    Ok(IndexEntry { site: get_site(r)?, time: get_time(r)?, prev: get_opt_link(r)? })
-}
-
-/// Read a prefix descriptor.
-pub fn get_prefix(r: &mut Reader) -> Result<Prefix, DecodeError> {
-    Prefix::from_wire_bytes(&r.array()?).map_err(DecodeError::BadPrefix)
-}
-
-fn get_opt_prefix(r: &mut Reader) -> Result<Option<Prefix>, DecodeError> {
-    let raw = r.array::<PREFIX_BYTES>()?;
-    if raw[0] == 0xFF {
-        return Ok(None);
-    }
-    Prefix::from_wire_bytes(&raw).map(Some).map_err(DecodeError::BadPrefix)
-}
-
-/// Read a length-prefixed byte string, borrowed from the input
-/// (inverse of [`put_blob`]).
-pub fn get_blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
-    let n = r.len(1)?;
-    r.take(n)
-}
-
-/// Read a length-prefixed UTF-8 string (inverse of [`put_str`]).
-pub fn get_str(r: &mut Reader) -> Result<String, DecodeError> {
-    String::from_utf8(get_blob(r)?.to_vec()).map_err(|_| DecodeError::BadString)
-}
-
-fn get_observation(r: &mut Reader) -> Result<(ObjectId, SimTime), DecodeError> {
-    Ok((get_object(r)?, get_time(r)?))
-}
-
-fn get_entries(r: &mut Reader) -> Result<Vec<(ObjectId, IndexEntry)>, DecodeError> {
-    r.vec(OBJECT_ID_BYTES + ENTRY_BYTES, |r| Ok((get_object(r)?, get_entry(r)?)))
-}
-
-fn get_set_to(r: &mut Reader) -> Result<Vec<(ObjectId, SimTime, Link)>, DecodeError> {
-    r.vec(OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES, |r| {
-        Ok((get_object(r)?, get_time(r)?, get_link(r)?))
-    })
-}
-
-fn get_set_from(r: &mut Reader) -> Result<Vec<(ObjectId, SimTime, Option<Link>)>, DecodeError> {
-    r.vec(OBJECT_ID_BYTES + TIME_BYTES + OPT_LINK_BYTES, |r| {
-        Ok((get_object(r)?, get_time(r)?, get_opt_link(r)?))
-    })
 }
 
 /// Decode a message; returns the message and the header sequence number.
@@ -384,57 +104,10 @@ pub fn decode(raw: impl AsRef<[u8]>) -> Result<(Msg, u64), DecodeError> {
     }
     header.take(6)?; // reserved
     let seq = header.u64()?;
-
-    let msg = match tag {
-        TAG_ARRIVAL => {
-            Msg::Arrival { object: get_object(r)?, site: get_site(r)?, time: get_time(r)? }
-        }
-        TAG_GROUP_INDEX => Msg::GroupIndex {
-            prefix: get_prefix(r)?,
-            site: get_site(r)?,
-            members: r.vec(OBJECT_ID_BYTES + TIME_BYTES, get_observation)?,
-        },
-        TAG_SET_TO => Msg::SetTo { updates: get_set_to(r)? },
-        TAG_SET_FROM => Msg::SetFrom { updates: get_set_from(r)? },
-        TAG_SPLICE => Msg::Splice { updates: get_set_to(r)? },
-        TAG_DELEGATE => Msg::Delegate { prefix: get_prefix(r)?, entries: get_entries(r)? },
-        TAG_MIGRATE => Msg::Migrate { prefix: get_opt_prefix(r)?, entries: get_entries(r)? },
-        TAG_ACK => Msg::Ack { acked: r.u64()? },
-        TAG_REPL_IOP => Msg::ReplIop {
-            primary: get_site(r)?,
-            updates: r
-                .vec(OBJECT_ID_BYTES + RECORD_BYTES, |r| Ok((get_object(r)?, get_record(r)?)))?,
-        },
-        TAG_REPL_SHARD => {
-            let primary = get_site(r)?;
-            let prefix = get_opt_prefix(r)?;
-            let delegated = r.u8()? == 1;
-            Msg::ReplShard { primary, prefix, entries: get_entries(r)?, delegated }
-        }
-        TAG_REPL_DIGEST => Msg::ReplDigest { primary: get_site(r)?, digest: ids::Id(r.array()?) },
-        TAG_REPL_SYNC_REQ => Msg::ReplSyncReq { primary: get_site(r)? },
-        TAG_REPL_STATE => Msg::ReplState { primary: get_site(r)?, state: get_blob(r)?.to_vec() },
-        TAG_REPL_IOP_PATCH => Msg::ReplIopPatch {
-            primary: get_site(r)?,
-            set_to: get_set_to(r)?,
-            set_from: get_set_from(r)?,
-        },
-        other => return Err(DecodeError::BadTag(other)),
-    };
+    let msg = Msg::get_fields(tag, r, DecodeError::BadTag)?;
     r.finish()?;
     Ok((msg, seq))
 }
-
-// ----------------------------------------------------------------------
-// State records (durable snapshots)
-// ----------------------------------------------------------------------
-//
-// The daemon's crash-recovery layer snapshots a node's in-memory state
-// with the same wire vocabulary as the protocol messages. Encodings are
-// **canonical**: hash-map contents are emitted in sorted key order, so
-// two semantically equal stores produce byte-identical encodings — which
-// is what lets `tests/tests/crash_recovery.rs` compare a recovered node
-// against its pre-crash self with `assert_eq!` on bytes.
 
 /// Append a canonical encoding of an IOP repository.
 pub fn put_state_iop(buf: &mut ByteBuf, iop: &IopStore) {
@@ -442,22 +115,17 @@ pub fn put_state_iop(buf: &mut ByteBuf, iop: &IopStore) {
     objects.sort();
     buf.put_u32(objects.len() as u32);
     for o in objects {
-        put_object(buf, &o);
-        let records = iop.all(o);
-        buf.put_u32(records.len() as u32);
-        for r in records {
-            put_record(buf, r);
-        }
+        o.put(buf);
+        put_seq(buf, iop.all(o));
     }
 }
 
 /// Decode an IOP repository (inverse of [`put_state_iop`]).
 pub fn get_state_iop(r: &mut Reader) -> Result<IopStore, DecodeError> {
     let mut iop = IopStore::new();
-    let n = r.len(OBJECT_ID_BYTES + 4)?;
-    for _ in 0..n {
-        let object = get_object(r)?;
-        let records = r.vec(RECORD_BYTES, get_record)?;
+    for _ in 0..r.len(ObjectId::MIN + <Vec<IopRecord>>::MIN)? {
+        let object = ObjectId::get(r)?;
+        let records: Vec<IopRecord> = Field::get(r)?;
         // The store binary-searches histories; one out of arrival order
         // is corrupt input, not something to install.
         if !records.is_sorted_by_key(|rec| rec.arrived) {
@@ -468,25 +136,14 @@ pub fn get_state_iop(r: &mut Reader) -> Result<IopStore, DecodeError> {
     Ok(iop)
 }
 
-fn put_entry_map(buf: &mut ByteBuf, entries: &std::collections::HashMap<ObjectId, IndexEntry>) {
-    let mut objects: Vec<&ObjectId> = entries.keys().collect();
-    objects.sort();
-    buf.put_u32(objects.len() as u32);
-    for o in objects {
-        put_object(buf, o);
-        put_entry(buf, &entries[o]);
-    }
+fn put_entry_map(buf: &mut ByteBuf, entries: &HashMap<ObjectId, IndexEntry>) {
+    let mut sorted: Vec<(ObjectId, IndexEntry)> = entries.iter().map(|(o, e)| (*o, *e)).collect();
+    sorted.sort_unstable_by_key(|(o, _)| *o);
+    sorted.put(buf);
 }
 
-fn get_entry_map(
-    r: &mut Reader,
-) -> Result<std::collections::HashMap<ObjectId, IndexEntry>, DecodeError> {
-    let n = r.len(OBJECT_ID_BYTES + ENTRY_BYTES)?;
-    let mut map = std::collections::HashMap::with_capacity(n);
-    for _ in 0..n {
-        map.insert(get_object(r)?, get_entry(r)?);
-    }
-    Ok(map)
+fn get_entry_map(r: &mut Reader) -> Result<HashMap<ObjectId, IndexEntry>, DecodeError> {
+    Ok(<Vec<(ObjectId, IndexEntry)>>::get(r)?.into_iter().collect())
 }
 
 /// Append a canonical encoding of a gateway store (individual-mode
@@ -497,9 +154,9 @@ pub fn put_state_gateway(buf: &mut ByteBuf, g: &GatewayStore) {
     prefixes.sort();
     buf.put_u32(prefixes.len() as u32);
     for p in prefixes {
-        put_prefix(buf, p);
         let shard = &g.prefixes[p];
-        buf.put_u8(u8::from(shard.delegated));
+        p.put(buf);
+        shard.delegated.put(buf);
         put_entry_map(buf, &shard.entries);
     }
 }
@@ -509,10 +166,9 @@ pub fn put_state_gateway(buf: &mut ByteBuf, g: &GatewayStore) {
 pub fn get_state_gateway(r: &mut Reader) -> Result<GatewayStore, DecodeError> {
     let mut g = GatewayStore::new();
     g.objects = get_entry_map(r)?;
-    let n = r.len(PREFIX_BYTES + 1 + 4)?;
-    for _ in 0..n {
-        let prefix = get_prefix(r)?;
-        let delegated = r.u8()? == 1;
+    for _ in 0..r.len(Prefix::MIN + bool::MIN + 4)? {
+        let prefix = Prefix::get(r)?;
+        let delegated = bool::get(r)?;
         let entries = get_entry_map(r)?;
         let shard = g.shard_mut(prefix);
         shard.delegated = delegated;
@@ -526,13 +182,8 @@ pub fn get_state_gateway(r: &mut Reader) -> Result<GatewayStore, DecodeError> {
 /// Append an open capture window's contents (observations are already
 /// an ordered sequence — no sorting involved).
 pub fn put_state_window(buf: &mut ByteBuf, w: &crate::window::WindowBuffer) {
-    put_time(buf, w.opened());
-    let obs = w.observations();
-    buf.put_u32(obs.len() as u32);
-    for (o, t) in obs {
-        put_object(buf, o);
-        put_time(buf, *t);
-    }
+    w.opened().put(buf);
+    put_seq(buf, w.observations());
 }
 
 /// Decode a capture window for `site` flushing at `n_max` (inverse of
@@ -542,15 +193,15 @@ pub fn get_state_window(
     site: SiteId,
     n_max: usize,
 ) -> Result<crate::window::WindowBuffer, DecodeError> {
-    let opened = get_time(r)?;
-    let n = r.len(OBJECT_ID_BYTES + TIME_BYTES)?;
+    let opened = SimTime::get(r)?;
+    let n = r.len(<(ObjectId, SimTime)>::MIN)?;
     if n >= n_max {
         // A window this full would have flushed before it was captured.
         return Err(DecodeError::TooLong(n as u32));
     }
     let mut obs = Vec::with_capacity(n);
     for _ in 0..n {
-        obs.push(get_observation(r)?);
+        obs.push(Field::get(r)?);
     }
     Ok(crate::window::WindowBuffer::restore(site, n_max, obs, opened))
 }
@@ -558,6 +209,7 @@ pub fn get_state_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Link;
     use proptiny::{hex, hostile_bytes};
     use proptiny::prelude::*;
 
@@ -640,25 +292,29 @@ mod tests {
         assert_eq!(encode(a, 0), encode(b, 0));
     }
 
-    /// `encode(sample, index)` of each `Msg` variant's first sample, as
-    /// written by the commit before the borrowed `Reader` (PR 18) — a peer
-    /// or a WAL from before this codec was rewritten stays readable — and,
-    /// for `Splice`, by the commit that added it.
-    const GOLDEN: [(usize, &str); 14] = [
-        (0, "01010000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000030000000000000063"),
-        (1, "02010000000000000000000000000001045000000000000000000000020000000505fe405753166f125559e7c9ac558654f107c7e90000000000000000cb473678976f425d6ec1339838f11011007ad27d000000000000000107aae1b618f604c684ee3189fa1723bef8656fe40000000000000002461d6580e38ccb6dc72699b6c945e53831dcdf0300000000000000037f028ddbb42e47ac2cd00e27a37bd191f1c2b9250000000000000004"),
-        (3, "0301000000000000000000000000000300000001cb473678976f425d6ec1339838f11011007ad27d0000000000000005000000020000000000000009"),
-        (4, "0401000000000000000000000000000400000002cb473678976f425d6ec1339838f11011007ad27d00000000000000050100000002000000000000000907aae1b618f604c684ee3189fa1723bef8656fe4000000000000000600000000000000000000000000"),
-        (5, "0501000000000000000000000000000503e00000000000000000000001461d6580e38ccb6dc72699b6c945e53831dcdf0300000001000000000000000201000000000000000000000001"),
-        (6, "06010000000000000000000000000006ff0000000000000000000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b92500000005000000000000000600000000000000000000000000"),
-        (8, "070100000000000000000000000000080000000000000000"),
-        (10, "0801000000000000000000000000000a0000000700000001216a788021417ad345b1b1ee10753127c457afc0000000000000000b0100000001000000000000000200000000000000000000000000"),
-        (11, "0901000000000000000000000000000b0000000803c0000000000000000100000001f2cd4b0184c354c1d748ce5d617db44f3fbf411000000002000000000000000301000000040000000000000005"),
-        (13, "0a01000000000000000000000000000d000000092923f6fa36614586ea09b4424b438915cc1b9b67"),
-        (14, "0b01000000000000000000000000000e0000000a"),
-        (15, "0c01000000000000000000000000000f0000000b000000050102030405"),
-        (16, "0d0100000000000000000000000000100000000c00000001aebf740096fea5f738202d5d299fc84e932155d5000000000000000300000001000000000000000400000002aebf740096fea5f738202d5d299fc84e932155d5000000000000000401000000020000000000000003c9e1208fdafeca60716624e08ac95d5d3036071c000000000000000500000000000000000000000000"),
-        (17, "0e0100000000000000000000000000110000000163b0ee19900a432c8601bd0bed2b1f881fbd7a860000000000000008000000030000000000000006"),
+    /// `encode(samples()[i], i)` for every sample, as written before
+    /// `Msg` was declared through the wire schema; the first sample of
+    /// each kind was already pinned before the borrowed `Reader`. A peer
+    /// or a WAL from then stays readable.
+    const GOLDEN: [&str; 18] = [
+        "01010000000000000000000000000000cb473678976f425d6ec1339838f11011007ad27d000000030000000000000063",
+        "02010000000000000000000000000001045000000000000000000000020000000505fe405753166f125559e7c9ac558654f107c7e90000000000000000cb473678976f425d6ec1339838f11011007ad27d000000000000000107aae1b618f604c684ee3189fa1723bef8656fe40000000000000002461d6580e38ccb6dc72699b6c945e53831dcdf0300000000000000037f028ddbb42e47ac2cd00e27a37bd191f1c2b9250000000000000004",
+        "020100000000000000000000000000020000000000000000000000000000000000",
+        "0301000000000000000000000000000300000001cb473678976f425d6ec1339838f11011007ad27d0000000000000005000000020000000000000009",
+        "0401000000000000000000000000000400000002cb473678976f425d6ec1339838f11011007ad27d00000000000000050100000002000000000000000907aae1b618f604c684ee3189fa1723bef8656fe4000000000000000600000000000000000000000000",
+        "0501000000000000000000000000000503e00000000000000000000001461d6580e38ccb6dc72699b6c945e53831dcdf0300000001000000000000000201000000000000000000000001",
+        "06010000000000000000000000000006ff0000000000000000000000017f028ddbb42e47ac2cd00e27a37bd191f1c2b92500000005000000000000000600000000000000000000000000",
+        "0601000000000000000000000000000702000000000000000000000000",
+        "070100000000000000000000000000080000000000000000",
+        "07010000000000000000000000000009ffffffffffffffff",
+        "0801000000000000000000000000000a0000000700000001216a788021417ad345b1b1ee10753127c457afc0000000000000000b0100000001000000000000000200000000000000000000000000",
+        "0901000000000000000000000000000b0000000803c0000000000000000100000001f2cd4b0184c354c1d748ce5d617db44f3fbf411000000002000000000000000301000000040000000000000005",
+        "0901000000000000000000000000000c00000008ff00000000000000000000000000",
+        "0a01000000000000000000000000000d000000092923f6fa36614586ea09b4424b438915cc1b9b67",
+        "0b01000000000000000000000000000e0000000a",
+        "0c01000000000000000000000000000f0000000b000000050102030405",
+        "0d0100000000000000000000000000100000000c00000001aebf740096fea5f738202d5d299fc84e932155d5000000000000000300000001000000000000000400000002aebf740096fea5f738202d5d299fc84e932155d5000000000000000401000000020000000000000003c9e1208fdafeca60716624e08ac95d5d3036071c000000000000000500000000000000000000000000",
+        "0e0100000000000000000000000000110000000163b0ee19900a432c8601bd0bed2b1f881fbd7a860000000000000008000000030000000000000006",
     ];
 
     #[test]
@@ -672,8 +328,9 @@ mod tests {
             raw.push(0);
             assert_eq!(decode(raw).unwrap_err(), DecodeError::Trailing(1), "sample {i}");
         }
-        for (i, golden) in GOLDEN {
-            assert_eq!(hex(&encode(&samples[i], i as u64)), golden, "sample {i} changed on the wire");
+        assert_eq!(samples.len(), GOLDEN.len());
+        for (i, golden) in GOLDEN.iter().enumerate() {
+            assert_eq!(hex(&encode(&samples[i], i as u64)), *golden, "sample {i} changed on the wire");
         }
     }
 
@@ -709,14 +366,21 @@ mod tests {
         }
     }
 
+    /// A header for `tag` with sequence number 0.
+    fn header(tag: u8) -> ByteBuf {
+        let mut raw = ByteBuf::new();
+        raw.put_u8(tag);
+        raw.put_u8(VERSION);
+        raw.put_bytes(0, 14);
+        raw
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(matches!(decode(b""), Err(DecodeError::Truncated)));
+        assert!(matches!(decode(header(99).into_vec()), Err(DecodeError::BadTag(99))));
         let mut raw = ByteBuf::new();
-        put_header(&mut raw, 99, 0);
-        assert!(matches!(decode(raw.into_vec()), Err(DecodeError::BadTag(99))));
-        let mut raw = ByteBuf::new();
-        raw.put_u8(TAG_ARRIVAL);
+        raw.put_u8(1);
         raw.put_u8(VERSION + 1);
         raw.put_bytes(0, 14);
         assert!(matches!(decode(raw.into_vec()), Err(DecodeError::BadVersion(v)) if v == VERSION + 1));
@@ -725,37 +389,29 @@ mod tests {
     #[test]
     fn decode_rejects_hostile_length_prefix_without_allocating() {
         // A 4 GiB-worth length claim must fail by arithmetic, not by an
-        // allocation attempt — for every vector-carrying tag.
-        for tag in [
-            TAG_GROUP_INDEX,
-            TAG_SET_TO,
-            TAG_SET_FROM,
-            TAG_SPLICE,
-            TAG_DELEGATE,
-            TAG_MIGRATE,
-            TAG_REPL_IOP,
-            TAG_REPL_SHARD,
-            TAG_REPL_STATE,
-            TAG_REPL_IOP_PATCH,
-        ] {
-            let mut raw = ByteBuf::new();
-            put_header(&mut raw, tag, 0);
-            if matches!(tag, TAG_REPL_IOP | TAG_REPL_SHARD | TAG_REPL_STATE | TAG_REPL_IOP_PATCH) {
-                put_site(&mut raw, SiteId(1));
+        // allocation attempt — for every vector-carrying tag. A byte
+        // string (`ReplState`'s state) is bounded by the input after it,
+        // so its claim is Truncated.
+        for tag in [2, 3, 4, 14, 5, 6, 8, 9, 12, 13] {
+            let mut raw = header(tag);
+            // ReplIop, ReplShard, ReplState, ReplIopPatch: the primary.
+            if matches!(tag, 8 | 9 | 12 | 13) {
+                SiteId(1).put(&mut raw);
             }
-            if matches!(tag, TAG_GROUP_INDEX | TAG_DELEGATE | TAG_MIGRATE) {
-                put_prefix(&mut raw, &Prefix::from_bit_str("01"));
+            // GroupIndex, Delegate, Migrate: the prefix.
+            if matches!(tag, 2 | 5 | 6) {
+                Prefix::from_bit_str("01").put(&mut raw);
             }
-            if tag == TAG_GROUP_INDEX {
-                put_site(&mut raw, SiteId(1));
+            if tag == 2 {
+                SiteId(1).put(&mut raw);
             }
-            if tag == TAG_REPL_SHARD {
-                put_opt_prefix(&mut raw, &None);
-                raw.put_u8(0);
+            if tag == 9 {
+                None::<Prefix>.put(&mut raw);
+                false.put(&mut raw);
             }
             raw.put_u32(u32::MAX); // claims ~4 Gi elements
-            let err = decode(raw.into_vec()).unwrap_err();
-            assert_eq!(err, DecodeError::TooLong(u32::MAX), "tag {tag}");
+            let want = if tag == 12 { DecodeError::Truncated } else { DecodeError::TooLong(u32::MAX) };
+            assert_eq!(decode(raw.into_vec()).unwrap_err(), want, "tag {tag}");
         }
     }
 
@@ -763,8 +419,7 @@ mod tests {
     fn decode_rejects_length_exceeding_remaining_bytes() {
         // A length under the cap but larger than the buffer could hold
         // must be Truncated *before* the element loop allocates.
-        let mut raw = ByteBuf::new();
-        put_header(&mut raw, TAG_SET_TO, 0);
+        let mut raw = header(3);
         raw.put_u32((MAX_VECTOR_LEN - 1) as u32);
         assert_eq!(decode(raw.into_vec()).unwrap_err(), DecodeError::Truncated);
     }

@@ -58,6 +58,7 @@ pub mod messages;
 pub mod net;
 pub mod prefix;
 pub mod query;
+pub mod schema;
 pub mod site;
 pub mod spans;
 pub mod store;

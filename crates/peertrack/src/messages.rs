@@ -2,157 +2,157 @@
 //!
 //! §V-A measures indexing cost as "the total volume of messages
 //! transferred over the network", so every message knows its serialized
-//! size ([`Msg::wire_size`]): a fixed header plus per-field costs
-//! (20-byte object ids, 8-byte timestamps, 4-byte site ids — the sizes a
-//! compact binary codec would produce).
+//! size ([`Msg::wire_size`]): a fixed header plus the model size of the
+//! fields `Msg`'s declaration lists (20-byte object ids, 8-byte
+//! timestamps, 4-byte site ids). The same declaration is the codec
+//! ([`crate::codec`]), so the size is that of a sendable encoding.
 
+use crate::schema::Field;
 use crate::store::{IndexEntry, IopRecord, Link};
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
 use simnet::SimTime;
 
-/// Bytes of a message header (type tag, source/destination overlay ids,
+/// Bytes of a message header (type tag, version, reserved bytes,
 /// sequence number — comparable to OverSim's BaseOverlay header).
 pub const HEADER_BYTES: usize = 16;
 /// Bytes of one object id (SHA-1 digest).
-pub const OBJECT_ID_BYTES: usize = 20;
+pub const OBJECT_ID_BYTES: usize = ObjectId::MIN;
 /// Bytes of one timestamp.
-pub const TIME_BYTES: usize = 8;
-/// Bytes of one site address.
-pub const SITE_BYTES: usize = 4;
-/// Bytes of one IOP link (site + timestamp).
-pub const LINK_BYTES: usize = SITE_BYTES + TIME_BYTES;
+pub const TIME_BYTES: usize = SimTime::MIN;
 /// Bytes of one index entry (site + time + optional link).
-pub const ENTRY_BYTES: usize = SITE_BYTES + TIME_BYTES + 1 + LINK_BYTES;
+pub const ENTRY_BYTES: usize = IndexEntry::MIN;
 /// Bytes of a prefix descriptor (length byte + up to 8 bits bytes).
-pub const PREFIX_BYTES: usize = 9;
+pub const PREFIX_BYTES: usize = Prefix::MIN;
 
-/// Protocol messages exchanged between sites.
-#[derive(Clone, Debug)]
-pub enum Msg {
-    /// **M1** (individual mode, §III): "object arrived at `site` at
-    /// `time`", sent from the capturing node to the object's gateway.
-    Arrival {
-        /// The captured object.
-        object: ObjectId,
-        /// The capturing site.
-        site: SiteId,
-        /// Capture time.
-        time: SimTime,
-    },
-    /// Group indexing message (§IV-A.2): "the indexing message has the
-    /// format of (group id, (objects), timestamp)".
-    GroupIndex {
-        /// The group id (`Lp`-bit prefix).
-        prefix: Prefix,
-        /// The capturing site.
-        site: SiteId,
-        /// Member objects and their capture times.
-        members: Vec<(ObjectId, SimTime)>,
-    },
-    /// **M2**: gateway → previous site. "o1 arrives at n4, so n3 updates
-    /// its IOP by setting o1.to = n4". Batched per (group, source site).
-    SetTo {
-        /// `(object, arrival time at the receiving site, new to-link)`.
-        updates: Vec<(ObjectId, SimTime, Link)>,
-    },
-    /// **M3**: gateway → new site. "o1 was from n3, so n4 updates its IOP
-    /// by setting o1.from = n3". Batched per batch of captures.
-    SetFrom {
-        /// `(object, arrival time at the receiving site, from-link)`;
-        /// `None` marks the object's first appearance.
-        updates: Vec<(ObjectId, SimTime, Option<Link>)>,
-    },
-    /// **Splice**, the out-of-order M3: thread an earlier visit in
-    /// behind the receiver's record, or pass it on to the record's later
-    /// predecessor — a walk along `from` links to the gap that holds it.
-    /// A stored link is answered with M2, which no gateway sent.
-    Splice {
-        /// `(object, arrival time at the receiving site, earlier visit)`.
-        updates: Vec<(ObjectId, SimTime, Link)>,
-    },
-    /// Data-Triangle delegation (Fig. 5 `update_index`): parent pushes
-    /// its earliest records to a child prefix's gateway.
-    Delegate {
-        /// The child prefix receiving the records.
-        prefix: Prefix,
-        /// The delegated records.
-        entries: Vec<(ObjectId, IndexEntry)>,
-    },
-    /// Split/merge migration when `Lp` changes (§IV-A.2), or key-range
-    /// handoff on churn.
-    Migrate {
-        /// Destination prefix shard (`None` = individual-mode entries).
-        prefix: Option<Prefix>,
-        /// The migrated records.
-        entries: Vec<(ObjectId, IndexEntry)>,
-    },
-    /// Delivery acknowledgement for the at-least-once retry layer: the
-    /// receiver echoes the [`Wire::seq`] of the delivery it accepted.
-    Ack {
-        /// Sequence number being acknowledged.
-        acked: u64,
-    },
-    /// Replication write fan-out (IOP half): the primary pushes full
-    /// visit records to each of its `K−1` successor replicas, which
-    /// upsert them keyed by `(object, arrived)`.
-    ReplIop {
-        /// The primary whose repository these records belong to.
-        primary: SiteId,
-        /// `(object, full visit record)` pairs.
-        updates: Vec<(ObjectId, IopRecord)>,
-    },
-    /// Replication write fan-out (index half): the full current content
-    /// of one gateway shard, replacing the replica's copy wholesale
-    /// (an empty `entries` drops it). Full-shard replace — rather than
-    /// per-entry upsert — is what lets removals (refresh fetches,
-    /// delegation, split/merge drains) propagate without tombstones.
-    ReplShard {
-        /// The primary whose shard this is.
-        primary: SiteId,
-        /// Which shard: a group-mode prefix, or `None` for the
-        /// individual-mode object map.
-        prefix: Option<Prefix>,
-        /// The shard's entire content.
-        entries: Vec<(ObjectId, IndexEntry)>,
-        /// The shard's Data-Triangle delegation flag.
-        delegated: bool,
-    },
-    /// Anti-entropy round-trip, step 1: the primary sends a digest of
-    /// its canonical store encoding to each replica. A replica whose
-    /// copy hashes differently answers with [`Msg::ReplSyncReq`].
-    ReplDigest {
-        /// The primary initiating the exchange.
-        primary: SiteId,
-        /// Hash of the primary's canonical store bytes.
-        digest: Id,
-    },
-    /// Anti-entropy step 2: a replica that detected divergence asks the
-    /// primary for its full state.
-    ReplSyncReq {
-        /// The primary being asked.
-        primary: SiteId,
-    },
-    /// Anti-entropy step 3: the primary's full store state in the
-    /// canonical encoding; the replica replaces its copy wholesale.
-    ReplState {
-        /// The primary whose state this is.
-        primary: SiteId,
-        /// Canonical encoding of the primary's IOP + gateway stores.
-        state: Vec<u8>,
-    },
-    /// IOP link updates (M2/M3) redirected to the replica set because
-    /// the primary is permanently gone: holders patch their replica
-    /// copy of the dead site's repository so locate/trace chain walks
-    /// stay oracle-exact after the failure.
-    ReplIopPatch {
-        /// The (dead) primary whose replica copies are patched.
-        primary: SiteId,
-        /// M2-shaped updates: `(object, arrival time, new to-link)`.
-        set_to: Vec<(ObjectId, SimTime, Link)>,
-        /// M3-shaped updates: `(object, arrival time, from-link)`.
-        set_from: Vec<(ObjectId, SimTime, Option<Link>)>,
-    },
+crate::wire_enum! {
+    /// Protocol messages exchanged between sites, each field in wire order.
+    #[derive(Clone, Debug)]
+    pub enum Msg {
+        /// **M1** (individual mode, §III): "object arrived at `site` at
+        /// `time`", sent from the capturing node to the object's gateway.
+        Arrival {
+            /// The captured object.
+            object: ObjectId,
+            /// The capturing site.
+            site: SiteId,
+            /// Capture time.
+            time: SimTime,
+        } = 1,
+        /// Group indexing message (§IV-A.2): "the indexing message has the
+        /// format of (group id, (objects), timestamp)".
+        GroupIndex {
+            /// The group id (`Lp`-bit prefix).
+            prefix: Prefix,
+            /// The capturing site.
+            site: SiteId,
+            /// Member objects and their capture times.
+            members: Vec<(ObjectId, SimTime)>,
+        } = 2,
+        /// **M2**: gateway → previous site. "o1 arrives at n4, so n3 updates
+        /// its IOP by setting o1.to = n4". Batched per (group, source site).
+        SetTo {
+            /// `(object, arrival time at the receiving site, new to-link)`.
+            updates: Vec<(ObjectId, SimTime, Link)>,
+        } = 3,
+        /// **M3**: gateway → new site. "o1 was from n3, so n4 updates its IOP
+        /// by setting o1.from = n3". Batched per batch of captures.
+        SetFrom {
+            /// `(object, arrival time at the receiving site, from-link)`;
+            /// `None` marks the object's first appearance.
+            updates: Vec<(ObjectId, SimTime, Option<Link>)>,
+        } = 4,
+        /// **Splice**, the out-of-order M3: thread an earlier visit in
+        /// behind the receiver's record, or pass it on to the record's later
+        /// predecessor — a walk along `from` links to the gap that holds it.
+        /// A stored link is answered with M2, which no gateway sent.
+        Splice {
+            /// `(object, arrival time at the receiving site, earlier visit)`.
+            updates: Vec<(ObjectId, SimTime, Link)>,
+        } = 14,
+        /// Data-Triangle delegation (Fig. 5 `update_index`): parent pushes
+        /// its earliest records to a child prefix's gateway.
+        Delegate {
+            /// The child prefix receiving the records.
+            prefix: Prefix,
+            /// The delegated records.
+            entries: Vec<(ObjectId, IndexEntry)>,
+        } = 5,
+        /// Split/merge migration when `Lp` changes (§IV-A.2), or key-range
+        /// handoff on churn.
+        Migrate {
+            /// Destination prefix shard (`None` = individual-mode entries).
+            prefix: Option<Prefix>,
+            /// The migrated records.
+            entries: Vec<(ObjectId, IndexEntry)>,
+        } = 6,
+        /// Delivery acknowledgement for the at-least-once retry layer: the
+        /// receiver echoes the [`Wire::seq`] of the delivery it accepted.
+        Ack {
+            /// Sequence number being acknowledged.
+            acked: u64,
+        } = 7,
+        /// Replication write fan-out (IOP half): the primary pushes full
+        /// visit records to each of its `K−1` successor replicas, which
+        /// upsert them keyed by `(object, arrived)`.
+        ReplIop {
+            /// The primary whose repository these records belong to.
+            primary: SiteId,
+            /// `(object, full visit record)` pairs.
+            updates: Vec<(ObjectId, IopRecord)>,
+        } = 8,
+        /// Replication write fan-out (index half): the full current content
+        /// of one gateway shard, replacing the replica's copy wholesale
+        /// (an empty `entries` drops it). Full-shard replace — rather than
+        /// per-entry upsert — is what lets removals (refresh fetches,
+        /// delegation, split/merge drains) propagate without tombstones.
+        ReplShard {
+            /// The primary whose shard this is.
+            primary: SiteId,
+            /// Which shard: a group-mode prefix, or `None` for the
+            /// individual-mode object map.
+            prefix: Option<Prefix>,
+            /// The shard's Data-Triangle delegation flag.
+            delegated: bool,
+            /// The shard's entire content.
+            entries: Vec<(ObjectId, IndexEntry)>,
+        } = 9,
+        /// Anti-entropy round-trip, step 1: the primary sends a digest of
+        /// its canonical store encoding to each replica. A replica whose
+        /// copy hashes differently answers with [`Msg::ReplSyncReq`].
+        ReplDigest {
+            /// The primary initiating the exchange.
+            primary: SiteId,
+            /// Hash of the primary's canonical store bytes.
+            digest: Id,
+        } = 10,
+        /// Anti-entropy step 2: a replica that detected divergence asks the
+        /// primary for its full state.
+        ReplSyncReq {
+            /// The primary being asked.
+            primary: SiteId,
+        } = 11,
+        /// Anti-entropy step 3: the primary's full store state in the
+        /// canonical encoding; the replica replaces its copy wholesale.
+        ReplState {
+            /// The primary whose state this is.
+            primary: SiteId,
+            /// Canonical encoding of the primary's IOP + gateway stores.
+            state: Vec<u8>,
+        } = 12,
+        /// IOP link updates (M2/M3) redirected to the replica set because
+        /// the primary is permanently gone: holders patch their replica
+        /// copy of the dead site's repository so locate/trace chain walks
+        /// stay oracle-exact after the failure.
+        ReplIopPatch {
+            /// The (dead) primary whose replica copies are patched.
+            primary: SiteId,
+            /// M2-shaped updates: `(object, arrival time, new to-link)`.
+            set_to: Vec<(ObjectId, SimTime, Link)>,
+            /// M3-shaped updates: `(object, arrival time, from-link)`.
+            set_from: Vec<(ObjectId, SimTime, Option<Link>)>,
+        } = 13,
+    }
 }
 
 /// Link-level envelope: every networked delivery carries a sender-unique
@@ -184,48 +184,10 @@ impl Wire {
 }
 
 impl Msg {
-    /// Serialized size in bytes, for the volume metric.
+    /// Serialized size in bytes, for the volume metric: the header and
+    /// the fields' model size.
     pub fn wire_size(&self) -> usize {
-        HEADER_BYTES
-            + match self {
-                Msg::Arrival { .. } => OBJECT_ID_BYTES + SITE_BYTES + TIME_BYTES,
-                Msg::GroupIndex { members, .. } => {
-                    PREFIX_BYTES + SITE_BYTES + members.len() * (OBJECT_ID_BYTES + TIME_BYTES)
-                }
-                Msg::SetTo { updates } | Msg::Splice { updates } => {
-                    updates.len() * (OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES)
-                }
-                Msg::SetFrom { updates } => {
-                    updates.len() * (OBJECT_ID_BYTES + TIME_BYTES + 1 + LINK_BYTES)
-                }
-                Msg::Delegate { entries, .. } => {
-                    PREFIX_BYTES + entries.len() * (OBJECT_ID_BYTES + ENTRY_BYTES)
-                }
-                Msg::Migrate { entries, .. } => {
-                    PREFIX_BYTES + entries.len() * (OBJECT_ID_BYTES + ENTRY_BYTES)
-                }
-                Msg::Ack { .. } => TIME_BYTES, // the echoed u64 seq
-                Msg::ReplIop { updates, .. } => {
-                    // A full record: arrival time + two optional links.
-                    SITE_BYTES
-                        + updates.len()
-                            * (OBJECT_ID_BYTES + TIME_BYTES + 2 * (1 + LINK_BYTES))
-                }
-                Msg::ReplShard { entries, .. } => {
-                    SITE_BYTES
-                        + PREFIX_BYTES
-                        + 1 // delegated flag
-                        + entries.len() * (OBJECT_ID_BYTES + ENTRY_BYTES)
-                }
-                Msg::ReplDigest { .. } => SITE_BYTES + OBJECT_ID_BYTES,
-                Msg::ReplSyncReq { .. } => SITE_BYTES,
-                Msg::ReplState { state, .. } => SITE_BYTES + state.len(),
-                Msg::ReplIopPatch { set_to, set_from, .. } => {
-                    SITE_BYTES
-                        + set_to.len() * (OBJECT_ID_BYTES + TIME_BYTES + LINK_BYTES)
-                        + set_from.len() * (OBJECT_ID_BYTES + TIME_BYTES + 1 + LINK_BYTES)
-                }
-            }
+        HEADER_BYTES + self.model()
     }
 
     /// The metrics class this message is charged to.
@@ -357,7 +319,7 @@ mod tests {
         ];
         for m in &msgs {
             assert_eq!(m.class(), simnet::MsgClass::Gossip);
-            assert!(m.wire_size() >= HEADER_BYTES + SITE_BYTES);
+            assert!(m.wire_size() >= HEADER_BYTES + SiteId::MIN);
             assert_eq!(m.single_object(), None);
         }
     }

@@ -193,16 +193,27 @@ fn discover<S: RecordSource>(
     if src.knows(from, object) {
         return Ok((AnswerSource::Local, None));
     }
+    to_gateway(src, from, object, cost, true)
+}
 
-    // Route towards the gateway, checking intermediate nodes. An empty
-    // path means the origin owns the key.
+/// Route from `from` towards `object`'s gateway and run the §IV-A.3
+/// lookup there. With `anchor`, the route stops at the first
+/// intermediate site that holds records of the object.
+fn to_gateway<S: RecordSource>(
+    src: &mut S,
+    from: SiteId,
+    object: ObjectId,
+    cost: &mut QueryCost,
+    anchor: bool,
+) -> Result<(AnswerSource, Option<Link>), Incomplete> {
+    // An empty path means the origin owns the key.
     let path = src.route(from, object)?;
     let mut at = from;
     for (i, &site) in path.iter().enumerate() {
         cost.step(1);
         src.wire(cost, at, site);
         at = site;
-        if i + 1 < path.len() && src.knows(site, object) {
+        if anchor && i + 1 < path.len() && src.knows(site, object) {
             return Ok((AnswerSource::Intermediate(site), None));
         }
     }
@@ -309,7 +320,16 @@ pub fn locate<S: RecordSource>(
         // The index *is* the latest state: answer immediately.
         Some(link) if t >= link.time => Ok(Some(link.site)),
         Some(link) => walk_back(src, &mut current, Some(link), object, t, cost),
-        None => locate_from_records(src, &mut current, object, t, cost),
+        // A record walk breaks off where a repository left the system;
+        // a graceful leave hands on the index entry, not the records.
+        // Finish discovery at the gateway: its latest state answers any
+        // `t` at or after it.
+        None => locate_from_records(src, &mut current, object, t, cost).or_else(|Incomplete| {
+            match to_gateway(src, from, object, cost, false)?.1 {
+                Some(link) if t >= link.time => Ok(Some(link.site)),
+                _ => Err(Incomplete),
+            }
+        }),
     };
     (walked.unwrap_or(None), source, walked.is_ok(), latest)
 }

@@ -386,6 +386,22 @@ if grep -nE '(raw|body)\.to_vec\(\)|as_slice\(\)\.to_vec\(\)' \
 fi
 echo "OK: one checked byte reader, no whole-buffer copies in the codecs."
 
+# One wire schema: every message, frame and WAL record is declared once
+# through `peertrack::wire_enum!`, and its encoder, decoder and model size
+# follow from the declaration (`peertrack::schema`). A hand-written tag
+# table or per-type field codec is how the copies began. Refused under
+# crates/: a `TAG_`/`K_`/`R_` `u8` constant outside test modules, and a
+# `put_`/`get_` function for one field type. Silent when clean.
+tag_tables=$(find crates -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} /const (TAG|K|R)_[A-Z_]+: u8/{print f ":" FNR ": " $0}' "$f"
+done)
+if [[ -n "$tag_tables" ]] && echo "$tag_tables" \
+    || grep -rnE 'fn (put|get)_(object|time|site|opt_link|record|prefix|blob|str|member|capture|wire)\b' \
+        crates --include='*.rs'; then
+    echo "a hand-written tag table or field codec is back under crates/" >&2
+    exit 1
+fi
+
 # Every committed artifact is regenerated by a gate above, or it is not
 # committed: each tracked path under results/ must be named in this
 # script. The one exemption, hand-maintained: results/TRAJECTORY.md.

@@ -280,6 +280,19 @@ fn retry_traffic_is_charged_to_its_own_message_classes() {
     assert!(report.ack_messages > 0, "delivered sequenced messages must be acked");
 }
 
+/// A graceful leave hands the leaver's index entries on but takes its
+/// repository with it. A locate anchored on the origin's own records
+/// whose forward walk reaches the leaver must finish at the gateway, not
+/// answer `None` (a schedule shrunk from a retries-on run: `Capture{0},
+/// Join, MoveObj{site 6, obj 0}, Leave{0}`).
+#[test]
+fn locate_after_a_graceful_leave_answers_from_the_gateway() {
+    let words = parse_schedule("0,288230376151711744,72057594038321152,360287970189639680")
+        .expect("decimal words");
+    let report = run_schedule(&AuditConfig::lossy_with_retries(DROP), &words);
+    assert_eq!(report.violations, Vec::<String>::new(), "{}", describe(&words));
+}
+
 /// Replay harness for shrunk reproducers. Skips (trivially passes) when
 /// `AUDIT_SCHEDULE` is unset. `AUDIT_DROP` (default 0.08),
 /// `AUDIT_RETRIES` (`on`/`off`, default `off`) and `AUDIT_SEED` tune
