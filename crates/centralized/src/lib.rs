@@ -4,13 +4,11 @@
 //! §V-B: "we used the model proposed in \[31\] to build the same data in a
 //! centralized MySQL database". Every organization publishes its
 //! observations to one warehouse; traceability queries run as temporal
-//! SQL over two tables:
+//! SQL over `STAY(epc, location, t_start, t_end)` — coalesced stays, the
+//! temporal table \[31\] derives from the raw `OBSERVATION(epc, reader,
+//! time)` log. No query reads the raw log, so it is not kept.
 //!
-//! * `OBSERVATION(epc, reader, time)` — the raw reading log;
-//! * `STAY(epc, location, t_start, t_end)` — coalesced stays, the
-//!   temporal table \[31\] derives from observations.
-//!
-//! [`Warehouse`] implements the tables with real data structures and
+//! [`Warehouse`] implements the table with real data structures and
 //! answers `L`/`TR` correctly (it implements the MOODS traits). Query
 //! *timing* follows an explicit, calibrated cost model
 //! ([`CostModel`]): the paper measured that centralized trace-query time
@@ -29,17 +27,6 @@
 use moods::{Locate, ObjectId, Path, SiteId, Trace, Visit};
 use simnet::SimTime;
 use std::collections::HashMap;
-
-/// One row of the `OBSERVATION` table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObservationRow {
-    /// The tagged object (EPC, hashed).
-    pub object: ObjectId,
-    /// Where it was read.
-    pub site: SiteId,
-    /// When it was read.
-    pub time: SimTime,
-}
 
 /// One row of the `STAY` temporal table: a coalesced stay interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +99,6 @@ impl CostModel {
 /// The central data warehouse.
 #[derive(Clone, Debug)]
 pub struct Warehouse {
-    observations: Vec<ObservationRow>,
     /// Stay intervals per object, arrival-ordered (the clustered index).
     stays: HashMap<ObjectId, Vec<StayRow>>,
     stay_rows: usize,
@@ -136,7 +122,6 @@ impl Warehouse {
     /// Warehouse with an explicit cost model and plan.
     pub fn with_model(cost: CostModel, plan: Plan) -> Warehouse {
         Warehouse {
-            observations: Vec::new(),
             stays: HashMap::new(),
             stay_rows: 0,
             cost,
@@ -144,11 +129,9 @@ impl Warehouse {
         }
     }
 
-    /// Ingest one observation: append to `OBSERVATION` and maintain the
-    /// `STAY` table as \[31\] prescribes (close the open stay, open a new
-    /// one).
+    /// Ingest one observation: maintain the `STAY` table as \[31\]
+    /// prescribes (close the open stay, open a new one).
     pub fn ingest(&mut self, object: ObjectId, site: SiteId, time: SimTime) {
-        self.observations.push(ObservationRow { object, site, time });
         let stays = self.stays.entry(object).or_default();
         if let Some(last) = stays.last_mut() {
             debug_assert!(time >= last.t_start, "out-of-order ingest");
@@ -163,20 +146,9 @@ impl Warehouse {
         self.stay_rows += 1;
     }
 
-    /// Rows in the `OBSERVATION` table.
-    pub fn observation_rows(&self) -> usize {
-        self.observations.len()
-    }
-
     /// Rows in the `STAY` table (what queries scan).
     pub fn stay_rows(&self) -> usize {
         self.stay_rows
-    }
-
-    /// `L(o, t)` with the charged query time.
-    pub fn locate_timed(&self, object: ObjectId, t: SimTime) -> (Option<SiteId>, SimTime) {
-        let ans = self.locate(object, t);
-        (ans, self.cost.query_time(self.plan, self.stay_rows, usize::from(ans.is_some())))
     }
 
     /// `TR(o, t0, t1)` with the charged query time.
@@ -233,7 +205,6 @@ mod tests {
         w.ingest(obj(1), SiteId(0), ms(10));
         w.ingest(obj(1), SiteId(0), ms(20)); // re-read, same dock
         w.ingest(obj(1), SiteId(1), ms(30));
-        assert_eq!(w.observation_rows(), 3);
         assert_eq!(w.stay_rows(), 2, "re-reads coalesce into one stay");
         let p = w.trace(obj(1), SimTime::ZERO, SimTime::INFINITY);
         assert_eq!(p.len(), 2);
@@ -290,12 +261,9 @@ mod tests {
         for i in 0..100u64 {
             w.ingest(obj(i), SiteId((i % 7) as u32), ms(i));
         }
-        let (ans, t) = w.locate_timed(obj(5), ms(1_000));
-        assert_eq!(ans, Some(SiteId(5)));
-        assert_eq!(t, w.cost.query_time(Plan::FullScan, w.stay_rows(), 1));
-        let (p, t2) = w.trace_timed(obj(5), SimTime::ZERO, SimTime::INFINITY);
+        let (p, t) = w.trace_timed(obj(5), SimTime::ZERO, SimTime::INFINITY);
         assert_eq!(p.len(), 1);
-        assert!(t2 >= t);
+        assert_eq!(t, w.cost.query_time(Plan::FullScan, w.stay_rows(), 1));
     }
 
     proptiny! {

@@ -56,11 +56,14 @@
 //! Like the anomaly counters, the tallies are volatile: never logged.
 //!
 //! **Queries.** `locate`/`trace` are not implemented here: the engine
-//! is a [`RecordSource`] — each read the planner needs is answered from
-//! the local stores or by one request frame to the site that holds it —
-//! and `peertrack::query`, the simulator's own planner, runs over it.
-//! The serving side of every read is `Core::serve_read`, shared by the
-//! frame handler and the engine's local reads.
+//! is a [`RecordSource`] and `peertrack::query`, the simulator's own
+//! planner, runs over it. A site is asked one thing about the query's
+//! object, [`Frame::Holdings`]: its visit history (or its replica
+//! copy's, for a dead primary) and its index entry, answered from the
+//! local stores or by one request frame to that site. The planner
+//! derives every view it walks by from the history. The serving side is
+//! `Core::serve_read`, shared by the frame handler and the engine's
+//! local reads.
 //!
 //! **Routing.** Both planes route on the local ring replica
 //! ([`Core::lookup`]): every node rebuilds the same full-membership
@@ -82,15 +85,15 @@
 //! a read answers "no answer"), never costing the engine.
 //!
 //! **In-flight queries.** No handler waits: a `Locate`/`Trace` is a
-//! table entry holding its *read log* — `(site, request) → reply` — and
-//! the planner is run from the top against it, replaying logged reads
-//! and serving (and logging) local ones. The first remote read the log
-//! lacks is sent on that peer's link and the query parks, its client
-//! connection's inbox suspended so responses keep request order. When
-//! the reply — or the link's death, or `RPC_DEADLINE` — arrives in the
-//! ordinary intake it is appended and the planner re-run; only the run
-//! that finishes touches the cache, the load tally, the metrics or the
-//! client.
+//! table entry holding its *read log* — `(site, request) → reply`, so
+//! at most one request per site and copy — and the planner is run from
+//! the top against it, replaying logged reads and serving (and logging)
+//! local ones. The first remote read the log lacks is sent on that
+//! peer's link and the query parks, its client connection's inbox
+//! suspended so responses keep request order. When the reply — or the
+//! link's death, or `RPC_DEADLINE` — arrives in the ordinary intake it
+//! is appended and the planner re-run; only the run that finishes
+//! touches the cache, the load tally, the metrics or the client.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
 //! carries explicit virtual instants ([`Frame::Capture`]`.at`) and
@@ -108,6 +111,7 @@ use obs::Recorder;
 use peertrack::config::GroupConfig;
 use peertrack::messages::{Msg, Wire};
 use peertrack::query::{self, Incomplete, QueryCost, RecordSource};
+use peertrack::schema::History;
 use peertrack::site::{self, Anomalies, Move, Site};
 use peertrack::store::{IndexEntry, IopRecord, Link};
 use qcache::LocateCache;
@@ -654,49 +658,31 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Read plane: the primitives the query planner asks of a site
+    // Read plane: what the query planner asks of a site
     // ------------------------------------------------------------------
 
-    /// Answer one read request from this node's stores. This is the
-    /// single serving-side implementation of every read primitive: the
-    /// frame handler answers peers' RPCs with it and the engine answers
-    /// its own local reads with it. `None` = not a read request.
-    pub(crate) fn serve_read(&mut self, req: &Frame) -> Option<Frame> {
-        Some(match *req {
-            Frame::GatewayProbe { object } => Frame::LinkResp(self.gateway_probe(object)),
-            Frame::IopKnows { object } => Frame::BoolResp(self.proto.iop.knows(object)),
-            Frame::RecAt { object, time } => {
-                Frame::RecResp(self.proto.iop.record_at(object, time).copied())
-            }
-            Frame::RecLatestAtOrBefore { object, t } => {
-                Frame::RecResp(self.proto.iop.latest_at_or_before(object, t).copied())
-            }
-            Frame::RecFirst { object } => {
-                Frame::RecResp(self.proto.iop.all(object).first().copied())
-            }
-            Frame::RecLatest { object } => Frame::RecResp(self.proto.iop.latest(object).copied()),
-            Frame::ReplRecAt { primary, object, time } => Frame::RecResp(
-                self.proto
-                    .replica_iop
-                    .get(&primary)
-                    .and_then(|st| st.record_at(object, time))
-                    .copied(),
-            ),
-            _ => return None,
-        })
-    }
-
-    /// §IV-A.3 lookup at this gateway, reduced to the in-regime form:
-    /// current-`Lp` shard only. A miss while this node holds a shard on
-    /// the object's path at another length (never in regime) may be
+    /// Answer a read request from this node's stores: the frame handler
+    /// answers peers with it and the engine its own local reads. `None`
+    /// = not a read request.
+    ///
+    /// The entry is the §IV-A.3 lookup reduced to the in-regime form:
+    /// the current-`Lp` shard only. A miss while this node holds a shard
+    /// on the object's path at another length (never in regime) may be
     /// wrong, and is counted unsupported.
-    fn gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
+    pub(crate) fn serve_read(&mut self, req: &Frame) -> Option<Frame> {
+        let Frame::Holdings { object, copy_of } = *req else { return None };
+        if let Some(primary) = copy_of {
+            let copy = self.proto.replica_iop.get(&primary);
+            let history = History(copy.map_or_else(Vec::new, |c| c.all(object).to_vec()));
+            return Some(Frame::HoldingsResp { history, entry: None });
+        }
         let (id, shards) = (object.id(), &self.proto.gateway.prefixes);
         let entry = shards.get(&Prefix::of_id(&id, self.lp)).and_then(|s| s.get(&object));
         if entry.is_none() && shards.keys().any(|q| q.len() != self.lp && q.matches(&id)) {
             self.unsupported += 1;
         }
-        entry.map(|e| e.link())
+        let history = History(self.proto.iop.all(object).to_vec());
+        Some(Frame::HoldingsResp { history, entry: entry.map(|e| e.link()) })
     }
 }
 
@@ -792,7 +778,7 @@ impl site::Host for Core {
         Some(fetched)
     }
 
-    /// Never: [`Core::gateway_probe`] does not search triangle children,
+    /// Never: [`Core::serve_read`] does not search triangle children,
     /// so delegated entries would be lost to reads. Counted instead.
     fn may_delegate(&mut self, _gw: SiteId, _prefix: Prefix) -> bool {
         self.unsupported += 1;
@@ -1829,33 +1815,40 @@ impl Engine {
         }
     }
 
-    /// One read primitive against `site`'s stores, through the running
-    /// query's log: a logged read replays, a local one is served
-    /// in-process and logged, and the first remote one the log lacks
-    /// becomes the read the query parks on. `None` = no answer. Reads at
-    /// the query's current cursor site are uncharged, like the
-    /// simulator's direct state reads; only cursor *moves* pay.
-    fn read(&mut self, site: SiteId, req: Frame) -> Option<Frame> {
+    /// What `site` holds about `object` — in its replica copy of
+    /// `copy_of`'s repository, when set: the visit history and the index
+    /// entry. Read through the running query's log: a logged read
+    /// replays, a local one is served in-process and logged, and the
+    /// first remote one the log lacks becomes the read the query parks
+    /// on. `None` = no answer. Reads at the query's current cursor site
+    /// are uncharged, like the simulator's direct state reads; only
+    /// cursor *moves* pay.
+    fn read(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        copy_of: Option<SiteId>,
+    ) -> Option<(Vec<IopRecord>, Option<Link>)> {
         let q = self.running.as_mut().expect("planner reads happen inside a run");
         if q.wanted.is_some() {
             return None;
         }
+        let req = Frame::Holdings { object, copy_of };
         let key = (site, req.encode());
-        if let Some(reply) = q.log.get(&key) {
-            return reply.clone();
-        }
-        if site != self.core.site {
-            q.wanted = Some(key);
-            return None;
-        }
-        let reply = self.core.serve_read(&req);
-        q.log.insert(key, reply.clone());
-        reply
-    }
-
-    fn read_record(&mut self, site: SiteId, req: Frame) -> Option<IopRecord> {
-        match self.read(site, req) {
-            Some(Frame::RecResp(rec)) => rec,
+        let reply = match q.log.get(&key) {
+            Some(reply) => reply.clone(),
+            None if site != self.core.site => {
+                q.wanted = Some(key);
+                return None;
+            }
+            None => {
+                let reply = self.core.serve_read(&req);
+                q.log.insert(key, reply.clone());
+                reply
+            }
+        };
+        match reply? {
+            Frame::HoldingsResp { history, entry } => Some((history.0, entry)),
             _ => None,
         }
     }
@@ -1908,11 +1901,11 @@ impl Engine {
     }
 }
 
-/// The planner's reads, each one request frame: served from this node's
-/// own stores or a peer's through the running query's read log
-/// ([`Engine::read`]). A transport failure is "no answer", which the
-/// planner reports as an incomplete query — never as "not in the
-/// system".
+/// The planner's reads, one [`Frame::Holdings`] per site and copy:
+/// served from this node's own stores or a peer's through the running
+/// query's read log ([`Engine::read`]). A transport failure is "no
+/// answer", which the planner reports as an incomplete query — never as
+/// "not in the system".
 impl RecordSource for Engine {
     fn route(&mut self, _from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete> {
         let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
@@ -1920,43 +1913,19 @@ impl RecordSource for Engine {
         Ok(r.path[1..].iter().map(|nid| self.core.site_of_chord(nid)).collect())
     }
 
-    fn knows(&mut self, site: SiteId, object: ObjectId) -> bool {
-        matches!(self.read(site, Frame::IopKnows { object }), Some(Frame::BoolResp(true)))
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
+        self.read(site, object, None).map(|(history, _)| history).unwrap_or_default()
     }
 
     /// The gateway's own cost beyond being reached is nil in the
-    /// daemon's regime ([`Core::gateway_probe`]).
+    /// daemon's regime ([`Core::serve_read`]).
     fn gateway_lookup(
         &mut self,
         gateway: SiteId,
         object: ObjectId,
         _cost: &mut QueryCost,
     ) -> Result<Option<Link>, Incomplete> {
-        match self.read(gateway, Frame::GatewayProbe { object }) {
-            Some(Frame::LinkResp(link)) => Ok(link),
-            _ => Err(Incomplete),
-        }
-    }
-
-    fn record_at(&mut self, site: SiteId, object: ObjectId, time: SimTime) -> Option<IopRecord> {
-        self.read_record(site, Frame::RecAt { object, time })
-    }
-
-    fn latest_at_or_before(
-        &mut self,
-        site: SiteId,
-        object: ObjectId,
-        t: SimTime,
-    ) -> Option<IopRecord> {
-        self.read_record(site, Frame::RecLatestAtOrBefore { object, t })
-    }
-
-    fn first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        self.read_record(site, Frame::RecFirst { object })
-    }
-
-    fn latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        self.read_record(site, Frame::RecLatest { object })
+        self.read(gateway, object, None).map(|(_, entry)| entry).ok_or(Incomplete)
     }
 
     fn alive(&self, site: SiteId) -> bool {
@@ -1967,14 +1936,13 @@ impl RecordSource for Engine {
         self.core.holders_of_dead(site)
     }
 
-    fn replica_record_at(
+    fn replica_history(
         &mut self,
         holder: SiteId,
         primary: SiteId,
         object: ObjectId,
-        time: SimTime,
-    ) -> Option<IopRecord> {
-        self.read_record(holder, Frame::ReplRecAt { primary, object, time })
+    ) -> Vec<IopRecord> {
+        self.read(holder, object, Some(primary)).map(|(history, _)| history).unwrap_or_default()
     }
 }
 
@@ -2056,13 +2024,18 @@ mod tests {
         use transport::{write_frame, FrameAccum};
         let link = Link { site: SiteId(3), time: SimTime::from_micros(9) };
         let rec = IopRecord { arrived: SimTime::from_micros(5), from: Some(link), to: None };
-        let replies = [Frame::RecResp(Some(rec)), Frame::LinkResp(Some(link)), Frame::BoolResp(true)];
+        let holdings = |history: Vec<IopRecord>, entry| Frame::HoldingsResp {
+            history: History(history),
+            entry,
+        };
+        let replies =
+            [holdings(vec![rec], Some(link)), holdings(vec![rec], None), holdings(vec![], None)];
         let samples: Vec<Vec<u8>> = replies
             .iter()
             .map(|first| {
                 let mut wire = Vec::new();
                 write_frame(&mut wire, &first.encode()).unwrap();
-                write_frame(&mut wire, &Frame::BoolResp(false).encode()).unwrap();
+                write_frame(&mut wire, &holdings(vec![], Some(link)).encode()).unwrap();
                 wire
             })
             .collect();
@@ -2102,7 +2075,7 @@ mod tests {
         hostile_bytes(&samples, |raw| drop(read(raw)));
         // Nobody asked: the frame is the link's last.
         let mut none = VecDeque::new();
-        let mut frames = vec![Frame::BoolResp(true).encode()];
+        let mut frames = vec![holdings(vec![rec], None).encode()];
         assert!(!match_replies(|| frames.pop(), &mut none, &mut Vec::new()));
     }
 
@@ -2159,11 +2132,11 @@ mod tests {
         assert!(core.take_outbox().iter().all(|out| !matches!(out.wire.msg, Msg::Delegate { .. })));
         let shard = &core.proto.gateway.prefixes[&prefix];
         assert!(objects.iter().all(|o| shard.get(o).is_some()) && !shard.delegated);
-        let earliest = Frame::GatewayProbe { object: objects[0] };
-        let link = Link { site: SiteId(2), time: SimTime::from_millis(1) };
+        let earliest = Frame::Holdings { object: objects[0], copy_of: None };
+        let entry = Some(Link { site: SiteId(2), time: SimTime::from_millis(1) });
         assert_eq!(
             core.serve_read(&earliest).map(|f| f.encode()),
-            Some(Frame::LinkResp(Some(link)).encode())
+            Some(Frame::HoldingsResp { history: History::default(), entry }.encode())
         );
         assert_eq!(core.unsupported(), 1);
     }

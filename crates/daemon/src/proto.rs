@@ -9,8 +9,9 @@
 //!   sender, the *model* hop count the simulator would have charged,
 //!   and a wall-clock send timestamp for receiver-side latency
 //!   histograms. Fire-and-forget: no reply.
-//! * **RPCs** — node↔node request/response pairs driven by a query
-//!   origin: gateway/IOP probes, IOP record fetches. Replied on the
+//! * **RPC** — the one node↔node request a query origin makes:
+//!   [`Frame::Holdings`], a site's visit history of one object plus its
+//!   index entry, replied with [`Frame::HoldingsResp`] on the
 //!   originating connection.
 //! * **Control** — harness/operator→node requests: capture injection,
 //!   window flush, locate/trace, status, shutdown.
@@ -26,6 +27,7 @@ use moods::{ObjectId, Path, SiteId};
 use peertrack::bytebuf::{ByteBuf, Reader};
 use peertrack::codec::DecodeError;
 use peertrack::messages::Wire;
+use peertrack::schema::History;
 use peertrack::store::{IopRecord, Link};
 use peertrack::{wire_enum, wire_struct};
 use simnet::SimTime;
@@ -82,9 +84,10 @@ impl From<peertrack::query::QueryCost> for CostWire {
 }
 
 wire_enum! {
-    /// Everything that crosses a daemon socket. Kinds 1–25 are requests,
-    /// 32–42 responses; 11 and 36 are retired (the networked Chord
-    /// walk) and never reused.
+    /// Everything that crosses a daemon socket. Kinds 1–26 are requests,
+    /// 32–43 responses. Retired and never reused: 11 and 36 (the
+    /// networked Chord walk), and 12–14, 16, 17, 22, 37 and 38 (the
+    /// per-view reads [`Frame::Holdings`] replaced).
     #[derive(Clone, Debug)]
     pub enum Frame {
         // -------------------------------------------------- protocol plane
@@ -217,52 +220,24 @@ wire_enum! {
         } = 25,
 
         // -------------------------------------------------- rpc plane
-        /// Gateway probe: does your current-`Lp` shard index `object`?
-        GatewayProbe {
+        /// The one read a query makes of a site: everything it holds
+        /// about `object`. Replied with [`Frame::HoldingsResp`].
+        Holdings {
             /// The object.
             object: ObjectId,
-        } = 12,
-        /// Does your IOP repository know `object` at all?
-        IopKnows {
-            /// The object.
-            object: ObjectId,
-        } = 13,
-        /// Fetch the IOP record whose arrival time is exactly `time`.
-        RecAt {
-            /// The object.
-            object: ObjectId,
-            /// Exact arrival time of the wanted record.
-            time: SimTime,
-        } = 14,
-        /// Fetch the latest IOP record with arrival ≤ `t`.
+            /// `Some(primary)`: read the receiver's replica copy of dead
+            /// `primary`'s repository instead of its own.
+            copy_of: Option<SiteId>,
+        } = 26,
+        /// The latest IOP record with arrival ≤ `t`. Declared only for
+        /// the benchmark's modeled RPC exchange: no node sends or serves
+        /// it.
         RecLatestAtOrBefore {
             /// The object.
             object: ObjectId,
             /// Upper bound on arrival.
             t: SimTime,
         } = 15,
-        /// Fetch the earliest IOP record.
-        RecFirst {
-            /// The object.
-            object: ObjectId,
-        } = 16,
-        /// Fetch the latest IOP record.
-        RecLatest {
-            /// The object.
-            object: ObjectId,
-        } = 17,
-        /// Replica probe: fetch, from the receiver's **replica copy** of
-        /// dead `primary`'s repository, the IOP record whose arrival time
-        /// is exactly `time`. Queries fall back to this when a trace walks
-        /// through a permanently-lost site. Replied with [`Frame::RecResp`].
-        ReplRecAt {
-            /// The dead primary whose replica copy is being probed.
-            primary: SiteId,
-            /// The object.
-            object: ObjectId,
-            /// Exact arrival time of the wanted record.
-            time: SimTime,
-        } = 22,
 
         // -------------------------------------------------- responses
         /// Generic acknowledgement.
@@ -301,11 +276,17 @@ wire_enum! {
             /// region cut or down since a failed dial.
             held: u64,
         } = 35,
-        /// Reply to [`Frame::GatewayProbe`]: the latest-state link on hit.
-        LinkResp(Option<Link>) = 37,
-        /// Reply to [`Frame::IopKnows`].
-        BoolResp(bool) = 38,
-        /// Reply to the `Rec*` fetches.
+        /// Reply to [`Frame::Holdings`].
+        HoldingsResp {
+            /// The site's visit records of the object (of its replica
+            /// copy's, for `copy_of`), in arrival order.
+            history: History,
+            /// The site's current-`Lp` index entry for the object, as its
+            /// latest-state link; `None` for a replica copy.
+            entry: Option<Link>,
+        } = 43,
+        /// Reply to [`Frame::RecLatestAtOrBefore`]. Declared only for the
+        /// benchmark's modeled RPC exchange: no node sends or serves it.
         RecResp(Option<IopRecord>) = 39,
         /// Reply to [`Frame::QueryLoad`]. `loads` attributes each locate
         /// this node originated to the site that answered it (gateway or
@@ -362,6 +343,10 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    fn link(site: u32, us: u64) -> Link {
+        Link { site: SiteId(site), time: t(us) }
+    }
+
     fn samples() -> Vec<Frame> {
         vec![
             Frame::Protocol {
@@ -395,13 +380,7 @@ mod tests {
             Frame::Resolve { site: SiteId(3) },
             Frame::RegionCut { a: 0, b: 2 },
             Frame::RegionHeal { a: 0, b: 2 },
-            Frame::GatewayProbe { object: obj(1) },
-            Frame::IopKnows { object: obj(1) },
-            Frame::RecAt { object: obj(1), time: t(3) },
             Frame::RecLatestAtOrBefore { object: obj(1), t: t(3) },
-            Frame::RecFirst { object: obj(1) },
-            Frame::RecLatest { object: obj(1) },
-            Frame::ReplRecAt { primary: SiteId(6), object: obj(1), time: t(3) },
             Frame::Ack,
             Frame::LocateResp {
                 answer: Some(SiteId(2)),
@@ -431,9 +410,6 @@ mod tests {
                 misses: 9,
             },
             Frame::QueryLoadResp { loads: Vec::new(), hits: 0, misses: 0 },
-            Frame::LinkResp(Some(Link { site: SiteId(1), time: t(2) })),
-            Frame::LinkResp(None),
-            Frame::BoolResp(true),
             Frame::RecResp(Some(IopRecord {
                 arrived: t(1),
                 from: None,
@@ -444,6 +420,16 @@ mod tests {
             Frame::StateResp(Vec::new()),
             Frame::AddrResp(Some("127.0.0.1:7401".into())),
             Frame::AddrResp(None),
+            Frame::Holdings { object: obj(1), copy_of: None },
+            Frame::Holdings { object: obj(1), copy_of: Some(SiteId(6)) },
+            Frame::HoldingsResp {
+                history: History(vec![
+                    IopRecord { arrived: t(1), from: None, to: Some(link(2, 5)) },
+                    IopRecord { arrived: t(9), from: Some(link(2, 5)), to: None },
+                ]),
+                entry: Some(link(1, 9)),
+            },
+            Frame::HoldingsResp { history: History::default(), entry: None },
         ]
     }
 
@@ -453,7 +439,7 @@ mod tests {
     /// `LocateResp` were already pinned before the borrowed `Reader`;
     /// before `in_flight` and `held`, `StatusResp` encoded as
     /// 230000000100000005000000000000000a0000000000000009.
-    const GOLDEN: [&str; 40] = [
+    const GOLDEN: [&str; 35] = [
         "010000000300000002000000000012d687000000590201000000000000000000000000002a0340000000000000000000000300000002cb473678976f425d6ec1339838f11011007ad27d000000000000000507aae1b618f604c684ee3189fa1723bef8656fe40000000000000006",
         "02000000040000000e3132372e302e302e313a39393939",
         "0300000002000000000000000b3132372e302e302e313a31000000040000000b3132372e302e302e313a32",
@@ -471,13 +457,7 @@ mod tests {
         "1400000003",
         "180000000000000002",
         "190000000000000002",
-        "0ccb473678976f425d6ec1339838f11011007ad27d",
-        "0dcb473678976f425d6ec1339838f11011007ad27d",
-        "0ecb473678976f425d6ec1339838f11011007ad27d0000000000000003",
         "0fcb473678976f425d6ec1339838f11011007ad27d0000000000000003",
-        "10cb473678976f425d6ec1339838f11011007ad27d",
-        "11cb473678976f425d6ec1339838f11011007ad27d",
-        "1600000006cb473678976f425d6ec1339838f11011007ad27d0000000000000003",
         "20",
         "21010000000200000000000000030000000000000005000000000000009001",
         "21000000000000000000000000000000000000000000000000000000000000",
@@ -485,15 +465,16 @@ mod tests {
         "230000000100000005000000000000000a000000000000000900000000000000010000000000000000",
         "2a00000002000000000000000000000003000000020000000000000011000000000000000b0000000000000009",
         "2a0000000000000000000000000000000000000000",
-        "2501000000010000000000000002",
-        "2500000000000000000000000000",
-        "2601",
         "270100000000000000010000000000000000000000000001000000020000000000000009",
         "2700",
         "2800000005abcdef0001",
         "2800000000",
         "29010000000e3132372e302e302e313a37343031",
         "2900",
+        "1acb473678976f425d6ec1339838f11011007ad27d0000000000",
+        "1acb473678976f425d6ec1339838f11011007ad27d0100000006",
+        "2b00000002000000000000000100000000000000000000000000010000000200000000000000050000000000000009010000000200000000000000050000000000000000000000000001000000010000000000000009",
+        "2b0000000000000000000000000000000000",
     ];
 
     #[test]
@@ -524,11 +505,27 @@ mod tests {
             Frame::decode(&cut).unwrap_err(),
             ProtoError::Codec(DecodeError::OutOfRange(65_536))
         );
-        // Kinds 11 and 36 (the networked Chord walk) are retired: what a
-        // peer from before would send for them no longer names a frame.
-        for old in [[&[11][..], &[0; 20]].concat(), [&[36, 1][..], &[0; 20]].concat()] {
-            assert_eq!(Frame::decode(&old).unwrap_err(), ProtoError::BadKind(old[0]));
+        // Retired kinds — the networked Chord walk (11, 36) and the
+        // per-view reads (12–14, 16, 17, 22, 37, 38) — no longer name a
+        // frame, whatever a peer from before sends with them.
+        for kind in [11, 12, 13, 14, 16, 17, 22, 36, 37, 38] {
+            let old = [&[kind][..], &[1; 40]].concat();
+            assert_eq!(Frame::decode(&old).unwrap_err(), ProtoError::BadKind(kind));
         }
+    }
+
+    /// A history reply out of arrival order is refused: the planner
+    /// binary-searches what a peer sends.
+    #[test]
+    fn holdings_reply_out_of_arrival_order_is_refused() {
+        let rec = |us| IopRecord { arrived: t(us), from: None, to: None };
+        let reply = |history| Frame::HoldingsResp { history: History(history), entry: None };
+        let same_instant = reply(vec![rec(1), rec(3), rec(3)]).encode();
+        assert!(Frame::decode(&same_instant).is_ok());
+        assert_eq!(
+            Frame::decode(&reply(vec![rec(3), rec(1)]).encode()).unwrap_err(),
+            ProtoError::Codec(DecodeError::Unsorted)
+        );
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// P(rank = r), for tests and analytical checks.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - lo
-    }
-
     /// Draw one 0-based rank. Costs exactly one `next_u64`.
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         let u = unit_f64(rng);
@@ -108,8 +102,6 @@ mod tests {
                 assert!(z.cdf[r] > z.cdf[r - 1], "CDF must be strictly increasing");
             }
             assert_eq!(*z.cdf.last().unwrap(), 1.0);
-            let total: f64 = (0..n).map(|r| z.pmf(r)).sum();
-            assert!((total - 1.0).abs() < 1e-9);
         }
     }
 

@@ -52,13 +52,6 @@ pub struct Recovery {
     pub tail: Vec<WalEntry>,
 }
 
-impl Recovery {
-    /// True when the directory held no prior state at all.
-    pub fn is_fresh(&self) -> bool {
-        self.snapshot.is_none() && self.tail.is_empty()
-    }
-}
-
 /// One node's open data directory: the WAL positioned for appends plus
 /// the snapshot slot.
 pub struct DataDir {
@@ -136,7 +129,7 @@ mod tests {
     fn fresh_dir_recovers_empty() {
         let dir = tmp("fresh");
         let (_, rec) = DataDir::open(&dir, FsyncMode::Never).unwrap();
-        assert!(rec.is_fresh());
+        assert!(rec.snapshot.is_none() && rec.tail.is_empty());
     }
 
     #[test]

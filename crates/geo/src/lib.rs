@@ -139,11 +139,6 @@ impl Topology {
         self.site_region[site % self.site_region.len()]
     }
 
-    /// Base one-way latency between two regions, µs.
-    pub fn base_us(&self, from: RegionId, to: RegionId) -> u64 {
-        self.latency_us[from as usize * self.regions + to as usize]
-    }
-
     /// Jitter bound between two regions, µs (0 = no draw).
     pub fn jitter_bound_us(&self, from: RegionId, to: RegionId) -> u64 {
         self.jitter_us[from as usize * self.regions + to as usize]
@@ -155,12 +150,6 @@ impl Topology {
     pub fn wire_us(&self, from: RegionId, to: RegionId, bytes: usize) -> u64 {
         let idx = from as usize * self.regions + to as usize;
         self.latency_us[idx] + (bytes as u64 * self.per_kib_us[idx]) / 1024
-    }
-
-    /// Deterministic wire cost between two *sites* (the site→region
-    /// mapping applied for the caller).
-    pub fn wire_us_sites(&self, from_site: usize, to_site: usize, bytes: usize) -> u64 {
-        self.wire_us(self.region_of(from_site), self.region_of(to_site), bytes)
     }
 
     /// Do two sites sit in different regions?
@@ -313,7 +302,7 @@ mod tests {
         let t = Topology::single_region(8);
         assert!(t.is_zero());
         assert_eq!(t.regions(), 1);
-        assert_eq!(t.wire_us_sites(0, 7, 4096), 0);
+        assert_eq!(t.wire_us(t.region_of(0), t.region_of(7), 4096), 0);
         assert!(!t.is_cross(0, 7));
         assert_eq!(t.jitter_bound_us(0, 0), 0);
     }
@@ -328,9 +317,9 @@ mod tests {
         assert_eq!(t.region_of(4), 1);
         assert_eq!(t.region_of(8), 2);
         // Symmetric base latencies, bandwidth term on top.
-        assert_eq!(t.base_us(0, 1), 45_000);
-        assert_eq!(t.base_us(1, 0), 45_000);
-        assert_eq!(t.base_us(0, 2), 120_000);
+        assert_eq!(t.wire_us(0, 1, 0), 45_000);
+        assert_eq!(t.wire_us(1, 0, 0), 45_000);
+        assert_eq!(t.wire_us(0, 2, 0), 120_000);
         assert_eq!(t.wire_us(0, 0, 0), 2_000);
         assert_eq!(t.wire_us(0, 1, 1024), 45_000 + 150);
         assert_eq!(t.jitter_bound_us(1, 2), 7_500);

@@ -1,7 +1,7 @@
 //! Query API over a recorded causal trace.
 
 use simnet::trace::{EventId, TraceEvent, TraceKind};
-use simnet::{NodeIndex, SimTime};
+use simnet::SimTime;
 
 /// A read-only lens over an event log (usually
 /// [`Recorder::events`](crate::Recorder::events)).
@@ -38,11 +38,6 @@ impl<'a> TraceView<'a> {
     /// Look an event up by id.
     pub fn by_id(&self, id: EventId) -> Option<&'a TraceEvent> {
         self.events.binary_search_by_key(&id, |e| e.id).ok().map(|i| &self.events[i])
-    }
-
-    /// Events a node participated in (as `node` or `peer`).
-    pub fn filter_node(&self, node: NodeIndex) -> Vec<&'a TraceEvent> {
-        self.events.iter().filter(|e| e.node == node || e.peer == node).collect()
     }
 
     /// Events carrying a context tag (e.g. the per-object digest the
@@ -182,7 +177,6 @@ mod tests {
         let v = TraceView::new(&log);
         assert_eq!(v.filter_ctx(5).len(), 1);
         assert_eq!(v.between(SimTime::from_micros(15), SimTime::from_micros(25)).len(), 1);
-        assert_eq!(v.filter_node(1).len(), 3);
         assert!(v.by_id(9).is_none());
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::bytebuf::{ByteBuf, Reader};
 use crate::messages::{Msg, HEADER_BYTES};
-use crate::schema::{put_seq, Field};
-use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore};
+use crate::schema::{put_seq, Field, History};
+use crate::store::{GatewayStore, IndexEntry, IopStore};
 use ids::Prefix;
 use moods::{ObjectId, SiteId};
 use simnet::SimTime;
@@ -123,15 +123,9 @@ pub fn put_state_iop(buf: &mut ByteBuf, iop: &IopStore) {
 /// Decode an IOP repository (inverse of [`put_state_iop`]).
 pub fn get_state_iop(r: &mut Reader) -> Result<IopStore, DecodeError> {
     let mut iop = IopStore::new();
-    for _ in 0..r.len(ObjectId::MIN + <Vec<IopRecord>>::MIN)? {
+    for _ in 0..r.len(ObjectId::MIN + History::MIN)? {
         let object = ObjectId::get(r)?;
-        let records: Vec<IopRecord> = Field::get(r)?;
-        // The store binary-searches histories; one out of arrival order
-        // is corrupt input, not something to install.
-        if !records.is_sorted_by_key(|rec| rec.arrived) {
-            return Err(DecodeError::Unsorted);
-        }
-        iop.insert_history(object, records);
+        iop.insert_history(object, History::get(r)?.0);
     }
     Ok(iop)
 }
@@ -209,7 +203,7 @@ pub fn get_state_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Link;
+    use crate::store::{IopRecord, Link};
     use proptiny::{hex, hostile_bytes};
     use proptiny::prelude::*;
 
@@ -467,6 +461,19 @@ mod tests {
         for n in 1..=4 {
             assert_eq!(back.all(obj(n)), a.all(obj(n)));
         }
+    }
+
+    /// A repository whose history is out of arrival order is refused,
+    /// by the field the daemon's history reply decodes through too.
+    #[test]
+    fn state_iop_history_out_of_arrival_order_is_refused() {
+        let rec = |us| IopRecord { arrived: SimTime::from_micros(us), from: None, to: None };
+        let mut buf = ByteBuf::new();
+        buf.put_u32(1);
+        obj(1).put(&mut buf);
+        vec![rec(20), rec(10)].put(&mut buf);
+        let bytes = buf.into_vec();
+        assert_eq!(get_state_iop(&mut Reader::new(&bytes)).unwrap_err(), DecodeError::Unsorted);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl IndexingMode {
     pub fn group_default() -> IndexingMode {
         IndexingMode::Group(GroupConfig::default())
     }
-
-    /// Is this the group mode?
-    pub fn is_group(&self) -> bool {
-        matches!(self, IndexingMode::Group(_))
-    }
 }
 
 /// Timeout/retry/backoff parameters for the at-least-once delivery
@@ -288,12 +283,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = GroupConfig { t_max: SimTime::ZERO, ..GroupConfig::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn mode_predicates() {
-        assert!(IndexingMode::group_default().is_group());
-        assert!(!IndexingMode::Individual.is_group());
     }
 
     #[test]

@@ -37,16 +37,6 @@ pub fn group_batch(observations: &[(ObjectId, SimTime)], lp: usize) -> Vec<Group
         .collect()
 }
 
-/// Upper bound on the number of groups a batch of `n` objects can form
-/// at prefix length `lp` (`min(n, 2^lp)`); used by capacity planning and
-/// asserted by tests.
-pub fn max_groups(n: usize, lp: usize) -> usize {
-    if lp >= usize::BITS as usize - 1 {
-        return n;
-    }
-    n.min(1usize << lp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +94,6 @@ mod tests {
         assert!(group_batch(&[], 8).is_empty());
     }
 
-    #[test]
-    fn max_groups_bounds() {
-        assert_eq!(max_groups(1000, 4), 16);
-        assert_eq!(max_groups(10, 10), 10);
-        assert_eq!(max_groups(10, 63), 10);
-        assert_eq!(max_groups(10, 64), 10);
-    }
-
     proptiny! {
         #[test]
         fn prop_grouping_is_a_partition(
@@ -133,7 +115,8 @@ mod tests {
                     prop_assert!(g.prefix.matches(&o.id()));
                 }
             }
-            prop_assert!(groups.len() <= max_groups(obs.len(), lp));
+            // At most one group per object and per prefix of length `lp`.
+            prop_assert!(groups.len() <= obs.len().min(1 << lp));
         }
     }
 }

@@ -17,15 +17,19 @@
 //!
 //! This module is the **only** implementation of that procedure. The
 //! planner ([`locate`], [`trace`] and the walks under them) is generic
-//! over a [`RecordSource`] — the handful of reads a query performs — so
-//! the simulator (`&NetWorld`, below) and the socket daemon (local read
-//! or RPC) run the same code and charge the same [`QueryCost`]. The
-//! simulator's façade converts cost to simulated time via the latency
-//! model and records it in the metrics, mirroring how the paper "added
-//! 5ms as the network latency for each network query" (§V-B).
+//! over a [`RecordSource`], so the simulator (`&NetWorld`, below) and
+//! the socket daemon (local read or RPC) run the same code and charge
+//! the same [`QueryCost`]. A site answers one read about an object: its
+//! visit history, plus the index entry when it is the gateway. Every
+//! view the walks need — does the site know the object, the visit at a
+//! link, the latest visit at or before `t`, the first, the latest — is
+//! derived here from that history by `crate::store`'s slice functions.
+//! The simulator's façade converts cost to simulated time via the
+//! latency model and records it in the metrics, mirroring how the paper
+//! "added 5ms as the network latency for each network query" (§V-B).
 
 use crate::messages::{HEADER_BYTES, OBJECT_ID_BYTES, TIME_BYTES};
-use crate::store::{IopRecord, Link};
+use crate::store::{self, IopRecord, Link};
 use crate::world::NetWorld;
 use ids::Prefix;
 use moods::{ObjectId, Path, SiteId, Visit};
@@ -129,14 +133,15 @@ pub struct Incomplete;
 /// The reads one query performs, each addressed to the site that serves
 /// it. The simulator answers them from `&NetWorld`; the daemon answers
 /// local ones from its own stores and each remote one with one request
-/// frame.
+/// frame. A history read answers "none" and "no answer" alike, with an
+/// empty history: the planner treats the two the same.
 pub trait RecordSource {
     /// Overlay route from `from` towards `object`'s gateway: the sites
     /// visited after `from`, ending with the gateway. Empty when `from`
     /// itself owns the key.
     fn route(&mut self, from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete>;
-    /// Does `site`'s repository hold any visit record of `object`?
-    fn knows(&mut self, site: SiteId, object: ObjectId) -> bool;
+    /// `site`'s visit records of `object`, in arrival order.
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord>;
     /// The §IV-A.3 index lookup at `gateway`: the object's latest-state
     /// link, `Ok(None)` when the index does not know it. Whatever the
     /// lookup spends beyond reaching the gateway is charged to `cost`.
@@ -146,28 +151,15 @@ pub trait RecordSource {
         object: ObjectId,
         cost: &mut QueryCost,
     ) -> Result<Option<Link>, Incomplete>;
-    /// `site`'s visit record of `object` that arrived at `at`.
-    fn record_at(&mut self, site: SiteId, object: ObjectId, at: SimTime) -> Option<IopRecord>;
-    /// `site`'s latest visit record of `object` arriving at or before `t`.
-    fn latest_at_or_before(&mut self, site: SiteId, object: ObjectId, t: SimTime)
-        -> Option<IopRecord>;
-    /// `site`'s earliest visit record of `object`.
-    fn first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord>;
-    /// `site`'s latest visit record of `object`.
-    fn latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord>;
     /// Is `site` still a member (its own repository can be asked)?
     fn alive(&self, site: SiteId) -> bool;
     /// The live sites to probe for replica copies of departed `site`'s
     /// repository, in probe order. Empty without replication.
     fn replica_holders(&self, site: SiteId) -> Vec<SiteId>;
-    /// `holder`'s replica copy of `primary`'s visit record.
-    fn replica_record_at(
-        &mut self,
-        holder: SiteId,
-        primary: SiteId,
-        object: ObjectId,
-        at: SimTime,
-    ) -> Option<IopRecord>;
+    /// `holder`'s replica copy of `primary`'s visit records of `object`,
+    /// in arrival order.
+    fn replica_history(&mut self, holder: SiteId, primary: SiteId, object: ObjectId)
+        -> Vec<IopRecord>;
     /// Charge whatever the network plane adds for one query-sized
     /// message `from -> to` (the simulator's WAN topology). Nothing by
     /// default.
@@ -190,7 +182,7 @@ fn discover<S: RecordSource>(
     cost: &mut QueryCost,
 ) -> Result<(AnswerSource, Option<Link>), Incomplete> {
     // Local repository?
-    if src.knows(from, object) {
+    if !src.history(from, object).is_empty() {
         return Ok((AnswerSource::Local, None));
     }
     to_gateway(src, from, object, cost, true)
@@ -213,7 +205,7 @@ fn to_gateway<S: RecordSource>(
         cost.step(1);
         src.wire(cost, at, site);
         at = site;
-        if anchor && i + 1 < path.len() && src.knows(site, object) {
+        if anchor && i + 1 < path.len() && !src.history(site, object).is_empty() {
             return Ok((AnswerSource::Intermediate(site), None));
         }
     }
@@ -238,7 +230,8 @@ pub fn fetch_record<S: RecordSource>(
         *current = target.site;
     }
     if src.alive(target.site) {
-        return src.record_at(target.site, object, target.time).ok_or(Incomplete);
+        let history = src.history(target.site, object);
+        return store::record_at(&history, target.time).copied().ok_or(Incomplete);
     }
     // The organization is gone. With replication the record survives on
     // the dead site's successors — probe the holders of its repository
@@ -249,9 +242,10 @@ pub fn fetch_record<S: RecordSource>(
     for holder in src.replica_holders(target.site) {
         cost.step(1);
         src.wire(cost, *current, holder);
-        if let Some(rec) = src.replica_record_at(holder, target.site, object, target.time) {
+        let copy = src.replica_history(holder, target.site, object);
+        if let Some(rec) = store::record_at(&copy, target.time) {
             *current = holder;
-            return Ok(rec);
+            return Ok(*rec);
         }
     }
     Err(Incomplete)
@@ -344,7 +338,8 @@ fn locate_from_records<S: RecordSource>(
     cost: &mut QueryCost,
 ) -> Result<Option<SiteId>, Incomplete> {
     let site = *current;
-    if let Some(rec) = src.latest_at_or_before(site, object, t) {
+    let history = src.history(site, object);
+    if let Some(rec) = store::latest_at_or_before(&history, t) {
         // The object was here at or before t; is it still the relevant
         // visit, or did it move on before t?
         let here = Link { site, time: rec.arrived };
@@ -352,7 +347,7 @@ fn locate_from_records<S: RecordSource>(
     }
     // All local records are later than t: walk backward from the
     // earliest local record.
-    let first = src.first(site, object).ok_or(Incomplete)?;
+    let first = history.first().ok_or(Incomplete)?;
     walk_back(src, current, first.from, object, t, cost)
 }
 
@@ -385,7 +380,7 @@ pub fn trace<S: RecordSource>(
     // visit; for a record anchor, the site's latest local record.
     let start = match latest {
         Some(link) => link,
-        None => match src.latest(current, object) {
+        None => match src.history(current, object).last() {
             Some(rec) => Link { site: current, time: rec.arrived },
             None => return (Vec::new(), source, false),
         },
@@ -449,8 +444,8 @@ impl RecordSource for &NetWorld {
         Ok(sites.map(|i| SiteId(i as u32)).collect())
     }
 
-    fn knows(&mut self, site: SiteId, object: ObjectId) -> bool {
-        self.sites[site.0 as usize].iop.knows(object)
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
+        self.sites[site.0 as usize].iop.all(object).to_vec()
     }
 
     fn gateway_lookup(
@@ -460,27 +455,6 @@ impl RecordSource for &NetWorld {
         cost: &mut QueryCost,
     ) -> Result<Option<Link>, Incomplete> {
         Ok(gateway_lookup(self, gateway.0 as usize, object, cost))
-    }
-
-    fn record_at(&mut self, site: SiteId, object: ObjectId, at: SimTime) -> Option<IopRecord> {
-        self.sites[site.0 as usize].iop.record_at(object, at).copied()
-    }
-
-    fn latest_at_or_before(
-        &mut self,
-        site: SiteId,
-        object: ObjectId,
-        t: SimTime,
-    ) -> Option<IopRecord> {
-        self.sites[site.0 as usize].iop.latest_at_or_before(object, t).copied()
-    }
-
-    fn first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        self.sites[site.0 as usize].iop.all(object).first().copied()
-    }
-
-    fn latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        self.sites[site.0 as usize].iop.latest(object).copied()
     }
 
     fn alive(&self, site: SiteId) -> bool {
@@ -495,15 +469,14 @@ impl RecordSource for &NetWorld {
             .collect()
     }
 
-    fn replica_record_at(
+    fn replica_history(
         &mut self,
         holder: SiteId,
         primary: SiteId,
         object: ObjectId,
-        at: SimTime,
-    ) -> Option<IopRecord> {
-        let copy = self.sites[holder.0 as usize].replica_iop.get(&primary)?;
-        copy.record_at(object, at).copied()
+    ) -> Vec<IopRecord> {
+        let copy = self.sites[holder.0 as usize].replica_iop.get(&primary);
+        copy.map_or_else(Vec::new, |c| c.all(object).to_vec())
     }
 
     /// The topology's deterministic wire cost. No-op without a
@@ -650,9 +623,6 @@ mod tests {
         dead: HashMap<SiteId, Vec<SiteId>>,
         cut_route: bool,
         cut_gateway: bool,
-        /// Every site claims to know every object — a source whose
-        /// records vanish between `knows` and the keyed read.
-        phantom: bool,
     }
 
     impl Fake {
@@ -690,8 +660,8 @@ mod tests {
             let hops = (gw.0 + SITES - from.0) % SITES;
             Ok((1..=hops).map(|h| SiteId((from.0 + h) % SITES)).collect())
         }
-        fn knows(&mut self, site: SiteId, object: ObjectId) -> bool {
-            self.phantom || self.iop[site.0 as usize].knows(object)
+        fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
+            self.iop[site.0 as usize].all(object).to_vec()
         }
         fn gateway_lookup(
             &mut self,
@@ -704,38 +674,23 @@ mod tests {
             }
             Ok(self.index.get(&object).filter(|e| e.0 == gateway).map(|e| e.1))
         }
-        fn record_at(&mut self, site: SiteId, object: ObjectId, at: SimTime) -> Option<IopRecord> {
-            self.iop[site.0 as usize].record_at(object, at).copied()
-        }
-        fn latest_at_or_before(
-            &mut self,
-            site: SiteId,
-            object: ObjectId,
-            t: SimTime,
-        ) -> Option<IopRecord> {
-            self.iop[site.0 as usize].latest_at_or_before(object, t).copied()
-        }
-        fn first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-            self.iop[site.0 as usize].all(object).first().copied()
-        }
-        fn latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-            self.iop[site.0 as usize].latest(object).copied()
-        }
         fn alive(&self, site: SiteId) -> bool {
             !self.dead.contains_key(&site)
         }
         fn replica_holders(&self, site: SiteId) -> Vec<SiteId> {
             self.dead[&site].clone()
         }
-        fn replica_record_at(
+        fn replica_history(
             &mut self,
             holder: SiteId,
             primary: SiteId,
             object: ObjectId,
-            at: SimTime,
-        ) -> Option<IopRecord> {
-            let has_copy = self.dead[&primary].last() == Some(&holder);
-            self.iop[primary.0 as usize].record_at(object, at).filter(|_| has_copy).copied()
+        ) -> Vec<IopRecord> {
+            if self.dead[&primary].last() == Some(&holder) {
+                self.history(primary, object)
+            } else {
+                Vec::new()
+            }
         }
     }
 
@@ -813,16 +768,28 @@ mod tests {
         assert_eq!((ans, source, complete), (None, AnswerSource::NotFound, true));
     }
 
+    /// A link names a visit its site's history lacks — the gateway's
+    /// latest link here, a record's onward link below: the walk that
+    /// follows it is incomplete, not a panic and not "nowhere".
     #[test]
     fn a_source_that_loses_its_records_is_incomplete_not_a_panic() {
         let (_, mut fake) = chain();
-        fake.phantom = true;
-        let (ans, source, complete, _) = locate_from(&mut fake, 3, ms(5));
-        assert_eq!((ans, source, complete), (None, AnswerSource::Local, false));
+        let lost = Link { site: SiteId(4), time: ms(35) };
+        fake.index.insert(obj(0), (SiteId(0), lost));
+        let gateway = AnswerSource::Gateway(SiteId(0));
+        let (ans, source, complete, _) = locate_from(&mut fake, 5, ms(25));
+        assert_eq!((ans, source, complete), (None, gateway, false));
         let mut cost = QueryCost::default();
         let (path, source, complete) =
-            trace(&mut fake, SiteId(3), obj(0), ms(0), ms(40), &mut cost);
-        assert_eq!((path, source, complete), (Vec::new(), AnswerSource::Local, false));
+            trace(&mut fake, SiteId(5), obj(0), ms(0), ms(40), &mut cost);
+        assert_eq!((path, source, complete), (Vec::new(), gateway, false));
+        // Site 1's record moves on to a visit at site 2 that site 2 lacks,
+        // and the gateway's latest state is later than the instant asked.
+        let (_, mut fake) = chain();
+        let to = Link { site: SiteId(2), time: ms(15) };
+        fake.iop[1].upsert_record(obj(0), IopRecord { arrived: ms(10), from: None, to: Some(to) });
+        let (ans, source, complete, _) = locate_from(&mut fake, 1, ms(17));
+        assert_eq!((ans, source, complete), (None, AnswerSource::Local, false));
     }
 
     proptiny! {

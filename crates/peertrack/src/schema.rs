@@ -329,6 +329,34 @@ wire_struct! {
     Visit { site: SiteId, arrived: SimTime, departed: Option<SimTime> }
 }
 
+/// One object's visit records at one site, in arrival order. Decoding
+/// refuses a vector out of that order ([`DecodeError::Unsorted`]): the
+/// repository and the query planner binary-search it, so a peer's or a
+/// snapshot's bytes must not hand them one unsorted. A site's snapshot
+/// and the daemon's history reply both carry it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct History(pub Vec<IopRecord>);
+
+impl Field for History {
+    const MIN: usize = <Vec<IopRecord>>::MIN;
+    #[inline]
+    fn put(&self, buf: &mut ByteBuf) {
+        self.0.put(buf);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let records = <Vec<IopRecord>>::get(r)?;
+        if !records.is_sorted_by_key(|rec| rec.arrived) {
+            return Err(DecodeError::Unsorted);
+        }
+        Ok(History(records))
+    }
+    #[inline]
+    fn model(&self) -> usize {
+        self.0.model()
+    }
+}
+
 /// Declare an enum whose variants are `Variant = tag` with unit,
 /// one-field tuple or named fields, each field in wire order, and derive
 /// from the declaration:

@@ -95,11 +95,6 @@ impl IopStore {
         IopStore::default()
     }
 
-    fn history(&self, object: ObjectId) -> Option<&Vec<IopRecord>> {
-        let h = self.interner.get(&object.0)?;
-        Some(&self.histories[h as usize])
-    }
-
     /// The history slot for `object`, interning it on first sight.
     fn history_mut(&mut self, object: ObjectId) -> &mut Vec<IopRecord> {
         let h = self.interner.intern(&object.0) as usize;
@@ -107,14 +102,6 @@ impl IopStore {
             self.histories.push(Vec::new());
         }
         &mut self.histories[h]
-    }
-
-    /// Index of the **last** record with `arrived == t`, if any (same-
-    /// time repeat visits resolve to the latest, matching the original
-    /// backward walk).
-    fn position_at(v: &[IopRecord], t: SimTime) -> Option<usize> {
-        let i = v.partition_point(|r| r.arrived <= t);
-        (i > 0 && v[i - 1].arrived == t).then(|| i - 1)
     }
 
     /// Record a capture (creates an open visit). Arrival times per object
@@ -164,27 +151,23 @@ impl IopStore {
     fn record_mut(&mut self, object: ObjectId, arrived: SimTime) -> Option<&mut IopRecord> {
         let h = self.interner.get(&object.0)?;
         let v = &mut self.histories[h as usize];
-        let i = Self::position_at(v, arrived)?;
+        let i = position_at(v, arrived)?;
         Some(&mut v[i])
     }
 
     /// The visit record keyed by arrival time.
     pub fn record_at(&self, object: ObjectId, arrived: SimTime) -> Option<&IopRecord> {
-        let v = self.history(object)?;
-        Self::position_at(v, arrived).map(|i| &v[i])
+        record_at(self.all(object), arrived)
     }
 
     /// The site's latest visit record for the object.
     pub fn latest(&self, object: ObjectId) -> Option<&IopRecord> {
-        self.history(object)?.last()
+        self.all(object).last()
     }
 
-    /// Latest visit record with `arrived ≤ t` (for intermediate-node
-    /// query answering). Binary search — histories are sorted.
+    /// Latest visit record with `arrived ≤ t`.
     pub fn latest_at_or_before(&self, object: ObjectId, t: SimTime) -> Option<&IopRecord> {
-        let v = self.history(object)?;
-        let i = v.partition_point(|r| r.arrived <= t);
-        (i > 0).then(|| &v[i - 1])
+        latest_at_or_before(self.all(object), t)
     }
 
     /// Does this repository know the object at all?
@@ -194,7 +177,7 @@ impl IopStore {
 
     /// All visit records for the object, in arrival order.
     pub fn all(&self, object: ObjectId) -> &[IopRecord] {
-        self.history(object).map(Vec::as_slice).unwrap_or(&[])
+        self.interner.get(&object.0).map_or(&[], |h| &self.histories[h as usize])
     }
 
     /// Number of (object, visit) records stored.
@@ -242,6 +225,29 @@ impl IopStore {
     pub fn is_empty(&self) -> bool {
         self.interner.is_empty()
     }
+}
+
+// The views of one object's visit history (in arrival order) that a
+// query reads. The repository and the query planner both answer from
+// these, so each view is written once.
+
+/// Index of the **last** record with `arrived == t`, if any (same-time
+/// repeat visits resolve to the latest, matching the original backward
+/// walk).
+fn position_at(history: &[IopRecord], t: SimTime) -> Option<usize> {
+    let i = history.partition_point(|r| r.arrived <= t);
+    (i > 0 && history[i - 1].arrived == t).then(|| i - 1)
+}
+
+/// The visit of `history` that arrived at `t`.
+pub fn record_at(history: &[IopRecord], t: SimTime) -> Option<&IopRecord> {
+    position_at(history, t).map(|i| &history[i])
+}
+
+/// The latest visit of `history` arriving at or before `t`.
+pub fn latest_at_or_before(history: &[IopRecord], t: SimTime) -> Option<&IopRecord> {
+    let i = history.partition_point(|r| r.arrived <= t);
+    i.checked_sub(1).map(|i| &history[i])
 }
 
 /// A group-index shard: the records a gateway keeps for one prefix.

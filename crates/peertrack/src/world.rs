@@ -65,11 +65,6 @@ pub struct SiteState {
     pub alive: bool,
     /// Pending `Tmax` timer for the open window, if any.
     window_timer: Option<TimerId>,
-    /// Sequence numbers already processed (retry mode): retransmissions
-    /// and fault-plane duplicates are acked again but not re-applied —
-    /// IOP upserts are not idempotent, so at-least-once delivery plus
-    /// this filter gives exactly-once processing.
-    seen_seqs: HashSet<u64>,
     /// Pending one-shot anti-entropy timer, if a write armed one.
     antientropy_timer: Option<TimerId>,
     /// Locate-answer cache (DESIGN.md §15), allocated only when
@@ -117,6 +112,13 @@ pub struct NetWorld {
     pub anomalies: Anomalies,
     /// Next wire sequence number (0 is reserved for unsequenced traffic).
     next_seq: u64,
+    /// Sequence numbers already processed, one bit each: retransmissions
+    /// and fault-plane duplicates are acked again but not re-applied —
+    /// IOP upserts are not idempotent, so at-least-once delivery plus
+    /// this filter gives exactly-once processing. Every copy of a number
+    /// goes to the one site it was first sent to, so one set for the
+    /// whole network decides what a set per site would.
+    seen_seqs: Vec<u64>,
     /// Unacked sequenced sends awaiting their retry timer.
     pending_retries: HashMap<u64, PendingSend>,
     /// Open end-to-end message spans keyed by wire sequence number
@@ -164,6 +166,7 @@ impl NetWorld {
             next_pending: 0,
             anomalies: Anomalies::default(),
             next_seq: 1,
+            seen_seqs: Vec::new(),
             pending_retries: HashMap::new(),
             pending_spans: HashMap::new(),
             epochs: EpochTable::new(),
@@ -201,7 +204,6 @@ impl NetWorld {
             chord_id,
             alive: true,
             window_timer: None,
-            seen_seqs: HashSet::new(),
             antientropy_timer: None,
             locate_cache: self.config.locate_cache.map(LocateCache::new),
             query_load: 0,
@@ -418,10 +420,15 @@ impl NetWorld {
             if self.config.retry.enabled {
                 self.send_ack(sim, to, from, seq);
             }
-            if !self.sites[to].seen_seqs.insert(seq) {
+            let (word, bit) = ((seq / 64) as usize, 1 << (seq % 64));
+            if word >= self.seen_seqs.len() {
+                self.seen_seqs.resize(word + 1, 0);
+            }
+            if self.seen_seqs[word] & bit != 0 {
                 self.anomalies.duplicates_suppressed += 1;
                 return;
             }
+            self.seen_seqs[word] |= bit;
             // First processed copy of this sequence number: the
             // end-to-end message span (opened at dispatch) ends here.
             if !self.pending_spans.is_empty() {

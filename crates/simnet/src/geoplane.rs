@@ -108,11 +108,6 @@ impl GeoPlane {
         self.severed.clear();
     }
 
-    /// Is any region pair currently severed?
-    pub fn any_severed(&self) -> bool {
-        !self.severed.is_empty()
-    }
-
     /// Does a message between these two *sites* cross a severed pair?
     pub fn sites_severed(&self, from: usize, to: usize) -> bool {
         !self.severed.is_empty()
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn sever_is_symmetric_and_healable() {
         let mut p = GeoPlane::new(GeoConfig::new(1, Topology::wan3(6)));
-        assert!(!p.any_severed());
+        assert!(!p.sites_severed(0, 5));
         p.sever(0, 2);
         assert!(p.sites_severed(0, 5)); // eu site -> ap site
         assert!(p.sites_severed(5, 0));
@@ -173,7 +168,6 @@ mod tests {
         assert!(!p.sites_severed(0, 1)); // intra-eu untouched
         p.sever(1, 1); // self-cut is a no-op
         p.heal(2, 0); // order-insensitive
-        assert!(!p.any_severed());
         assert!(!p.sites_severed(0, 5));
     }
 }

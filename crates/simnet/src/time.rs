@@ -46,11 +46,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Fractional milliseconds, the unit Fig. 7 reports.
-    pub fn as_millis_f64(&self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating difference (`self - earlier`), as a duration.
     pub fn since(&self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
@@ -114,7 +109,6 @@ mod tests {
         assert_eq!(ms(5).as_micros(), 5_000);
         assert_eq!(secs(2).as_millis(), 2_000);
         assert_eq!(SimTime::from_micros(1500).as_millis(), 1);
-        assert!((ms(5).as_millis_f64() - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -132,12 +132,6 @@ impl PaperWorkload {
         }
         route
     }
-
-    /// Number of observations phase 1 + phase 2 will produce.
-    pub fn expected_observations(&self) -> usize {
-        let movers = (self.objects_per_site as f64 * self.move_fraction).round() as usize;
-        self.sites * self.objects_per_site + self.sites * movers * self.trace_len
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +156,8 @@ mod tests {
     fn observation_budget_matches() {
         let w = small();
         let evs = w.generate();
-        assert_eq!(observation_count(&evs), w.expected_observations());
+        // 8 sites × 100 in inventory, then 8 × 10 movers × 4 steps.
+        assert_eq!(observation_count(&evs), 8 * 100 + 8 * 10 * 4);
         // 8 inventory waves + 8 sites × 4 group steps.
         assert_eq!(evs.len(), 8 + 8 * 4);
     }
@@ -172,7 +167,7 @@ mod tests {
         let mut w = small();
         w.grouped_movement = false;
         let evs = w.generate();
-        assert_eq!(observation_count(&evs), w.expected_observations());
+        assert_eq!(observation_count(&evs), 8 * 100 + 8 * 10 * 4);
         // One event per (mover, step) + inventory waves.
         assert_eq!(evs.len(), 8 + 8 * 10 * 4);
     }

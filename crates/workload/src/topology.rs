@@ -75,14 +75,6 @@ impl SupplyChain {
         }
     }
 
-    /// All sites of one tier.
-    pub fn sites_of(&self, tier: Tier) -> Vec<SiteId> {
-        (0..self.total())
-            .map(|i| SiteId(i as u32))
-            .filter(|s| self.tier(*s) == tier)
-            .collect()
-    }
-
     /// Sample a downstream route supplier → DC → retailer that respects
     /// the wiring (the retailer's DC is one of its sources; the DC's
     /// supplier one of its own).
@@ -123,9 +115,10 @@ mod tests {
     fn tiers_partition_sites() {
         let c = SupplyChain::generate(3, 4, 5, 1);
         assert_eq!(c.total(), 12);
-        assert_eq!(c.sites_of(Tier::Supplier).len(), 3);
-        assert_eq!(c.sites_of(Tier::DistributionCenter).len(), 4);
-        assert_eq!(c.sites_of(Tier::Retailer).len(), 5);
+        let count = |tier| (0..12).filter(|&i| c.tier(SiteId(i)) == tier).count();
+        assert_eq!(count(Tier::Supplier), 3);
+        assert_eq!(count(Tier::DistributionCenter), 4);
+        assert_eq!(count(Tier::Retailer), 5);
         assert_eq!(c.tier(SiteId(0)), Tier::Supplier);
         assert_eq!(c.tier(SiteId(3)), Tier::DistributionCenter);
         assert_eq!(c.tier(SiteId(7)), Tier::Retailer);

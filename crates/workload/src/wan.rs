@@ -6,10 +6,7 @@
 //! movement: every object is manufactured at a site in its home
 //! region, then handed off through **every region in order** (3+
 //! handoffs across region boundaries), with optional intra-region
-//! dwell stops between the long hauls. Streams are region-tagged —
-//! [`WanChain::region_streams`] splits the one deterministic event
-//! list into per-region capture streams, the form a per-region
-//! ingestion pipeline would consume.
+//! dwell stops between the long hauls.
 //!
 //! Determinism: one `detrand::StdRng` seeded from the caller's seed
 //! drives every draw, so the same `(topology, seed)` always produces
@@ -96,32 +93,6 @@ impl WanChain {
         }
         WanChain { events, routes }
     }
-
-    /// Split the events into one region-tagged stream per region
-    /// (indexed by `RegionId`), preserving generation order within
-    /// each stream.
-    pub fn region_streams(&self, topology: &Topology) -> Vec<Vec<CaptureEvent>> {
-        let mut streams: Vec<Vec<CaptureEvent>> = vec![Vec::new(); topology.regions()];
-        for ev in &self.events {
-            streams[topology.region_of(ev.site.0 as usize) as usize].push(ev.clone());
-        }
-        streams
-    }
-
-    /// Number of region boundary crossings over all routes (consecutive
-    /// route stops in different regions) — the ground-truth handoff
-    /// count the wan sweep reports against.
-    pub fn region_crossings(&self, topology: &Topology) -> usize {
-        self.routes
-            .iter()
-            .map(|route| {
-                route
-                    .windows(2)
-                    .filter(|w| topology.is_cross(w[0].0 as usize, w[1].0 as usize))
-                    .count()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -160,24 +131,6 @@ mod tests {
             assert_eq!(seq, vec![home, (home + 1) % 3, (home + 2) % 3], "object {k}");
             // 3+ region handoffs requirement: at least regions-1 crossings.
             assert!(regs.windows(2).filter(|w| w[0] != w[1]).count() >= 2);
-        }
-        assert!(chain.region_crossings(&t) >= 9 * 2);
-    }
-
-    #[test]
-    fn streams_are_region_pure_and_complete() {
-        let t = topo();
-        let step = SimTime::from_millis(40);
-        let chain = WanChain::generate(&t, 10, 2, SimTime::ZERO, step, step, 11);
-        let streams = chain.region_streams(&t);
-        assert_eq!(streams.len(), 3);
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        assert_eq!(total, chain.events.len());
-        for (r, stream) in streams.iter().enumerate() {
-            assert!(!stream.is_empty(), "region {r} stream empty");
-            for ev in stream {
-                assert_eq!(t.region_of(ev.site.0 as usize) as usize, r);
-            }
         }
     }
 

@@ -369,6 +369,18 @@ if grep -rnE 'LookupStep|LookupDriver|StepResp|answer_step' crates --include='*.
 fi
 echo "OK: no networked Chord walk under crates/."
 
+# One read per site: a query asks a site for what it holds about the
+# object (`Frame::Holdings`: its visit history and index entry), and the
+# planner derives every view it walks by from the history. The per-view
+# request and reply frames and the per-view read methods must not grow
+# back. Silent when clean.
+if grep -rnwE 'GatewayProbe|IopKnows|RecFirst|ReplRecAt|LinkResp|BoolResp' crates tests --include='*.rs' \
+    || grep -rnwE 'Frame::(RecAt|RecLatest)' crates tests --include='*.rs' \
+    || grep -rnE 'fn (replica_record_at|read_record)\b' crates tests --include='*.rs'; then
+    echo "a per-view read frame or read method is back" >&2
+    exit 1
+fi
+
 # One checked byte reader: `peertrack::bytebuf::Reader` is the only code
 # that reads a field off untrusted bytes. A second bounds-check helper
 # or primitive getter is how the last two copies began, and a decoder

@@ -39,7 +39,8 @@ use integration_tests::triple_from_events;
 use moods::{Locate, MovementLog, ObjectId, SiteId, Trace};
 use peertrack::config::GroupConfig;
 use peertrack::messages::Msg;
-use peertrack::store::Link;
+use peertrack::schema::History;
+use peertrack::store::{IopRecord, Link};
 use peertrack::Builder;
 use simnet::time::secs;
 use simnet::SimTime;
@@ -595,7 +596,7 @@ fn dead_member_costs_the_engine_nothing() {
 }
 
 /// Everything the node sends a peer rides one connection: a flush's
-/// `GroupIndex` and then a locate's `GatewayProbe` arrive on the one
+/// `GroupIndex` and then a locate's `Holdings` read arrive on the one
 /// stream the peer accepted, and after the peer restarts at the same
 /// address the node redials it for both — the redialed link opening
 /// with the first life's `GroupIndex`, which that life never acked.
@@ -627,11 +628,12 @@ fn one_link_per_peer_redialed_at_the_same_address() {
 
         write_frame(&mut conn, &Frame::Locate { object: asked, t: at }.encode()).expect("locate");
         match Frame::decode(&read_response(&mut link)) {
-            Ok(Frame::GatewayProbe { object }) if object == asked => {}
-            other => panic!("life {life}: expected the GatewayProbe, got {other:?}"),
+            Ok(Frame::Holdings { object, copy_of: None }) if object == asked => {}
+            other => panic!("life {life}: expected the Holdings read, got {other:?}"),
         }
-        let latest = Link { site: SiteId(0), time: at };
-        write_frame(&mut link, &Frame::LinkResp(Some(latest)).encode()).expect("answer");
+        let entry = Some(Link { site: SiteId(0), time: at });
+        let reply = Frame::HoldingsResp { history: History::default(), entry };
+        write_frame(&mut link, &reply.encode()).expect("answer");
         match Frame::decode(&read_response(&mut conn)) {
             Ok(Frame::LocateResp { answer: Some(SiteId(0)), complete: true, .. }) => {}
             other => panic!("life {life}: locate answered {other:?}"),
@@ -649,6 +651,46 @@ fn one_link_per_peer_redialed_at_the_same_address() {
     let report = node.join();
     assert_eq!(report.anomalies.dropped_to_dead, 0);
     assert_eq!(report.unsupported, 0);
+}
+
+/// A query reads a site once: a locate at an instant before the object's
+/// latest visit, which is at the gateway peer, asks that peer one
+/// `Holdings` and takes both the index entry and the visit record it
+/// walks back from out of the one reply. Fails at the commit before one
+/// read per site, where the peer was asked for the entry and then, in a
+/// second round trip, for the record.
+#[test]
+fn a_locate_reads_the_gateway_peer_once() {
+    require_sockets!();
+    const SEED: u64 = 29;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let (node, mut conn) = node_with_peer_at(SEED, listener.local_addr().expect("addr"));
+    let asked = gatewayed_at_site_1(SEED).next().expect("object");
+    write_frame(&mut conn, &Frame::Locate { object: asked, t: secs(15) }.encode()).expect("locate");
+    let (mut link, _) = listener.accept().expect("the node dials site 1");
+    link.set_read_timeout(Some(PROMPT)).expect("timeout");
+    match Frame::decode(&read_response(&mut link)) {
+        Ok(Frame::Holdings { object, copy_of: None }) if object == asked => {}
+        other => panic!("expected the Holdings read, got {other:?}"),
+    }
+    // Site 1 saw the object at 10 s and again at 20 s, its latest visit.
+    let at = |s| Link { site: SiteId(1), time: secs(s) };
+    let (first, latest) = (at(10), at(20));
+    let history = History(vec![
+        IopRecord { arrived: first.time, from: None, to: Some(latest) },
+        IopRecord { arrived: latest.time, from: Some(first), to: None },
+    ]);
+    let reply = Frame::HoldingsResp { history, entry: Some(latest) };
+    write_frame(&mut link, &reply.encode()).expect("answer");
+    match Frame::decode(&read_response(&mut conn)) {
+        Ok(Frame::LocateResp { answer: Some(SiteId(1)), complete: true, .. }) => {}
+        other => panic!("locate answered {other:?}"),
+    }
+
+    assert!(matches!(request(&mut conn, &Frame::Shutdown), Frame::Ack));
+    assert_eq!(node.join().unsupported, 0);
+    // The node has closed the link: nothing followed the one request.
+    assert!(read_frame(&mut link).expect("read to the end").is_none(), "a second request");
 }
 
 /// A region cut holds protocol messages by cursor and the heal writes

@@ -78,11 +78,22 @@ fn cpu_over_idle_window() -> f64 {
 /// caller itself.
 fn node_threads() -> usize {
     let me = std::fs::read_to_string("/proc/thread-self/comm").expect("read own comm");
+    thread_names().filter(|comm| comm.starts_with("peertrackd") || *comm == me).count()
+}
+
+/// The name of every thread of this process.
+fn thread_names() -> impl Iterator<Item = String> {
     let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
-    tasks
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("peertrackd") || *comm == me)
-        .count()
+    tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+}
+
+/// Poll `settled` for up to 2 s: a joined thread may still be leaving
+/// the task list.
+fn wait_until(settled: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !settled() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn connect(addr: std::net::SocketAddr) -> TcpStream {
@@ -148,6 +159,9 @@ fn idle_cluster_costs_no_cpu() {
 fn a_stopped_node_leaves_no_listener_and_no_threads() {
     require_sockets!();
     let _serial = serial();
+    // The engine threads of nodes an earlier test joined may not have
+    // left yet: counted in the baseline, they would be missed at the end.
+    wait_until(|| !thread_names().any(|comm| comm.starts_with("peertrackd")));
     let baseline = node_threads();
     for cycle in 0..20u64 {
         let node = Node::spawn(NodeConfig::loopback(SiteId(0), cycle, None)).expect("spawn");
@@ -163,11 +177,7 @@ fn a_stopped_node_leaves_no_listener_and_no_threads() {
         let redial = TcpStream::connect(addr).map(|_| ()).map_err(|e| e.kind());
         assert_eq!(redial, Err(std::io::ErrorKind::ConnectionRefused), "cycle {cycle}: {stop:?}");
     }
-    // A joined thread may still be leaving the task list.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while node_threads() > baseline && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(|| node_threads() <= baseline);
     assert_eq!(node_threads(), baseline, "a node's threads outlived it");
 }
 
