@@ -72,32 +72,42 @@ impl ChordNode {
         self.successors[0]
     }
 
-    /// The best finger strictly inside `(self.id, key)` according to this
-    /// node's (possibly stale) table, filtered by `alive`. Falls back to
-    /// live successor-list entries, then to `self.id` (meaning: no
-    /// progress available from fingers, route via successor).
-    pub fn closest_preceding(&self, key: &Id, alive: impl Fn(&Id) -> bool) -> Id {
-        for (_, f) in self.fingers.iter_desc() {
-            if f != self.id && f.in_interval_oo(&self.id, key) && alive(&f) {
-                return f;
-            }
-        }
+    /// The live node of the best finger strictly inside `(self.id, key)`
+    /// according to this node's (possibly stale) table; `get` returns a
+    /// member's state, `None` for a dead pointer. Falls back to live
+    /// successor-list entries, then to `self` (meaning: no progress
+    /// available from fingers, route via successor).
+    pub fn closest_preceding<'a>(
+        &'a self,
+        key: &Id,
+        get: impl Fn(&Id) -> Option<&'a ChordNode>,
+    ) -> &'a ChordNode {
+        let fingers = self.fingers.iter_desc().map(|(_, f)| f);
         // Successor-list fallback, farthest-first for maximum progress.
-        for s in self.successors.iter().rev() {
-            if *s != self.id && s.in_interval_oo(&self.id, key) && alive(s) {
-                return *s;
-            }
-        }
-        self.id
+        let successors = self.successors.iter().rev().copied();
+        fingers
+            .chain(successors)
+            .filter(|f| *f != self.id && f.in_interval_oo(&self.id, key))
+            .find_map(|f| get(&f))
+            .unwrap_or(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn id(v: u64) -> Id {
         Id::from_u64(v)
+    }
+
+    /// A membership of solitary nodes at `live`, and the id of the node
+    /// `closest_preceding` picks from `n` through it.
+    fn pick(n: &ChordNode, key: u64, live: &[u64]) -> Id {
+        let members: BTreeMap<Id, ChordNode> =
+            live.iter().map(|&v| (id(v), ChordNode::solitary(id(v), 0))).collect();
+        n.closest_preceding(&id(key), |x| members.get(x)).id
     }
 
     #[test]
@@ -115,11 +125,11 @@ mod tests {
         n.fingers.set(3, id(8));
         n.fingers.set(5, id(32));
         n.fingers.set(7, id(128));
+        let live = [8, 32, 128];
         // Key 100: 32 is the closest live finger preceding it (128 > 100).
-        let got = n.closest_preceding(&id(100), |_| true);
-        assert_eq!(got, id(32));
+        assert_eq!(pick(&n, 100, &live), id(32));
         // Key 200: 128 qualifies.
-        assert_eq!(n.closest_preceding(&id(200), |_| true), id(128));
+        assert_eq!(pick(&n, 200, &live), id(128));
     }
 
     #[test]
@@ -127,8 +137,8 @@ mod tests {
         let mut n = ChordNode::solitary(id(0), 0);
         n.fingers.set(5, id(32));
         n.fingers.set(3, id(8));
-        let got = n.closest_preceding(&id(100), |x| *x != id(32));
-        assert_eq!(got, id(8));
+        // 32 is dead: it is absent from the membership.
+        assert_eq!(pick(&n, 100, &[8]), id(8));
     }
 
     #[test]
@@ -136,14 +146,13 @@ mod tests {
         let mut n = ChordNode::solitary(id(0), 0);
         n.successors = vec![id(4), id(6), id(9), id(12)];
         // All fingers are self; key 10 → farthest live successor < 10.
-        let got = n.closest_preceding(&id(10), |_| true);
-        assert_eq!(got, id(9));
+        assert_eq!(pick(&n, 10, &[4, 6, 9, 12]), id(9));
     }
 
     #[test]
     fn closest_preceding_returns_self_when_stuck() {
         let n = ChordNode::solitary(id(0), 0);
-        assert_eq!(n.closest_preceding(&id(10), |_| true), id(0));
+        assert_eq!(pick(&n, 10, &[0]), id(0));
     }
 
     #[test]

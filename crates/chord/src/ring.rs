@@ -140,14 +140,12 @@ impl Ring {
     /// `key` (its *successor*). Used for assertions and for key-migration
     /// bookkeeping; routing uses [`Ring::lookup`].
     pub fn successor_of(&self, key: &Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        self.nodes
-            .range(key..)
-            .next()
-            .map(|(id, _)| *id)
-            .or_else(|| self.nodes.keys().next().copied())
+        self.successor_node(key).map(|n| n.id)
+    }
+
+    /// The state of `key`'s ground-truth successor.
+    fn successor_node(&self, key: &Id) -> Option<&ChordNode> {
+        self.nodes.range(key..).next().or_else(|| self.nodes.iter().next()).map(|(_, n)| n)
     }
 
     /// Ground-truth chain of up to `k` distinct live nodes starting at
@@ -313,52 +311,50 @@ impl Ring {
         if self.nodes.is_empty() {
             return Err(LookupError::EmptyRing);
         }
-        if !self.nodes.contains_key(&from) {
-            return Err(LookupError::UnknownOrigin);
-        }
-        let mut cur = from;
+        let mut node = self.nodes.get(&from).ok_or(LookupError::UnknownOrigin)?;
         let mut hops = 0u32;
-        let mut path = vec![from];
+        // Room for the querier, ~log2 N hops and the owner.
+        let mut path = Vec::with_capacity(self.nodes.len().ilog2() as usize + 2);
+        path.push(from);
         let limit = (2 * self.nodes.len() + ID_BITS) as u32;
 
+        // Each hop reads the map once for the live successor and once for
+        // the chosen finger, whose state the next hop starts from.
         loop {
-            let node = &self.nodes[&cur];
-            let succ = self.first_live_successor(node);
-            if key.in_interval_oc(&cur, &succ) {
-                if succ != cur {
+            let cur = node.id;
+            let succ = self.live_successor(node);
+            if key.in_interval_oc(&cur, &succ.id) {
+                if succ.id != cur {
                     hops += 1;
-                    path.push(succ);
+                    path.push(succ.id);
                 }
-                return Ok(LookupResult { owner: succ, hops, path });
+                return Ok(LookupResult { owner: succ.id, hops, path });
             }
-            let next = node.closest_preceding(&key, |id| self.nodes.contains_key(id));
-            let step = if next == cur { succ } else { next };
-            if step == cur {
+            let next = node.closest_preceding(&key, |id| self.nodes.get(id));
+            let step = if next.id == cur { succ } else { next };
+            if step.id == cur {
                 // Ring of one that doesn't own the key is impossible
                 // (interval check above covers it); treat as converged.
                 return Ok(LookupResult { owner: cur, hops, path });
             }
-            cur = step;
+            node = step;
             hops += 1;
-            path.push(cur);
+            path.push(node.id);
             if hops > limit {
                 return Err(LookupError::RoutingLoop);
             }
         }
     }
 
-    /// First live entry in `node`'s successor list, repaired from ground
-    /// truth when the whole list is dead (models Chord's fallback to
-    /// re-join-by-lookup, which in practice always converges for the
+    /// The first live entry in `node`'s successor list, repaired from
+    /// ground truth when the whole list is dead (models Chord's fallback
+    /// to re-join-by-lookup, which in practice always converges for the
     /// churn rates evaluated).
-    fn first_live_successor(&self, node: &ChordNode) -> Id {
+    fn live_successor(&self, node: &ChordNode) -> &ChordNode {
         node.successors
             .iter()
-            .copied()
-            .find(|s| self.nodes.contains_key(s))
-            .unwrap_or_else(|| {
-                self.successor_of(&node.id.succ()).expect("ring non-empty")
-            })
+            .find_map(|s| self.nodes.get(s))
+            .unwrap_or_else(|| self.successor_node(&node.id.succ()).expect("ring non-empty"))
     }
 
     /// Ground-truth chain of the next [`SUCCESSOR_LIST_LEN`] live nodes
@@ -634,6 +630,53 @@ mod tests {
             let r = ring.lookup(from, key).expect("lookup should survive churn");
             assert_eq!(Some(r.owner), ring.successor_of(&key));
         }
+    }
+
+    /// Every routing decision under unrepaired churn is pinned. Joins,
+    /// leaves and failures with no stabilization between them leave
+    /// fingers and successor lists stale, some pointing at dead nodes;
+    /// one digest covers each lookup's `(owner, hops, path)`.
+    #[test]
+    fn stale_routing_is_pinned() {
+        let (mut ring, _) = build_ring(96, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut out = Vec::new();
+        let mut lookups = 0;
+        for round in 0..8 {
+            for op in 0..7 {
+                let live: Vec<Id> = ring.node_ids().collect();
+                let pick = live[rng.gen_range(0..live.len())];
+                match op {
+                    0..=2 => {
+                        let new = Id::random(&mut rng);
+                        let joined = ring.join(pick, new, 1000 + 7 * round + op);
+                        out.push(u8::from(joined.is_ok()));
+                    }
+                    3 | 4 => {
+                        ring.leave(pick);
+                    }
+                    _ => ring.fail(pick),
+                }
+            }
+            assert!(ring.check_converged().is_err(), "churn must leave stale pointers");
+            let live: Vec<Id> = ring.node_ids().collect();
+            for _ in 0..300 {
+                let from = live[rng.gen_range(0..live.len())];
+                match ring.lookup(from, Id::random(&mut rng)) {
+                    Ok(r) => {
+                        out.push(1);
+                        out.extend_from_slice(&r.owner.0);
+                        out.extend_from_slice(&r.hops.to_be_bytes());
+                        out.extend_from_slice(&(r.path.len() as u32).to_be_bytes());
+                        r.path.iter().for_each(|id| out.extend_from_slice(&id.0));
+                    }
+                    Err(e) => out.extend_from_slice(&[0, e as u8]),
+                }
+                lookups += 1;
+            }
+        }
+        assert_eq!(lookups, 2400);
+        assert_eq!(Id::hash(&out).to_hex(), "4d62790be7a88eb8490f3df881b08927fd7dd714");
     }
 
     #[test]

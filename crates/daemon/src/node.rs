@@ -117,6 +117,7 @@ use peertrack::store::{IndexEntry, IopRecord, Link};
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
@@ -1913,8 +1914,8 @@ impl RecordSource for Engine {
         Ok(r.path[1..].iter().map(|nid| self.core.site_of_chord(nid)).collect())
     }
 
-    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
-        self.read(site, object, None).map(|(history, _)| history).unwrap_or_default()
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Cow<'_, [IopRecord]> {
+        Cow::Owned(self.read(site, object, None).map(|(history, _)| history).unwrap_or_default())
     }
 
     /// The gateway's own cost beyond being reached is nil in the
@@ -1941,8 +1942,9 @@ impl RecordSource for Engine {
         holder: SiteId,
         primary: SiteId,
         object: ObjectId,
-    ) -> Vec<IopRecord> {
-        self.read(holder, object, Some(primary)).map(|(history, _)| history).unwrap_or_default()
+    ) -> Cow<'_, [IopRecord]> {
+        let read = self.read(holder, object, Some(primary));
+        Cow::Owned(read.map(|(history, _)| history).unwrap_or_default())
     }
 }
 

@@ -11,16 +11,44 @@
 //!
 //! Ids are stored big-endian so that byte-wise comparison equals numeric
 //! comparison and the prefix of the *bit string* (used for grouping in
-//! §IV-A) is the prefix of the byte array.
+//! §IV-A) is the prefix of the byte array. Equality and order read the
+//! bytes as three big-endian words (`u64`, `u64`, `u32`), which orders
+//! exactly as the bytes do in three compares instead of a `memcmp` call.
 
 use crate::sha1::Sha1;
 use crate::{ID_BITS, ID_BYTES};
 use detrand::Rng;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A 160-bit identifier on the Chord ring.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+// Equality below is byte equality, so the derived byte hash agrees with it.
+#[allow(clippy::derived_hash_with_manual_eq)]
+#[derive(Clone, Copy, Hash)]
 pub struct Id(pub [u8; ID_BYTES]);
+
+impl PartialEq for Id {
+    #[inline]
+    fn eq(&self, other: &Id) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for Id {}
+
+impl Ord for Id {
+    #[inline]
+    fn cmp(&self, other: &Id) -> Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for Id {
+    #[inline]
+    fn partial_cmp(&self, other: &Id) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Id {
     /// The identifier with all bits zero.
@@ -28,6 +56,17 @@ impl Id {
 
     /// The identifier with all bits one (`2^160 - 1`).
     pub const MAX: Id = Id([0xFF; ID_BYTES]);
+
+    /// The bytes as three big-endian words, most significant first.
+    #[inline]
+    fn words(&self) -> (u64, u64, u32) {
+        let b = &self.0;
+        (
+            u64::from_be_bytes(b[..8].try_into().expect("8 bytes")),
+            u64::from_be_bytes(b[8..16].try_into().expect("8 bytes")),
+            u32::from_be_bytes(b[16..].try_into().expect("4 bytes")),
+        )
+    }
 
     /// Hash arbitrary bytes into the identifier space with SHA-1,
     /// exactly as the paper derives object and group ids.
@@ -314,6 +353,24 @@ mod tests {
                 idb = idb.succ();
             }
             prop_assert_eq!(ida.distance_to(&idb), Id::from_u64(steps as u64));
+        }
+
+        /// The word-wise order equals the byte order. Ids sharing their
+        /// first 8 or 16 bytes make the second or the third word decide;
+        /// sharing all 20 draws equal ids.
+        #[test]
+        fn prop_order_is_byte_order(seed in any::<u64>(), shared in 0usize..4) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = Id::random(&mut rng);
+            let mut b = Id::random(&mut rng);
+            let n = [0, 8, 16, ID_BYTES][shared];
+            b.0[..n].copy_from_slice(&a.0[..n]);
+            prop_assert_eq!(a.cmp(&b), a.0.cmp(&b.0));
+            prop_assert_eq!(b.cmp(&a), b.0.cmp(&a.0));
+            prop_assert_eq!(a.partial_cmp(&b), Some(a.0.cmp(&b.0)));
+            prop_assert_eq!(a == b, a.0 == b.0);
+            prop_assert_eq!(a < b, a.0 < b.0);
+            prop_assert_eq!(a <= b, a.0 <= b.0);
         }
 
         #[test]

@@ -148,10 +148,13 @@ impl Prefix {
     /// canonical bit string with a length tag so that e.g. `"0"` and
     /// `"00"` can never collide with each other's raw encodings.
     pub fn gateway_id(&self) -> Id {
-        let mut key = String::with_capacity(self.len as usize + 8);
-        key.push_str("grp:");
-        key.push_str(&self.as_bit_string());
-        Id::hash_str(&key)
+        const TAG: &[u8] = b"grp:";
+        let mut key = [0u8; TAG.len() + MAX_PREFIX_BITS];
+        key[..TAG.len()].copy_from_slice(TAG);
+        for i in 0..self.len() {
+            key[TAG.len() + i] = if self.bit(i) { b'1' } else { b'0' };
+        }
+        Id::hash(&key[..TAG.len() + self.len()])
     }
 
     /// Canonical 9-byte wire form: length byte followed by the 8 bit
@@ -278,6 +281,19 @@ mod tests {
             Prefix::from_bit_str("0").gateway_id(),
             Prefix::from_bit_str("00").gateway_id()
         );
+    }
+
+    #[test]
+    fn gateway_ids_are_pinned_for_every_length() {
+        let id = Id::hash(b"gateway-golden");
+        let mut fold = Vec::new();
+        for len in 0..=MAX_PREFIX_BITS {
+            let p = Prefix::of_id(&id, len);
+            let g = p.gateway_id();
+            assert_eq!(g, Id::hash_str(&format!("grp:{p}")), "length {len}");
+            fold.extend_from_slice(&g.0);
+        }
+        assert_eq!(Id::hash(&fold).to_hex(), "0cc316d884716de3e605b7056e1f3a53bfe5df69");
     }
 
     #[test]

@@ -77,13 +77,18 @@ impl Sha1 {
     /// Consume the hasher and return the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length. A tail of 56
+        // bytes or more leaves no room for the length, which then goes
+        // into a block of its own.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // `update` would re-count the length bytes; write them directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -110,33 +115,31 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let mut v = self.state;
+        rounds(&mut v, &w[..20], 0x5A82_7999, |b, c, d| (b & c) | (!b & d));
+        rounds(&mut v, &w[20..40], 0x6ED9_EBA1, |b, c, d| b ^ c ^ d);
+        rounds(&mut v, &w[40..60], 0x8F1B_BCDC, |b, c, d| (b & c) | (b & d) | (c & d));
+        rounds(&mut v, &w[60..], 0xCA62_C1D6, |b, c, d| b ^ c ^ d);
 
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
+        for (s, x) in self.state.iter_mut().zip(v) {
+            *s = s.wrapping_add(x);
         }
+    }
+}
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// Twenty rounds sharing one round function `f` and constant `k` over
+/// the working variables `[a, b, c, d, e]`.
+#[inline(always)]
+fn rounds(v: &mut [u32; 5], w: &[u32], k: u32, f: impl Fn(u32, u32, u32) -> u32) {
+    for &wi in w {
+        let [a, b, c, d, e] = *v;
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f(b, c, d))
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        *v = [tmp, a, b.rotate_left(30), c, d];
     }
 }
 
@@ -205,6 +208,19 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha1::digest(&data), "split at {split}");
         }
+    }
+
+    #[test]
+    fn every_length_to_130_is_pinned() {
+        // One digest folds the digests of every length 0..=130, so the
+        // padding edges at 55, 56, 63, 64, 119 and 120 bytes (one or two
+        // padding blocks) are each pinned.
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 31 + 7) as u8).collect();
+        let mut fold = Sha1::new();
+        for n in 0..=data.len() {
+            fold.update(&Sha1::digest(&data[..n]));
+        }
+        assert_eq!(hex(&fold.finalize()), "80c79c532454285515463feae29cc7b430cc09b1");
     }
 
     #[test]

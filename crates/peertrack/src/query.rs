@@ -34,6 +34,7 @@ use crate::world::NetWorld;
 use ids::Prefix;
 use moods::{ObjectId, Path, SiteId, Visit};
 use simnet::SimTime;
+use std::borrow::Cow;
 
 /// Bytes of one query/traversal message (header + object id + time +
 /// small opcode).
@@ -134,14 +135,16 @@ pub struct Incomplete;
 /// it. The simulator answers them from `&NetWorld`; the daemon answers
 /// local ones from its own stores and each remote one with one request
 /// frame. A history read answers "none" and "no answer" alike, with an
-/// empty history: the planner treats the two the same.
+/// empty history: the planner treats the two the same. A history is
+/// borrowed where the source holds it (the simulator's stores) and owned
+/// where it arrived in a reply (the daemon).
 pub trait RecordSource {
     /// Overlay route from `from` towards `object`'s gateway: the sites
     /// visited after `from`, ending with the gateway. Empty when `from`
     /// itself owns the key.
     fn route(&mut self, from: SiteId, object: ObjectId) -> Result<Vec<SiteId>, Incomplete>;
     /// `site`'s visit records of `object`, in arrival order.
-    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord>;
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Cow<'_, [IopRecord]>;
     /// The §IV-A.3 index lookup at `gateway`: the object's latest-state
     /// link, `Ok(None)` when the index does not know it. Whatever the
     /// lookup spends beyond reaching the gateway is charged to `cost`.
@@ -159,7 +162,7 @@ pub trait RecordSource {
     /// `holder`'s replica copy of `primary`'s visit records of `object`,
     /// in arrival order.
     fn replica_history(&mut self, holder: SiteId, primary: SiteId, object: ObjectId)
-        -> Vec<IopRecord>;
+        -> Cow<'_, [IopRecord]>;
     /// Charge whatever the network plane adds for one query-sized
     /// message `from -> to` (the simulator's WAN topology). Nothing by
     /// default.
@@ -338,8 +341,11 @@ fn locate_from_records<S: RecordSource>(
     cost: &mut QueryCost,
 ) -> Result<Option<SiteId>, Incomplete> {
     let site = *current;
-    let history = src.history(site, object);
-    if let Some(rec) = store::latest_at_or_before(&history, t) {
+    let (anchor, first) = {
+        let history = src.history(site, object);
+        (store::latest_at_or_before(&history, t).copied(), history.first().copied())
+    };
+    if let Some(rec) = anchor {
         // The object was here at or before t; is it still the relevant
         // visit, or did it move on before t?
         let here = Link { site, time: rec.arrived };
@@ -347,8 +353,7 @@ fn locate_from_records<S: RecordSource>(
     }
     // All local records are later than t: walk backward from the
     // earliest local record.
-    let first = history.first().ok_or(Incomplete)?;
-    walk_back(src, current, first.from, object, t, cost)
+    walk_back(src, current, first.ok_or(Incomplete)?.from, object, t, cost)
 }
 
 /// The visit record `rec`, found by following `l`, as a path element.
@@ -444,8 +449,8 @@ impl RecordSource for &NetWorld {
         Ok(sites.map(|i| SiteId(i as u32)).collect())
     }
 
-    fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
-        self.sites[site.0 as usize].iop.all(object).to_vec()
+    fn history(&mut self, site: SiteId, object: ObjectId) -> Cow<'_, [IopRecord]> {
+        Cow::Borrowed(self.sites[site.0 as usize].iop.all(object))
     }
 
     fn gateway_lookup(
@@ -474,9 +479,9 @@ impl RecordSource for &NetWorld {
         holder: SiteId,
         primary: SiteId,
         object: ObjectId,
-    ) -> Vec<IopRecord> {
+    ) -> Cow<'_, [IopRecord]> {
         let copy = self.sites[holder.0 as usize].replica_iop.get(&primary);
-        copy.map_or_else(Vec::new, |c| c.all(object).to_vec())
+        Cow::Borrowed(copy.map_or(&[], |c| c.all(object)))
     }
 
     /// The topology's deterministic wire cost. No-op without a
@@ -660,8 +665,8 @@ mod tests {
             let hops = (gw.0 + SITES - from.0) % SITES;
             Ok((1..=hops).map(|h| SiteId((from.0 + h) % SITES)).collect())
         }
-        fn history(&mut self, site: SiteId, object: ObjectId) -> Vec<IopRecord> {
-            self.iop[site.0 as usize].all(object).to_vec()
+        fn history(&mut self, site: SiteId, object: ObjectId) -> Cow<'_, [IopRecord]> {
+            Cow::Borrowed(self.iop[site.0 as usize].all(object))
         }
         fn gateway_lookup(
             &mut self,
@@ -685,11 +690,11 @@ mod tests {
             holder: SiteId,
             primary: SiteId,
             object: ObjectId,
-        ) -> Vec<IopRecord> {
+        ) -> Cow<'_, [IopRecord]> {
             if self.dead[&primary].last() == Some(&holder) {
                 self.history(primary, object)
             } else {
-                Vec::new()
+                Cow::Borrowed(&[])
             }
         }
     }

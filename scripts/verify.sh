@@ -102,6 +102,21 @@ echo "== flat-engine scale smoke (bounded) =="
 ./target/release/complexity_check --quick > /dev/null
 echo "OK: complexity_check --quick clean (oracle-exact, Θ(No) slope)."
 
+echo "== full-size sim_protocol digests (seeds 42 and 1337) =="
+# The simulator at the benchmark's full size must reproduce the digests
+# of every modeled statistic pinned in benchmark/expected/sim_protocol.digest
+# (per-class messages, bytes and hops; every answer with its cost).
+# run.sh exits non-zero on a mismatch, so a speed-up of ids, Chord or
+# the planner that moves one owner, hop or answer fails here. One round
+# per seed, no sockets; the --quick digests ride the socket-gated
+# benchmark smoke below.
+for seed in 42 1337; do
+    timeout 300 bash benchmark/run.sh --workload sim_protocol --seed "$seed" \
+        --seconds 1 --trace 0 > /dev/null \
+        || { echo "sim_protocol seed $seed: full-size digest differs (or the run failed)" >&2; exit 1; }
+done
+echo "OK: full-size sim_protocol digests match at seeds 42 and 1337."
+
 echo "== loopback cluster smoke (real sockets) =="
 # Five daemon nodes on ephemeral loopback ports run a real movement and
 # answer queries over the wire, inside a hard timeout so a wedged
